@@ -224,6 +224,7 @@ def find_bic_roots(
     n_c: int = DEFAULT_CONFIRM_N_C,
     ipr_threshold: float = spectrum.DEFAULT_IPR_THRESHOLD,
     confirm: bool = True,
+    profiles: list[spectrum.BoundStateProfile] | None = None,
 ) -> list[BicRoot]:
     """All confirmed in-band bound states, both parity branches.
 
@@ -235,6 +236,10 @@ def find_bic_roots(
     parity survives away from the idealized infinite chain).  The branch
     label of a single surviving state is taken from the parity of its
     lattice eigenvector.
+
+    ``profiles`` may carry the classified spectrum of that lattice, from
+    :func:`spectrum.classify_bound_states`; the lattice is then not
+    diagonalized again and ``n_c`` and ``ipr_threshold`` are not used.
     """
     cfg = _require_symmetric(cfg)
     per_branch = {s: _branch_roots(cfg, s, n_scan) for s in BRANCHES}
@@ -254,9 +259,10 @@ def find_bic_roots(
 
     bic_profiles = None
     if confirm:
-        ham = spectrum.build_hamiltonian(cfg, n_c)
-        profiles = spectrum.classify_bound_states(
-            spectrum.eigendecompose(ham), cfg, ipr_threshold)
+        if profiles is None:
+            ham = spectrum.build_hamiltonian(cfg, n_c)
+            profiles = spectrum.classify_bound_states(
+                spectrum.eigendecompose(ham), cfg, ipr_threshold)
         bic_profiles = spectrum.bound_states(profiles, "BIC")
 
     roots: list[BicRoot] = []

@@ -46,12 +46,17 @@ class Scenario:
     checks: tuple[str, ...] = ()
 
 
+def _snapshot_stops(grid: TimeGrid) -> tuple[float, ...]:
+    """Field snapshot times: the grid nodes nearest 0, 1/4, 1/2, 3/4 and 1
+    of the horizon."""
+    return tuple(round(f * grid.t_end / grid.dt) * grid.dt for f in (0.0, 0.25, 0.5, 0.75, 1.0))
+
+
 def _preset(name, legs, t_max, n_c, checks=(), dt=0.02):
     cfg = SystemConfig(n_1=legs[0], n_2=legs[1], m_1=legs[2], m_2=legs[3])
     grid = TimeGrid(t_max=t_max, dt=dt)
-    stops = tuple(round(f * grid.t_end / dt) * dt for f in (0.0, 0.25, 0.5, 0.75, 1.0))
     return Scenario(name=name, cfg=cfg, grid=grid, n_c=n_c,
-                    snapshot_times=stops, checks=tuple(checks))
+                    snapshot_times=_snapshot_stops(grid), checks=tuple(checks))
 
 
 PRESETS = {
@@ -76,11 +81,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header, rows):
+def _cells(column) -> list[str]:
+    """Formatted cells of one column; an array is read once, as a list."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return ["%.15g" % x for x in column.tolist()]
+        column = column.tolist()
+    return [_fmt(x) for x in column]
+
+
+def write_csv(path, header, columns):
+    """Write a CSV file from whole columns (arrays or sequences, one per
+    header field, all of one length)."""
+    cells = [_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_json(path, payload):
@@ -112,17 +128,14 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
             grid = TimeGrid(t_max=200.0, dt=0.02)
         scn = Scenario(
             name=os.path.splitext(os.path.basename(target))[0],
-            cfg=cfg, grid=grid, n_c=file_n_c if file_n_c is not None else 600)
-        stops = tuple(round(f * scn.grid.t_end / scn.grid.dt) * scn.grid.dt
-                      for f in (0.0, 0.25, 0.5, 0.75, 1.0))
-        scn = replace(scn, snapshot_times=stops)
+            cfg=cfg, grid=grid, n_c=file_n_c if file_n_c is not None else 600,
+            snapshot_times=_snapshot_stops(grid))
     else:
         raise ConfigError(f"{target!r} is neither a preset {sorted(PRESETS)} nor a config file")
     if dt is not None or t_max is not None:
         grid = TimeGrid(t_max=t_max if t_max is not None else scn.grid.t_max,
                         dt=dt if dt is not None else scn.grid.dt)
-        stops = tuple(round(f * grid.t_end / grid.dt) * grid.dt for f in (0.0, 0.25, 0.5, 0.75, 1.0))
-        scn = replace(scn, grid=grid, snapshot_times=stops)
+        scn = replace(scn, grid=grid, snapshot_times=_snapshot_stops(grid))
     if n_c is not None:
         scn = replace(scn, n_c=n_c)
     return scn
@@ -148,9 +161,62 @@ def _roots_payload(cfg, roots):
     return payload
 
 
-def _spectrum_rows(profiles):
-    return [(i, p.energy, p.label, p.ipr, p.amp_1 ** 2, p.amp_2 ** 2)
-            for i, p in enumerate(profiles)]
+def _lattice(cfg, n_c):
+    """The lattice Hamiltonian, its eigenbasis and the classified states."""
+    ham = spectrum.build_hamiltonian(cfg, n_c)
+    pairs = spectrum.eigendecompose(ham)
+    return ham, pairs, spectrum.classify_bound_states(pairs, cfg)
+
+
+def _field_window(cfg):
+    """Sites of the photon-field plot window around the legs."""
+    return np.arange(cfg.n_1 - FIELD_WINDOW_PAD, cfg.m_2 + FIELD_WINDOW_PAD + 1)
+
+
+# ---- artifact writers, shared by run_scenario and the partial commands ----
+
+def _write_spectrum(out_dir, ham, profiles):
+    """spectrum.csv, plus profile_<index>.csv for every BIC and BOC."""
+    write_csv(os.path.join(out_dir, "spectrum.csv"),
+              ("index", "energy", "class", "ipr", "a1_sq", "a2_sq"),
+              (range(len(profiles)), [p.energy for p in profiles],
+               [p.label for p in profiles], [p.ipr for p in profiles],
+               [p.amp_1 ** 2 for p in profiles], [p.amp_2 ** 2 for p in profiles]))
+    for i, p in enumerate(profiles):
+        if p.label in ("BIC", "BOC"):
+            write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"),
+                      (ham.sites, p.photon))
+
+
+def _write_dynamics(out_dir, trajectory, deficits=None):
+    """dynamics.csv; ``deficits`` maps grid nodes to field-norm deficits,
+    the other rows leave that column empty."""
+    times = trajectory.grid.times()
+    deficit_col = [""] * times.size
+    for n, value in (deficits or {}).items():
+        deficit_col[n] = value
+    a1, a2 = trajectory.alpha_1, trajectory.alpha_2
+    write_csv(os.path.join(out_dir, "dynamics.csv"),
+              ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2",
+               "pop1", "pop2", "norm_deficit"),
+              (times, a1.real, a1.imag, a2.real, a2.imag,
+               trajectory.pop_1, trajectory.pop_2, deficit_col))
+
+
+def _write_mtrace(out_dir, trace):
+    write_csv(os.path.join(out_dir, "mtrace.csv"),
+              ("t", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2"),
+              (trace.grid.times(), trace.lambda_1.real, trace.lambda_1.imag,
+               trace.lambda_2.real, trace.lambda_2.imag))
+
+
+def _write_field(out_dir, snapshots):
+    times, sites, probs = [], [], []
+    for snap in snapshots:
+        times += [snap.time] * snap.sites.size
+        sites += snap.sites.tolist()
+        probs += snap.probabilities.tolist()
+    write_csv(os.path.join(out_dir, "field.csv"), ("t", "site", "prob"), (times, sites, probs))
 
 
 def oscillation_period(times: np.ndarray, signal: np.ndarray) -> float:
@@ -180,27 +246,29 @@ def _info(name, value) -> dict:
     return {"name": name, "value": _native(value), "threshold": None, "passed": None}
 
 
-def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
-    """Full pipeline for one scenario; returns the manifest dict."""
+def run_scenario(scn: Scenario, out_dir) -> dict:
+    """Full pipeline for one scenario; returns the manifest dict.
+
+    Every stage runs once: the lattice is diagonalized a single time and its
+    eigenbasis and classified states feed the root confirmation, the exact
+    propagation and the steady-state projection.
+    """
     started = time.monotonic()
     out_dir = _prepare_out_dir(out_dir)
     cfg = validate_config(scn.cfg)
     grid = scn.grid
     checks: list[dict] = []
 
+    # lattice spectrum
+    ham, pairs, profiles = _lattice(cfg, scn.n_c)
+    bics = spectrum.bound_states(profiles, "BIC")
+
     # closed-form bound states (symmetric resonant geometries only)
     roots = None
     if cfg.symmetric_resonant and cfg.g_1 > 0.0:
-        roots = bic.find_bic_roots(cfg, n_c=scn.n_c)
+        roots = bic.find_bic_roots(cfg, profiles=profiles)
         worst = max((r.residual for r in roots), default=0.0)
         checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi, worst <= 1e-8 * cfg.xi))
-
-    # lattice spectrum
-    ham = spectrum.build_hamiltonian(cfg, scn.n_c)
-    pairs = spectrum.eigendecompose(ham)
-    profiles = spectrum.classify_bound_states(pairs, cfg)
-    bics = spectrum.bound_states(profiles, "BIC")
-    if roots is not None:
         n_closed = sum(r.multiplicity for r in roots)
         checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
                              n_closed == len(bics)))
@@ -241,8 +309,7 @@ def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
     checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2, diff <= 1e-2))
 
     # photon field over the plot window, plus a wide-window unitarity check
-    window = np.arange(cfg.n_1 - FIELD_WINDOW_PAD, cfg.m_2 + FIELD_WINDOW_PAD + 1)
-    snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
+    snapshots = dynamics.photon_field(cfg, trajectory, _field_window(cfg), scn.snapshot_times)
     t_check = min(200.0, grid.t_end)
     t_check = round(t_check / grid.dt) * grid.dt
     reach = int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
@@ -250,12 +317,6 @@ def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
     wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
     deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
     checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2, deficit <= 1e-2))
-
-    # effective-matrix dynamics vs the exact convolution solver (informational)
-    eff = _solve_effective(cfg, grid, psi0, trace)
-    eff_diff = max(np.abs(np.abs(eff[:, 0]) ** 2 - trajectory.pop_1).max(),
-                   np.abs(np.abs(eff[:, 1]) ** 2 - trajectory.pop_2).max())
-    checks.append(_info("effective_matrix_vs_volterra_pop_diff", eff_diff))
 
     if "rabi" in scn.checks and roots is not None and len(roots) == 2:
         expected = bic.rabi_period(roots)
@@ -270,7 +331,7 @@ def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
         checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
     if "fractional" in scn.checks and len(bics) == 1:
         p1, p2, settled = dynamics.plateau(trajectory)
-        pred1, pred2 = dynamics.steady_state_prediction(cfg, psi0, n_c=scn.n_c)
+        pred1, pred2 = dynamics.steady_state_prediction(cfg, psi0, profiles=profiles)
         checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2, abs(p1 - p2) <= 1e-2))
         rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
         checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
@@ -279,32 +340,10 @@ def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
     # ---- write artifacts ----
     if roots is not None:
         write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
-    write_csv(os.path.join(out_dir, "spectrum.csv"),
-              ("index", "energy", "class", "ipr", "a1_sq", "a2_sq"),
-              _spectrum_rows(profiles))
-    sites = ham.sites
-    for i, p in enumerate(profiles):
-        if p.label in ("BIC", "BOC"):
-            write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"),
-                      zip(sites, p.photon))
-    times = grid.times()
-    deficit_col = {grid.node(t_check): deficit}
-    write_csv(os.path.join(out_dir, "dynamics.csv"),
-              ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2",
-               "pop1", "pop2", "norm_deficit"),
-              ((times[n], trajectory.alpha_1[n].real, trajectory.alpha_1[n].imag,
-                trajectory.alpha_2[n].real, trajectory.alpha_2[n].imag,
-                trajectory.pop_1[n], trajectory.pop_2[n],
-                deficit_col.get(n, "")) for n in range(times.size)))
-    write_csv(os.path.join(out_dir, "mtrace.csv"),
-              ("t", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2"),
-              ((times[n], trace.lambda_1[n].real, trace.lambda_1[n].imag,
-                trace.lambda_2[n].real, trace.lambda_2[n].imag)
-               for n in range(times.size)))
-    field_rows = []
-    for snap in snapshots:
-        field_rows.extend((snap.time, s, p) for s, p in zip(snap.sites, snap.probabilities))
-    write_csv(os.path.join(out_dir, "field.csv"), ("t", "site", "prob"), field_rows)
+    _write_spectrum(out_dir, ham, profiles)
+    _write_dynamics(out_dir, trajectory, {grid.node(t_check): deficit})
+    _write_mtrace(out_dir, trace)
+    _write_field(out_dir, snapshots)
 
     manifest = {
         "scenario": scn.name,
@@ -319,25 +358,9 @@ def run_scenario(scn: Scenario, out_dir, check: bool = False) -> dict:
     return manifest
 
 
-def _solve_effective(cfg, grid, psi0, trace) -> np.ndarray:
-    """Heun integration of i d(alpha)/dt = M(t) alpha from the tabulated
-    matrix entries; second order, diagnostic use only."""
-    n = grid.n_steps
-    dt = grid.dt
-    out = np.zeros((n + 1, 2), dtype=complex)
-    out[0] = (psi0.alpha_1, psi0.alpha_2)
-    m_of = lambda k: np.array([[trace.a_1[k], trace.b[k]], [trace.b[k], trace.a_2[k]]])
-    for k in range(n):
-        d0 = -1j * (m_of(k) @ out[k])
-        pred = out[k] + dt * d0
-        d1 = -1j * (m_of(k + 1) @ pred)
-        out[k + 1] = out[k] + 0.5 * dt * (d0 + d1)
-    return out
-
-
-def _census_rows(rows):
-    return [(r.size, r.delta, r.n_bic, ";".join(f"{e:.15g}" for e in r.energies))
-            for r in rows]
+def _census_columns(rows):
+    return ([r.size for r in rows], [r.delta for r in rows], [r.n_bic for r in rows],
+            [";".join(f"{e:.15g}" for e in r.energies) for r in rows])
 
 
 def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
@@ -346,7 +369,7 @@ def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
     for size, deltas in sizes:
         all_rows.extend(bic.bic_census(size, deltas, g=g))
     write_csv(os.path.join(out_dir, "census.csv"),
-              ("N", "delta", "n_bic", "energies"), _census_rows(all_rows))
+              ("N", "delta", "n_bic", "energies"), _census_columns(all_rows))
     return all_rows
 
 
@@ -397,7 +420,7 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
     if with_dynamics:
         header += ["plateau_pop1", "plateau_pop2", "plateau_settled"]
     write_csv(os.path.join(out_dir, "sweep.csv"), header,
-              ([r[h] for h in header] for r in results))
+              [[r[h] for r in results] for h in header])
     return results
 
 
@@ -461,44 +484,20 @@ def _cmd_partial(scn: Scenario, out_dir, which: str):
         write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
         return
     if which == "spectrum":
-        ham = spectrum.build_hamiltonian(cfg, scn.n_c)
-        profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg)
-        write_csv(os.path.join(out_dir, "spectrum.csv"),
-                  ("index", "energy", "class", "ipr", "a1_sq", "a2_sq"),
-                  _spectrum_rows(profiles))
-        for i, p in enumerate(profiles):
-            if p.label in ("BIC", "BOC"):
-                write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"),
-                          zip(ham.sites, p.photon))
+        ham, _, profiles = _lattice(cfg, scn.n_c)
+        _write_spectrum(out_dir, ham, profiles)
         return
+    if which not in ("dynamics", "field"):
+        raise ValueError(which)
     kernels = dynamics.build_kernels(cfg, scn.grid)
     psi0 = initial_state(scn.psi0, cfg)
     trajectory = dynamics.solve_volterra(cfg, psi0, scn.grid, kernels)
-    times = scn.grid.times()
     if which == "dynamics":
-        trace = dynamics.m_eigenvalues_trace(cfg, scn.grid, kernels)
-        write_csv(os.path.join(out_dir, "dynamics.csv"),
-                  ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2",
-                   "pop1", "pop2", "norm_deficit"),
-                  ((times[n], trajectory.alpha_1[n].real, trajectory.alpha_1[n].imag,
-                    trajectory.alpha_2[n].real, trajectory.alpha_2[n].imag,
-                    trajectory.pop_1[n], trajectory.pop_2[n], "")
-                   for n in range(times.size)))
-        write_csv(os.path.join(out_dir, "mtrace.csv"),
-                  ("t", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2"),
-                  ((times[n], trace.lambda_1[n].real, trace.lambda_1[n].imag,
-                    trace.lambda_2[n].real, trace.lambda_2[n].imag)
-                   for n in range(times.size)))
-        return
-    if which == "field":
-        window = np.arange(cfg.n_1 - FIELD_WINDOW_PAD, cfg.m_2 + FIELD_WINDOW_PAD + 1)
-        snaps = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
-        rows = []
-        for snap in snaps:
-            rows.extend((snap.time, s, p) for s, p in zip(snap.sites, snap.probabilities))
-        write_csv(os.path.join(out_dir, "field.csv"), ("t", "site", "prob"), rows)
-        return
-    raise ValueError(which)
+        _write_dynamics(out_dir, trajectory)
+        _write_mtrace(out_dir, dynamics.m_eigenvalues_trace(cfg, scn.grid, kernels))
+    else:
+        _write_field(out_dir, dynamics.photon_field(cfg, trajectory, _field_window(cfg),
+                                                    scn.snapshot_times))
 
 
 def main(argv=None) -> int:
@@ -513,7 +512,7 @@ def main(argv=None) -> int:
                           + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else ""))
                 return 0
             scn = load_scenario(args.target, dt=args.dt, t_max=args.tmax, n_c=args.nc)
-            manifest = run_scenario(scn, out_dir, check=args.check)
+            manifest = run_scenario(scn, out_dir)
             for c in manifest["checks"]:
                 status = {True: "PASS", False: "FAIL", None: "info"}[c["passed"]]
                 print(f"[{status}] {c['name']}: {c['value']:.6g}"

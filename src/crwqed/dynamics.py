@@ -251,45 +251,48 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     beta_j(t) = -i sum_atoms g int_0^t alpha(t - tau) * e^{-i omega_c tau}
                 sum_legs i^{j-leg} J_{j-leg}(2 xi tau) dtau
 
-    by trapezoidal quadrature on the trajectory grid.  For every leg the
-    tau integral is reduced to one weighted sum per Bessel order
-    (sites at equal distance from the leg share it), so the cost is one
-    Bessel table plus a handful of matrix-vector products per time; the
-    table is accumulated in tau chunks to bound memory.
+    by trapezoidal quadrature on the trajectory grid.  For every atom the
+    tau integral is reduced to one weighted sum per Bessel order, shared by
+    both legs and by all sites at equal distance from a leg.  One Bessel
+    table per call covers the nodes up to the latest requested time; it is
+    filled in ``chunk``-node blocks (so early, small-argument rows do not pay
+    the recurrence depth of the largest argument) and every leg and time
+    reuses it, so the cost is one table plus one matrix product per time.
+    The table holds one float per node and Bessel order.
     """
     cfg = validate_config(cfg)
     grid = trajectory.grid
     sites = np.asarray(sites, dtype=int)
-    times = sorted(float(t) for t in times)
-    legs = ((cfg.g_1, cfg.n_1, trajectory.alpha_1), (cfg.g_1, cfg.n_2, trajectory.alpha_1),
-            (cfg.g_2, cfg.m_1, trajectory.alpha_2), (cfg.g_2, cfg.m_2, trajectory.alpha_2))
-    order_max = max(int(np.abs(sites - leg).max()) for _, leg, _ in legs)
+    nodes = [grid.node(t) for t in sorted(float(t) for t in times)]
+    atoms = ((cfg.g_1, (cfg.n_1, cfg.n_2)), (cfg.g_2, (cfg.m_1, cfg.m_2)))
+    alphas = np.array([trajectory.alpha_1, trajectory.alpha_2])
+    order_max = max(int(np.abs(sites - leg).max()) for leg in cfg.legs)
     i_powers = np.array([unit_power(p) for p in range(order_max + 1)])
     dt = grid.dt
     taus = grid.times()
     phase = np.exp(-1j * cfg.omega_c * taus)
 
+    n_rows = max(nodes, default=-1) + 1
+    table = np.empty((n_rows, order_max + 1))
+    for s in range(0, n_rows, chunk):
+        block = slice(s, min(s + chunk, n_rows))
+        table[block] = bessel_j_table(order_max, 2.0 * cfg.xi * taus[block])
+
     snapshots = []
-    for t in times:
-        n = grid.node(t)
-        if n == 0:
-            snapshots.append(FieldSnapshot(time=0.0, sites=sites,
-                                           beta=np.zeros(sites.size, dtype=complex)))
-            continue
-        weights = np.full(n + 1, dt)
-        weights[0] = weights[-1] = 0.5 * dt
+    for n in nodes:
         beta = np.zeros(sites.size, dtype=complex)
-        for g, leg, alpha in legs:
-            if g == 0.0:
-                continue
-            v = weights * phase[:n + 1] * alpha[n::-1]
-            u = np.zeros(order_max + 1, dtype=complex)
-            for s in range(0, n + 1, chunk):
-                block = slice(s, min(s + chunk, n + 1))
-                table = bessel_j_table(order_max, 2.0 * cfg.xi * taus[block])
-                u += v[block] @ table
-            dist = np.abs(sites - leg)
-            beta += -1j * g * i_powers[dist] * u[dist]
+        if n > 0:
+            weights = np.full(n + 1, dt)
+            weights[0] = weights[-1] = 0.5 * dt
+            v = weights * phase[:n + 1] * alphas[:, n::-1]
+            # real and imaginary parts in one real product with the table
+            sums = np.concatenate([v.real, v.imag]) @ table[:n + 1]
+            for (g, legs), u in zip(atoms, sums[:2] + 1j * sums[2:]):
+                if g == 0.0:
+                    continue
+                for leg in legs:
+                    dist = np.abs(sites - leg)
+                    beta += -1j * g * i_powers[dist] * u[dist]
         snapshots.append(FieldSnapshot(time=taus[n], sites=sites, beta=beta))
     return snapshots
 
@@ -321,6 +324,7 @@ def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,
 def steady_state_prediction(cfg: SystemConfig, psi0: WavefunctionState,
                             n_c: int = 600,
                             ipr_threshold: float = spectrum.DEFAULT_IPR_THRESHOLD,
+                            profiles: list[spectrum.BoundStateProfile] | None = None,
                             ) -> tuple[float, float]:
     """Long-time atomic populations from the overlap with a unique BIC.
 
@@ -328,12 +332,17 @@ def steady_state_prediction(cfg: SystemConfig, psi0: WavefunctionState,
     extended components dephase away and the atoms approach
     |alpha_i(inf)|^2 = |<E_BIC|psi0>|^2 |A_i|^2 with A_i the normalized BIC
     atomic amplitudes.  Requires exactly one BIC and a photon-vacuum psi0.
+    ``profiles`` may carry the classified spectrum of the ``n_c``-site
+    lattice, from :func:`spectrum.classify_bound_states`; the lattice is then
+    not diagonalized again and ``n_c`` and ``ipr_threshold`` are not used.
     """
     cfg = validate_config(cfg)
     if not psi0.photon_vacuum:
         raise ValueError("steady-state projection assumes an initially empty photon sector")
-    ham = spectrum.build_hamiltonian(cfg, n_c)
-    profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg, ipr_threshold)
+    if profiles is None:
+        ham = spectrum.build_hamiltonian(cfg, n_c)
+        profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg,
+                                                  ipr_threshold)
     bics = spectrum.bound_states(profiles, "BIC")
     if len(bics) != 1:
         raise ValueError(f"steady-state prediction needs exactly one BIC, found {len(bics)}")

@@ -114,10 +114,15 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     Raises
     ------
     ConfigError
-        For non-positive ``xi``, negative couplings, or coincident legs.
+        For non-finite frequencies or couplings, non-positive ``xi``,
+        negative couplings, or coincident legs.
     """
     if not (cfg.xi > 0.0) or not math.isfinite(cfg.xi):
         raise ConfigError(f"hopping strength xi must be positive, got {cfg.xi}")
+    for name in ("omega_c", "omega_1", "omega_2", "g_1", "g_2"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.g_1 < 0.0 or cfg.g_2 < 0.0:
         raise ConfigError(f"couplings must be non-negative, got g_1={cfg.g_1}, g_2={cfg.g_2}")
     if cfg.n_1 == cfg.n_2:
@@ -193,6 +198,8 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_max) and math.isfinite(self.dt)):
+            raise ConfigError(f"t_max and dt must be finite, got t_max={self.t_max}, dt={self.dt}")
         if not (self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt > self.t_max:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -157,3 +158,94 @@ def test_output_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     assert main(["bic", "fig4"]) == 0
     assert (tmp_path / "envout" / "bic.json").exists()
+
+
+def test_write_csv_cells_match_fixed_format(tmp_path):
+    floats = np.array([-0.0, 5e-324, 1e16, 0.1, np.nan])
+    path = tmp_path / "cells.csv"
+    cli.write_csv(path, ("x", "n", "flag", "text"),
+                  (floats, np.arange(5, dtype=np.int64) - 2,
+                   np.array([True, False, True, False, True]), ["", "a", "", "", "b"]))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,n,flag,text"
+    assert [line.split(",")[0] for line in lines[1:]] == [f"{x:.15g}" for x in floats]
+    assert lines[1:] == ["-0,-2,true,", "4.94065645841247e-324,-1,false,a", "1e+16,0,true,",
+                         "0.1,1,false,", "nan,2,true,b"]
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "ragged.csv", ("a", "b"), (np.zeros(3), np.zeros(2)))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
+    from crwqed import bic, dynamics, spectrum
+    eigh_calls = _counting(monkeypatch, spectrum, "eigendecompose")
+    projections = _counting(monkeypatch, dynamics, "steady_state_prediction")
+    root_scans = _counting(monkeypatch, bic, "find_bic_roots")
+    run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
+    assert len(projections) == 1 and len(root_scans) == 1  # both consumers ran
+    assert len(eigh_calls) == 1
+
+
+def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):
+    from crwqed import dynamics
+    bessel_calls = _counting(monkeypatch, dynamics, "bessel_j_table")
+    field_calls = []
+    original = dynamics.photon_field
+    def field(cfg, trajectory, sites, times, chunk=2048):
+        before = len(bessel_calls)
+        out = original(cfg, trajectory, sites, times, chunk)
+        n_last = max(trajectory.grid.node(t) for t in times)
+        field_calls.append((len(bessel_calls) - before, math.ceil((n_last + 1) / chunk)))
+        return out
+    monkeypatch.setattr(dynamics, "photon_field", field)
+    run_scenario(load_scenario("fig3", t_max=40.0), tmp_path)
+    assert len(field_calls) == 2  # plot window and wide norm-check window
+    for made, blocks in field_calls:
+        assert made <= blocks
+
+
+def test_partial_commands_write_the_same_artifacts(tmp_path):
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text(
+        "n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nt_max = 20\ndt = 0.02\nn_c = 200\n")
+    full = tmp_path / "full"
+    part = tmp_path / "part"
+    run_scenario(load_scenario(str(cfgfile)), full)
+    for command in ("spectrum", "dynamics", "field"):
+        assert main([command, str(cfgfile), "--out", str(part)]) == 0
+    written = sorted(p.name for p in part.iterdir())
+    assert written == sorted(p.name for p in full.glob("*.csv"))
+    for name in written:
+        if name != "dynamics.csv":
+            assert (part / name).read_bytes() == (full / name).read_bytes(), name
+    # dynamics.csv: only the run's single norm-deficit cell is extra
+    strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    assert strip(part / "dynamics.csv") == strip(full / "dynamics.csv")
+
+
+@pytest.mark.parametrize("line", ["g_1 = nan\ng_2 = nan\n", "omega_1 = inf\n",
+                                  "omega_c = -inf\n", "t_max = nan\ndt = 0.02\n",
+                                  "t_max = 20\ndt = inf\n"])
+def test_non_finite_config_is_a_config_error(tmp_path, capsys, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\n" + line)
+    assert main(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_non_finite_cli_override_is_a_config_error(tmp_path, capsys):
+    assert main(["dynamics", "fig3", "--tmax", "nan", "--out", str(tmp_path)]) == 1
+    assert "finite" in capsys.readouterr().err

@@ -177,6 +177,56 @@ def test_photon_field_early_emission_sites(fig3_short):
     assert prob[own].sum() >= 0.8 * prob[region].sum()
 
 
+def test_photon_field_shared_table_matches_single_times(fig3_short):
+    # one call at several times reuses one Bessel table across blocks;
+    # each time alone builds a table that ends at its own node
+    _, traj, _ = fig3_short
+    sites = np.arange(-60, 71)
+    times = [60.0, 10.0, 25.5, 0.0, 40.0]
+    together = photon_field(FIG3, traj, sites, times)
+    assert [s.time for s in together] == sorted(times)
+    for snap in together:
+        alone = photon_field(FIG3, traj, sites, [snap.time])[0]
+        scale = max(np.abs(alone.beta).max(), 1e-300)
+        assert np.abs(snap.beta - alone.beta).max() <= 1e-14 * scale
+
+
+def test_photon_field_matches_term_by_term_quadrature(fig3_short):
+    # the defining sum, one leg and one site at a time
+    from crwqed.specfun import bessel_j_table
+    grid, traj, _ = fig3_short
+    sites = np.arange(-15, 26)
+    t = 30.0
+    n = grid.node(t)
+    taus = grid.times()[:n + 1]
+    weights = np.full(n + 1, grid.dt)
+    weights[0] = weights[-1] = 0.5 * grid.dt
+    table = bessel_j_table(40, 2.0 * FIG3.xi * taus)
+    expected = np.zeros(sites.size, dtype=complex)
+    for g, legs, alpha in ((FIG3.g_1, (FIG3.n_1, FIG3.n_2), traj.alpha_1),
+                           (FIG3.g_2, (FIG3.m_1, FIG3.m_2), traj.alpha_2)):
+        for leg in legs:
+            for k, site in enumerate(sites):
+                p = abs(site - leg)
+                integrand = np.exp(-1j * FIG3.omega_c * taus) * alpha[n::-1] * table[:, p]
+                expected[k] += -1j * g * unit_power(p) * np.sum(weights * integrand)
+    beta = photon_field(FIG3, traj, sites, [t])[0].beta
+    assert np.abs(beta - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_photon_field_builds_each_table_block_once(fig3_short, monkeypatch):
+    from crwqed import dynamics
+    from crwqed.specfun import bessel_j_table
+    calls = []
+    def counting(order_max, xs):
+        calls.append(len(xs))
+        return bessel_j_table(order_max, xs)
+    monkeypatch.setattr(dynamics, "bessel_j_table", counting)
+    grid, traj, _ = fig3_short
+    photon_field(FIG3, traj, np.arange(-20, 31), [20.0, 60.0, 40.0], chunk=1000)
+    assert calls == [1000, 1000, 1000, 1]  # nodes 0..3000 of the latest time
+
+
 def test_norm_check_values(fig3_short):
     grid, traj, _ = fig3_short
     t = 20.0

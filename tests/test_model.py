@@ -46,6 +46,21 @@ def test_bad_scalars_rejected():
         validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=-0.1))
 
 
+@pytest.mark.parametrize("name", ["omega_c", "omega_1", "omega_2", "g_1", "g_2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_scalars_rejected(name, value):
+    cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, **{name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("t_max, dt", [(math.nan, 0.02), (math.inf, 0.02),
+                                       (1.0, math.nan), (1.0, math.inf)])
+def test_time_grid_rejects_non_finite(t_max, dt):
+    with pytest.raises(ConfigError, match="finite"):
+        TimeGrid(t_max=t_max, dt=dt)
+
+
 def test_leg_normalization_sorts():
     cfg = validate_config(SystemConfig(n_1=7, n_2=1, m_1=10, m_2=4))
     assert (cfg.n_1, cfg.n_2, cfg.m_1, cfg.m_2) == (1, 7, 4, 10)
