@@ -118,7 +118,11 @@ def _prepare_out_dir(out_dir) -> str:
 
 
 def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
-    """A preset name or a key=value config file, with CLI overrides."""
+    """A preset name or a key=value config file, with CLI overrides.
+
+    Raises ConfigError when the grid is too coarse for the kernel tables or
+    the lattice too small for the legs.
+    """
     if target in PRESETS:
         scn = PRESETS[target]
     elif os.path.exists(target):
@@ -138,6 +142,8 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
         scn = replace(scn, grid=grid, snapshot_times=_snapshot_stops(grid))
     if n_c is not None:
         scn = replace(scn, n_c=n_c)
+    dynamics.check_kernel_grid(scn.cfg, scn.grid)
+    spectrum.check_lattice_size(scn.cfg, scn.n_c)
     return scn
 
 

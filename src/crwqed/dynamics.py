@@ -30,6 +30,7 @@ import numpy as np
 from . import spectrum
 from .model import (
     AtomTrajectory,
+    ConfigError,
     FieldSnapshot,
     SystemConfig,
     TimeGrid,
@@ -39,6 +40,10 @@ from .model import (
 from .specfun import bessel_j_table
 
 MAX_KERNEL_DT = 0.1
+# Nodes per block of the Volterra history sums (set by measurement: the
+# direct within-block products grow with it, the FFT products between
+# blocks shrink).
+_BLOCK = 512
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
 
@@ -66,16 +71,22 @@ class KernelSet:
     cfg: SystemConfig
 
 
+def check_kernel_grid(cfg: SystemConfig, grid: TimeGrid) -> None:
+    """Raise ConfigError unless ``dt <= 0.1/xi``, so the oscillatory Bessel
+    tails of the kernels are resolved."""
+    if grid.dt > MAX_KERNEL_DT / cfg.xi:
+        raise ConfigError(f"dt={grid.dt} too coarse for kernel tables; need dt <= 0.1/xi")
+
+
 def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     """Tabulate K_1, K_2 and K_c at every grid node.
 
-    Requires ``dt <= 0.1/xi`` so the oscillatory Bessel tails are resolved.
+    Requires ``dt <= 0.1/xi`` (see :func:`check_kernel_grid`).
     At tau = 0 the self kernels equal 1 and the cross kernel equals the
     number of shared legs (zero for braided, non-touching geometries).
     """
     cfg = validate_config(cfg)
-    if grid.dt > MAX_KERNEL_DT / cfg.xi:
-        raise ValueError(f"dt={grid.dt} too coarse for kernel tables; need dt <= 0.1/xi")
+    check_kernel_grid(cfg, grid)
     taus = grid.times()
     order_max = max(cfg.size_1, cfg.size_2, *cfg.cross_distances)
     table = bessel_j_table(order_max, 2.0 * cfg.xi * taus)
@@ -168,10 +179,15 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     predictor-corrector trapezoidal convolution scheme.
 
     The photon field must start in vacuum (the kernel derivation assumes
-    it).  Cost is O(T^2) in the number of nodes with O(T) memory; the
-    convolution over the history reuses the kernel tables, and the
-    correction of the newest node only touches the tau = 0 endpoint term,
-    so each step costs one pass over the history.  Deterministic.
+    it).  The history sums sum_{j<m} K(tau_{m-j}) alpha_j form a
+    lower-triangular Toeplitz product.  Nodes are stepped in blocks of S
+    nodes (``_BLOCK``).  Before a block is stepped, the part of its sums over
+    earlier blocks is added from length-2S real FFT products accumulated in
+    the frequency domain; within the block only the at most S remaining
+    terms are direct dot products.  The correction of the newest node only
+    touches the tau = 0 endpoint term.  For T nodes the cost is
+    O(T^2/S + T S) multiply-adds plus O(T log S) for the transforms, with
+    O(T) memory plus O(S) FFT scratch.  Deterministic.
 
     Raises
     ------
@@ -183,65 +199,112 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
         raise ValueError("solve_volterra requires an initially empty photon sector")
     if kernels is None:
         kernels = build_kernels(cfg, grid)
-    n_steps = grid.n_steps
     dt = grid.dt
-    n_nodes = n_steps + 1
+    n_nodes = grid.n_steps + 1
+    s = _BLOCK
+    n_blocks = -(-n_nodes // s)
+    k1, k2, kc = kernels.k_self_1, kernels.k_self_2, kernels.k_cross
 
-    # kernels stored reversed: rev[k][n_nodes-1-m] = K_k(tau_m), so the
-    # window ending at node m is the contiguous view rev[:, n_nodes-1-m:].
-    rev = np.empty((3, n_nodes), dtype=complex)
-    rev[0] = kernels.k_self_1[::-1]
-    rev[1] = kernels.k_self_2[::-1]
-    rev[2] = kernels.k_cross[::-1]
-    k_at_0 = np.array([kernels.k_self_1[0], kernels.k_self_2[0], kernels.k_cross[0]])
+    # Real-FFT transforms of the real and imaginary parts of the kernel
+    # segments K[(d-1)S:(d+1)S] for block lags d >= 1.  The second half of a
+    # length-2S circular product of such a segment with a zero-padded block of
+    # amplitudes is that block's contribution to the history sums d blocks
+    # later (the wrapped terms land in the first half).  Convolving real and
+    # imaginary parts separately keeps a part that is exactly zero exactly
+    # zero, as the direct sums do: on resonance each amplitude stays purely
+    # real or purely imaginary.
+    k_hat = np.empty((n_blocks - 1, 2, 3, s + 1), dtype=complex)  # [lag, re/im, kernel]
+    for d in range(1, n_blocks):
+        for k, kernel in enumerate((k1, k2, kc)):
+            segment = kernel[(d - 1) * s:(d + 1) * s]
+            np.fft.rfft(segment.real, n=2 * s, out=k_hat[d - 1, 0, k])
+            np.fft.rfft(segment.imag, n=2 * s, out=k_hat[d - 1, 1, k])
+    a_hat = np.empty((n_blocks - 1, 2, 2, s + 1), dtype=complex)  # [block, re/im, atom]
+    # products of kernel part p and amplitude part q, summed over earlier
+    # blocks: acc[0, p, q] for [K_1 alpha_1, K_2 alpha_2], acc[1, p, q] for
+    # [K_c alpha_1, K_c alpha_2]
+    acc = np.empty((2, 2, 2, 2, s + 1), dtype=complex)
+    prod = np.empty((2, 2, 2, s + 1), dtype=complex)
+    spec = np.empty((2, 2, 2, s + 1), dtype=complex)  # [re/im of the sums, self/cross, atom]
+    far = np.empty((2, 2, 2, 2 * s))
+    # head[k][s-1-i] = K_k(tau_i) for i < s, so the within-block window of
+    # node start + r is the contiguous view head[:, s-1-r:s-1]
+    head = np.zeros((3, s), dtype=complex)
+    n_head = min(s, n_nodes)
+    for k, kernel in enumerate((k1, k2, kc)):
+        head[k, s - n_head:] = kernel[n_head - 1::-1]
 
-    amp = np.zeros((n_nodes, 2), dtype=complex)
-    amp[0, 0] = psi0.alpha_1
-    amp[0, 1] = psi0.alpha_2
+    amp = np.zeros((2, n_blocks * s), dtype=complex)
+    a1 = amp[0, 0] = complex(psi0.alpha_1)
+    a2 = amp[1, 0] = complex(psi0.alpha_2)
 
     c_self_1 = -2.0 * cfg.g_1 ** 2
     c_self_2 = -2.0 * cfg.g_2 ** 2
     c_cross = -cfg.g_1 * cfg.g_2
     # integrating factor removes the local -i Omega term, so free evolution
     # is reproduced to rounding and only the memory terms are quadratured
-    u1 = np.exp(-1j * cfg.omega_1 * dt)
-    u2 = np.exp(-1j * cfg.omega_2 * dt)
-
-    def memory(i1, i2, ic1, ic2):
-        return c_self_1 * i1 + c_cross * ic1, c_self_2 * i2 + c_cross * ic2
+    u1 = complex(np.exp(-1j * cfg.omega_1 * dt))
+    u2 = complex(np.exp(-1j * cfg.omega_2 * dt))
+    # half-weight tau = 0 endpoint of the trapezoid
+    h1, h2, hc = (0.5 * complex(kernel[0]) for kernel in (k1, k2, kc))
 
     f1, f2 = 0.0j, 0.0j  # memory derivative at node 0 (empty integrals)
-    for n in range(n_steps):
-        m = n + 1
-        # exponential-Euler predictor to the new node
-        p1 = u1 * (amp[n, 0] + dt * f1)
-        p2 = u2 * (amp[n, 1] + dt * f2)
-        # history part of the convolutions at node m: sum_{j<m} K(tau_{m-j}) alpha_j
-        hist = rev[:, n_nodes - 1 - m:n_nodes - 1] @ amp[:m]
-        k_at_m = rev[:, n_nodes - 1 - m]
-        # trapezoid: dt * (full sum) - dt/2 * (tau=0 and tau=m endpoint terms)
-        i1 = dt * (hist[0, 0] + k_at_0[0] * p1) - 0.5 * dt * (k_at_0[0] * p1 + k_at_m[0] * amp[0, 0])
-        i2 = dt * (hist[1, 1] + k_at_0[1] * p2) - 0.5 * dt * (k_at_0[1] * p2 + k_at_m[1] * amp[0, 1])
-        ic1 = dt * (hist[2, 1] + k_at_0[2] * p2) - 0.5 * dt * (k_at_0[2] * p2 + k_at_m[2] * amp[0, 1])
-        ic2 = dt * (hist[2, 0] + k_at_0[2] * p1) - 0.5 * dt * (k_at_0[2] * p1 + k_at_m[2] * amp[0, 0])
-        e1, e2 = memory(i1, i2, ic1, ic2)
-        # exponential-trapezoidal corrector
-        a1 = u1 * amp[n, 0] + 0.5 * dt * (u1 * f1 + e1)
-        a2 = u2 * amp[n, 1] + 0.5 * dt * (u2 * f2 + e2)
-        amp[m, 0] = a1
-        amp[m, 1] = a2
-        if (a1.real * a1.real + a1.imag * a1.imag > POPULATION_ABORT
-                or a2.real * a2.real + a2.imag * a2.imag > POPULATION_ABORT):
-            raise SolverError(
-                f"population exceeded {POPULATION_ABORT} at t={m * dt:.6g} "
-                f"(|a1|^2={abs(a1) ** 2:.6g}, |a2|^2={abs(a2) ** 2:.6g}); reduce dt")
-        # memory derivative at the corrected node: only the tau=0 endpoint moved
-        i1 += 0.5 * dt * k_at_0[0] * (a1 - p1)
-        i2 += 0.5 * dt * k_at_0[1] * (a2 - p2)
-        ic1 += 0.5 * dt * k_at_0[2] * (a2 - p2)
-        ic2 += 0.5 * dt * k_at_0[2] * (a1 - p1)
-        f1, f2 = memory(i1, i2, ic1, ic2)
-    return AtomTrajectory(grid=grid, alpha_1=amp[:, 0].copy(), alpha_2=amp[:, 1].copy())
+    for b in range(n_blocks):
+        start = b * s
+        stop = min(start + s, n_nodes)
+        acc.fill(0.0)
+        for c in range(b):
+            np.multiply(k_hat[b - c - 1, :, None, :2], a_hat[c], out=prod)
+            acc[0] += prod
+            np.multiply(k_hat[b - c - 1, :, None, 2:], a_hat[c], out=prod)
+            acc[1] += prod
+        np.subtract(acc[:, 0, 0], acc[:, 1, 1], out=spec[0])
+        np.add(acc[:, 0, 1], acc[:, 1, 0], out=spec[1])
+        np.fft.irfft(spec, n=2 * s, out=far)
+        # history from earlier blocks, less the half-weight tau = t_m endpoint
+        # term of node 0 (the trapezoid counts it fully in the sum)
+        end = slice(start, stop)
+        hist = far[0, ..., s:s + stop - start] + 1j * far[1, ..., s:s + stop - start]
+        hist_11 = (hist[0, 0] - 0.5 * k1[end] * amp[0, 0]).tolist()
+        hist_22 = (hist[0, 1] - 0.5 * k2[end] * amp[1, 0]).tolist()
+        hist_c1 = (hist[1, 0] - 0.5 * kc[end] * amp[0, 0]).tolist()
+        hist_c2 = (hist[1, 1] - 0.5 * kc[end] * amp[1, 0]).tolist()
+        for m in range(max(start, 1), stop):
+            r = m - start
+            # within-block history: rows alpha_1, alpha_2; columns K_1, K_2, K_c
+            (n11, _, nc1), (_, n22, nc2) = (
+                amp[:, start:m] @ head[:, s - 1 - r:s - 1].T).tolist()
+            # exponential-Euler predictor to the new node
+            p1 = u1 * (a1 + dt * f1)
+            p2 = u2 * (a2 + dt * f2)
+            i1 = dt * (hist_11[r] + n11 + h1 * p1)
+            i2 = dt * (hist_22[r] + n22 + h2 * p2)
+            ic1 = dt * (hist_c2[r] + nc2 + hc * p2)
+            ic2 = dt * (hist_c1[r] + nc1 + hc * p1)
+            e1 = c_self_1 * i1 + c_cross * ic1
+            e2 = c_self_2 * i2 + c_cross * ic2
+            # exponential-trapezoidal corrector
+            a1 = u1 * a1 + 0.5 * dt * (u1 * f1 + e1)
+            a2 = u2 * a2 + 0.5 * dt * (u2 * f2 + e2)
+            amp[0, m] = a1
+            amp[1, m] = a2
+            if (a1.real * a1.real + a1.imag * a1.imag > POPULATION_ABORT
+                    or a2.real * a2.real + a2.imag * a2.imag > POPULATION_ABORT):
+                raise SolverError(
+                    f"population exceeded {POPULATION_ABORT} at t={m * dt:.6g} "
+                    f"(|a1|^2={abs(a1) ** 2:.6g}, |a2|^2={abs(a2) ** 2:.6g}); reduce dt")
+            # memory derivative at the corrected node: only the tau=0 endpoint moved
+            i1 += dt * h1 * (a1 - p1)
+            i2 += dt * h2 * (a2 - p2)
+            ic1 += dt * hc * (a2 - p2)
+            ic2 += dt * hc * (a1 - p1)
+            f1 = c_self_1 * i1 + c_cross * ic1
+            f2 = c_self_2 * i2 + c_cross * ic2
+        if b < n_blocks - 1:
+            np.fft.rfft(amp[:, start:start + s].real, n=2 * s, out=a_hat[b, 0])
+            np.fft.rfft(amp[:, start:start + s].imag, n=2 * s, out=a_hat[b, 1])
+    return AtomTrajectory(grid=grid, alpha_1=amp[0, :n_nodes].copy(),
+                          alpha_2=amp[1, :n_nodes].copy())
 
 
 def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,

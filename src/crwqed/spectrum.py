@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import (
     AtomTrajectory,
+    ConfigError,
     FieldSnapshot,
     SystemConfig,
     TimeGrid,
@@ -80,6 +81,15 @@ def site_offset(cfg: SystemConfig, n_c: int) -> int:
     return (n_c - span) // 2 - cfg.n_1
 
 
+def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
+    """Raise ConfigError unless an ``n_c``-site lattice holds both atoms
+    with ``LATTICE_MARGIN`` resonators to spare."""
+    span = cfg.m_2 - cfg.n_1
+    if n_c < span + LATTICE_MARGIN:
+        raise ConfigError(
+            f"lattice too small: n_c={n_c} < leg span {span} + margin {LATTICE_MARGIN}")
+
+
 def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
     """Assemble the (n_c + 2)-dimensional lattice Hamiltonian.
 
@@ -89,15 +99,12 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
 
     Raises
     ------
-    ValueError
+    ConfigError
         If the lattice cannot contain both atoms with margin
         (requires ``n_c >= m_2 - n_1 + 40``).
     """
     cfg = validate_config(cfg)
-    span = cfg.m_2 - cfg.n_1
-    if n_c < span + LATTICE_MARGIN:
-        raise ValueError(
-            f"lattice too small: n_c={n_c} < leg span {span} + margin {LATTICE_MARGIN}")
+    check_lattice_size(cfg, n_c)
     off = site_offset(cfg, n_c)
     dim = n_c + 2
     h = np.zeros((dim, dim))

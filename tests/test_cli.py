@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crwqed import cli
+from crwqed.model import ConfigError
 from crwqed.cli import (
     load_scenario,
     main,
@@ -249,3 +250,29 @@ def test_non_finite_config_is_a_config_error(tmp_path, capsys, line):
 def test_non_finite_cli_override_is_a_config_error(tmp_path, capsys):
     assert main(["dynamics", "fig3", "--tmax", "nan", "--out", str(tmp_path)]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["dynamics", "fig3", "--dt", "0.5"], None, "too coarse"),
+    (["spectrum", "fig3", "--nc", "10"], None, "lattice too small"),
+    (["dynamics"], "t_max = 20\ndt = 0.5\n", "too coarse"),
+    (["spectrum"], "n_c = 10\n", "lattice too small"),
+], ids=["dt_override", "nc_override", "dt_in_file", "nc_in_file"])
+def test_coarse_grid_and_small_lattice_are_config_errors(tmp_path, capsys, argv, config,
+                                                          message):
+    if config is not None:
+        cfgfile = tmp_path / "limits.cfg"
+        cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\n" + config)
+        argv = argv + [str(cfgfile)]
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(str(cfgfile))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_population_abort_is_a_solver_error(tmp_path, capsys):
+    cfgfile = tmp_path / "unstable.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 3\nm_1 = 2\nm_2 = 4\ng_1 = 20\ng_2 = 20\n"
+                       "t_max = 5\ndt = 0.1\n")
+    assert main(["dynamics", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert "population exceeded 1.001 at t=0.1 " in capsys.readouterr().err

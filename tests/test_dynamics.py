@@ -4,6 +4,7 @@ import pytest
 from crwqed.model import SystemConfig, TimeGrid, WavefunctionState, initial_state
 from crwqed import spectrum
 from crwqed.dynamics import (
+    _BLOCK,
     SolverError,
     build_kernels,
     m_eigenvalues_trace,
@@ -16,10 +17,14 @@ from crwqed.dynamics import (
     unit_power,
 )
 from crwqed.specfun import bessel_j
+from oracles import volterra_direct
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
 NO_BIC = SystemConfig(n_1=1, n_2=9, m_1=4, m_2=12)
+SHARED_LEG = SystemConfig(n_1=1, n_2=7, m_1=7, m_2=13)
+ASYMMETRIC = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.13, g_2=0.07,
+                          omega_1=0.05, omega_2=-0.02)
 
 
 def test_unit_power_lookup():
@@ -37,6 +42,8 @@ def test_kernels_at_zero_delay():
     assert ks.k_self_1[0] == pytest.approx(1.0, abs=1e-14)
     assert ks.k_self_2[0] == pytest.approx(1.0, abs=1e-14)
     assert ks.k_cross[0] == pytest.approx(0.0, abs=1e-14)  # braided, no shared legs
+    shared = build_kernels(SHARED_LEG, grid)
+    assert shared.k_cross[0] == pytest.approx(1.0, abs=1e-14)  # one shared leg
 
 
 def test_self_kernel_is_j0_minus_j6():
@@ -117,6 +124,33 @@ def test_volterra_rejects_seeded_photon_field():
     psi0 = WavefunctionState(alpha_1=1.0, alpha_2=0.0, beta={3: 0.1})
     with pytest.raises(ValueError, match="photon"):
         solve_volterra(FIG3, psi0, TimeGrid(t_max=1.0, dt=0.02))
+
+
+@pytest.mark.parametrize("nodes", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4500])
+@pytest.mark.parametrize("cfg, state", [
+    (FIG3, "atom1"), (SHARED_LEG, "atom1"), (ASYMMETRIC, "atom2"), (FIG3, "antisymmetric"),
+], ids=["fig3", "shared_leg", "asymmetric_atom2", "fig3_antisymmetric"])
+def test_volterra_block_history_matches_direct_sums(cfg, state, nodes):
+    # the blockwise FFT history sums reorder only the floating-point sums
+    grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
+    assert grid.n_steps + 1 == nodes
+    kernels = build_kernels(cfg, grid)
+    psi0 = initial_state(state, cfg)
+    fast = solve_volterra(cfg, psi0, grid, kernels)
+    direct = volterra_direct(cfg, psi0, grid, kernels)
+    diff = max(np.abs(fast.alpha_1 - direct.alpha_1).max(),
+               np.abs(fast.alpha_2 - direct.alpha_2).max())
+    assert diff <= 1e-12
+
+
+def test_volterra_aborts_when_a_population_exceeds_one():
+    cfg = SystemConfig(n_1=1, n_2=3, m_1=2, m_2=4, g_1=20.0, g_2=20.0)
+    grid = TimeGrid(t_max=5.0, dt=0.1)
+    psi0 = initial_state("atom1", cfg)
+    with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 "):
+        solve_volterra(cfg, psi0, grid)
+    with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 "):
+        volterra_direct(cfg, psi0, grid, build_kernels(cfg, grid))
 
 
 @pytest.fixture(scope="module")
