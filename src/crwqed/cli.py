@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -257,10 +258,36 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
 
     Every stage runs once: the lattice is diagonalized a single time and its
     eigenbasis and classified states feed the root confirmation, the exact
-    propagation and the steady-state projection.
+    propagation and the steady-state projection.  Every warning raised by
+    the stages is recorded in ``manifest["warnings"]`` (category and
+    message) and then re-emitted.
     """
     started = time.monotonic()
     out_dir = _prepare_out_dir(out_dir)
+    with warnings.catch_warnings(record=True) as caught:
+        checks = _scenario_stages(scn, out_dir)
+    # recorded for the manifest, then shown as if never caught
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+
+    manifest = {
+        "scenario": scn.name,
+        **_config_payload(scn),
+        "versions": {"crwqed": __version__, "numpy": np.__version__,
+                     "python": sys.version.split()[0]},
+        "wall_time_s": time.monotonic() - started,
+        "checks": checks,
+        "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                     for w in caught],
+        "all_passed": all(c["passed"] for c in checks if c["passed"] is not None),
+    }
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return manifest
+
+
+def _scenario_stages(scn: Scenario, out_dir) -> list[dict]:
+    """Every stage of ``run_scenario`` up to the manifest: writes the
+    artifacts and returns the checks."""
     cfg = validate_config(scn.cfg)
     grid = scn.grid
     checks: list[dict] = []
@@ -350,18 +377,7 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
     _write_dynamics(out_dir, trajectory, {grid.node(t_check): deficit})
     _write_mtrace(out_dir, trace)
     _write_field(out_dir, snapshots)
-
-    manifest = {
-        "scenario": scn.name,
-        **_config_payload(scn),
-        "versions": {"crwqed": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
-        "wall_time_s": time.monotonic() - started,
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks if c["passed"] is not None),
-    }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
+    return checks
 
 
 def _census_columns(rows):
@@ -412,8 +428,13 @@ def _sweep_one(args):
 
 def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
               workers=1, with_dynamics=False, t_max=200.0) -> list:
+    """One census (and optionally one Volterra plateau) per value of ``key``,
+    run on up to ``workers`` processes, capped at ``os.cpu_count()``."""
     if key not in _SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {_SWEEP_KEYS}, got {key!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     out_dir = _prepare_out_dir(out_dir)
     base = {"size": size, "delta": delta, "g": g, "dt": dt}
     tasks = [(base, key, v, with_dynamics, t_max) for v in values]

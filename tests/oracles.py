@@ -4,6 +4,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
+from crwqed import spectrum
 from crwqed.dynamics import POPULATION_ABORT, SolverError
 from crwqed.model import AtomTrajectory
 
@@ -91,3 +92,32 @@ def volterra_direct(cfg, psi0, grid, kernels) -> AtomTrajectory:
         ic2 += 0.5 * dt * k_at_0[2] * (a1 - p1)
         f1, f2 = memory(i1, i2, ic1, ic2)
     return AtomTrajectory(grid=grid, alpha_1=amp[:, 0].copy(), alpha_2=amp[:, 1].copy())
+
+
+def exact_propagate_direct(cfg, psi0, grid, n_c, pairs=None) -> AtomTrajectory:
+    """The atomic amplitudes of ``spectrum.exact_propagate`` with one
+    complex exponential per (time node, eigenvalue), t_n = n dt, taken in
+    blocks of time rows and summed against the weights w_i = v_q[i] <v_q|psi0>."""
+    ham = spectrum.build_hamiltonian(cfg, n_c)
+    if pairs is None:
+        pairs = spectrum.eigendecompose(ham)
+    energies = np.array([p.energy for p in pairs])
+    vectors = np.stack([p.vector for p in pairs], axis=1)
+    vec0 = np.zeros(n_c + 2, dtype=complex)
+    vec0[0] = psi0.alpha_1
+    vec0[1] = psi0.alpha_2
+    for site, amp in psi0.beta.items():
+        vec0[ham.column_of(site)] = amp
+    coeff = vectors.T @ vec0
+    w1 = vectors[0] * coeff
+    w2 = vectors[1] * coeff
+
+    times = grid.times()
+    a1 = np.empty(times.size, dtype=complex)
+    a2 = np.empty(times.size, dtype=complex)
+    block = max(1, int(2e6 // energies.size))
+    for s in range(0, times.size, block):
+        phases = np.exp(-1j * np.outer(times[s:s + block], energies))
+        a1[s:s + block] = phases @ w1
+        a2[s:s + block] = phases @ w2
+    return AtomTrajectory(grid=grid, alpha_1=a1, alpha_2=a2)

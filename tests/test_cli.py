@@ -276,3 +276,68 @@ def test_population_abort_is_a_solver_error(tmp_path, capsys):
                        "t_max = 5\ndt = 0.1\n")
     assert main(["dynamics", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
     assert "population exceeded 1.001 at t=0.1 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+def test_lattice_over_the_cap_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from crwqed import spectrum
+    monkeypatch.setattr(spectrum, "build_hamiltonian", None)  # must not be reached
+    assert main([command, "fig3", "--nc", "8001", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "lattice too large: n_c=8001 > 8000" in err and "8003x8003" in err
+    cfgfile = tmp_path / "large.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nn_c = 8001\n")
+    assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    assert "lattice too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    with pytest.raises(ConfigError, match="workers must be at least 1"):
+        run_sweep(tmp_path / "api", "delta", [1], workers=workers)
+    argv = ["sweep", "--vary", "delta", "--values", "1", "--workers", str(workers),
+            "--out", str(tmp_path / "cli")]
+    assert main(argv) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_sweep_workers_clamped_to_cpu_count(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    run_sweep(tmp_path / "a", "delta", [1, 2], size=6, workers=64)
+    run_sweep(tmp_path / "b", "delta", [1, 2], size=6, workers=2)
+    assert pools == [3, 2]
+    # an unknown core count runs serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_sweep(tmp_path / "c", "delta", [1, 2], size=6, workers=64)
+    assert pools == [3, 2]
+
+
+def test_manifest_records_and_reemits_warnings(tmp_path):
+    # n_c=80 is below the wavefront criterion for t_max=40
+    with pytest.warns(UserWarning, match="wavefront") as shown:
+        manifest = run_scenario(load_scenario("fig3", t_max=40.0, n_c=80), tmp_path / "w")
+    assert len(shown) == 1
+    assert manifest["warnings"] == [{"category": "UserWarning", "message": str(shown[0].message)}]
+    saved = json.loads((tmp_path / "w" / "manifest.json").read_text())
+    assert saved["warnings"] == manifest["warnings"]
+    quiet = run_scenario(load_scenario("fig3", t_max=40.0), tmp_path / "q")
+    assert quiet["warnings"] == []

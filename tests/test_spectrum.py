@@ -1,10 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from crwqed.model import SystemConfig, TimeGrid, initial_state, validate_config
+from crwqed.model import (
+    ConfigError,
+    SystemConfig,
+    TimeGrid,
+    WavefunctionState,
+    initial_state,
+    validate_config,
+)
 from crwqed import spectrum
 from crwqed.spectrum import (
     BoundStateProfile,
@@ -16,6 +24,7 @@ from crwqed.spectrum import (
     photon_profile,
     wavefront_n_c,
 )
+from oracles import exact_propagate_direct
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -165,3 +174,121 @@ def test_exact_propagate_norm_and_wavefront_warning():
                  + snap.probabilities.sum())
         assert abs(total - 1.0) <= 1e-10
     assert wavefront_n_c(FIG3, 120.0) > 80
+
+
+def _max_amp_diff(traj, ref):
+    return max(np.abs(traj.alpha_1 - ref.alpha_1).max(),
+               np.abs(traj.alpha_2 - ref.alpha_2).max())
+
+
+def _propagate_quietly(cfg, psi0, grid, n_c, pairs=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj, _ = exact_propagate(cfg, psi0, grid, n_c, pairs=pairs)
+    return traj
+
+
+@pytest.fixture(scope="module")
+def fig3_small_pairs():
+    return eigendecompose(build_hamiltonian(FIG3, 120))
+
+
+# 33^2 and its neighbours, the square and non-square node counts around
+# B = ceil(sqrt(T)), a prime, and the two smallest grids
+@pytest.mark.parametrize("nodes", [2, 3, 1024, 1025, 1089, 1031])
+def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_pairs):
+    grid = TimeGrid(t_max=(nodes - 1) * 0.05, dt=0.05)
+    assert grid.times().size == nodes
+    psi0 = initial_state("atom1", FIG3)
+    traj = _propagate_quietly(FIG3, psi0, grid, 120, pairs=fig3_small_pairs)
+    ref = exact_propagate_direct(FIG3, psi0, grid, 120, pairs=fig3_small_pairs)
+    assert traj.alpha_1.shape == traj.alpha_2.shape == (nodes,)
+    assert _max_amp_diff(traj, ref) <= 1e-12
+
+
+def test_exact_propagate_matches_direct_on_fig3_preset():
+    grid = TimeGrid(t_max=700.0, dt=0.02)
+    psi0 = initial_state("atom1", FIG3)
+    pairs = eigendecompose(build_hamiltonian(FIG3, 600))
+    traj = _propagate_quietly(FIG3, psi0, grid, 600, pairs=pairs)
+    ref = exact_propagate_direct(FIG3, psi0, grid, 600, pairs=pairs)
+    assert _max_amp_diff(traj, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg,psi0", [
+    # shared leg: both atoms couple to site 7
+    (SystemConfig(n_1=1, n_2=7, m_1=7, m_2=13), WavefunctionState(1.0 + 0.0j, 0.0j)),
+    (SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.13, g_2=0.07, omega_1=0.05, omega_2=-0.02),
+     WavefunctionState(0.0j, 1.0 + 0.0j)),
+    # photon amplitudes in the initial state, inside and outside the legs
+    (FIG3, WavefunctionState(0.6 + 0.0j, 0.0j, {4: 0.48j, -3: 0.64 + 0.0j})),
+], ids=["shared_leg", "asymmetric_atom2", "photon_beta"])
+def test_exact_propagate_matches_direct_on_geometries(cfg, psi0):
+    grid = TimeGrid(t_max=150.0, dt=0.02)
+    traj = _propagate_quietly(cfg, psi0, grid, 150)
+    ref = exact_propagate_direct(cfg, psi0, grid, 150)
+    assert _max_amp_diff(traj, ref) <= 1e-12
+
+
+def test_exact_propagate_scratch_memory_is_small():
+    import tracemalloc
+
+    grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
+    assert grid.times().size == 20001
+    psi0 = initial_state("atom1", FIG3)
+    tracemalloc.start()
+    try:
+        _propagate_quietly(FIG3, psi0, grid, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def _dense_residual(h, energies, vectors):
+    return np.abs(h @ vectors - vectors * energies).max()
+
+
+@pytest.mark.parametrize("cfg,n_c", [(FIG3, 600), (FIG4, 1400)], ids=["fig3", "fig4"])
+def test_structured_residual_equals_dense(cfg, n_c):
+    ham = build_hamiltonian(cfg, n_c)
+    h = ham.matrix
+    energies, vectors = np.linalg.eigh(h)
+    h_norm = np.abs(h).sum(axis=1).max()
+    res = spectrum._residual(ham, energies, vectors)
+    assert abs(res - _dense_residual(h, energies, vectors)) <= 1e-14 * h_norm
+    # away from an eigenbasis the residual is O(1): every term must be there
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal(h.shape)
+    energies = rng.uniform(-2.0, 2.0, h.shape[0])
+    dense = _dense_residual(h, energies, vectors)
+    assert spectrum._residual(ham, energies, vectors) == pytest.approx(dense, rel=1e-14)
+
+
+def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
+    ham = build_hamiltonian(FIG3, 120)
+    eigh = np.linalg.eigh
+
+    def rotated(h):
+        energies, vectors = eigh(h)
+        # rotate the lowest and highest eigenvectors into each other: the
+        # basis stays orthonormal, but neither column is an eigenvector
+        c, s = math.cos(1e-4), math.sin(1e-4)
+        lo, hi = vectors[:, 0].copy(), vectors[:, -1].copy()
+        vectors[:, 0] = c * lo + s * hi
+        vectors[:, -1] = c * hi - s * lo
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(RuntimeError, match="out of tolerance") as exc:
+        eigendecompose(ham)
+    residual, ortho = (float(x) for x in
+                       re.search(r"residual=(\S+) .*orthonormality=(\S+)", str(exc.value)).groups())
+    assert residual > 1e-6 and ortho <= 1e-8
+
+
+def test_lattice_cap_rejected_before_allocation(monkeypatch):
+    monkeypatch.setattr(np, "zeros", None)  # the matrix allocation must not be reached
+    with pytest.raises(ConfigError, match=r"lattice too large: n_c=8001 .*8003x8003"):
+        build_hamiltonian(FIG3, spectrum.MAX_LATTICE_SITES + 1)
+    spectrum.check_lattice_size(FIG3, spectrum.MAX_LATTICE_SITES)
