@@ -12,10 +12,12 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -91,13 +93,27 @@ def _cells(column) -> list[str]:
     return [_fmt(x) for x in column]
 
 
+# Rows formatted and written per block by ``write_csv``.
+_CSV_ROWS = 4096
+
+
 def write_csv(path, header, columns):
     """Write a CSV file from whole columns (arrays or sequences, one per
-    header field, all of one length)."""
-    cells = [_cells(c) for c in columns]
+    header field, all of one length).
+
+    Ragged columns raise ValueError before the file is opened.  Rows are
+    formatted and written in blocks of ``_CSV_ROWS``, so the formatted
+    cells of the whole file are never held at once.
+    """
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length {lengths} for {path}")
+    n_rows = lengths[0] if lengths else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        for lo in range(0, n_rows, _CSV_ROWS):
+            cells = [_cells(c[lo:lo + _CSV_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_json(path, payload):
@@ -169,10 +185,11 @@ def _roots_payload(cfg, roots):
 
 
 def _lattice(cfg, n_c):
-    """The lattice Hamiltonian, its eigenbasis and the classified states."""
+    """The chain sites, the eigenbasis and the classified states.  The
+    dense Hamiltonian is freed once diagonalized."""
     ham = spectrum.build_hamiltonian(cfg, n_c)
     pairs = spectrum.eigendecompose(ham)
-    return ham, pairs, spectrum.classify_bound_states(pairs, cfg)
+    return ham.sites, pairs, spectrum.classify_bound_states(pairs, cfg)
 
 
 def _field_window(cfg):
@@ -182,7 +199,7 @@ def _field_window(cfg):
 
 # ---- artifact writers, shared by run_scenario and the partial commands ----
 
-def _write_spectrum(out_dir, ham, profiles):
+def _write_spectrum(out_dir, sites, profiles):
     """spectrum.csv, plus profile_<index>.csv for every BIC and BOC."""
     write_csv(os.path.join(out_dir, "spectrum.csv"),
               ("index", "energy", "class", "ipr", "a1_sq", "a2_sq"),
@@ -192,7 +209,7 @@ def _write_spectrum(out_dir, ham, profiles):
     for i, p in enumerate(profiles):
         if p.label in ("BIC", "BOC"):
             write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"),
-                      (ham.sites, p.photon))
+                      (sites, p.photon))
 
 
 def _write_dynamics(out_dir, trajectory, deficits=None):
@@ -260,12 +277,15 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
     eigenbasis and classified states feed the root confirmation, the exact
     propagation and the steady-state projection.  Every warning raised by
     the stages is recorded in ``manifest["warnings"]`` (category and
-    message) and then re-emitted.
+    message) and then re-emitted.  ``manifest["stages"]`` lists the stages
+    in order with their wall time, problem sizes and the process peak RSS
+    at their end.
     """
     started = time.monotonic()
     out_dir = _prepare_out_dir(out_dir)
+    stages: list[dict] = []
     with warnings.catch_warnings(record=True) as caught:
-        checks = _scenario_stages(scn, out_dir)
+        checks = _scenario_stages(scn, out_dir, stages)
     # recorded for the manifest, then shown as if never caught
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
@@ -276,6 +296,7 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
         "versions": {"crwqed": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": time.monotonic() - started,
+        "stages": stages,
         "checks": checks,
         "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                      for w in caught],
@@ -285,98 +306,124 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
     return manifest
 
 
-def _scenario_stages(scn: Scenario, out_dir) -> list[dict]:
+@contextmanager
+def _stage(stages: list, name: str, **sizes):
+    """Append the record of one pipeline stage to ``stages``: its name, wall
+    time, problem sizes and the process high-water RSS read at its end."""
+    start = time.perf_counter()
+    yield
+    wall = time.perf_counter() - start
+    stages.append({"name": name, "wall_s": wall, "sizes": sizes,
+                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+
+
+def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
     """Every stage of ``run_scenario`` up to the manifest: writes the
-    artifacts and returns the checks."""
+    artifacts, appends one record per stage to ``stages`` and returns the
+    checks."""
     cfg = validate_config(scn.cfg)
     grid = scn.grid
     checks: list[dict] = []
 
-    # lattice spectrum
-    ham, pairs, profiles = _lattice(cfg, scn.n_c)
-    bics = spectrum.bound_states(profiles, "BIC")
+    with _stage(stages, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
+        sites, pairs, profiles = _lattice(cfg, scn.n_c)
+        bics = spectrum.bound_states(profiles, "BIC")
 
     # closed-form bound states (symmetric resonant geometries only)
     roots = None
     if cfg.symmetric_resonant and cfg.g_1 > 0.0:
-        roots = bic.find_bic_roots(cfg, profiles=profiles)
-        worst = max((r.residual for r in roots), default=0.0)
-        checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi, worst <= 1e-8 * cfg.xi))
-        n_closed = sum(r.multiplicity for r in roots)
-        checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
-                             n_closed == len(bics)))
+        with _stage(stages, "bic_roots"):
+            roots = bic.find_bic_roots(cfg, profiles=profiles)
+            worst = max((r.residual for r in roots), default=0.0)
+            checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi,
+                                 worst <= 1e-8 * cfg.xi))
+            n_closed = sum(r.multiplicity for r in roots)
+            checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
+                                 n_closed == len(bics)))
 
     # beyond-Markovian dynamics
-    kernels = dynamics.build_kernels(cfg, grid)
-    psi0 = initial_state(scn.psi0, cfg)
-    trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
-    trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
-    pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())
-    bound_lim = 1.0 + 10.0 * grid.dt * cfg.xi
-    checks.append(_check("population_bound", pop_bound, bound_lim, pop_bound <= bound_lim))
-    tdr = trace.trace_determinant_residual()
-    checks.append(_check("trace_determinant_identity", tdr, 1e-10, tdr <= 1e-10))
-    # non-decaying eigenvalue traces <-> bound states in the continuum;
-    # needs the memory integrals to have settled, so gate on the horizon
-    if grid.t_end >= 150.0 / cfg.xi:
-        non_decaying = sum(abs(lam[-1].imag) <= 1e-3 * cfg.xi
-                           for lam in (trace.lambda_1, trace.lambda_2))
-        checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
-                             non_decaying == len(bics)))
+    with _stage(stages, "volterra", n_steps=grid.n_steps):
+        kernels = dynamics.build_kernels(cfg, grid)
+        psi0 = initial_state(scn.psi0, cfg)
+        trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
+        trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
+        pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())
+        bound_lim = 1.0 + 10.0 * grid.dt * cfg.xi
+        checks.append(_check("population_bound", pop_bound, bound_lim, pop_bound <= bound_lim))
+        tdr = trace.trace_determinant_residual()
+        checks.append(_check("trace_determinant_identity", tdr, 1e-10, tdr <= 1e-10))
+        # non-decaying eigenvalue traces <-> bound states in the continuum;
+        # needs the memory integrals to have settled, so gate on the horizon
+        if grid.t_end >= 150.0 / cfg.xi:
+            non_decaying = sum(abs(lam[-1].imag) <= 1e-3 * cfg.xi
+                               for lam in (trace.lambda_1, trace.lambda_2))
+            checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
+                                 non_decaying == len(bics)))
 
     # numerically exact propagation on the finite lattice
-    exact_traj, exact_snaps = spectrum.exact_propagate(
-        cfg, psi0, grid, scn.n_c, snapshot_times=scn.snapshot_times, pairs=pairs)
-    deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
-                    + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
-                    + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
-    worst_exact = max(deficits, default=0.0)
-    checks.append(_check("exact_norm_deficit", worst_exact, 1e-10, worst_exact <= 1e-10))
+    with _stage(stages, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
+                snapshots=len(scn.snapshot_times)):
+        exact_traj, exact_snaps = spectrum.exact_propagate(
+            cfg, psi0, grid, scn.n_c, snapshot_times=scn.snapshot_times, pairs=pairs)
+        deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
+                        + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
+                        + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
+        worst_exact = max(deficits, default=0.0)
+        checks.append(_check("exact_norm_deficit", worst_exact, 1e-10, worst_exact <= 1e-10))
 
-    # Volterra vs exact, restricted to times free of edge reflections
-    span = cfg.m_2 - cfg.n_1
-    t_valid = min(grid.t_end, (scn.n_c - span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
-    n_valid = int(t_valid / grid.dt)
-    diff = max(np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
-               np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
-    checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2, diff <= 1e-2))
+        # Volterra vs exact, restricted to times free of edge reflections
+        span = cfg.m_2 - cfg.n_1
+        t_valid = min(grid.t_end, (scn.n_c - span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
+        n_valid = int(t_valid / grid.dt)
+        diff = max(np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
+                   np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
+        checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2,
+                             diff <= 1e-2))
 
     # photon field over the plot window, plus a wide-window unitarity check
-    snapshots = dynamics.photon_field(cfg, trajectory, _field_window(cfg), scn.snapshot_times)
+    window = _field_window(cfg)
+    with _stage(stages, "photon_field", sites=int(window.size),
+                order_max=dynamics.field_order_max(cfg, window),
+                arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
+        snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
     t_check = min(200.0, grid.t_end)
     t_check = round(t_check / grid.dt) * grid.dt
     reach = int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
     wide = np.arange(cfg.n_1 - reach, cfg.m_2 + reach + 1)
-    wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
-    deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
-    checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2, deficit <= 1e-2))
+    with _stage(stages, "field_norm_check", sites=int(wide.size),
+                order_max=dynamics.field_order_max(cfg, wide), arg_max=2.0 * cfg.xi * t_check):
+        wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
+        deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
+        checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2,
+                             deficit <= 1e-2))
 
-    if "rabi" in scn.checks and roots is not None and len(roots) == 2:
-        expected = bic.rabi_period(roots)
-        if grid.t_end >= 1.5 * expected:
-            period = oscillation_period(grid.times(), trajectory.pop_1)
-            rel = abs(period - expected) / expected
-            checks.append(_check("rabi_period_rel_err", rel, 0.02, rel <= 0.02))
-        else:
-            checks.append(_info("rabi_period_skipped_horizon", grid.t_end / expected))
-        avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
-                            + trajectory.pop_2[grid.n_steps // 2:]))
-        checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
-    if "fractional" in scn.checks and len(bics) == 1:
-        p1, p2, settled = dynamics.plateau(trajectory)
-        pred1, pred2 = dynamics.steady_state_prediction(cfg, psi0, profiles=profiles)
-        checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2, abs(p1 - p2) <= 1e-2))
-        rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
-        checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
-        checks.append(_info("plateau_settled", settled))
+    with _stage(stages, "scenario_checks"):
+        if "rabi" in scn.checks and roots is not None and len(roots) == 2:
+            expected = bic.rabi_period(roots)
+            if grid.t_end >= 1.5 * expected:
+                period = oscillation_period(grid.times(), trajectory.pop_1)
+                rel = abs(period - expected) / expected
+                checks.append(_check("rabi_period_rel_err", rel, 0.02, rel <= 0.02))
+            else:
+                checks.append(_info("rabi_period_skipped_horizon", grid.t_end / expected))
+            avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
+                                + trajectory.pop_2[grid.n_steps // 2:]))
+            checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
+        if "fractional" in scn.checks and len(bics) == 1:
+            p1, p2, settled = dynamics.plateau(trajectory)
+            pred1, pred2 = dynamics.steady_state_prediction(cfg, psi0, profiles=profiles)
+            checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2, abs(p1 - p2) <= 1e-2))
+            rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
+            checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
+            checks.append(_info("plateau_settled", settled))
 
-    # ---- write artifacts ----
-    if roots is not None:
-        write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
-    _write_spectrum(out_dir, ham, profiles)
-    _write_dynamics(out_dir, trajectory, {grid.node(t_check): deficit})
-    _write_mtrace(out_dir, trace)
-    _write_field(out_dir, snapshots)
+    with _stage(stages, "write_artifacts"):
+        if roots is not None:
+            write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
+        _write_spectrum(out_dir, sites, profiles)
+        _write_dynamics(out_dir, trajectory, {grid.node(t_check): deficit})
+        _write_mtrace(out_dir, trace)
+        _write_field(out_dir, snapshots)
     return checks
 
 
@@ -511,8 +558,8 @@ def _cmd_partial(scn: Scenario, out_dir, which: str):
         write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
         return
     if which == "spectrum":
-        ham, _, profiles = _lattice(cfg, scn.n_c)
-        _write_spectrum(out_dir, ham, profiles)
+        sites, _, profiles = _lattice(cfg, scn.n_c)
+        _write_spectrum(out_dir, sites, profiles)
         return
     if which not in ("dynamics", "field"):
         raise ValueError(which)

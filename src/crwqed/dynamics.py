@@ -307,6 +307,13 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
                           alpha_2=amp[1, :n_nodes].copy())
 
 
+def field_order_max(cfg: SystemConfig, sites) -> int:
+    """Highest Bessel order :func:`photon_field` needs for a site window:
+    the largest distance from a site to a leg."""
+    sites = np.asarray(sites, dtype=int)
+    return max(int(np.abs(sites - leg).max()) for leg in cfg.legs)
+
+
 def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
                  times, chunk: int = 2048) -> list[FieldSnapshot]:
     """Reconstruct the real-space photon amplitudes at the requested times.
@@ -316,12 +323,13 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
 
     by trapezoidal quadrature on the trajectory grid.  For every atom the
     tau integral is reduced to one weighted sum per Bessel order, shared by
-    both legs and by all sites at equal distance from a leg.  One Bessel
-    table per call covers the nodes up to the latest requested time; it is
-    filled in ``chunk``-node blocks (so early, small-argument rows do not pay
-    the recurrence depth of the largest argument) and every leg and time
-    reuses it, so the cost is one table plus one matrix product per time.
-    The table holds one float per node and Bessel order.
+    both legs and by all sites at equal distance from a leg.  The Bessel
+    table over the nodes up to the latest requested time is filled once, in
+    ``chunk``-node blocks (so early, small-argument rows do not pay the
+    recurrence depth of the largest argument); each block is added to the
+    per-order sums of every requested time as soon as it is filled, so the
+    cost is one table plus one matrix product per block and time, and the
+    scratch memory is O(chunk * orders) whatever the horizon.
     """
     cfg = validate_config(cfg)
     grid = trajectory.grid
@@ -329,28 +337,38 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     nodes = [grid.node(t) for t in sorted(float(t) for t in times)]
     atoms = ((cfg.g_1, (cfg.n_1, cfg.n_2)), (cfg.g_2, (cfg.m_1, cfg.m_2)))
     alphas = np.array([trajectory.alpha_1, trajectory.alpha_2])
-    order_max = max(int(np.abs(sites - leg).max()) for leg in cfg.legs)
+    order_max = field_order_max(cfg, sites)
     i_powers = np.array([unit_power(p) for p in range(order_max + 1)])
     dt = grid.dt
     taus = grid.times()
     phase = np.exp(-1j * cfg.omega_c * taus)
+    weighted = dt * phase  # trapezoid weights, full inside the interval
 
+    # sums[i] = real and imaginary parts of the per-order sums of atoms 1, 2
+    # at nodes[i]: sum_k w_k e^{-i omega_c tau_k} alpha(t_n - tau_k) J(2 xi tau_k)
+    sums = np.zeros((len(nodes), 4, order_max + 1))
     n_rows = max(nodes, default=-1) + 1
-    table = np.empty((n_rows, order_max + 1))
     for s in range(0, n_rows, chunk):
-        block = slice(s, min(s + chunk, n_rows))
-        table[block] = bessel_j_table(order_max, 2.0 * cfg.xi * taus[block])
+        e = min(s + chunk, n_rows)
+        table = bessel_j_table(order_max, 2.0 * cfg.xi * taus[s:e])
+        for i, n in enumerate(nodes):
+            if n == 0 or n < s:  # empty integral, or no rows of this block
+                continue
+            stop = min(e, n + 1)
+            # rows tau_s..tau_{stop-1} meet alpha(t_n - tau), read backwards
+            v = weighted[s:stop] * alphas[:, n - stop + 1:n - s + 1][:, ::-1]
+            if s == 0:
+                v[:, 0] = 0.5 * dt * phase[0] * alphas[:, n]
+            if stop == n + 1:
+                v[:, -1] = 0.5 * dt * phase[n] * alphas[:, 0]
+            # real and imaginary parts in one real product with the block
+            sums[i] += np.concatenate([v.real, v.imag]) @ table[:stop - s]
 
     snapshots = []
-    for n in nodes:
+    for n, part in zip(nodes, sums):
         beta = np.zeros(sites.size, dtype=complex)
         if n > 0:
-            weights = np.full(n + 1, dt)
-            weights[0] = weights[-1] = 0.5 * dt
-            v = weights * phase[:n + 1] * alphas[:, n::-1]
-            # real and imaginary parts in one real product with the table
-            sums = np.concatenate([v.real, v.imag]) @ table[:n + 1]
-            for (g, legs), u in zip(atoms, sums[:2] + 1j * sums[2:]):
+            for (g, legs), u in zip(atoms, part[:2] + 1j * part[2:]):
                 if g == 0.0:
                     continue
                 for leg in legs:

@@ -32,7 +32,10 @@ from .model import (
 # Margin of resonators required around the outermost legs.
 LATTICE_MARGIN = 40
 # Largest lattice accepted: the dense (n_c + 2)^2 Hamiltonian and its
-# eigenbasis take about 0.5 GB each at this size.
+# eigenbasis take about 0.5 GB each at this size, and ``eigh`` briefly needs
+# about as much again in copies and workspace.  No later stage holds another
+# n x n array: the pipeline frees the Hamiltonian once it is diagonalized,
+# and classification and propagation work on blocks of eigenvectors.
 MAX_LATTICE_SITES = 8000
 # Eigenstates closer in energy than this are treated as one degenerate
 # cluster and rotated to a maximally-localized basis before classification.
@@ -65,10 +68,7 @@ class LatticeHamiltonian:
     cfg: SystemConfig
 
     def column_of(self, site: int) -> int:
-        col = 2 + self.site_offset + site
-        if col < 2 or col >= self.n_c + 2:
-            raise ValueError(f"site {site} lies outside the lattice")
-        return col
+        return _site_column(self.n_c, self.site_offset, site)
 
     def site_of(self, column: int) -> int:
         return column - 2 - self.site_offset
@@ -83,6 +83,15 @@ def site_offset(cfg: SystemConfig, n_c: int) -> int:
     """Centering rule: place the leg span symmetrically in the chain."""
     span = cfg.m_2 - cfg.n_1
     return (n_c - span) // 2 - cfg.n_1
+
+
+def _site_column(n_c: int, offset: int, site: int) -> int:
+    """Basis column of an absolute site on an ``n_c``-site chain whose
+    sites are shifted by ``offset`` (see :func:`site_offset`)."""
+    col = 2 + offset + site
+    if col < 2 or col >= n_c + 2:
+        raise ValueError(f"site {site} lies outside the lattice")
+    return col
 
 
 def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
@@ -257,7 +266,8 @@ def classify_bound_states(
     basis, which untangles bound states from accidentally degenerate band
     states; the returned profiles are that rotated basis.  States with
     essentially no photon weight (a decoupled atom) and states within
-    1e-3 xi of a band edge are never bound states.
+    1e-3 xi of a band edge are never bound states.  Only the eigenvectors
+    of one degenerate cluster are stacked at a time.
     """
     cfg = validate_config(cfg)
     if not pairs:
@@ -266,7 +276,6 @@ def classify_bound_states(
     n_c = dim - 2
     off = site_offset(cfg, n_c)
     energies = np.array([p.energy for p in pairs])
-    vectors = np.stack([p.vector for p in pairs], axis=1)
 
     mask = np.zeros(dim, dtype=bool)
     mask[0] = mask[1] = True
@@ -280,12 +289,12 @@ def classify_bound_states(
         j = i
         while j + 1 < len(energies) and energies[j + 1] - energies[j] < DEGENERACY_TOL * cfg.xi:
             j += 1
-        cluster = vectors[:, i:j + 1]
         if j > i:
+            cluster = np.stack([p.vector for p in pairs[i:j + 1]], axis=1)
             weights, vecs = _localized_rotation(cluster, mask)
         else:
-            vecs = cluster
-            weights = np.array([float(np.sum(cluster[mask, 0] ** 2))])
+            vecs = pairs[i].vector[:, None]
+            weights = np.array([float(np.sum(vecs[mask, 0] ** 2))])
         for c in range(vecs.shape[1]):
             v = vecs[:, c]
             e = float(energies[i + c]) if j == i else float(np.mean(energies[i:j + 1]))
@@ -325,13 +334,8 @@ def wavefront_n_c(cfg: SystemConfig, t_max: float, margin: int = LATTICE_MARGIN)
     return int(np.ceil(span + 2.0 * (2.0 * cfg.xi * t_max))) + margin
 
 
-def _state_vector(ham: LatticeHamiltonian, psi0: WavefunctionState) -> np.ndarray:
-    vec = np.zeros(ham.n_c + 2, dtype=complex)
-    vec[0] = psi0.alpha_1
-    vec[1] = psi0.alpha_2
-    for site, amp in psi0.beta.items():
-        vec[ham.column_of(site)] = amp
-    return vec
+# Eigenvectors per block of the snapshot product in ``exact_propagate``.
+_BASIS_COLS = 64
 
 
 def exact_propagate(
@@ -349,33 +353,53 @@ def exact_propagate(
     a_i(t_n) = sum_q e^{-iE_q k dt} [w_iq e^{-iE_q jB dt}], w_iq = v_q[i] <v_q|psi0>.
     Both series come from one complex matrix product of a (B x n) inner-phase
     table and an (n x 2 ceil(T/B)) outer-phase table scaled by w_1 and w_2:
-    about 2nT complex multiply-adds in a single GEMM, about 2n sqrt(T)
-    complex exponentials, and O(n sqrt(T)) scratch memory besides the
-    O(T) result and the n x n eigenbasis.
+    about 2nT complex multiply-adds in a single GEMM and about 2n sqrt(T)
+    complex exponentials.  The overlaps <v_q|psi0> come from the basis rows
+    psi0 touches and w_1, w_2 from rows 0 and 1; all snapshots come from one
+    pass over the eigenvectors in blocks of ``_BASIS_COLS``, multiplied
+    against the real and imaginary parts of an (n x #snapshots) coefficient
+    table.  Besides the O(T) result and the given eigenbasis, the scratch
+    memory is O(n sqrt(T) + n #snapshots): no n x n array is made.
 
     Warns (does not fail) when ``n_c`` is below the wavefront criterion for
     the requested horizon, i.e. when emitted radiation can reflect off the
     lattice edges back into the atom region before ``t_max``.  Snapshots of
     the full photon field are returned for the requested times (which must
-    lie on the grid).  ``pairs`` may carry a precomputed eigenbasis.
+    lie on the grid).  ``pairs`` may carry a precomputed eigenbasis of the
+    ``n_c``-site lattice; otherwise the lattice is built and diagonalized.
+
+    Raises
+    ------
+    ValueError
+        If ``pairs`` does not hold n_c + 2 eigenvectors of length n_c + 2.
     """
     cfg = validate_config(cfg)
+    check_lattice_size(cfg, n_c)
+    dim = n_c + 2
+    if pairs is None:
+        pairs = eigendecompose(build_hamiltonian(cfg, n_c))
+    elif len(pairs) != dim or any(p.vector.shape != (dim,) for p in pairs):
+        raise ValueError(
+            f"pairs must hold {dim} eigenvectors of length {dim} for n_c={n_c}, "
+            f"got {len(pairs)}")
     need = wavefront_n_c(cfg, grid.t_end)
     if n_c < need:
         warnings.warn(
             f"n_c={n_c} is below the wavefront criterion ({need}) for "
             f"t_max={grid.t_end}; edge reflections may contaminate late times",
             stacklevel=2)
-    ham = build_hamiltonian(cfg, n_c)
-    if pairs is None:
-        pairs = eigendecompose(ham)
+    offset = site_offset(cfg, n_c)
     energies = np.array([p.energy for p in pairs])
-    vectors = np.stack([p.vector for p in pairs], axis=1)
 
-    vec0 = _state_vector(ham, psi0)
-    coeff = vectors.T @ vec0
-    w1 = vectors[0] * coeff
-    w2 = vectors[1] * coeff
+    def basis_row(r):
+        return np.array([p.vector[r] for p in pairs])
+
+    row_1, row_2 = basis_row(0), basis_row(1)
+    coeff = row_1 * complex(psi0.alpha_1) + row_2 * complex(psi0.alpha_2)
+    for site, amp in psi0.beta.items():
+        coeff += basis_row(_site_column(n_c, offset, site)) * complex(amp)
+    w1 = row_1 * coeff
+    w2 = row_2 * coeff
 
     times = grid.times()
     n_t = times.size
@@ -383,16 +407,26 @@ def exact_propagate(
     n_outer = -(-n_t // inner)
     inner_phase = np.exp(-1j * np.outer(np.arange(inner) * grid.dt, energies))
     outer_phase = np.exp(-1j * np.outer(energies, np.arange(n_outer) * (inner * grid.dt)))
+    scaled = np.empty((dim, 2 * n_outer), dtype=complex)
+    np.multiply(outer_phase, w1[:, None], out=scaled[:, :n_outer])
+    np.multiply(outer_phase, w2[:, None], out=scaled[:, n_outer:])
     # amps[k, j] = a_1 at node j*inner + k; columns n_outer.. hold a_2
-    amps = inner_phase @ np.concatenate(
-        [outer_phase * w1[:, None], outer_phase * w2[:, None]], axis=1)
+    amps = inner_phase @ scaled
     a1 = amps[:, :n_outer].T.reshape(-1)[:n_t]
     a2 = amps[:, n_outer:].T.reshape(-1)[:n_t]
     trajectory = AtomTrajectory(grid=grid, alpha_1=a1, alpha_2=a2)
 
-    snapshots = []
-    for t in snapshot_times:
-        n = grid.node(t)
-        psi_t = vectors @ (coeff * np.exp(-1j * energies * times[n]))
-        snapshots.append(FieldSnapshot(time=times[n], sites=ham.sites, beta=psi_t[2:]))
-    return trajectory, snapshots
+    nodes = [grid.node(t) for t in snapshot_times]
+    if not nodes:
+        return trajectory, []
+    n_s = len(nodes)
+    table = coeff[:, None] * np.exp(-1j * np.outer(energies, times[nodes]))
+    parts = np.concatenate([table.real, table.imag], axis=1)
+    psi = np.zeros((dim, 2 * n_s))
+    for lo in range(0, dim, _BASIS_COLS):
+        block = np.stack([p.vector for p in pairs[lo:lo + _BASIS_COLS]], axis=1)
+        psi += block @ parts[lo:lo + _BASIS_COLS]
+    beta = psi[2:, :n_s] + 1j * psi[2:, n_s:]
+    sites = np.arange(n_c) - offset
+    return trajectory, [FieldSnapshot(time=times[n], sites=sites, beta=beta[:, i])
+                        for i, n in enumerate(nodes)]

@@ -1,5 +1,6 @@
 """Independent reference implementations shared by the test modules."""
 
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -7,6 +8,18 @@ import numpy as np
 from crwqed import spectrum
 from crwqed.dynamics import POPULATION_ABORT, SolverError
 from crwqed.model import AtomTrajectory
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes of Python and numpy heap allocated while
+    ``fn(*args, **kwargs)`` runs, from ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def series_oracle(n: int, x: float, digits: int = 60) -> float:

@@ -15,6 +15,7 @@ from crwqed.cli import (
     run_scenario,
     run_sweep,
 )
+from oracles import traced_peak
 
 TABLE = {
     (6, 1): 2, (6, 2): 2, (6, 3): 2, (6, 4): 2, (6, 5): 2,
@@ -63,6 +64,19 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     run_scenario(scn, out2)
     for name in ("spectrum.csv", "dynamics.csv", "mtrace.csv", "field.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    stages = json.loads((out1 / "manifest.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == [
+        "lattice", "bic_roots", "volterra", "exact_propagate", "photon_field",
+        "field_norm_check", "scenario_checks", "write_artifacts"]
+    assert all(s["wall_s"] >= 0.0 for s in stages)
+    peaks = [s["peak_rss_mb"] for s in stages]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    sizes = {s["name"]: s["sizes"] for s in stages}
+    assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2}
+    assert sizes["volterra"] == {"n_steps": scn.grid.n_steps}
+    # sites reach 80 + 30 beyond the legs at t = 40, plus the leg span 9
+    assert sizes["field_norm_check"]["order_max"] == 110 + 9
+    assert sizes["field_norm_check"]["arg_max"] == pytest.approx(80.0)
 
 
 def test_manifest_contents(tmp_path):
@@ -177,6 +191,23 @@ def test_write_csv_cells_match_fixed_format(tmp_path):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         cli.write_csv(tmp_path / "ragged.csv", ("a", "b"), (np.zeros(3), np.zeros(2)))
+    assert not (tmp_path / "ragged.csv").exists()
+
+
+def test_write_csv_blocks_are_seamless(tmp_path, monkeypatch):
+    cols = (np.arange(11) * 0.1, range(11), ["x"] * 11)
+    cli.write_csv(tmp_path / "one.csv", ("a", "b", "c"), cols)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+    cli.write_csv(tmp_path / "blocks.csv", ("a", "b", "c"), cols)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+    assert (tmp_path / "one.csv").read_text().count("\n") == 12
+
+
+def test_write_csv_scratch_does_not_grow_with_rows(tmp_path):
+    # 100 000 x 7 float cells take about 50 MB as formatted strings
+    cols = [np.linspace(0.0, 1.0, 100_000) * (k + 1) for k in range(7)]
+    peak = traced_peak(cli.write_csv, tmp_path / "big.csv", [f"c{k}" for k in range(7)], cols)
+    assert peak < 10 * 2 ** 20
 
 
 def _counting(monkeypatch, module, name):
@@ -194,9 +225,11 @@ def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
     eigh_calls = _counting(monkeypatch, spectrum, "eigendecompose")
     projections = _counting(monkeypatch, dynamics, "steady_state_prediction")
     root_scans = _counting(monkeypatch, bic, "find_bic_roots")
+    builds = _counting(monkeypatch, spectrum, "build_hamiltonian")
     run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
     assert len(projections) == 1 and len(root_scans) == 1  # both consumers ran
     assert len(eigh_calls) == 1
+    assert len(builds) == 1
 
 
 def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):

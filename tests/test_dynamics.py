@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crwqed.model import SystemConfig, TimeGrid, WavefunctionState, initial_state
+from crwqed.model import AtomTrajectory, SystemConfig, TimeGrid, WavefunctionState, initial_state
 from crwqed import spectrum
 from crwqed.dynamics import (
     _BLOCK,
@@ -17,7 +17,7 @@ from crwqed.dynamics import (
     unit_power,
 )
 from crwqed.specfun import bessel_j
-from oracles import volterra_direct
+from oracles import traced_peak, volterra_direct
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -223,6 +223,36 @@ def test_photon_field_shared_table_matches_single_times(fig3_short):
         alone = photon_field(FIG3, traj, sites, [snap.time])[0]
         scale = max(np.abs(alone.beta).max(), 1e-300)
         assert np.abs(snap.beta - alone.beta).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1000])
+def test_photon_field_blocks_match_one_block(fig3_short, chunk):
+    # every time's sums are accumulated block by block; times on, before and
+    # after block edges must agree with a single block over all nodes
+    grid, traj, _ = fig3_short
+    sites = np.arange(-30, 41)
+    times = [0.0, 0.02, 0.12, 0.14, 1.26, 1.28, 1.30, 20.0, 60.0]
+    one = photon_field(FIG3, traj, sites, times, chunk=grid.n_steps + 1)
+    blocked = photon_field(FIG3, traj, sites, times, chunk=chunk)
+    for a, b in zip(blocked, one):
+        assert a.time == b.time
+        scale = max(np.abs(b.beta).max(), 1e-300)
+        assert np.abs(a.beta - b.beta).max() <= 1e-14 * scale
+
+
+def test_photon_field_scratch_does_not_grow_with_horizon():
+    # the 870-site norm-check window of fig3 at t = 200 (441 Bessel orders);
+    # a table over all nodes would double from t = 200 to t = 400
+    grid = TimeGrid(t_max=400.0, dt=0.02)
+    taus = grid.times()
+    traj = AtomTrajectory(grid=grid, alpha_1=np.exp(-(0.01 + 0.3j) * taus),
+                          alpha_2=0.5j * np.exp(-0.02 * taus))
+    reach = 430
+    sites = np.arange(FIG3.n_1 - reach, FIG3.m_2 + reach + 1)
+    assert sites.size == 870
+    peak_200 = traced_peak(photon_field, FIG3, traj, sites, [200.0])
+    peak_400 = traced_peak(photon_field, FIG3, traj, sites, [400.0])
+    assert peak_400 <= 1.1 * peak_200
 
 
 def test_photon_field_matches_term_by_term_quadrature(fig3_short):

@@ -24,7 +24,7 @@ from crwqed.spectrum import (
     photon_profile,
     wavefront_n_c,
 )
-from oracles import exact_propagate_direct
+from oracles import exact_propagate_direct, traced_peak
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -231,18 +231,61 @@ def test_exact_propagate_matches_direct_on_geometries(cfg, psi0):
 
 
 def test_exact_propagate_scratch_memory_is_small():
-    import tracemalloc
-
     grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
     assert grid.times().size == 20001
     psi0 = initial_state("atom1", FIG3)
-    tracemalloc.start()
-    try:
-        _propagate_quietly(FIG3, psi0, grid, 600)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert traced_peak(_propagate_quietly, FIG3, psi0, grid, 600) < 32 * 2 ** 20
+
+
+def test_exact_propagate_with_pairs_makes_no_basis_copy():
+    # n = 602: one n x n float array is 2.9 MB, so a rebuilt Hamiltonian,
+    # a stacked basis and its complex upcast would add about 11.6 MB
+    grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
+    assert grid.times().size == 20001
+    psi0 = initial_state("atom1", FIG3)
+    pairs = eigendecompose(build_hamiltonian(FIG3, 600))
+    stops = tuple(f * grid.t_end for f in (0.0, 0.25, 0.5, 0.75, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak = traced_peak(exact_propagate, FIG3, psi0, grid, 600,
+                           snapshot_times=stops, pairs=pairs)
+    assert peak < 10 * 2 ** 20
+
+
+def test_exact_propagate_rejects_pairs_of_another_lattice():
+    grid = TimeGrid(t_max=1.0, dt=0.05)
+    psi0 = initial_state("atom1", FIG3)
+    pairs = eigendecompose(build_hamiltonian(FIG3, 200))
+    with pytest.raises(ValueError, match="242 eigenvectors of length 242 for n_c=240, got 202"):
+        exact_propagate(FIG3, psi0, grid, 240, pairs=pairs)
+    # right count, wrong length
+    with pytest.raises(ValueError, match="eigenvectors of length"):
+        exact_propagate(FIG3, psi0, grid, 200, pairs=[
+            spectrum.EigenPair(p.energy, p.vector[:-1]) for p in pairs])
+
+
+def test_exact_propagate_snapshots_match_dense_spectral_sum():
+    # the blocked snapshot product against psi(t) = V diag(e^{-iEt}) V^T psi0
+    n_c = 150
+    psi0 = WavefunctionState(0.6 + 0.0j, 0.0j, {4: 0.48j, -3: 0.64 + 0.0j})
+    ham = build_hamiltonian(FIG3, n_c)
+    pairs = eigendecompose(ham)
+    grid = TimeGrid(t_max=30.0, dt=0.05)
+    stops = (0.0, 7.5, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, snaps = exact_propagate(FIG3, psi0, grid, n_c, snapshot_times=stops, pairs=pairs)
+    energies = np.array([p.energy for p in pairs])
+    vectors = np.stack([p.vector for p in pairs], axis=1)
+    vec0 = np.zeros(n_c + 2, dtype=complex)
+    vec0[:2] = psi0.alpha_1, psi0.alpha_2
+    for site, amp in psi0.beta.items():
+        vec0[ham.column_of(site)] = amp
+    assert [s.time for s in snaps] == list(stops)
+    for snap in snaps:
+        psi = vectors @ (np.exp(-1j * energies * snap.time) * (vectors.T @ vec0))
+        assert np.array_equal(snap.sites, ham.sites)
+        assert np.abs(snap.beta - psi[2:]).max() <= 1e-13
 
 
 def _dense_residual(h, energies, vectors):
