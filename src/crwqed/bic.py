@@ -16,10 +16,10 @@ chi = exp[-i arccos((E - omega_c)/(2 xi))],
 whose real part is (-1)^{p+1} sin(p theta) / (2 xi sin theta); the factor
 (-chi) = e^{i k*} is the Bloch phase of the resonant mode.  -Im G_p is the
 corresponding half decay width, which vanishes at a genuine BIC.  Roots of
-f_s are bound-state candidates only: each is confirmed against the
-finite-lattice classifier before being reported, which weeds out the
-long-lived in-band resonances the same equation produces for geometries
-with no BIC.
+f_s are bound-state candidates only: a root is kept on the parity branches
+whose half width (g^2/xi) |Im bracket| is at most ``BIC_MAX_IM_BRACKET``
+g^2/xi, which weeds out the in-band resonances the same equation produces
+for geometries with no BIC.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum
-from .model import SystemConfig, validate_config
+from .model import ConfigError, SystemConfig, validate_config
 
 # Exclusion zone at the band edges for the root scan; chi - chi* vanishes at
 # the edges and genuine BICs sit near band center.
@@ -42,13 +41,11 @@ DEFAULT_SCAN_INTERVALS = 4000
 BISECTION_TOL = 1e-10
 # Roots from the two parity branches closer than this are one degenerate root.
 DEGENERATE_MERGE = 1e-8
-# Acceptable |E_root - E_lattice| when confirming a root against the lattice:
-# at least the floor, widened by the root's own resonance half width (a
-# quasi-bound state's energy is defined no better than its width, and the
-# finite lattice shifts it by a comparable amount).
-LATTICE_MATCH_TOL = 1e-4
-WIDTH_MATCH_FACTOR = 25.0
-DEFAULT_CONFIRM_N_C = 600
+# A parity branch of a root is a bound state when |Im bracket| is at most
+# this, i.e. its half width is at most 0.1 g^2/xi.  Over N = 2..12, every
+# offset and g = 0.02..0.3, exact BICs (compact support) have zero width,
+# quasi-BIC pairs at most 0.048 and in-band resonances at least 0.207.
+BIC_MAX_IM_BRACKET = 0.1
 
 BRANCHES = (+1, -1)
 
@@ -133,13 +130,14 @@ def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
 
 @dataclass(frozen=True)
 class BicRoot:
-    """One confirmed in-band bound state of the closed-form equation."""
+    """One in-band bound state of the closed-form equation."""
 
     energy: float
     branch: str           # "+", "-" (A_1 = +-A_2) or "+-" for a degenerate pair
     chi: complex
     multiplicity: int
-    residual: float       # |f| at the root, per contributing branch maximum
+    residual: float       # |f| at the root, maximum over the merged branches
+    width: float          # half width (g^2/xi)|Im bracket|, maximum over the counted branches
 
 
 def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
@@ -221,27 +219,20 @@ def _branch_roots(cfg: SystemConfig, branch: int, n_scan: int) -> list[tuple[flo
 def find_bic_roots(
     cfg: SystemConfig,
     n_scan: int = DEFAULT_SCAN_INTERVALS,
-    n_c: int = DEFAULT_CONFIRM_N_C,
-    ipr_threshold: float = spectrum.DEFAULT_IPR_THRESHOLD,
-    confirm: bool = True,
-    profiles: list[spectrum.BoundStateProfile] | None = None,
 ) -> list[BicRoot]:
-    """All confirmed in-band bound states, both parity branches.
+    """All in-band bound states, both parity branches.
 
     Roots of the two branches are merged when they coincide within 1e-8 xi.
-    With ``confirm`` (the default), every merged root must match a localized
-    in-band state of the ``n_c``-site lattice within 1e-4 xi; the number of
-    matching lattice states fixes the multiplicity (a degenerate root of
-    both branches can still be a single physical bound state when only one
-    parity survives away from the idealized infinite chain).  The branch
-    label of a single surviving state is taken from the parity of its
-    lattice eigenvector.
-
-    ``profiles`` may carry the classified spectrum of that lattice, from
-    :func:`spectrum.classify_bound_states`; the lattice is then not
-    diagonalized again and ``n_c`` and ``ipr_threshold`` are not used.
+    A branch s of a merged root counts when |Im bracket_s(E)| <=
+    ``BIC_MAX_IM_BRACKET``, that is when its half width
+    (g^2/xi)|Im bracket_s| is at most 0.1 g^2/xi; the multiplicity is the
+    number of counting branches, the branch label names them, and a root
+    with none is an in-band resonance and is dropped.  Decoupled atoms
+    (g = 0) carry no photon amplitude and have no bound state.
     """
     cfg = _require_symmetric(cfg)
+    if cfg.g_1 == 0.0:
+        return []
     per_branch = {s: _branch_roots(cfg, s, n_scan) for s in BRANCHES}
 
     # merge across branches
@@ -257,83 +248,18 @@ def find_bic_roots(
                 merged.append({"energy": e, "branches": [s], "residual": fe})
     merged.sort(key=lambda m: m["energy"])
 
-    bic_profiles = None
-    if confirm:
-        if profiles is None:
-            ham = spectrum.build_hamiltonian(cfg, n_c)
-            profiles = spectrum.classify_bound_states(
-                spectrum.eigendecompose(ham), cfg, ipr_threshold)
-        bic_profiles = spectrum.bound_states(profiles, "BIC")
-
     roots: list[BicRoot] = []
     for m in merged:
-        branches = m["branches"]
-        if confirm:
-            half_width = (cfg.g_1 ** 2 / cfg.xi) * max(
-                abs(_bracket(m["energy"], cfg, s).imag) for s in branches)
-            match_tol = max(LATTICE_MATCH_TOL * cfg.xi, WIDTH_MATCH_FACTOR * half_width)
-            matches = [p for p in bic_profiles
-                       if abs(p.energy - m["energy"]) <= match_tol]
-            if not matches:
-                continue  # in-band resonance, not a bound state
-            multiplicity = min(len(branches), len(matches))
-            if multiplicity == 1 and len(branches) == 2:
-                # lattice parity decides which branch survives
-                sign = matches[0].amp_1 * matches[0].amp_2
-                branches = [+1] if sign >= 0.0 else [-1]
-        else:
-            multiplicity = len(branches)
+        im = {s: abs(float(_bracket(m["energy"], cfg, s).imag)) for s in m["branches"]}
+        branches = [s for s in m["branches"] if im[s] <= BIC_MAX_IM_BRACKET]
+        if not branches:
+            continue  # in-band resonance, not a bound state
         label = "+-" if len(branches) == 2 else ("+" if branches[0] > 0 else "-")
         roots.append(BicRoot(
             energy=m["energy"], branch=label, chi=chi(m["energy"], cfg),
-            multiplicity=multiplicity, residual=m["residual"]))
+            multiplicity=len(branches), residual=m["residual"],
+            width=(cfg.g_1 ** 2 / cfg.xi) * max(im[s] for s in branches)))
     return roots
-
-
-def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:
-    """Discrete-momentum evaluation of the waveguide-induced level shift.
-
-    Sums g^2/N_c sum_k [2 + 2 cos(kN) + s sum cos(k |n_j - m_j'|)] / (E - omega_k)
-    over ``n_modes`` equally spaced modes folded onto (0, pi], with the mode
-    comb shifted so the resonant wavenumber falls exactly midway between two
-    modes (the discrete analogue of a principal value); the comb offset is
-    compensated at the fold ends so the error decays cleanly with 1/N_c.
-    Converges to the Hermitian shift g^2/xi * Re(bracket) used by
-    :func:`transcendental_residual`.
-    """
-    cfg = _require_symmetric(cfg)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    if n_modes < 8:
-        raise ValueError(f"n_modes too small: {n_modes}")
-    if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E <= cfg.band_top - EDGE_GUARD * cfg.xi):
-        raise ValueError(f"E={E} is outside the band or too close to an edge")
-    if cfg.g_1 == 0.0:
-        return 0.0 + 0.0j
-
-    k_res = math.acos((cfg.omega_c - E) / (2.0 * cfg.xi))
-    half = n_modes // 2
-    h = math.pi / half
-    r = k_res % h
-    delta = r + 0.5 * h if r < 0.5 * h else r - 0.5 * h
-    ks = np.arange(half) * h + delta
-
-    big_n = cfg.size_1
-
-    def numerator(k):
-        out = 2.0 + 2.0 * np.cos(k * big_n)
-        for p in cfg.cross_distances:
-            out = out + branch * np.cos(k * p)
-        return out
-
-    integrand = numerator(ks) / (E - (cfg.omega_c - 2.0 * cfg.xi * np.cos(ks)))
-    total = h * float(np.sum(integrand))
-    # the comb covers (shift, pi + shift); restore the (0, pi) window
-    shift = delta - 0.5 * h
-    f_0 = numerator(0.0) / (E - cfg.band_bottom)
-    f_pi = numerator(math.pi) / (E - cfg.band_top)
-    total += shift * (f_0 - f_pi)
-    return complex((cfg.g_1 ** 2) * total / math.pi)
 
 
 def rabi_period(roots: list[BicRoot]) -> float:
@@ -371,24 +297,19 @@ def bic_census(
     size: int,
     delta_list,
     g: float = 0.1,
-    template: SystemConfig | None = None,
     n_scan: int = DEFAULT_SCAN_INTERVALS,
-    n_c: int = DEFAULT_CONFIRM_N_C,
 ) -> list[CensusRow]:
     """Bound-state count and energies for braided geometries of equal atom
-    size over a list of leg offsets delta (0 < delta < size)."""
+    size over a list of leg offsets delta (0 < delta < size, else
+    ConfigError), at the default band and atomic frequencies."""
     rows = []
     for delta in delta_list:
         delta = int(delta)
         if not 0 < delta < size:
-            raise ValueError(f"braided geometry needs 0 < delta < size, got delta={delta}")
-        base = template if template is not None else SystemConfig(n_1=1, n_2=1 + size,
-                                                                  m_1=1 + delta, m_2=1 + delta + size)
-        cfg = SystemConfig(
-            n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
-            omega_c=base.omega_c, xi=base.xi,
-            omega_1=base.omega_1, omega_2=base.omega_2, g_1=g, g_2=g)
-        roots = find_bic_roots(cfg, n_scan=n_scan, n_c=n_c)
+            raise ConfigError(f"braided geometry needs 0 < delta < size, got delta={delta}")
+        cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
+                           g_1=g, g_2=g)
+        roots = find_bic_roots(cfg, n_scan=n_scan)
         rows.append(CensusRow(
             size=size, delta=delta,
             n_bic=sum(r.multiplicity for r in roots),

@@ -172,8 +172,8 @@ def _config_payload(scn: Scenario) -> dict:
 def _roots_payload(cfg, roots):
     payload = {
         "config": asdict(cfg),
-        "roots": [{"energy": r.energy, "branch": r.branch, "multiplicity": r.multiplicity}
-                  for r in roots],
+        "roots": [{"energy": r.energy, "branch": r.branch, "multiplicity": r.multiplicity,
+                   "width": r.width} for r in roots],
     }
     try:
         period = bic.rabi_period(roots)
@@ -274,8 +274,9 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
     """Full pipeline for one scenario; returns the manifest dict.
 
     Every stage runs once: the lattice is diagonalized a single time and its
-    eigenbasis and classified states feed the root confirmation, the exact
-    propagation and the steady-state projection.  Every warning raised by
+    eigenbasis and classified states feed the exact propagation, the
+    steady-state projection and the count the closed-form roots are checked
+    against (the roots themselves need no lattice).  Every warning raised by
     the stages is recorded in ``manifest["warnings"]`` (category and
     message) and then re-emitted.  ``manifest["stages"]`` lists the stages
     in order with their wall time, problem sizes and the process peak RSS
@@ -333,7 +334,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
     roots = None
     if cfg.symmetric_resonant and cfg.g_1 > 0.0:
         with _stage(stages, "bic_roots"):
-            roots = bic.find_bic_roots(cfg, profiles=profiles)
+            roots = bic.find_bic_roots(cfg)
             worst = max((r.residual for r in roots), default=0.0)
             checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi,
                                  worst <= 1e-8 * cfg.xi))
@@ -442,23 +443,21 @@ def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
     return all_rows
 
 
-_SWEEP_KEYS = ("delta", "N", "g", "dt")
+def _sweep_int(value) -> int:
+    """``int(value)``, refusing to truncate a non-integral number."""
+    n = int(value)
+    if not isinstance(value, str) and n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
+# Sweep keys and the parser of each key's values.
+_SWEEP_KEYS = {"delta": _sweep_int, "N": _sweep_int, "g": float, "dt": float}
 
 
 def _sweep_one(args):
-    base, key, value, with_dynamics, t_max = args
-    size = base["size"]
-    delta = base["delta"]
-    g = base["g"]
-    dt = base["dt"]
-    if key == "delta":
-        delta = int(value)
-    elif key == "N":
-        size = int(value)
-    elif key == "g":
-        g = float(value)
-    elif key == "dt":
-        dt = float(value)
+    params, key, value, with_dynamics, t_max = args
+    size, delta, g, dt = params["N"], params["delta"], params["g"], params["dt"]
     rows = bic.bic_census(size, [delta], g=g)
     row = rows[0]
     out = {"key": key, "value": value, "n_bic": row.n_bic,
@@ -476,15 +475,27 @@ def _sweep_one(args):
 def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
               workers=1, with_dynamics=False, t_max=200.0) -> list:
     """One census (and optionally one Volterra plateau) per value of ``key``,
-    run on up to ``workers`` processes, capped at ``os.cpu_count()``."""
+    run on up to ``workers`` processes, capped at ``os.cpu_count()``.
+
+    Every value is parsed by its key (an integer for delta and N, a float
+    for g and dt) before any task starts; one that does not parse is a
+    ConfigError.  The ``value`` column keeps each value as given.
+    """
     if key not in _SWEEP_KEYS:
-        raise ConfigError(f"sweep key must be one of {_SWEEP_KEYS}, got {key!r}")
+        raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    parse = _SWEEP_KEYS[key]
+    base = {"N": size, "delta": delta, "g": g, "dt": dt}
+    tasks = []
+    for v in values:
+        try:
+            params = {**base, key: parse(v)}
+        except (TypeError, ValueError):
+            raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
+        tasks.append((params, key, v, with_dynamics, t_max))
     workers = min(workers, os.cpu_count() or 1)
     out_dir = _prepare_out_dir(out_dir)
-    base = {"size": size, "delta": delta, "g": g, "dt": dt}
-    tasks = [(base, key, v, with_dynamics, t_max) for v in values]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
@@ -554,7 +565,7 @@ def _cmd_partial(scn: Scenario, out_dir, which: str):
     cfg = validate_config(scn.cfg)
     out_dir = _prepare_out_dir(out_dir)
     if which == "bic":
-        roots = bic.find_bic_roots(cfg, n_c=scn.n_c)
+        roots = bic.find_bic_roots(cfg)
         write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
         return
     if which == "spectrum":

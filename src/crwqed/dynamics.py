@@ -106,25 +106,6 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def m_matrix(cfg: SystemConfig, t: float, kernels: KernelSet) -> np.ndarray:
-    """Effective 2x2 matrix M(t) = [[A_1, B], [B, A_2]] at a grid time.
-
-    A_i(t) = Omega_i - 2i g_i^2 int_0^t K_i, B(t) = -i g_1 g_2 int_0^t K_c,
-    integrals by cumulative trapezoid over the kernel tables.
-    """
-    cfg = validate_config(cfg)
-    n = kernels.grid.node(t)
-    dt = kernels.grid.dt
-    def integral(k):
-        if n == 0:
-            return 0.0j
-        return complex(np.sum(0.5 * (k[1:n + 1] + k[:n])) * dt)
-    a1 = cfg.omega_1 - 2j * cfg.g_1 ** 2 * integral(kernels.k_self_1)
-    a2 = cfg.omega_2 - 2j * cfg.g_2 ** 2 * integral(kernels.k_self_2)
-    b = -1j * cfg.g_1 * cfg.g_2 * integral(kernels.k_cross)
-    return np.array([[a1, b], [b, a2]])
-
-
 @dataclass(frozen=True)
 class EigenTrace:
     """Continuity-ordered eigenvalues of M(t) along the grid, with the

@@ -1,9 +1,8 @@
 """Integer-order Bessel functions of the first kind.
 
 The memory kernels of the waveguide dynamics are built entirely from
-J_n(2 xi tau), so this module provides exactly that: J_n for integer n at
-non-negative real arguments, as scalars, single rows J_0..J_max, and
-vectorized tables over many arguments.
+J_n(2 xi tau), so this module provides exactly that: tables of J_0..J_max
+at non-negative real arguments, vectorized over many arguments.
 
 Everything is computed with Miller's downward recurrence normalized by the
 sum rule J_0(x) + 2 sum_{k>=1} J_2k(x) = 1.  The recurrence is started far
@@ -14,8 +13,6 @@ separate asymptotic branch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,37 +114,3 @@ def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
         idx = nz[s:s + chunk]
         out[idx] = _miller_rows(order_max, xs[idx])
     return out
-
-
-@dataclass(frozen=True)
-class BesselRow:
-    """J_0(x)..J_order_max(x) at a fixed argument."""
-
-    order_max: int
-    x: float
-    values: np.ndarray
-
-    def sum_rule_residual(self) -> float:
-        """|J_0^2 + 2 sum_{n>=1} J_n^2 - 1|; tends to 0 as order_max grows
-        past x + 20."""
-        v = self.values
-        return abs(v[0] ** 2 + 2.0 * np.sum(v[1:] ** 2) - 1.0)
-
-
-def bessel_j_row(order_max: int, x: float) -> BesselRow:
-    """All orders 0..order_max at a single argument."""
-    values = bessel_j_table(order_max, [x])[0]
-    return BesselRow(order_max=order_max, x=float(x), values=values)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n (may be negative) and x >= 0.
-
-    Negative orders use the parity identity J_{-n}(x) = (-1)^n J_n(x).
-    """
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        sign = -1.0 if n % 2 else 1.0
-    return sign * float(bessel_j_table(n, [x])[0, n])

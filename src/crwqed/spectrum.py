@@ -70,9 +70,6 @@ class LatticeHamiltonian:
     def column_of(self, site: int) -> int:
         return _site_column(self.n_c, self.site_offset, site)
 
-    def site_of(self, column: int) -> int:
-        return column - 2 - self.site_offset
-
     @property
     def sites(self) -> np.ndarray:
         """Absolute site indices of the chain columns, in column order."""
@@ -183,6 +180,24 @@ def _residual(ham: LatticeHamiltonian, energies: np.ndarray, vectors: np.ndarray
     return float(worst)
 
 
+def _orthonormality(vectors: np.ndarray) -> float:
+    """max |V^T V - I| over all entries.
+
+    V^T V is symmetric, so each block of ``_RESIDUAL_ROWS`` columns is
+    multiplied only against the columns at or after it: about half the
+    flops of the full product, and no n x n temporary.
+    """
+    dim = vectors.shape[1]
+    worst = 0.0
+    for lo in range(0, dim, _RESIDUAL_ROWS):
+        hi = min(dim, lo + _RESIDUAL_ROWS)
+        block = vectors[:, lo:hi].T @ vectors[:, lo:]
+        diag = np.arange(hi - lo)
+        block[diag, diag] -= 1.0
+        worst = max(worst, np.abs(block).max())
+    return float(worst)
+
+
 def eigendecompose(ham: LatticeHamiltonian) -> list[EigenPair]:
     """Complete orthonormal eigenbasis, energies ascending.
 
@@ -198,9 +213,7 @@ def eigendecompose(ham: LatticeHamiltonian) -> list[EigenPair]:
             f"(max|H|={np.abs(h).max():.3e}): {exc}") from exc
     h_norm = np.abs(h).sum(axis=1).max()  # inf-norm upper bound on ||H||_2
     residual = _residual(ham, energies, vectors)
-    gram = vectors.T @ vectors
-    gram.flat[::gram.shape[0] + 1] -= 1.0
-    ortho = max(gram.max(), -gram.min())
+    ortho = _orthonormality(vectors)
     if residual > 1e-8 * h_norm or ortho > 1e-8:
         raise RuntimeError(
             f"eigendecomposition out of tolerance: residual={residual:.3e} "
@@ -217,14 +230,7 @@ class BoundStateProfile:
     ipr: float
     amp_1: float               # atomic amplitude A1
     amp_2: float
-    photon: np.ndarray         # |B_j|^2 per chain column
-    ambiguous: bool            # IPR within 20% of the threshold
-
-
-def photon_profile(pair: EigenPair) -> np.ndarray:
-    """Per-site photon probabilities |B_j|^2; they sum to
-    1 - |A1|^2 - |A2|^2."""
-    return np.abs(pair.vector[2:]) ** 2
+    photon: np.ndarray | None  # |B_j|^2 per chain column; BIC and BOC only
 
 
 def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +273,9 @@ def classify_bound_states(
     states; the returned profiles are that rotated basis.  States with
     essentially no photon weight (a decoupled atom) and states within
     1e-3 xi of a band edge are never bound states.  Only the eigenvectors
-    of one degenerate cluster are stacked at a time.
+    of one degenerate cluster are stacked at a time, and only BIC and BOC
+    profiles keep their photon probabilities (``photon`` is None on
+    extended states).
     """
     cfg = validate_config(cfg)
     if not pairs:
@@ -316,8 +324,7 @@ def classify_bound_states(
             profiles.append(BoundStateProfile(
                 energy=e, label=label, ipr=ipr,
                 amp_1=float(v[0]), amp_2=float(v[1]),
-                photon=prob[2:],
-                ambiguous=0.8 * ipr_threshold <= ipr <= 1.2 * ipr_threshold,
+                photon=prob[2:] if label != "extended" else None,
             ))
         i = j + 1
     return profiles

@@ -1,13 +1,16 @@
 """Independent reference implementations shared by the test modules."""
 
+import math
 import tracemalloc
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import numpy as np
 
-from crwqed import spectrum
-from crwqed.dynamics import POPULATION_ABORT, SolverError
-from crwqed.model import AtomTrajectory
+from crwqed import bic, spectrum
+from crwqed.dynamics import POPULATION_ABORT, KernelSet, SolverError
+from crwqed.model import AtomTrajectory, SystemConfig, validate_config
+from crwqed.specfun import bessel_j_table
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -40,6 +43,117 @@ def series_oracle(n: int, x: float, digits: int = 60) -> float:
         if new == total:
             return float(total)
         total = new
+
+
+@dataclass(frozen=True)
+class BesselRow:
+    """J_0(x)..J_order_max(x) at a fixed argument."""
+
+    order_max: int
+    x: float
+    values: np.ndarray
+
+    def sum_rule_residual(self) -> float:
+        """|J_0^2 + 2 sum_{n>=1} J_n^2 - 1|; tends to 0 as order_max grows
+        past x + 20."""
+        v = self.values
+        return abs(v[0] ** 2 + 2.0 * np.sum(v[1:] ** 2) - 1.0)
+
+
+def bessel_j_row(order_max: int, x: float) -> BesselRow:
+    """All orders 0..order_max of ``bessel_j_table`` at a single argument."""
+    values = bessel_j_table(order_max, [x])[0]
+    return BesselRow(order_max=order_max, x=float(x), values=values)
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for integer n (may be negative) and x >= 0 from
+    ``bessel_j_table``.
+
+    Negative orders use the parity identity J_{-n}(x) = (-1)^n J_n(x).
+    """
+    n = int(n)
+    sign = 1.0
+    if n < 0:
+        n = -n
+        sign = -1.0 if n % 2 else 1.0
+    return sign * float(bessel_j_table(n, [x])[0, n])
+
+
+def photon_profile(pair: spectrum.EigenPair) -> np.ndarray:
+    """Per-site photon probabilities |B_j|^2 of one eigenstate; they sum to
+    1 - |A1|^2 - |A2|^2."""
+    return np.abs(pair.vector[2:]) ** 2
+
+
+def m_matrix(cfg: SystemConfig, t: float, kernels: KernelSet) -> np.ndarray:
+    """Effective 2x2 matrix M(t) = [[A_1, B], [B, A_2]] at one grid time.
+
+    A_i(t) = Omega_i - 2i g_i^2 int_0^t K_i, B(t) = -i g_1 g_2 int_0^t K_c,
+    integrals by the trapezoid rule over the kernel tables; the reference
+    for the cumulative integrals of ``dynamics.m_eigenvalues_trace``.
+    """
+    cfg = validate_config(cfg)
+    n = kernels.grid.node(t)
+    dt = kernels.grid.dt
+    def integral(k):
+        if n == 0:
+            return 0.0j
+        return complex(np.sum(0.5 * (k[1:n + 1] + k[:n])) * dt)
+    a1 = cfg.omega_1 - 2j * cfg.g_1 ** 2 * integral(kernels.k_self_1)
+    a2 = cfg.omega_2 - 2j * cfg.g_2 ** 2 * integral(kernels.k_self_2)
+    b = -1j * cfg.g_1 * cfg.g_2 * integral(kernels.k_cross)
+    return np.array([[a1, b], [b, a2]])
+
+
+def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:
+    """Discrete-momentum evaluation of the waveguide-induced level shift.
+
+    Sums g^2/N_c sum_k [2 + 2 cos(kN) + s sum cos(k |n_j - m_j'|)] / (E - omega_k)
+    over ``n_modes`` equally spaced modes folded onto (0, pi], with the mode
+    comb shifted so the resonant wavenumber falls exactly midway between two
+    modes (the discrete analogue of a principal value); the comb offset is
+    compensated at the fold ends so the error decays cleanly with 1/N_c.
+    Converges to the Hermitian shift g^2/xi * Re(bracket) used by
+    ``bic.transcendental_residual``.
+    """
+    cfg = validate_config(cfg)
+    if not cfg.symmetric_resonant:
+        raise ValueError("the momentum sum assumes g_1 = g_2, omega_1 = omega_2 "
+                         "and equal atom sizes")
+    if branch not in bic.BRANCHES:
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    if n_modes < 8:
+        raise ValueError(f"n_modes too small: {n_modes}")
+    if not (cfg.band_bottom + bic.EDGE_GUARD * cfg.xi <= E
+            <= cfg.band_top - bic.EDGE_GUARD * cfg.xi):
+        raise ValueError(f"E={E} is outside the band or too close to an edge")
+    if cfg.g_1 == 0.0:
+        return 0.0 + 0.0j
+
+    k_res = math.acos((cfg.omega_c - E) / (2.0 * cfg.xi))
+    half = n_modes // 2
+    h = math.pi / half
+    r = k_res % h
+    delta = r + 0.5 * h if r < 0.5 * h else r - 0.5 * h
+    ks = np.arange(half) * h + delta
+
+    big_n = cfg.size_1
+
+    def numerator(k):
+        out = 2.0 + 2.0 * np.cos(k * big_n)
+        for p in cfg.cross_distances:
+            out = out + branch * np.cos(k * p)
+        return out
+
+    integrand = numerator(ks) / (E - (cfg.omega_c - 2.0 * cfg.xi * np.cos(ks)))
+    total = h * float(np.sum(integrand))
+    # the comb covers (shift, pi + shift); restore the (0, pi) window
+    shift = delta - 0.5 * h
+    f_0 = numerator(0.0) / (E - cfg.band_bottom)
+    f_pi = numerator(math.pi) / (E - cfg.band_top)
+    total += shift * (f_0 - f_pi)
+    return complex((cfg.g_1 ** 2) * total / math.pi)
 
 
 def volterra_direct(cfg, psi0, grid, kernels) -> AtomTrajectory:

@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import series_oracle
+from oracles import bessel_j_row, lamb_shift_sum_oracle, series_oracle
 
 from crwqed.model import SystemConfig, TimeGrid, initial_state
 from crwqed import bic, dynamics, spectrum
 from crwqed.cli import oscillation_period
-from crwqed.specfun import bessel_j_row
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -188,7 +187,7 @@ def test_criterion_6a_momentum_sum_convergence():
     orders = []
     for energy in (0.3, -0.9):
         exact_shift = energy - FIG3.omega_1 - bic.transcendental_residual(energy, +1, FIG3)
-        errs = [abs(complex(bic.lamb_shift_sum_oracle(energy, FIG3, n, +1)).real
+        errs = [abs(complex(lamb_shift_sum_oracle(energy, FIG3, n, +1)).real
                     - exact_shift) for n in (4000, 40000)]
         orders.append(math.log10(errs[0] / errs[1]))
     ok = all(p >= 1.0 for p in orders)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import lamb_shift_sum_oracle
+
 from crwqed.model import SystemConfig
 from crwqed import bic, spectrum
 from crwqed.bic import (
@@ -12,7 +14,6 @@ from crwqed.bic import (
     bic_census,
     chi,
     find_bic_roots,
-    lamb_shift_sum_oracle,
     rabi_period,
     transcendental_residual,
 )
@@ -184,3 +185,51 @@ def test_census_rows():
     assert sorted(by_delta[3].energies) == pytest.approx([-0.0097, 0.0097], abs=1e-3)
     with pytest.raises(ValueError, match="0 < delta < size"):
         bic_census(6, [6])
+
+
+RESONANCE_NEAR_CENTER = SystemConfig(n_1=1, n_2=4, m_1=3, m_2=6)  # size 3, delta 2
+
+
+def test_resonance_near_a_bic_is_not_counted():
+    # the - branch also has a root at E = -0.0202 xi, but with half width
+    # 0.0194 xi: an in-band resonance, which a width-widened energy match
+    # used to pair with the one E = 0 lattice BIC
+    assert any(abs(e + 0.0202) <= 1e-4 for e, _ in bic._branch_roots(
+        RESONANCE_NEAR_CENTER, -1, bic.DEFAULT_SCAN_INTERVALS))
+    roots = find_bic_roots(RESONANCE_NEAR_CENTER)
+    assert len(roots) == 1
+    assert roots[0].multiplicity == 1 and roots[0].branch == "+"
+    assert abs(roots[0].energy) <= 1e-6
+    assert roots[0].width == 0.0
+
+
+def test_width_decides_each_branch():
+    g2 = FIG3.g_1 ** 2 / FIG3.xi
+    # quasi-BIC pair: small but finite width, one branch each
+    for r in find_bic_roots(FIG3):
+        assert 0.0 < r.width <= 1e-3 * g2  # 4.18e-4 g^2/xi
+        s = +1 if r.branch == "+" else -1
+        assert r.width == pytest.approx(g2 * abs(bic._bracket(r.energy, FIG3, s).imag), rel=1e-15)
+    # compact-support BICs: zero width on every counted branch
+    assert [r.width for r in find_bic_roots(FIG4)] == [0.0]
+    assert [r.width for r in find_bic_roots(DOUBLE)] == [0.0]
+    # the size-8 odd-offset geometry has roots of f_s, all too wide to count
+    widths = [abs(bic._bracket(e, NO_BIC, s).imag)
+              for s in bic.BRANCHES for e, _ in bic._branch_roots(NO_BIC, s, 4000)]
+    assert widths and min(widths) > bic.BIC_MAX_IM_BRACKET
+
+
+def test_decoupled_atoms_have_no_bound_state():
+    cfg = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11, g_1=0.0, g_2=0.0)
+    assert find_bic_roots(cfg) == []
+
+
+def test_census_rejects_offsets_out_of_range_as_config_error():
+    from crwqed.model import ConfigError
+    for delta in (0, 6, -1):
+        with pytest.raises(ConfigError, match="0 < delta < size"):
+            bic_census(6, [delta])
+
+
+def test_bic_module_builds_no_lattice():
+    assert not hasattr(bic, "spectrum")

@@ -232,6 +232,68 @@ def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_census_sweep_and_bic_build_no_lattice(tmp_path, monkeypatch):
+    from crwqed import spectrum
+    eigh_calls = _counting(monkeypatch, spectrum, "eigendecompose")
+    builds = _counting(monkeypatch, spectrum, "build_hamiltonian")
+    run_census(tmp_path / "census")
+    run_sweep(tmp_path / "sweep", "delta", [1, 2, 3], size=8, workers=1)
+    assert main(["bic", "fig4", "--out", str(tmp_path / "bic")]) == 0
+    assert eigh_calls == [] and builds == []
+    roots = json.loads((tmp_path / "bic" / "bic.json").read_text())["roots"]
+    assert [(r["multiplicity"], r["width"]) for r in roots] == [(1, 0.0)]
+
+
+def test_resonance_geometry_matches_lattice_count(tmp_path):
+    # one E = 0 BIC next to a -0.0202 xi resonance of half width 0.0194 xi
+    cfgfile = tmp_path / "resonance.cfg"
+    cfgfile.write_text(
+        "n_1 = 1\nn_2 = 4\nm_1 = 3\nm_2 = 6\nt_max = 20\ndt = 0.02\nn_c = 200\n")
+    manifest = run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
+    check = {c["name"]: c for c in manifest["checks"]}["bic_count_matches_lattice"]
+    assert check["value"] == 1 and check["threshold"] == 1 and check["passed"]
+    payload = json.loads((tmp_path / "out" / "bic.json").read_text())
+    assert len(payload["roots"]) == 1 and "rabi_period" not in payload
+
+
+def test_profile_csv_holds_the_bound_state_photon_probabilities(tmp_path):
+    from crwqed import spectrum
+    from oracles import photon_profile
+    scn = load_scenario("fig3", n_c=200)
+    assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 0
+    pairs = spectrum.eigendecompose(spectrum.build_hamiltonian(scn.cfg, 200))
+    written = sorted(tmp_path.glob("profile_*.csv"))
+    assert len(written) == 2  # the two quasi-BICs, each a non-degenerate state
+    for path in written:
+        index = int(path.stem.split("_")[1])
+        probs = ["%.15g" % x for x in photon_profile(pairs[index]).tolist()]
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == probs
+
+
+@pytest.mark.parametrize("key, value, size", [("N", "abc", 6), ("delta", "2.5", 6),
+                                             ("delta", "9", 8)])
+def test_sweep_input_errors_are_config_errors(tmp_path, capsys, key, value, size):
+    argv = ["sweep", "--vary", key, "--values", value, "--size", str(size)]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    with pytest.raises(ConfigError):
+        run_sweep(tmp_path / "api", key, [value], size=size)
+
+
+def test_sweep_parses_every_value_before_any_task(tmp_path, monkeypatch):
+    tasks = _counting(monkeypatch, cli, "_sweep_one")
+    with pytest.raises(ConfigError, match="'x'"):
+        run_sweep(tmp_path, "delta", [1, 2, "x"], size=6)
+    with pytest.raises(ConfigError):
+        run_sweep(tmp_path, "N", [6, 7.5])
+    assert tasks == []
+    results = run_sweep(tmp_path, "g", ["0.1", 0.05], size=6, delta=3)
+    assert [r["value"] for r in results] == ["0.1", 0.05]
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1].startswith("g,0.1,2,")
+
+
 def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):
     from crwqed import dynamics
     bessel_calls = _counting(monkeypatch, dynamics, "bessel_j_table")

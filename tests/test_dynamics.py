@@ -8,7 +8,6 @@ from crwqed.dynamics import (
     SolverError,
     build_kernels,
     m_eigenvalues_trace,
-    m_matrix,
     norm_check,
     photon_field,
     plateau,
@@ -16,8 +15,7 @@ from crwqed.dynamics import (
     steady_state_prediction,
     unit_power,
 )
-from crwqed.specfun import bessel_j
-from oracles import traced_peak, volterra_direct
+from oracles import bessel_j, m_matrix, traced_peak, volterra_direct
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)

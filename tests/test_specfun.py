@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import series_oracle
+from oracles import bessel_j, bessel_j_row, series_oracle
 
-from crwqed.specfun import bessel_j, bessel_j_row, bessel_j_table
+from crwqed.specfun import bessel_j_table
 
 
 def test_trivial_values_at_zero():

@@ -21,10 +21,9 @@ from crwqed.spectrum import (
     classify_bound_states,
     eigendecompose,
     exact_propagate,
-    photon_profile,
     wavefront_n_c,
 )
-from oracles import exact_propagate_direct, traced_peak
+from oracles import exact_propagate_direct, photon_profile, traced_peak
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -335,3 +334,47 @@ def test_lattice_cap_rejected_before_allocation(monkeypatch):
     with pytest.raises(ConfigError, match=r"lattice too large: n_c=8001 .*8003x8003"):
         build_hamiltonian(FIG3, spectrum.MAX_LATTICE_SITES + 1)
     spectrum.check_lattice_size(FIG3, spectrum.MAX_LATTICE_SITES)
+
+
+def test_orthonormality_check_rejects_scaled_eigenvector(monkeypatch):
+    ham = build_hamiltonian(FIG3, 120)
+    eigh = np.linalg.eigh
+
+    def scaled(h):
+        energies, vectors = eigh(h)
+        vectors[:, 7] *= 1.0 + 1e-6  # still an eigenvector, no longer unit
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    with pytest.raises(RuntimeError, match="out of tolerance") as exc:
+        eigendecompose(ham)
+    residual, ortho = (float(x) for x in
+                       re.search(r"residual=(\S+) .*orthonormality=(\S+)", str(exc.value)).groups())
+    assert residual <= 1e-12 and ortho == pytest.approx(2e-6, rel=1e-3)
+
+
+def _dense_orthonormality(vectors):
+    return np.abs(vectors.T @ vectors - np.eye(vectors.shape[1])).max()
+
+
+def test_blocked_orthonormality_equals_dense():
+    _, vectors = np.linalg.eigh(build_hamiltonian(FIG3, 600).matrix)
+    dense = _dense_orthonormality(vectors)
+    assert abs(spectrum._orthonormality(vectors) - dense) <= 1e-15
+    # off an orthonormal basis: the largest entry sits far off the diagonal,
+    # in the last column block, and must still be found
+    vectors[:, 5] += 1e-3 * vectors[:, -2]
+    dense = _dense_orthonormality(vectors)
+    assert dense == pytest.approx(1e-3, rel=1e-9)
+    assert abs(spectrum._orthonormality(vectors) - dense) <= 1e-15
+
+
+def test_only_bound_state_profiles_keep_photon_probabilities(fig3_profiles):
+    profiles, _ = fig3_profiles
+    assert {p.label for p in profiles} == {"BIC", "extended"}
+    for p in profiles:
+        if p.label == "extended":
+            assert p.photon is None
+        else:
+            assert p.photon.shape == (600,)
+            assert p.photon.sum() == pytest.approx(1.0 - p.amp_1 ** 2 - p.amp_2 ** 2, abs=1e-12)
