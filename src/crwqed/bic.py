@@ -53,7 +53,7 @@ BRANCHES = (+1, -1)
 def _require_symmetric(cfg: SystemConfig) -> SystemConfig:
     cfg = validate_config(cfg)
     if not cfg.symmetric_resonant:
-        raise ValueError(
+        raise ConfigError(
             "the closed-form bound-state equation requires g_1 = g_2, "
             "omega_1 = omega_2 and equal atom sizes; got "
             f"g=({cfg.g_1}, {cfg.g_2}), omega=({cfg.omega_1}, {cfg.omega_2}), "
@@ -300,11 +300,13 @@ def bic_census(
     n_scan: int = DEFAULT_SCAN_INTERVALS,
 ) -> list[CensusRow]:
     """Bound-state count and energies for braided geometries of equal atom
-    size over a list of leg offsets delta (0 < delta < size, else
+    size over a list of integral leg offsets delta (0 < delta < size, else
     ConfigError), at the default band and atomic frequencies."""
     rows = []
-    for delta in delta_list:
-        delta = int(delta)
+    for value in delta_list:
+        delta = int(value)
+        if not isinstance(value, str) and delta != value:
+            raise ConfigError(f"leg offset delta must be an integer, got {value!r}")
         if not 0 < delta < size:
             raise ConfigError(f"braided geometry needs 0 < delta < size, got delta={delta}")
         cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,

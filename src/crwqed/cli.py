@@ -188,8 +188,8 @@ def _lattice(cfg, n_c):
     """The chain sites, the eigenbasis and the classified states.  The
     dense Hamiltonian is freed once diagonalized."""
     ham = spectrum.build_hamiltonian(cfg, n_c)
-    pairs = spectrum.eigendecompose(ham)
-    return ham.sites, pairs, spectrum.classify_bound_states(pairs, cfg)
+    basis = spectrum.eigendecompose(ham)
+    return ham.sites, basis, spectrum.classify_bound_states(basis, cfg)
 
 
 def _field_window(cfg):
@@ -327,7 +327,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
     checks: list[dict] = []
 
     with _stage(stages, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
-        sites, pairs, profiles = _lattice(cfg, scn.n_c)
+        sites, basis, profiles = _lattice(cfg, scn.n_c)
         bics = spectrum.bound_states(profiles, "BIC")
 
     # closed-form bound states (symmetric resonant geometries only)
@@ -365,7 +365,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
     with _stage(stages, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
                 snapshots=len(scn.snapshot_times)):
         exact_traj, exact_snaps = spectrum.exact_propagate(
-            cfg, psi0, grid, scn.n_c, snapshot_times=scn.snapshot_times, pairs=pairs)
+            cfg, psi0, grid, basis, snapshot_times=scn.snapshot_times)
         deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
                         + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
                         + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
@@ -412,7 +412,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
             checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
         if "fractional" in scn.checks and len(bics) == 1:
             p1, p2, settled = dynamics.plateau(trajectory)
-            pred1, pred2 = dynamics.steady_state_prediction(cfg, psi0, profiles=profiles)
+            pred1, pred2 = dynamics.steady_state_prediction(psi0, profiles)
             checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2, abs(p1 - p2) <= 1e-2))
             rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
             checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))

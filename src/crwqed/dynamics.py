@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum
 from .model import (
     AtomTrajectory,
     ConfigError,
@@ -360,52 +359,41 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
 
 
 def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,
-               cfg: SystemConfig | None = None) -> float:
+               cfg: SystemConfig) -> float:
     """Unitarity deficit |1 - pop1 - pop2 - sum_j |beta_j|^2| at the
     snapshot time.
 
     Meaningful only when the site window contains all emitted radiation;
     warns when the window does not extend 2 xi t + 20 sites beyond the
-    outermost legs (``cfg`` needed for the leg positions and xi).
+    outermost legs of ``cfg``.
     """
     t = snapshot.time
-    if cfg is not None:
-        reach = 2.0 * cfg.xi * t + 20.0
-        legs_min = min(cfg.n_1, cfg.m_1)
-        legs_max = max(cfg.n_2, cfg.m_2)
-        if snapshot.sites.min() > legs_min - reach or snapshot.sites.max() < legs_max + reach:
-            warnings.warn(
-                f"site window [{snapshot.sites.min()}, {snapshot.sites.max()}] may not "
-                f"contain all radiation at t={t} (need +-{reach:.0f} around the legs)",
-                stacklevel=2)
+    reach = 2.0 * cfg.xi * t + 20.0
+    legs_min = min(cfg.n_1, cfg.m_1)
+    legs_max = max(cfg.n_2, cfg.m_2)
+    if snapshot.sites.min() > legs_min - reach or snapshot.sites.max() < legs_max + reach:
+        warnings.warn(
+            f"site window [{snapshot.sites.min()}, {snapshot.sites.max()}] may not "
+            f"contain all radiation at t={t} (need +-{reach:.0f} around the legs)",
+            stacklevel=2)
     n = trajectory.grid.node(t)
     pops = abs(trajectory.alpha_1[n]) ** 2 + abs(trajectory.alpha_2[n]) ** 2
     return float(abs(1.0 - pops - np.sum(snapshot.probabilities)))
 
 
-def steady_state_prediction(cfg: SystemConfig, psi0: WavefunctionState,
-                            n_c: int = 600,
-                            ipr_threshold: float = spectrum.DEFAULT_IPR_THRESHOLD,
-                            profiles: list[spectrum.BoundStateProfile] | None = None,
-                            ) -> tuple[float, float]:
+def steady_state_prediction(psi0: WavefunctionState, profiles) -> tuple[float, float]:
     """Long-time atomic populations from the overlap with a unique BIC.
 
     When the system hosts exactly one bound state in the continuum, the
     extended components dephase away and the atoms approach
     |alpha_i(inf)|^2 = |<E_BIC|psi0>|^2 |A_i|^2 with A_i the normalized BIC
-    atomic amplitudes.  Requires exactly one BIC and a photon-vacuum psi0.
-    ``profiles`` may carry the classified spectrum of the ``n_c``-site
-    lattice, from :func:`spectrum.classify_bound_states`; the lattice is then
-    not diagonalized again and ``n_c`` and ``ipr_threshold`` are not used.
+    atomic amplitudes.  ``profiles`` is the classified lattice spectrum
+    (``spectrum.classify_bound_states``).  Requires exactly one profile
+    labelled "BIC" and a photon-vacuum psi0.
     """
-    cfg = validate_config(cfg)
     if not psi0.photon_vacuum:
         raise ValueError("steady-state projection assumes an initially empty photon sector")
-    if profiles is None:
-        ham = spectrum.build_hamiltonian(cfg, n_c)
-        profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg,
-                                                  ipr_threshold)
-    bics = spectrum.bound_states(profiles, "BIC")
+    bics = [p for p in profiles if p.label == "BIC"]
     if len(bics) != 1:
         raise ValueError(f"steady-state prediction needs exactly one BIC, found {len(bics)}")
     b = bics[0]

@@ -8,7 +8,10 @@ into extended band states, bound states outside the continuum (BOC), and --
 for the right leg geometries -- bound states in the continuum (BIC).  The
 classifier here is the numerical oracle the closed-form bound-state solver
 is checked against, and spectral propagation exp(-iHt) is the oracle for
-the memory-kernel dynamics.
+the memory-kernel dynamics.  The lattice is diagonalized once: the
+:class:`Eigenbasis` holds the energies and the eigenvector array exactly as
+``np.linalg.eigh`` returns them, and classification and propagation read
+those two arrays directly.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ LATTICE_MARGIN = 40
 # eigenbasis take about 0.5 GB each at this size, and ``eigh`` briefly needs
 # about as much again in copies and workspace.  No later stage holds another
 # n x n array: the pipeline frees the Hamiltonian once it is diagonalized,
-# and classification and propagation work on blocks of eigenvectors.
+# and classification and propagation read the one eigenvector array through
+# views and products with thin matrices.
 MAX_LATTICE_SITES = 8000
 # Eigenstates closer in energy than this are treated as one degenerate
 # cluster and rotated to a maximally-localized basis before classification.
@@ -50,8 +54,8 @@ BAND_EDGE_GUARD = 1e-3
 # Pure atomic states of a decoupled atom carry no photon weight and are not
 # bound states of the coupled problem.
 MIN_PHOTON_WEIGHT = 1e-12
-
-DEFAULT_IPR_THRESHOLD = 0.02
+# A bound state's inverse participation ratio is at least this.
+IPR_THRESHOLD = 0.02
 
 
 @dataclass(frozen=True)
@@ -141,11 +145,25 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """One eigenstate: energy and full basis vector (A1, A2, B_1..B_nc)."""
+class Eigenbasis:
+    """Complete eigenbasis of a lattice Hamiltonian, as ``np.linalg.eigh``
+    returns it: column q of ``vectors`` is the basis vector
+    (A1, A2, B_1..B_nc) of the eigenstate with energy ``energies[q]``.
 
-    energy: float
-    vector: np.ndarray
+    Raises
+    ------
+    ValueError
+        Unless ``vectors`` is square with side ``energies.size``.
+    """
+
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        n = self.energies.size
+        if self.vectors.shape != (n, n):
+            raise ValueError(
+                f"vectors must be {n}x{n} for {n} energies, got shape {self.vectors.shape}")
 
 
 # Rows per block of the structured residual in ``_residual``.
@@ -198,7 +216,7 @@ def _orthonormality(vectors: np.ndarray) -> float:
     return float(worst)
 
 
-def eigendecompose(ham: LatticeHamiltonian) -> list[EigenPair]:
+def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
     """Complete orthonormal eigenbasis, energies ascending.
 
     Checks residuals ||H v - E v|| <= 1e-8 ||H|| and orthonormality
@@ -218,7 +236,7 @@ def eigendecompose(ham: LatticeHamiltonian) -> list[EigenPair]:
         raise RuntimeError(
             f"eigendecomposition out of tolerance: residual={residual:.3e} "
             f"(||H||~{h_norm:.3e}), orthonormality={ortho:.3e}")
-    return [EigenPair(float(energies[q]), vectors[:, q]) for q in range(h.shape[0])]
+    return Eigenbasis(energies, vectors)
 
 
 @dataclass(frozen=True)
@@ -257,33 +275,26 @@ def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     return w, vecs
 
 
-def classify_bound_states(
-    pairs: list[EigenPair],
-    cfg: SystemConfig,
-    ipr_threshold: float = DEFAULT_IPR_THRESHOLD,
-) -> list[BoundStateProfile]:
+def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundStateProfile]:
     """Label every eigenstate as BIC, BOC, or extended.
 
     A state is a bound-state candidate when its inverse participation ratio
-    is at least ``ipr_threshold`` and at least half of its weight sits on
+    is at least ``IPR_THRESHOLD`` and at least half of its weight sits on
     the atoms plus the sites within ``[n_1 - 5, m_2 + 5]``; candidates
     inside the open band are BICs, outside it BOCs.  Nearly degenerate
     states (within 1e-6 xi) are first rotated to a maximally-localized
     basis, which untangles bound states from accidentally degenerate band
     states; the returned profiles are that rotated basis.  States with
     essentially no photon weight (a decoupled atom) and states within
-    1e-3 xi of a band edge are never bound states.  Only the eigenvectors
-    of one degenerate cluster are stacked at a time, and only BIC and BOC
-    profiles keep their photon probabilities (``photon`` is None on
+    1e-3 xi of a band edge are never bound states.  Each degenerate cluster
+    is read as a column slice of ``basis.vectors`` (no copy), and only BIC
+    and BOC profiles keep their photon probabilities (``photon`` is None on
     extended states).
     """
     cfg = validate_config(cfg)
-    if not pairs:
-        return []
-    dim = pairs[0].vector.shape[0]
-    n_c = dim - 2
-    off = site_offset(cfg, n_c)
-    energies = np.array([p.energy for p in pairs])
+    energies, vectors = basis.energies, basis.vectors
+    dim = energies.size
+    off = site_offset(cfg, dim - 2)
 
     mask = np.zeros(dim, dtype=bool)
     mask[0] = mask[1] = True
@@ -293,15 +304,14 @@ def classify_bound_states(
 
     profiles: list[BoundStateProfile] = []
     i = 0
-    while i < len(energies):
+    while i < dim:
         j = i
-        while j + 1 < len(energies) and energies[j + 1] - energies[j] < DEGENERACY_TOL * cfg.xi:
+        while j + 1 < dim and energies[j + 1] - energies[j] < DEGENERACY_TOL * cfg.xi:
             j += 1
         if j > i:
-            cluster = np.stack([p.vector for p in pairs[i:j + 1]], axis=1)
-            weights, vecs = _localized_rotation(cluster, mask)
+            weights, vecs = _localized_rotation(vectors[:, i:j + 1], mask)
         else:
-            vecs = pairs[i].vector[:, None]
+            vecs = vectors[:, i:i + 1]
             weights = np.array([float(np.sum(vecs[mask, 0] ** 2))])
         for c in range(vecs.shape[1]):
             v = vecs[:, c]
@@ -312,7 +322,7 @@ def classify_bound_states(
             in_band = cfg.band_bottom < e < cfg.band_top
             near_edge = (abs(e - cfg.band_bottom) < BAND_EDGE_GUARD * cfg.xi
                          or abs(e - cfg.band_top) < BAND_EDGE_GUARD * cfg.xi)
-            localized = (ipr >= ipr_threshold
+            localized = (ipr >= IPR_THRESHOLD
                          and weights[c] >= WINDOW_MIN_WEIGHT
                          and photon_weight >= MIN_PHOTON_WEIGHT)
             if localized and in_band and not near_edge:
@@ -341,54 +351,39 @@ def wavefront_n_c(cfg: SystemConfig, t_max: float, margin: int = LATTICE_MARGIN)
     return int(np.ceil(span + 2.0 * (2.0 * cfg.xi * t_max))) + margin
 
 
-# Eigenvectors per block of the snapshot product in ``exact_propagate``.
-_BASIS_COLS = 64
-
-
 def exact_propagate(
     cfg: SystemConfig,
     psi0: WavefunctionState,
     grid: TimeGrid,
-    n_c: int,
+    basis: Eigenbasis,
     snapshot_times: tuple[float, ...] = (),
-    pairs: list[EigenPair] | None = None,
 ) -> tuple[AtomTrajectory, list[FieldSnapshot]]:
     """Propagate by spectral decomposition: psi(t) = sum_q e^{-iE_q t} <v_q|psi0> v_q.
 
-    The atomic amplitudes use the uniform grid: with B = ceil(sqrt(T)) for T
-    nodes, node n = jB + k has t_n = (jB + k) dt, so
+    ``basis`` is the eigenbasis of an n_c-site lattice (n = n_c + 2 states).
+    The atomic amplitudes use the uniform grid: with B = ceil(sqrt(T)) for
+    T nodes, node n = jB + k has t_n = (jB + k) dt, so
     a_i(t_n) = sum_q e^{-iE_q k dt} [w_iq e^{-iE_q jB dt}], w_iq = v_q[i] <v_q|psi0>.
     Both series come from one complex matrix product of a (B x n) inner-phase
     table and an (n x 2 ceil(T/B)) outer-phase table scaled by w_1 and w_2:
     about 2nT complex multiply-adds in a single GEMM and about 2n sqrt(T)
     complex exponentials.  The overlaps <v_q|psi0> come from the basis rows
     psi0 touches and w_1, w_2 from rows 0 and 1; all snapshots come from one
-    pass over the eigenvectors in blocks of ``_BASIS_COLS``, multiplied
-    against the real and imaginary parts of an (n x #snapshots) coefficient
-    table.  Besides the O(T) result and the given eigenbasis, the scratch
-    memory is O(n sqrt(T) + n #snapshots): no n x n array is made.
+    real product of the eigenvector array with the real and imaginary parts
+    of an (n x #snapshots) coefficient table.  Besides the O(T) result and
+    the given eigenbasis, the scratch memory is O(n sqrt(T) + n #snapshots):
+    no n x n array is made.
 
-    Warns (does not fail) when ``n_c`` is below the wavefront criterion for
+    Warns (does not fail) when n_c is below the wavefront criterion for
     the requested horizon, i.e. when emitted radiation can reflect off the
     lattice edges back into the atom region before ``t_max``.  Snapshots of
     the full photon field are returned for the requested times (which must
-    lie on the grid).  ``pairs`` may carry a precomputed eigenbasis of the
-    ``n_c``-site lattice; otherwise the lattice is built and diagonalized.
-
-    Raises
-    ------
-    ValueError
-        If ``pairs`` does not hold n_c + 2 eigenvectors of length n_c + 2.
+    lie on the grid).
     """
     cfg = validate_config(cfg)
+    energies, vectors = basis.energies, basis.vectors
+    n_c = energies.size - 2
     check_lattice_size(cfg, n_c)
-    dim = n_c + 2
-    if pairs is None:
-        pairs = eigendecompose(build_hamiltonian(cfg, n_c))
-    elif len(pairs) != dim or any(p.vector.shape != (dim,) for p in pairs):
-        raise ValueError(
-            f"pairs must hold {dim} eigenvectors of length {dim} for n_c={n_c}, "
-            f"got {len(pairs)}")
     need = wavefront_n_c(cfg, grid.t_end)
     if n_c < need:
         warnings.warn(
@@ -396,17 +391,11 @@ def exact_propagate(
             f"t_max={grid.t_end}; edge reflections may contaminate late times",
             stacklevel=2)
     offset = site_offset(cfg, n_c)
-    energies = np.array([p.energy for p in pairs])
-
-    def basis_row(r):
-        return np.array([p.vector[r] for p in pairs])
-
-    row_1, row_2 = basis_row(0), basis_row(1)
-    coeff = row_1 * complex(psi0.alpha_1) + row_2 * complex(psi0.alpha_2)
+    coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
     for site, amp in psi0.beta.items():
-        coeff += basis_row(_site_column(n_c, offset, site)) * complex(amp)
-    w1 = row_1 * coeff
-    w2 = row_2 * coeff
+        coeff += vectors[_site_column(n_c, offset, site)] * complex(amp)
+    w1 = vectors[0] * coeff
+    w2 = vectors[1] * coeff
 
     times = grid.times()
     n_t = times.size
@@ -414,7 +403,7 @@ def exact_propagate(
     n_outer = -(-n_t // inner)
     inner_phase = np.exp(-1j * np.outer(np.arange(inner) * grid.dt, energies))
     outer_phase = np.exp(-1j * np.outer(energies, np.arange(n_outer) * (inner * grid.dt)))
-    scaled = np.empty((dim, 2 * n_outer), dtype=complex)
+    scaled = np.empty((n_c + 2, 2 * n_outer), dtype=complex)
     np.multiply(outer_phase, w1[:, None], out=scaled[:, :n_outer])
     np.multiply(outer_phase, w2[:, None], out=scaled[:, n_outer:])
     # amps[k, j] = a_1 at node j*inner + k; columns n_outer.. hold a_2
@@ -429,10 +418,7 @@ def exact_propagate(
     n_s = len(nodes)
     table = coeff[:, None] * np.exp(-1j * np.outer(energies, times[nodes]))
     parts = np.concatenate([table.real, table.imag], axis=1)
-    psi = np.zeros((dim, 2 * n_s))
-    for lo in range(0, dim, _BASIS_COLS):
-        block = np.stack([p.vector for p in pairs[lo:lo + _BASIS_COLS]], axis=1)
-        psi += block @ parts[lo:lo + _BASIS_COLS]
+    psi = vectors @ parts
     beta = psi[2:, :n_s] + 1j * psi[2:, n_s:]
     sites = np.arange(n_c) - offset
     return trajectory, [FieldSnapshot(time=times[n], sites=sites, beta=beta[:, i])

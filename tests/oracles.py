@@ -80,10 +80,10 @@ def bessel_j(n: int, x: float) -> float:
     return sign * float(bessel_j_table(n, [x])[0, n])
 
 
-def photon_profile(pair: spectrum.EigenPair) -> np.ndarray:
-    """Per-site photon probabilities |B_j|^2 of one eigenstate; they sum to
-    1 - |A1|^2 - |A2|^2."""
-    return np.abs(pair.vector[2:]) ** 2
+def photon_profile(vector: np.ndarray) -> np.ndarray:
+    """Per-site photon probabilities |B_j|^2 of one eigenvector
+    (A1, A2, B_1..B_nc); they sum to 1 - |A1|^2 - |A2|^2."""
+    return np.abs(vector[2:]) ** 2
 
 
 def m_matrix(cfg: SystemConfig, t: float, kernels: KernelSet) -> np.ndarray:
@@ -221,20 +221,17 @@ def volterra_direct(cfg, psi0, grid, kernels) -> AtomTrajectory:
     return AtomTrajectory(grid=grid, alpha_1=amp[:, 0].copy(), alpha_2=amp[:, 1].copy())
 
 
-def exact_propagate_direct(cfg, psi0, grid, n_c, pairs=None) -> AtomTrajectory:
+def exact_propagate_direct(cfg, psi0, grid, basis: spectrum.Eigenbasis) -> AtomTrajectory:
     """The atomic amplitudes of ``spectrum.exact_propagate`` with one
     complex exponential per (time node, eigenvalue), t_n = n dt, taken in
     blocks of time rows and summed against the weights w_i = v_q[i] <v_q|psi0>."""
-    ham = spectrum.build_hamiltonian(cfg, n_c)
-    if pairs is None:
-        pairs = spectrum.eigendecompose(ham)
-    energies = np.array([p.energy for p in pairs])
-    vectors = np.stack([p.vector for p in pairs], axis=1)
-    vec0 = np.zeros(n_c + 2, dtype=complex)
+    energies, vectors = basis.energies, basis.vectors
+    vec0 = np.zeros(energies.size, dtype=complex)
     vec0[0] = psi0.alpha_1
     vec0[1] = psi0.alpha_2
+    offset = spectrum.site_offset(cfg, energies.size - 2)
     for site, amp in psi0.beta.items():
-        vec0[ham.column_of(site)] = amp
+        vec0[2 + offset + site] = amp
     coeff = vectors.T @ vec0
     w1 = vectors[0] * coeff
     w2 = vectors[1] * coeff

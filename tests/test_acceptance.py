@@ -51,8 +51,7 @@ def lattice_counts():
     for size, delta in TABLE_ROWS:
         cfg = _cfg(size, delta)
         ham = spectrum.build_hamiltonian(cfg, 600)
-        profiles = spectrum.classify_bound_states(
-            spectrum.eigendecompose(ham), cfg, ipr_threshold=0.02)
+        profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg)
         counts[(size, delta)] = len(spectrum.bound_states(profiles))
     return counts, time.monotonic() - start
 
@@ -67,13 +66,13 @@ def fig3_basis():
 
 @pytest.fixture(scope="session")
 def fig3_run(fig3_basis):
-    n_c, pairs = fig3_basis
+    n_c, basis = fig3_basis
     start = time.monotonic()
     roots = bic.find_bic_roots(FIG3)
     grid = TimeGrid(t_max=700.0, dt=0.02)
     psi0 = initial_state("atom1", FIG3)
     trajectory = dynamics.solve_volterra(FIG3, psi0, grid)
-    exact, _ = spectrum.exact_propagate(FIG3, psi0, grid, n_c, pairs=pairs)
+    exact, _ = spectrum.exact_propagate(FIG3, psi0, grid, basis)
     elapsed = time.monotonic() - start
     return {"roots": roots, "grid": grid, "trajectory": trajectory,
             "exact": exact, "elapsed": elapsed, "n_c": n_c}
@@ -84,7 +83,9 @@ def fig4_run():
     grid = TimeGrid(t_max=600.0, dt=0.02)
     psi0 = initial_state("atom1", FIG4)
     trajectory = dynamics.solve_volterra(FIG4, psi0, grid)
-    prediction = dynamics.steady_state_prediction(FIG4, psi0)
+    ham = spectrum.build_hamiltonian(FIG4, 600)
+    profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG4)
+    prediction = dynamics.steady_state_prediction(psi0, profiles)
     region = np.arange(FIG4.n_1, FIG4.m_2 + 1)
     snapshot = dynamics.photon_field(FIG4, trajectory, region, [600.0])[0]
     return {"grid": grid, "trajectory": trajectory, "prediction": prediction,
@@ -210,7 +211,7 @@ def test_criterion_6b_bessel_oracle_agreement():
 
 
 def test_criterion_6c_volterra_convergence_order(fig3_run, fig3_basis):
-    n_c, pairs = fig3_basis
+    _, basis = fig3_basis
     psi0 = initial_state("atom1", FIG3)
     coarse = fig3_run["trajectory"]
     exact_c = fig3_run["exact"]
@@ -218,7 +219,7 @@ def test_criterion_6c_volterra_convergence_order(fig3_run, fig3_basis):
                      np.abs(coarse.pop_2 - exact_c.pop_2).max())
     fine_grid = TimeGrid(t_max=700.0, dt=0.01)
     fine = dynamics.solve_volterra(FIG3, psi0, fine_grid)
-    exact_f, _ = spectrum.exact_propagate(FIG3, psi0, fine_grid, n_c, pairs=pairs)
+    exact_f, _ = spectrum.exact_propagate(FIG3, psi0, fine_grid, basis)
     err_fine = max(np.abs(fine.pop_1 - exact_f.pop_1).max(),
                    np.abs(fine.pop_2 - exact_f.pop_2).max())
     ratio = err_coarse / err_fine
@@ -230,16 +231,15 @@ def test_criterion_6c_volterra_convergence_order(fig3_run, fig3_basis):
 def test_criterion_7_unitarity(fig3_run, fig3_basis):
     # exact propagation: bound the deficit for every time via the eigenbasis
     # orthonormality, then spot-check reconstructed full states
-    n_c, pairs = fig3_basis
-    vectors = np.stack([p.vector for p in pairs], axis=1)
+    _, basis = fig3_basis
+    vectors = basis.vectors
     gram_defect = vectors.T @ vectors - np.eye(vectors.shape[1])
     fro = float(np.linalg.norm(gram_defect))
     exact_bound = 2.0 * fro  # >= | ||psi(t)||^2 - 1 | for all t
     grid = fig3_run["grid"]
     psi0 = initial_state("atom1", FIG3)
     spot_times = (0.0, 175.0, 350.0, 525.0, 700.0)
-    _, snaps = spectrum.exact_propagate(FIG3, psi0, grid, n_c,
-                                        snapshot_times=spot_times, pairs=pairs)
+    _, snaps = spectrum.exact_propagate(FIG3, psi0, grid, basis, snapshot_times=spot_times)
     exact_traj = fig3_run["exact"]
     spot = max(abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
                    + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2

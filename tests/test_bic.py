@@ -229,7 +229,14 @@ def test_census_rejects_offsets_out_of_range_as_config_error():
     for delta in (0, 6, -1):
         with pytest.raises(ConfigError, match="0 < delta < size"):
             bic_census(6, [delta])
+    with pytest.raises(ConfigError, match="must be an integer, got 2.5"):
+        bic_census(6, [2.5])
 
 
 def test_bic_module_builds_no_lattice():
     assert not hasattr(bic, "spectrum")
+
+
+def test_dynamics_module_builds_no_lattice():
+    from crwqed import dynamics
+    assert not hasattr(dynamics, "spectrum")

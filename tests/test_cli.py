@@ -226,7 +226,9 @@ def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
     projections = _counting(monkeypatch, dynamics, "steady_state_prediction")
     root_scans = _counting(monkeypatch, bic, "find_bic_roots")
     builds = _counting(monkeypatch, spectrum, "build_hamiltonian")
-    run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
+    # n_c=200 is below the wavefront criterion (210) for t_max=40
+    with pytest.warns(UserWarning, match="wavefront"):
+        run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
     assert len(projections) == 1 and len(root_scans) == 1  # both consumers ran
     assert len(eigh_calls) == 1
     assert len(builds) == 1
@@ -261,12 +263,12 @@ def test_profile_csv_holds_the_bound_state_photon_probabilities(tmp_path):
     from oracles import photon_profile
     scn = load_scenario("fig3", n_c=200)
     assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 0
-    pairs = spectrum.eigendecompose(spectrum.build_hamiltonian(scn.cfg, 200))
+    vectors = spectrum.eigendecompose(spectrum.build_hamiltonian(scn.cfg, 200)).vectors
     written = sorted(tmp_path.glob("profile_*.csv"))
     assert len(written) == 2  # the two quasi-BICs, each a non-degenerate state
     for path in written:
         index = int(path.stem.split("_")[1])
-        probs = ["%.15g" % x for x in photon_profile(pairs[index]).tolist()]
+        probs = ["%.15g" % x for x in photon_profile(vectors[:, index]).tolist()]
         lines = path.read_text().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == probs
 
@@ -280,6 +282,14 @@ def test_sweep_input_errors_are_config_errors(tmp_path, capsys, key, value, size
     assert err.startswith("error: ") and "Traceback" not in err
     with pytest.raises(ConfigError):
         run_sweep(tmp_path / "api", key, [value], size=size)
+
+
+def test_bic_on_asymmetric_config_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "asym.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\ng_1 = 0.1\ng_2 = 0.2\n")
+    assert main(["bic", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "g_1 = g_2" in err and "Traceback" not in err
 
 
 def test_sweep_parses_every_value_before_any_task(tmp_path, monkeypatch):

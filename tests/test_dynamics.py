@@ -152,10 +152,15 @@ def test_volterra_aborts_when_a_population_exceeds_one():
 
 
 @pytest.fixture(scope="module")
-def fig3_short():
+def fig3_basis():
+    return spectrum.eigendecompose(spectrum.build_hamiltonian(FIG3, 600))
+
+
+@pytest.fixture(scope="module")
+def fig3_short(fig3_basis):
     grid = TimeGrid(t_max=60.0, dt=0.02)
     traj = solve_volterra(FIG3, initial_state("atom1", FIG3), grid)
-    exact, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), grid, n_c=600)
+    exact, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), grid, fig3_basis)
     return grid, traj, exact
 
 
@@ -173,11 +178,11 @@ def test_volterra_population_bound(fig3_short):
     assert traj.pop_2.max() <= bound
 
 
-def test_volterra_second_order_convergence(fig3_short):
+def test_volterra_second_order_convergence(fig3_short, fig3_basis):
     grid, traj, exact = fig3_short
     half = TimeGrid(t_max=60.0, dt=0.01)
     traj_h = solve_volterra(FIG3, initial_state("atom1", FIG3), half)
-    exact_h, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), half, n_c=600)
+    exact_h, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), half, fig3_basis)
     err = max(np.abs(traj.pop_1 - exact.pop_1).max(),
               np.abs(traj.pop_2 - exact.pop_2).max())
     err_h = max(np.abs(traj_h.pop_1 - exact_h.pop_1).max(),
@@ -310,15 +315,20 @@ def test_norm_check_decoupled_is_exact():
     assert norm_check(traj, snap, cfg) <= 1e-14
 
 
+def _lattice_profiles(cfg):
+    return spectrum.classify_bound_states(
+        spectrum.eigendecompose(spectrum.build_hamiltonian(cfg, 600)), cfg)
+
+
 def test_steady_state_prediction_fig4():
-    p1, p2 = steady_state_prediction(FIG4, initial_state("atom1", FIG4))
+    p1, p2 = steady_state_prediction(initial_state("atom1", FIG4), _lattice_profiles(FIG4))
     assert p1 == pytest.approx(p2, rel=1e-9)      # symmetric bound state
     assert p1 == pytest.approx(0.245, abs=0.01)   # |A1|^4 of the normalized state
 
 
 def test_steady_state_prediction_requires_unique_bic():
     with pytest.raises(ValueError, match="exactly one"):
-        steady_state_prediction(FIG3, initial_state("atom1", FIG3))
+        steady_state_prediction(initial_state("atom1", FIG3), _lattice_profiles(FIG3))
 
 
 def test_plateau_detector():

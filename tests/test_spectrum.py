@@ -35,8 +35,7 @@ def test_decoupled_photon_block_is_open_chain():
                        omega_c=0.4, omega_1=0.9, omega_2=-0.3)
     n_c = 80
     ham = build_hamiltonian(cfg, n_c)
-    pairs = eigendecompose(ham)
-    energies = np.array([p.energy for p in pairs])
+    energies = eigendecompose(ham).energies
     q = np.arange(1, n_c + 1)
     chain = np.sort(cfg.omega_c - 2.0 * cfg.xi * np.cos(q * np.pi / (n_c + 1)))
     expected = np.sort(np.concatenate([[cfg.omega_1, cfg.omega_2], chain]))
@@ -62,20 +61,19 @@ def test_lattice_too_small_rejected():
 
 def test_gershgorin_bound_and_completeness():
     ham = build_hamiltonian(FIG3, 120)
-    pairs = eigendecompose(ham)
+    basis = eigendecompose(ham)
     h = ham.matrix
     # Gershgorin oracle: every eigenvalue inside the union of row discs
     centers = np.diag(h)
     radii = np.abs(h).sum(axis=1) - np.abs(centers)
-    for p in pairs:
-        assert np.any(np.abs(p.energy - centers) <= radii + 1e-12)
+    for e in basis.energies:
+        assert np.any(np.abs(e - centers) <= radii + 1e-12)
     # implied coarse bound
     lo = min(FIG3.omega_1, FIG3.band_bottom) - 2.0 * FIG3.g_1
     hi = max(FIG3.omega_1, FIG3.band_top) + 2.0 * FIG3.g_1
-    assert all(lo <= p.energy <= hi for p in pairs)
+    assert all(lo <= e <= hi for e in basis.energies)
     # completeness: each basis vector resolved by the eigenbasis
-    vectors = np.stack([p.vector for p in pairs], axis=1)
-    overlaps = (vectors ** 2).sum(axis=1)
+    overlaps = (basis.vectors ** 2).sum(axis=1)
     assert np.allclose(overlaps, 1.0, atol=1e-10)
 
 
@@ -144,10 +142,10 @@ def test_extended_states_have_small_ipr():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0)
     n_c = 400
     ham = build_hamiltonian(cfg, n_c)
-    pairs = eigendecompose(ham)
+    vectors = eigendecompose(ham).vectors
     # plane-wave oracle: open-chain standing waves have IPR ~ 1.5 / n_c
-    iprs = [np.sum(photon_profile(p) ** 2) for p in pairs
-            if abs(p.vector[0]) < 1e-12 and abs(p.vector[1]) < 1e-12]
+    iprs = [np.sum(photon_profile(v) ** 2) for v in vectors.T
+            if abs(v[0]) < 1e-12 and abs(v[1]) < 1e-12]
     assert max(iprs) <= 3.0 / n_c
 
 
@@ -156,7 +154,8 @@ def test_exact_propagate_decoupled_phase():
     grid = TimeGrid(t_max=20.0, dt=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        traj, _ = exact_propagate(cfg, initial_state("atom1", cfg), grid, n_c=120)
+        traj, _ = exact_propagate(cfg, initial_state("atom1", cfg), grid,
+                                  eigendecompose(build_hamiltonian(cfg, 120)))
     expected = np.exp(-1j * cfg.omega_1 * grid.times())
     assert np.allclose(traj.alpha_1, expected, atol=1e-10)
     assert np.allclose(traj.pop_1, 1.0, atol=1e-12)
@@ -166,7 +165,8 @@ def test_exact_propagate_norm_and_wavefront_warning():
     grid = TimeGrid(t_max=120.0, dt=0.5)
     with pytest.warns(UserWarning, match="wavefront"):
         traj, snaps = exact_propagate(FIG3, initial_state("atom1", FIG3), grid,
-                                      n_c=80, snapshot_times=(60.0, 120.0))
+                                      eigendecompose(build_hamiltonian(FIG3, 80)),
+                                      snapshot_times=(60.0, 120.0))
     for snap in snaps:
         n = grid.node(snap.time)
         total = (abs(traj.alpha_1[n]) ** 2 + abs(traj.alpha_2[n]) ** 2
@@ -180,27 +180,27 @@ def _max_amp_diff(traj, ref):
                np.abs(traj.alpha_2 - ref.alpha_2).max())
 
 
-def _propagate_quietly(cfg, psi0, grid, n_c, pairs=None):
+def _propagate_quietly(cfg, psi0, grid, basis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        traj, _ = exact_propagate(cfg, psi0, grid, n_c, pairs=pairs)
+        traj, _ = exact_propagate(cfg, psi0, grid, basis)
     return traj
 
 
 @pytest.fixture(scope="module")
-def fig3_small_pairs():
+def fig3_small_basis():
     return eigendecompose(build_hamiltonian(FIG3, 120))
 
 
 # 33^2 and its neighbours, the square and non-square node counts around
 # B = ceil(sqrt(T)), a prime, and the two smallest grids
 @pytest.mark.parametrize("nodes", [2, 3, 1024, 1025, 1089, 1031])
-def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_pairs):
+def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_basis):
     grid = TimeGrid(t_max=(nodes - 1) * 0.05, dt=0.05)
     assert grid.times().size == nodes
     psi0 = initial_state("atom1", FIG3)
-    traj = _propagate_quietly(FIG3, psi0, grid, 120, pairs=fig3_small_pairs)
-    ref = exact_propagate_direct(FIG3, psi0, grid, 120, pairs=fig3_small_pairs)
+    traj = _propagate_quietly(FIG3, psi0, grid, fig3_small_basis)
+    ref = exact_propagate_direct(FIG3, psi0, grid, fig3_small_basis)
     assert traj.alpha_1.shape == traj.alpha_2.shape == (nodes,)
     assert _max_amp_diff(traj, ref) <= 1e-12
 
@@ -208,9 +208,9 @@ def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_pair
 def test_exact_propagate_matches_direct_on_fig3_preset():
     grid = TimeGrid(t_max=700.0, dt=0.02)
     psi0 = initial_state("atom1", FIG3)
-    pairs = eigendecompose(build_hamiltonian(FIG3, 600))
-    traj = _propagate_quietly(FIG3, psi0, grid, 600, pairs=pairs)
-    ref = exact_propagate_direct(FIG3, psi0, grid, 600, pairs=pairs)
+    basis = eigendecompose(build_hamiltonian(FIG3, 600))
+    traj = _propagate_quietly(FIG3, psi0, grid, basis)
+    ref = exact_propagate_direct(FIG3, psi0, grid, basis)
     assert _max_amp_diff(traj, ref) <= 1e-12
 
 
@@ -224,8 +224,9 @@ def test_exact_propagate_matches_direct_on_fig3_preset():
 ], ids=["shared_leg", "asymmetric_atom2", "photon_beta"])
 def test_exact_propagate_matches_direct_on_geometries(cfg, psi0):
     grid = TimeGrid(t_max=150.0, dt=0.02)
-    traj = _propagate_quietly(cfg, psi0, grid, 150)
-    ref = exact_propagate_direct(cfg, psi0, grid, 150)
+    basis = eigendecompose(build_hamiltonian(cfg, 150))
+    traj = _propagate_quietly(cfg, psi0, grid, basis)
+    ref = exact_propagate_direct(cfg, psi0, grid, basis)
     assert _max_amp_diff(traj, ref) <= 1e-12
 
 
@@ -233,49 +234,45 @@ def test_exact_propagate_scratch_memory_is_small():
     grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
     assert grid.times().size == 20001
     psi0 = initial_state("atom1", FIG3)
-    assert traced_peak(_propagate_quietly, FIG3, psi0, grid, 600) < 32 * 2 ** 20
+    basis = eigendecompose(build_hamiltonian(FIG3, 600))
+    assert traced_peak(_propagate_quietly, FIG3, psi0, grid, basis) < 32 * 2 ** 20
 
 
-def test_exact_propagate_with_pairs_makes_no_basis_copy():
+def test_exact_propagate_makes_no_basis_copy():
     # n = 602: one n x n float array is 2.9 MB, so a rebuilt Hamiltonian,
-    # a stacked basis and its complex upcast would add about 11.6 MB
+    # a copied basis and its complex upcast would add about 11.6 MB
     grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
     assert grid.times().size == 20001
     psi0 = initial_state("atom1", FIG3)
-    pairs = eigendecompose(build_hamiltonian(FIG3, 600))
+    basis = eigendecompose(build_hamiltonian(FIG3, 600))
     stops = tuple(f * grid.t_end for f in (0.0, 0.25, 0.5, 0.75, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        peak = traced_peak(exact_propagate, FIG3, psi0, grid, 600,
-                           snapshot_times=stops, pairs=pairs)
+        peak = traced_peak(exact_propagate, FIG3, psi0, grid, basis, snapshot_times=stops)
     assert peak < 10 * 2 ** 20
 
 
-def test_exact_propagate_rejects_pairs_of_another_lattice():
-    grid = TimeGrid(t_max=1.0, dt=0.05)
-    psi0 = initial_state("atom1", FIG3)
-    pairs = eigendecompose(build_hamiltonian(FIG3, 200))
-    with pytest.raises(ValueError, match="242 eigenvectors of length 242 for n_c=240, got 202"):
-        exact_propagate(FIG3, psi0, grid, 240, pairs=pairs)
-    # right count, wrong length
-    with pytest.raises(ValueError, match="eigenvectors of length"):
-        exact_propagate(FIG3, psi0, grid, 200, pairs=[
-            spectrum.EigenPair(p.energy, p.vector[:-1]) for p in pairs])
+def test_eigenbasis_rejects_mismatched_arrays():
+    basis = eigendecompose(build_hamiltonian(FIG3, 200))
+    with pytest.raises(ValueError, match=r"vectors must be 202x202 for 202 energies, "
+                                         r"got shape \(201, 202\)"):
+        spectrum.Eigenbasis(basis.energies, basis.vectors[:-1])
+    with pytest.raises(ValueError, match=r"must be 201x201 .* got shape \(202, 202\)"):
+        spectrum.Eigenbasis(basis.energies[:-1], basis.vectors)
 
 
 def test_exact_propagate_snapshots_match_dense_spectral_sum():
-    # the blocked snapshot product against psi(t) = V diag(e^{-iEt}) V^T psi0
+    # the real snapshot product against psi(t) = V diag(e^{-iEt}) V^T psi0
     n_c = 150
     psi0 = WavefunctionState(0.6 + 0.0j, 0.0j, {4: 0.48j, -3: 0.64 + 0.0j})
     ham = build_hamiltonian(FIG3, n_c)
-    pairs = eigendecompose(ham)
+    basis = eigendecompose(ham)
     grid = TimeGrid(t_max=30.0, dt=0.05)
     stops = (0.0, 7.5, 30.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, snaps = exact_propagate(FIG3, psi0, grid, n_c, snapshot_times=stops, pairs=pairs)
-    energies = np.array([p.energy for p in pairs])
-    vectors = np.stack([p.vector for p in pairs], axis=1)
+        _, snaps = exact_propagate(FIG3, psi0, grid, basis, snapshot_times=stops)
+    energies, vectors = basis.energies, basis.vectors
     vec0 = np.zeros(n_c + 2, dtype=complex)
     vec0[:2] = psi0.alpha_1, psi0.alpha_2
     for site, amp in psi0.beta.items():
