@@ -479,7 +479,8 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
 
     Every value is parsed by its key (an integer for delta and N, a float
     for g and dt) before any task starts; one that does not parse is a
-    ConfigError.  The ``value`` column keeps each value as given.
+    ConfigError, and so is, with dynamics, a time grid ``TimeGrid`` rejects.
+    The ``value`` column keeps each value as given.
     """
     if key not in _SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
@@ -493,6 +494,8 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
             params = {**base, key: parse(v)}
         except (TypeError, ValueError):
             raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
+        if with_dynamics:
+            TimeGrid(t_max=t_max, dt=params["dt"])  # ConfigError before any task
         tasks.append((params, key, v, with_dynamics, t_max))
     workers = min(workers, os.cpu_count() or 1)
     out_dir = _prepare_out_dir(out_dir)
@@ -618,9 +621,9 @@ def main(argv=None) -> int:
             values = [v for v in args.values.split(",") if v != ""]
             results = run_sweep(out_dir, args.vary, values, size=args.size,
                                 delta=args.delta, g=args.g,
-                                dt=args.dt if args.dt else 0.02,
+                                dt=0.02 if args.dt is None else args.dt,
                                 workers=args.workers, with_dynamics=args.dynamics,
-                                t_max=args.tmax if args.tmax else 200.0)
+                                t_max=200.0 if args.tmax is None else args.tmax)
             for r in results:
                 print(f"{args.vary}={r['value']}: n_bic={r['n_bic']}")
             return 0

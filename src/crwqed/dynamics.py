@@ -131,7 +131,7 @@ def m_eigenvalues_trace(cfg: SystemConfig, grid: TimeGrid,
                         kernels: KernelSet | None = None) -> EigenTrace:
     """Eigenvalues lambda_+-(t) of M(t) at every node, ordered so each trace
     is continuous in the complex plane (nearest-neighbor matching between
-    consecutive nodes, ties broken by real part)."""
+    consecutive nodes, see :func:`_continuity_order`)."""
     cfg = validate_config(cfg)
     if kernels is None:
         kernels = build_kernels(cfg, grid)
@@ -141,16 +141,37 @@ def m_eigenvalues_trace(cfg: SystemConfig, grid: TimeGrid,
     b = -1j * cfg.g_1 * cfg.g_2 * _cumulative_trapezoid(kernels.k_cross, dt)
     mean = 0.5 * (a1 + a2)
     root = np.sqrt(0.25 * (a1 - a2) ** 2 + b ** 2)
-    lam1 = mean + root
-    lam2 = mean - root
-    if lam1[0].real < lam2[0].real:
-        lam1[0], lam2[0] = lam2[0], lam1[0]
-    for n in range(1, lam1.size):
-        keep = abs(lam1[n] - lam1[n - 1]) + abs(lam2[n] - lam2[n - 1])
-        swap = abs(lam2[n] - lam1[n - 1]) + abs(lam1[n] - lam2[n - 1])
-        if swap < keep:
-            lam1[n], lam2[n] = lam2[n], lam1[n]
+    lam1, lam2 = _continuity_order(mean + root, mean - root)
     return EigenTrace(grid=grid, lambda_1=lam1, lambda_2=lam2, a_1=a1, a_2=a2, b=b)
+
+
+def _continuity_order(lam1: np.ndarray, lam2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder two eigenvalue traces so each is continuous: node 0 puts the
+    larger real part first, and node n swaps its pair when the swapped pair
+    is strictly closer (sum of distances) to the ordered pair at n - 1.
+
+    Vectorized over nodes.  Compared with the raw pairs of nodes n - 1 and
+    n, the swapped pair is the closer one ("flip"), the kept one, or neither
+    (an exact tie, or NaN).  Relative to the ordered previous pair the two
+    distance sums trade places when node n - 1 was swapped, so the swap
+    state is the running parity of flips, restarted at every node where
+    neither is closer: there the pair is never swapped.
+    """
+    def dist(u, v):  # |u - v| rounded as the scalar abs() rounds it
+        d = u - v
+        return np.hypot(d.real, d.imag)
+
+    keep = dist(lam1[1:], lam1[:-1])
+    keep += dist(lam2[1:], lam2[:-1])
+    swap = dist(lam2[1:], lam1[:-1])
+    swap += dist(lam1[1:], lam2[:-1])
+    flip = np.concatenate(([lam1[0].real < lam2[0].real], swap < keep))
+    restart = np.concatenate(([True], ~flip[1:] & ~(keep < swap)))
+    last = np.maximum.accumulate(np.where(restart, np.arange(lam1.size), 0))
+    # parity of the flips at nodes last..n; flip[last] is False unless last = 0
+    parity = np.logical_xor.accumulate(flip)
+    swapped = parity ^ parity[last] ^ flip[last]
+    return np.where(swapped, lam2, lam1), np.where(swapped, lam1, lam2)
 
 
 def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,

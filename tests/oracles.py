@@ -45,6 +45,15 @@ def series_oracle(n: int, x: float, digits: int = 60) -> float:
         total = new
 
 
+def bessel_reference(n: int, x: float) -> float:
+    """J_n(x) from ``series_oracle`` with working digits scaled to x.
+
+    The series' largest term is about e^x / sqrt(x), so cancelling it to
+    double precision takes about x log10(e) + 17 digits; 0.9 x + 40 covers
+    that with room to spare at every x >= 0."""
+    return series_oracle(n, x, digits=int(0.9 * x) + 40)
+
+
 @dataclass(frozen=True)
 class BesselRow:
     """J_0(x)..J_order_max(x) at a fixed argument."""
@@ -104,6 +113,22 @@ def m_matrix(cfg: SystemConfig, t: float, kernels: KernelSet) -> np.ndarray:
     a2 = cfg.omega_2 - 2j * cfg.g_2 ** 2 * integral(kernels.k_self_2)
     b = -1j * cfg.g_1 * cfg.g_2 * integral(kernels.k_cross)
     return np.array([[a1, b], [b, a2]])
+
+
+def continuity_order_loop(lam1: np.ndarray, lam2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node-by-node reference for ``dynamics._continuity_order``: node 0
+    puts the larger real part first; node n swaps its pair when the swapped
+    pair is strictly closer to the ordered pair at n - 1."""
+    lam1 = np.array(lam1, dtype=complex)
+    lam2 = np.array(lam2, dtype=complex)
+    if lam1[0].real < lam2[0].real:
+        lam1[0], lam2[0] = lam2[0], lam1[0]
+    for n in range(1, lam1.size):
+        keep = abs(lam1[n] - lam1[n - 1]) + abs(lam2[n] - lam2[n - 1])
+        swap = abs(lam2[n] - lam1[n - 1]) + abs(lam1[n] - lam2[n - 1])
+        if swap < keep:
+            lam1[n], lam2[n] = lam2[n], lam1[n]
+    return lam1, lam2
 
 
 def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:

@@ -284,6 +284,18 @@ def test_sweep_input_errors_are_config_errors(tmp_path, capsys, key, value, size
         run_sweep(tmp_path / "api", key, [value], size=size)
 
 
+@pytest.mark.parametrize("flag", ["--dt", "--tmax"])
+def test_sweep_zero_dt_or_tmax_is_config_error(tmp_path, capsys, monkeypatch, flag):
+    # 0 is a given value, not "use the default"
+    tasks = _counting(monkeypatch, cli, "_sweep_one")
+    argv = ["sweep", "--vary", "delta", "--values", "3", "--dynamics", flag, "0",
+            "--out", str(tmp_path / "cli")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert tasks == [] and not (tmp_path / "cli").exists()
+
+
 def test_bic_on_asymmetric_config_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "asym.cfg"
     cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\ng_1 = 0.1\ng_2 = 0.2\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crwqed.model import AtomTrajectory, SystemConfig, TimeGrid, WavefunctionState, initial_state
 from crwqed import spectrum
@@ -15,7 +16,7 @@ from crwqed.dynamics import (
     steady_state_prediction,
     unit_power,
 )
-from oracles import bessel_j, m_matrix, traced_peak, volterra_direct
+from oracles import bessel_j, continuity_order_loop, m_matrix, traced_peak, volterra_direct
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -107,6 +108,52 @@ def test_trace_is_continuity_ordered():
     jumps1 = np.abs(np.diff(trace.lambda_1))
     jumps2 = np.abs(np.diff(trace.lambda_2))
     assert jumps1.max() <= 0.01 and jumps2.max() <= 0.01
+
+
+@pytest.mark.parametrize("cfg, t_max", [(FIG3, 700.0), (FIG4, 600.0)])
+def test_continuity_order_matches_loop_on_preset_grids(cfg, t_max):
+    trace = m_eigenvalues_trace(cfg, TimeGrid(t_max=t_max, dt=0.02))
+    mean = 0.5 * (trace.a_1 + trace.a_2)
+    root = np.sqrt(0.25 * (trace.a_1 - trace.a_2) ** 2 + trace.b ** 2)
+    lam1, lam2 = continuity_order_loop(mean + root, mean - root)
+    assert np.array_equal(trace.lambda_1, lam1)
+    assert np.array_equal(trace.lambda_2, lam2)
+
+
+def test_continuity_order_crossing_and_ties():
+    from crwqed.dynamics import _continuity_order
+    # dyadic values, so the tied distance sums are tied exactly
+    raw = np.array([
+        (-1.0, 1.0),                # node 0: larger real part first -> swapped
+        (-0.75, 0.75),              # follows node 0 -> stays swapped
+        (0.75j, -0.75j),            # exact tie after a swapped node -> not swapped
+        (0.5 + 0.5j, -0.5 - 0.5j),
+        (-0.5 - 0.25j, 0.5 + 0.25j),  # the raw pair crossed -> swapped
+        (-0.5, 0.5),                # stays swapped
+        (0.0, 0.0),                 # exact degeneracy: a tie
+        (0.25, -0.25),              # a tie again (equidistant from 0)
+        (-0.5, 0.5),                # crossed -> swapped
+        (np.nan, 0.75),             # NaN compares as a tie -> not swapped
+        (-1.0, 1.0),                # after NaN: a tie again
+    ])
+    swapped = np.array([1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0], dtype=bool)
+    lam1, lam2 = _continuity_order(raw[:, 0], raw[:, 1])
+    ref1, ref2 = continuity_order_loop(raw[:, 0], raw[:, 1])
+    assert np.array_equal(lam1, ref1, equal_nan=True)
+    assert np.array_equal(lam2, ref2, equal_nan=True)
+    assert np.array_equal(lam1, np.where(swapped, raw[:, 1], raw[:, 0]), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 4), min_size=1, max_size=40))
+def test_continuity_order_matches_loop_on_small_integer_traces(parts):
+    # a coarse integer lattice makes exact ties and crossings common
+    from crwqed.dynamics import _continuity_order
+    p = np.array(parts, dtype=float)
+    raw1, raw2 = p[:, 0] + 1j * p[:, 1], p[:, 2] + 1j * p[:, 3]
+    lam1, lam2 = _continuity_order(raw1, raw2)
+    ref1, ref2 = continuity_order_loop(raw1, raw2)
+    assert np.array_equal(lam1, ref1) and np.array_equal(lam2, ref2)
 
 
 def test_volterra_decoupled_phase_evolution():
@@ -292,6 +339,31 @@ def test_photon_field_builds_each_table_block_once(fig3_short, monkeypatch):
     grid, traj, _ = fig3_short
     photon_field(FIG3, traj, np.arange(-20, 31), [20.0, 60.0, 40.0], chunk=1000)
     assert calls == [1000, 1000, 1000, 1]  # nodes 0..3000 of the latest time
+
+
+def test_tables_send_miller_only_arguments_below_the_switch(fig3_short, monkeypatch):
+    from crwqed import dynamics, specfun
+    grid, traj, _ = fig3_short
+    miller = []
+    original_miller = specfun._miller_rows
+    def recording_miller(order_max, xs):
+        miller.append((order_max, float(xs.max())))
+        return original_miller(order_max, xs)
+    monkeypatch.setattr(specfun, "_miller_rows", recording_miller)
+    shapes = []
+    def recording_table(order_max, xs):
+        table = specfun.bessel_j_table(order_max, xs)
+        shapes.append((table.shape, (len(xs), order_max + 1)))
+        return table
+    monkeypatch.setattr(dynamics, "bessel_j_table", recording_table)
+    sites = np.arange(-20, 31)
+    build_kernels(FIG3, grid)
+    photon_field(FIG3, traj, sites, [20.0, 60.0], chunk=1000)
+    orders = {order_max for order_max, _ in miller}
+    assert orders == {9, dynamics.field_order_max(FIG3, sites)}
+    for order_max, x_max in miller:
+        assert x_max < max(specfun.HANKEL_FROM, 2.0 * order_max)
+    assert len(shapes) == 5 and all(got == want for got, want in shapes)
 
 
 def test_norm_check_values(fig3_short):

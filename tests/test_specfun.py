@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bessel_j, bessel_j_row, series_oracle
+from oracles import bessel_j, bessel_j_row, bessel_reference, series_oracle
 
-from crwqed.specfun import bessel_j_table
+from crwqed import specfun
+from crwqed.specfun import HANKEL_FROM, bessel_j_table
 
 
 def test_trivial_values_at_zero():
@@ -25,7 +28,7 @@ def test_negative_order_parity_identity():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-64, 64), st.floats(0.0, 50.0))
+@given(st.integers(-64, 64), st.floats(0.0, 2000.0))
 def test_parity_identity_exact(n, x):
     expect = bessel_j(abs(n), x) * (-1.0 if (n < 0 and n % 2) else 1.0)
     assert bessel_j(n, x) == expect
@@ -47,7 +50,7 @@ def test_series_agreement_large_arguments(x):
     # the series needs more working digits here; still exact arithmetic
     row = bessel_j_row(64, x).values
     for n in (0, 1, 7, 33, 64):
-        ref = series_oracle(n, x, digits=400)
+        ref = bessel_reference(n, x)
         if abs(ref) > 1e-3:
             assert abs(row[n] - ref) <= 1e-12 * abs(ref)
         else:
@@ -63,6 +66,52 @@ def test_three_term_recurrence(x):
             continue
         resid = row[n - 1] + row[n + 1] - (2.0 * n / x) * row[n]
         assert abs(resid) <= 1e-10 * scale
+
+
+_ROUTE_ORDERS = (0, 1, 9, 29, 64)
+
+
+def _switch(order_max):
+    return max(HANKEL_FROM, 2.0 * order_max)
+
+
+_reference = functools.lru_cache(maxsize=None)(bessel_reference)
+
+
+@pytest.mark.parametrize("order_max", _ROUTE_ORDERS)
+@pytest.mark.parametrize("x", [25.0, 58.0, 60.02, 137.3, 400.0, 703.14, 1400.0,
+                               "switch-", "switch+"])
+def test_both_routes_match_series_oracle(order_max, x):
+    # just below the switch Miller serves x, at and above it the Hankel route
+    if isinstance(x, str):
+        x = _switch(order_max) + (1e-9 if x == "switch+" else -1e-9)
+    row = bessel_j_row(order_max, x).values
+    orders = sorted({0, 1, 2, 3, order_max // 2, order_max - 1, order_max} & set(range(order_max + 1)))
+    if x < 500.0:  # the reference is cheap here: check every order
+        orders = range(order_max + 1)
+    for n in orders:
+        assert abs(row[n] - _reference(n, x)) <= 1e-15, (n, x)
+
+
+@pytest.mark.parametrize("t_max, order_max", [(700.0, 9), (600.0, 10), (700.0, 29)])
+def test_hankel_route_matches_miller_on_preset_grids(t_max, order_max):
+    # fig3 (order 9) and fig4 (order 10) kernel grids, and the fig3 plot window
+    xs = 2.0 * np.arange(int(round(t_max / 0.02)) + 1) * 0.02
+    far = xs >= _switch(order_max)
+    assert far.sum() > 0.9 * xs.size
+    table = bessel_j_table(order_max, xs[far])
+    miller = np.vstack([specfun._miller_rows(order_max, xs[far][s:s + 4096])
+                        for s in range(0, int(far.sum()), 4096)])
+    assert np.abs(table - miller).max() <= 5e-15
+
+
+def test_route_depends_on_the_argument_only():
+    # a Hankel-route row is the same alone and inside a mixed table
+    xs = np.array([0.0, 0.005, 3.0, 57.9, 58.0, 90.5, 1400.0])
+    table = bessel_j_table(29, xs, chunk=3)
+    for i, x in enumerate(xs):
+        if x >= _switch(29):
+            assert np.array_equal(table[i], bessel_j_row(29, x).values)
 
 
 def test_sum_rule_at_25():
