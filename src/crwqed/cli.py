@@ -85,12 +85,13 @@ def _fmt(x) -> str:
 
 
 def _cells(column) -> list[str]:
-    """Formatted cells of one column; an array is read once, as a list."""
+    """Formatted cells of one column; an array is read once, as a list, and
+    str cells (such as the empty ones of a sparse column) pass unchanged."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return ["%.15g" % x for x in column.tolist()]
         column = column.tolist()
-    return [_fmt(x) for x in column]
+    return [x if type(x) is str else _fmt(x) for x in column]
 
 
 # Rows formatted and written per block by ``write_csv``.

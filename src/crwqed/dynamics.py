@@ -39,9 +39,9 @@ from .model import (
 from .specfun import bessel_j_table
 
 MAX_KERNEL_DT = 0.1
-# Nodes per block of the Volterra history sums (set by measurement: the
-# direct within-block products grow with it, the FFT products between
-# blocks shrink).
+# Nodes per Volterra block (set by measurement: the resolvent build and the
+# S-sized scratch grow with it, the sums over earlier blocks shrink; 1024
+# is faster on fig3 but adds about 1 MB of peak memory).
 _BLOCK = 512
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
@@ -180,20 +180,26 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     predictor-corrector trapezoidal convolution scheme.
 
     The photon field must start in vacuum (the kernel derivation assumes
-    it).  The history sums sum_{j<m} K(tau_{m-j}) alpha_j form a
-    lower-triangular Toeplitz product.  Nodes are stepped in blocks of S
-    nodes (``_BLOCK``).  Before a block is stepped, the part of its sums over
-    earlier blocks is added from length-2S real FFT products accumulated in
-    the frequency domain; within the block only the at most S remaining
-    terms are direct dot products.  The correction of the newest node only
-    touches the tau = 0 endpoint term.  For T nodes the cost is
-    O(T^2/S + T S) multiply-adds plus O(T log S) for the transforms, with
-    O(T) memory plus O(S) FFT scratch.  Deterministic.
+    it).  Each step is an exponential-Euler predictor and an
+    exponential-trapezoid corrector; an integrating factor takes out the
+    local phases U = diag(e^{-i omega dt}).  The scheme is linear and
+    shift-invariant, so in a block of S = ``_BLOCK`` nodes from lo on the
+    amplitudes are the causal convolution of a forcing F (every term from
+    before lo) with one resolvent X = (1 - U z - W(z))^{-1} (Hairer, Lubich
+    & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985)), built once by
+    X_k = U X_{k-1} + sum_d W_d X_{k-d} and applied, like the history sums
+    over earlier blocks, by length-2S real FFTs.  U enters no rounded
+    matrix: X_k U alpha_{lo-1} is a direct product.  Real and imaginary
+    parts are transformed apart, so an exactly zero part stays zero (on
+    resonance each amplitude is real or imaginary).  Cost for T nodes:
+    O(S^2) once plus O(T^2/S + T log S); memory O(T).  Deterministic.
 
     Raises
     ------
     SolverError
-        If either population exceeds 1 + 1e-3 (step size too coarse).
+        If a population exceeds 1 + 1e-3 (step too coarse) or is not finite,
+        at the first such node of the causal sums (one overflow turns a
+        whole FFT into NaN).
     """
     cfg = validate_config(cfg)
     if not psi0.photon_vacuum:
@@ -210,10 +216,7 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     # segments K[(d-1)S:(d+1)S] for block lags d >= 1.  The second half of a
     # length-2S circular product of such a segment with a zero-padded block of
     # amplitudes is that block's contribution to the history sums d blocks
-    # later (the wrapped terms land in the first half).  Convolving real and
-    # imaginary parts separately keeps a part that is exactly zero exactly
-    # zero, as the direct sums do: on resonance each amplitude stays purely
-    # real or purely imaginary.
+    # later (the wrapped terms land in the first half).
     k_hat = np.empty((n_blocks - 1, 2, 3, s + 1), dtype=complex)  # [lag, re/im, kernel]
     for d in range(1, n_blocks):
         for k, kernel in enumerate((k1, k2, kc)):
@@ -228,30 +231,37 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     prod = np.empty((2, 2, 2, s + 1), dtype=complex)
     spec = np.empty((2, 2, 2, s + 1), dtype=complex)  # [re/im of the sums, self/cross, atom]
     far = np.empty((2, 2, 2, 2 * s))
-    # head[k][s-1-i] = K_k(tau_i) for i < s, so the within-block window of
-    # node start + r is the contiguous view head[:, s-1-r:s-1]
-    head = np.zeros((3, s), dtype=complex)
-    n_head = min(s, n_nodes)
-    for k, kernel in enumerate((k1, k2, kc)):
-        head[k, s - n_head:] = kernel[n_head - 1::-1]
+
+    c_self = np.array([-2.0 * cfg.g_1 ** 2, -2.0 * cfg.g_2 ** 2])
+    c_cross = -cfg.g_1 * cfg.g_2
+    n_x = min(s, n_nodes)
+    # K(d) as 2x2 matrices on (alpha_1, alpha_2), coupling constants included
+    kmat = np.array([[c_self[0] * k1[:n_x], c_cross * kc[:n_x]],
+                     [c_cross * kc[:n_x], c_self[1] * k2[:n_x]]]).transpose(2, 0, 1)
+    u = np.exp(-1j * np.array([cfg.omega_1, cfg.omega_2]) * dt)
+    q_mat = 0.25 * dt * dt * kmat[0] * u  # alpha_{m-1} in the predictor's tau = 0 term
+    b_mat = 0.5 * dt * np.diag(u) + dt * q_mat  # weight of f_{m-1} in alpha_m
+    w = 0.5 * dt * dt * kmat[1:]  # w[d - 1] = W_d
+    w[1:] += dt * b_mat @ kmat[1:-1]
+    w[:1] += q_mat + 0.5 * dt * b_mat @ kmat[0]
+    # x_rev[n_x - 1 - k] = X_k, so X_{k-1}, .., X_0 is one contiguous view
+    w_row = w.transpose(1, 0, 2).reshape(2, -1)  # [W_1 W_2 ..]
+    x_rev = np.tile(np.eye(2, dtype=complex), (n_x, 1, 1))  # X_0 = 1, the rest overwritten
+    x_col = x_rev.reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the population check
+        for i in range(n_x - 2, -1, -1):
+            np.matmul(w_row[:, :2 * (n_x - 1 - i)], x_col[2 * i + 2:], out=x_rev[i])
+            x_rev[i] += u[:, None] * x_rev[i + 1]
+        x = x_rev[::-1]
+        xr, xi = np.fft.rfft([x.real, x.imag], n=2 * s, axis=1)
+    x_hat = np.block([[xr, -xi], [xi, xr]])  # per frequency: transforms of F's parts to X * F's
 
     amp = np.zeros((2, n_blocks * s), dtype=complex)
-    a1 = amp[0, 0] = complex(psi0.alpha_1)
-    a2 = amp[1, 0] = complex(psi0.alpha_2)
-
-    c_self_1 = -2.0 * cfg.g_1 ** 2
-    c_self_2 = -2.0 * cfg.g_2 ** 2
-    c_cross = -cfg.g_1 * cfg.g_2
-    # integrating factor removes the local -i Omega term, so free evolution
-    # is reproduced to rounding and only the memory terms are quadratured
-    u1 = complex(np.exp(-1j * cfg.omega_1 * dt))
-    u2 = complex(np.exp(-1j * cfg.omega_2 * dt))
-    # half-weight tau = 0 endpoint of the trapezoid
-    h1, h2, hc = (0.5 * complex(kernel[0]) for kernel in (k1, k2, kc))
-
-    f1, f2 = 0.0j, 0.0j  # memory derivative at node 0 (empty integrals)
+    amp[:, 0] = prev = np.array([psi0.alpha_1, psi0.alpha_2], dtype=complex)  # alpha_{lo-1}
+    f_prev = np.zeros(2, dtype=complex)  # memory derivative at lo - 1
     for b in range(n_blocks):
         start = b * s
+        lo = max(start, 1)
         stop = min(start + s, n_nodes)
         acc.fill(0.0)
         for c in range(b):
@@ -262,46 +272,35 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
         np.subtract(acc[:, 0, 0], acc[:, 1, 1], out=spec[0])
         np.add(acc[:, 0, 1], acc[:, 1, 0], out=spec[1])
         np.fft.irfft(spec, n=2 * s, out=far)
-        # history from earlier blocks, less the half-weight tau = t_m endpoint
-        # term of node 0 (the trapezoid counts it fully in the sum)
-        end = slice(start, stop)
-        hist = far[0, ..., s:s + stop - start] + 1j * far[1, ..., s:s + stop - start]
-        hist_11 = (hist[0, 0] - 0.5 * k1[end] * amp[0, 0]).tolist()
-        hist_22 = (hist[0, 1] - 0.5 * k2[end] * amp[1, 0]).tolist()
-        hist_c1 = (hist[1, 0] - 0.5 * kc[end] * amp[0, 0]).tolist()
-        hist_c2 = (hist[1, 1] - 0.5 * kc[end] * amp[1, 0]).tolist()
-        for m in range(max(start, 1), stop):
-            r = m - start
-            # within-block history: rows alpha_1, alpha_2; columns K_1, K_2, K_c
-            (n11, _, nc1), (_, n22, nc2) = (
-                amp[:, start:m] @ head[:, s - 1 - r:s - 1].T).tolist()
-            # exponential-Euler predictor to the new node
-            p1 = u1 * (a1 + dt * f1)
-            p2 = u2 * (a2 + dt * f2)
-            i1 = dt * (hist_11[r] + n11 + h1 * p1)
-            i2 = dt * (hist_22[r] + n22 + h2 * p2)
-            ic1 = dt * (hist_c2[r] + nc2 + hc * p2)
-            ic2 = dt * (hist_c1[r] + nc1 + hc * p1)
-            e1 = c_self_1 * i1 + c_cross * ic1
-            e2 = c_self_2 * i2 + c_cross * ic2
-            # exponential-trapezoidal corrector
-            a1 = u1 * a1 + 0.5 * dt * (u1 * f1 + e1)
-            a2 = u2 * a2 + 0.5 * dt * (u2 * f2 + e2)
-            amp[0, m] = a1
-            amp[1, m] = a2
-            if (a1.real * a1.real + a1.imag * a1.imag > POPULATION_ABORT
-                    or a2.real * a2.real + a2.imag * a2.imag > POPULATION_ABORT):
-                raise SolverError(
-                    f"population exceeded {POPULATION_ABORT} at t={m * dt:.6g} "
-                    f"(|a1|^2={abs(a1) ** 2:.6g}, |a2|^2={abs(a2) ** 2:.6g}); reduce dt")
-            # memory derivative at the corrected node: only the tau=0 endpoint moved
-            i1 += dt * h1 * (a1 - p1)
-            i2 += dt * h2 * (a2 - p2)
-            ic1 += dt * hc * (a2 - p2)
-            ic2 += dt * hc * (a1 - p1)
-            f1 = c_self_1 * i1 + c_cross * ic1
-            f2 = c_self_2 * i2 + c_cross * ic2
-        if b < n_blocks - 1:
+        # history sums over the nodes before lo with node 0 at the trapezoid's
+        # half weight (in block 0, node 0 is not in `far` yet)
+        end = slice(s + lo - start, s + stop - start)
+        hist = far[0, ..., end] + 1j * far[1, ..., end]
+        hist += (0.5 if b == 0 else -0.5) * amp[:, :1] * np.array(
+            [[k1[lo:stop], k2[lo:stop]], [kc[lo:stop], kc[lo:stop]]])
+        h = c_self[:, None] * hist[0] + c_cross * hist[1, ::-1]
+        f = 0.5 * dt * dt * h
+        f[:, 1:] += dt * b_mat @ h[:, :-1]
+        f[:, 0] += q_mat @ prev + b_mat @ f_prev
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails the check
+            direct = x[:stop - lo] @ (u * prev)
+            f_hat = np.fft.rfft([f.real, f.imag], n=2 * s).reshape(4, -1).T
+            out = np.fft.irfft((x_hat * f_hat[:, None]).sum(axis=2).T, n=2 * s)[:, :stop - lo]
+            block = out[:2] + 1j * out[2:] + direct.T
+            if not (block.real * block.real + block.imag * block.imag <= POPULATION_ABORT).all():
+                for k in range(stop - lo):  # the first bad node, from the causal sums
+                    a1, a2 = block[:, k] = direct[k] + np.einsum(
+                        "kij,jk->i", x[k::-1], f[:, :k + 1])
+                    if not (a1.real * a1.real + a1.imag * a1.imag <= POPULATION_ABORT
+                            and a2.real * a2.real + a2.imag * a2.imag <= POPULATION_ABORT):
+                        raise SolverError(
+                            f"population exceeded {POPULATION_ABORT} at t={(lo + k) * dt:.6g} "
+                            f"(|a1|^2={abs(a1) ** 2:.6g}, |a2|^2={abs(a2) ** 2:.6g}); reduce dt")
+        amp[:, lo:stop] = block
+        if b < n_blocks - 1:  # carry alpha and the memory derivative at stop - 1
+            f_prev = dt * (h[:, -1] + 0.5 * kmat[0] @ block[:, -1] + np.einsum(
+                "dij,jd->i", kmat[stop - lo - 1:0:-1], block[:, :-1]))
+            prev = block[:, -1]
             np.fft.rfft(amp[:, start:start + s].real, n=2 * s, out=a_hat[b, 0])
             np.fft.rfft(amp[:, start:start + s].imag, n=2 * s, out=a_hat[b, 1])
     return AtomTrajectory(grid=grid, alpha_1=amp[0, :n_nodes].copy(),
@@ -364,6 +363,7 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
                 v[:, -1] = 0.5 * dt * phase[n] * alphas[:, 0]
             # real and imaginary parts in one real product with the block
             sums[i] += np.concatenate([v.real, v.imag]) @ table[:stop - s]
+        del table  # one table alive at a time, whatever the allocator does with freed blocks
 
     snapshots = []
     for n, part in zip(nodes, sums):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crwqed.model import AtomTrajectory, SystemConfig, TimeGrid, WavefunctionState, initial_state
 from crwqed import spectrum
+from crwqed.cli import PRESETS
 from crwqed.dynamics import (
     _BLOCK,
     SolverError,
@@ -24,6 +25,8 @@ NO_BIC = SystemConfig(n_1=1, n_2=9, m_1=4, m_2=12)
 SHARED_LEG = SystemConfig(n_1=1, n_2=7, m_1=7, m_2=13)
 ASYMMETRIC = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.13, g_2=0.07,
                           omega_1=0.05, omega_2=-0.02)
+DETUNED = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.12, g_2=0.09,
+                       omega_c=0.1, omega_1=-0.2, omega_2=0.3)
 
 
 def test_unit_power_lookup():
@@ -176,7 +179,19 @@ def test_volterra_rejects_seeded_photon_field():
     (FIG3, "atom1"), (SHARED_LEG, "atom1"), (ASYMMETRIC, "atom2"), (FIG3, "antisymmetric"),
 ], ids=["fig3", "shared_leg", "asymmetric_atom2", "fig3_antisymmetric"])
 def test_volterra_block_history_matches_direct_sums(cfg, state, nodes):
-    # the blockwise FFT history sums reorder only the floating-point sums
+    # the block resolvent and the FFT history sums reorder only the
+    # floating-point sums of the direct scheme
+    _assert_matches_direct(cfg, state, nodes)
+
+
+@pytest.mark.parametrize("cfg, state", [(FIG3, "atom1"), (DETUNED, "symmetric")],
+                         ids=["fig3", "detuned_symmetric"])
+def test_volterra_matches_direct_sums_on_a_long_grid(cfg, state):
+    # 20 001 nodes: the resolvent error must not grow with the block count
+    _assert_matches_direct(cfg, state, 20_001)
+
+
+def _assert_matches_direct(cfg, state, nodes):
     grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
     assert grid.n_steps + 1 == nodes
     kernels = build_kernels(cfg, grid)
@@ -188,14 +203,73 @@ def test_volterra_block_history_matches_direct_sums(cfg, state, nodes):
     assert diff <= 1e-12
 
 
+_GEOMETRIES = {  # (n_1, n_2, m_1, m_2) as functions of the first leg and two gaps
+    "braided": lambda a, p, q: (a, a + p + q, a + p, a + 2 * p + q),
+    "nested": lambda a, p, q: (a, a + 2 * p + q, a + p, a + p + q),
+    "separate": lambda a, p, q: (a, a + p, a + p + q, a + 2 * p + q),
+    "shared_leg": lambda a, p, q: (a, a + p, a + p, a + p + q),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_GEOMETRIES)), st.integers(-5, 5), st.integers(1, 4),
+       st.integers(1, 4), st.floats(0.0, 0.2), st.floats(0.0, 0.2),
+       st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       st.sampled_from(["atom1", "atom2", "symmetric", "antisymmetric"]),
+       st.integers(2, 1100))
+def test_volterra_matches_direct_sums_on_random_systems(geometry, a, p, q, g_1, g_2, omegas,
+                                                        state, nodes):
+    n_1, n_2, m_1, m_2 = _GEOMETRIES[geometry](a, p, q)
+    omega_c, omega_1, omega_2 = omegas
+    cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, omega_c=omega_c,
+                       omega_1=omega_1, omega_2=omega_2, g_1=g_1, g_2=g_2)
+    _assert_matches_direct(cfg, state, nodes)
+
+
+def test_volterra_keeps_exact_zero_parts_on_the_fig3_preset():
+    # on resonance alpha_1 stays real and alpha_2 imaginary; FFTs of the
+    # complex values would leave rounding noise in the zero parts
+    scn = PRESETS["fig3"]
+    traj = solve_volterra(scn.cfg, initial_state("atom1", scn.cfg), scn.grid)
+    assert traj.alpha_1.size == 35_001
+    assert np.all(traj.alpha_1.imag == 0.0) and np.all(traj.alpha_2.real == 0.0)
+
+
 def test_volterra_aborts_when_a_population_exceeds_one():
+    # over 200/xi the resolvent overflows to inf, and every node of the FFT
+    # product is NaN: the abort must still name node 1 with its true values
     cfg = SystemConfig(n_1=1, n_2=3, m_1=2, m_2=4, g_1=20.0, g_2=20.0)
-    grid = TimeGrid(t_max=5.0, dt=0.1)
     psi0 = initial_state("atom1", cfg)
-    with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 "):
-        solve_volterra(cfg, psi0, grid)
-    with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 "):
-        volterra_direct(cfg, psi0, grid, build_kernels(cfg, grid))
+    for t_max in (5.0, 200.0):
+        grid = TimeGrid(t_max=t_max, dt=0.1)
+        with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 ") as fast:
+            solve_volterra(cfg, psi0, grid)
+        with pytest.raises(SolverError) as direct:
+            volterra_direct(cfg, psi0, grid, build_kernels(cfg, grid))
+        assert str(fast.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("limit, node, message", [
+    (0.52, 571, "population exceeded 0.52 at t=11.42 (|a1|^2=0.415356, |a2|^2=0.520082)"),
+    (0.65, 1424, "population exceeded 0.65 at t=28.48 (|a1|^2=0.291967, |a2|^2=0.650033)"),
+])
+def test_volterra_abort_inside_a_block(monkeypatch, limit, node, message):
+    # a population first passes `limit` at `node`, in a block after the first
+    # and away from its edges
+    import oracles
+    from crwqed import dynamics
+    assert node > _BLOCK and 0 < node % _BLOCK < _BLOCK - 1
+    monkeypatch.setattr(dynamics, "POPULATION_ABORT", limit)
+    monkeypatch.setattr(oracles, "POPULATION_ABORT", limit)
+    grid = TimeGrid(t_max=200.0, dt=0.02)
+    psi0 = initial_state("symmetric", ASYMMETRIC)
+    kernels = build_kernels(ASYMMETRIC, grid)
+    with pytest.raises(SolverError) as fast:
+        solve_volterra(ASYMMETRIC, psi0, grid, kernels)
+    with pytest.raises(SolverError) as direct:
+        volterra_direct(ASYMMETRIC, psi0, grid, kernels)
+    assert f"at t={node * grid.dt:.6g} " in message
+    assert str(fast.value) == str(direct.value) == message + "; reduce dt"
 
 
 @pytest.fixture(scope="module")
