@@ -77,6 +77,11 @@ def check_kernel_grid(cfg: SystemConfig, grid: TimeGrid) -> None:
         raise ConfigError(f"dt={grid.dt} too coarse for kernel tables; need dt <= 0.1/xi")
 
 
+def kernel_order_max(cfg: SystemConfig) -> int:
+    """Highest Bessel order of the memory kernels: the leg distances."""
+    return max(cfg.size_1, cfg.size_2, *cfg.cross_distances)
+
+
 def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     """Tabulate K_1, K_2 and K_c at every grid node.
 
@@ -87,8 +92,7 @@ def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     cfg = validate_config(cfg)
     check_kernel_grid(cfg, grid)
     taus = grid.times()
-    order_max = max(cfg.size_1, cfg.size_2, *cfg.cross_distances)
-    table = bessel_j_table(order_max, 2.0 * cfg.xi * taus)
+    table = bessel_j_table(kernel_order_max(cfg), 2.0 * cfg.xi * taus)
     phase = np.exp(-1j * cfg.omega_c * taus)
     k1 = phase * (table[:, 0] + unit_power(cfg.size_1) * table[:, cfg.size_1])
     k2 = phase * (table[:, 0] + unit_power(cfg.size_2) * table[:, cfg.size_2])

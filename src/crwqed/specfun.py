@@ -15,7 +15,8 @@ Each argument takes one of two routes, chosen by ``order_max`` and x alone:
   J_0(x) + 2 sum_{k>=1} J_2k(x) = 1, started far enough above max(n, x)
   that the seed contamination is below double precision.  Cost O(x +
   order_max) per argument; measured accuracy ~1e-14 relative for
-  n <= 64 up to x ~ 2000.
+  n <= 64 up to x ~ 2000, so a table that would send a larger argument
+  here (possible only for order_max > 1000) raises ValueError.
 
 Arguments below ``_SERIES_BELOW`` use the power series.
 """
@@ -41,6 +42,15 @@ _SERIES_BELOW = 0.01
 HANKEL_FROM = 25.0
 # The Hankel sums stop once every term is below this (P, Q ~ 1).
 _HANKEL_TERM_TOL = 1e-17
+# Largest argument Miller's recurrence is validated for; only order_max >
+# 1000 sends such arguments to it, and bessel_j_table refuses them.
+MILLER_X_MAX = 2000.0
+
+
+def miller_reach(order_max: int, x_max: float) -> float:
+    """Bound on the arguments Miller's route takes in a table of orders
+    0..order_max over arguments up to x_max."""
+    return min(x_max, max(HANKEL_FROM, 2.0 * order_max))
 
 
 def _start_order(order_max: int, x_max: float) -> int:
@@ -51,13 +61,13 @@ def _start_order(order_max: int, x_max: float) -> int:
     return m + (m % 2)
 
 
-def _series_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
-    """Power-series rows for small arguments; leading factors built
-    iteratively so high orders underflow to zero instead of overflowing."""
+def _series_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
+    """Fill ``rows`` with the power series for small arguments; leading
+    factors built iteratively so high orders underflow to zero instead of
+    overflowing."""
     half = xs / 2.0
     half_sq = half * half
     lead = np.ones_like(xs)
-    rows = np.zeros((xs.shape[0], order_max + 1))
     for n in range(order_max + 1):
         if n > 0:
             lead = lead * half / n
@@ -70,17 +80,16 @@ def _series_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
             if np.array_equal(acc, prev):
                 break
         rows[:, n] = acc
-    return rows
 
 
-def _miller_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
-    """Rows J_0(x)..J_order_max(x) for every x in xs (all x > 0)."""
+def _miller_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
+    """Fill ``rows`` with J_0(x)..J_order_max(x) for every x in xs (all
+    x > 0).  A rescale touches only the orders already stored."""
     n_x = xs.shape[0]
     m_start = _start_order(order_max, float(xs.max()))
     j_above = np.zeros(n_x)
     j_here = np.full(n_x, 1e-30)
     even_sum = np.zeros(n_x)
-    rows = np.zeros((n_x, order_max + 1))
     for m in range(m_start, 0, -1):
         j_below = (2.0 * m / xs) * j_here - j_above
         j_above = j_here
@@ -90,13 +99,12 @@ def _miller_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
             j_here[big] *= _RESCALE_BY
             j_above[big] *= _RESCALE_BY
             even_sum[big] *= _RESCALE_BY
-            rows[big] *= _RESCALE_BY
+            rows[np.flatnonzero(big), m:] *= _RESCALE_BY
         if m - 1 <= order_max:
             rows[:, m - 1] = j_here
         if (m - 1) > 0 and (m - 1) % 2 == 0:
             even_sum += 2.0 * j_here
     rows /= (j_here + even_sum)[:, None]
-    return rows
 
 
 def _hankel_pq(nu: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +131,10 @@ def _hankel_pq(nu: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             p += term if (k // 2) % 2 == 0 else -term
 
 
-def _hankel_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
-    """Rows J_0(x)..J_order_max(x) for x >= max(HANKEL_FROM, 2*order_max):
-    J_0, J_1 from the Hankel expansion, the rest by upward recurrence.
+def _hankel_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
+    """Fill ``rows`` with J_0(x)..J_order_max(x) for x >= max(HANKEL_FROM,
+    2*order_max): J_0, J_1 from the Hankel expansion, the rest by upward
+    recurrence.
     The phases come from cos x and sin x, with
     cos(x - pi/4) = (cos x + sin x)/sqrt 2 and
     cos(x - 3pi/4) = (sin x - cos x)/sqrt 2, so no large argument is
@@ -133,7 +142,6 @@ def _hankel_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
     c = np.cos(xs)
     s = np.sin(xs)
     amp = np.sqrt(1.0 / (np.pi * xs))
-    rows = np.empty((xs.shape[0], order_max + 1))
     p, q = _hankel_pq(0, xs)
     rows[:, 0] = amp * (p * (c + s) + q * (c - s))
     if order_max >= 1:
@@ -141,7 +149,6 @@ def _hankel_rows(order_max: int, xs: np.ndarray) -> np.ndarray:
         rows[:, 1] = amp * (p * (s - c) + q * (s + c))
     for n in range(1, order_max):
         rows[:, n + 1] = (2.0 * n / xs) * rows[:, n] - rows[:, n - 1]
-    return rows
 
 
 def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
@@ -152,6 +159,8 @@ def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
     <= 1e-16 absolute); smaller ones take Miller's downward recurrence
     (O(x + order_max) each, ~1e-14 relative), and x < 0.01 the power series.
     Which route an argument takes depends only on x and ``order_max``.
+    An argument above ``MILLER_X_MAX`` on Miller's route raises ValueError.
+    Every route writes its rows into the returned table.
 
     Parameters
     ----------
@@ -161,8 +170,9 @@ def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
         Non-negative arguments.
     chunk : int
         Arguments are processed in chunks so early (small-x) entries of a
-        long kernel table do not pay the recurrence depth of the largest x,
-        and the scratch of either route stays O(chunk * order_max).
+        long kernel table do not pay the recurrence depth of the largest x.
+        A chunk of non-consecutive arguments is filled through one
+        (chunk, order_max + 1) scratch array; consecutive ones need none.
 
     Returns
     -------
@@ -175,16 +185,24 @@ def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
         raise ValueError("xs must be one-dimensional")
     if (xs < 0.0).any():
         raise ValueError("negative argument: J_n is evaluated for x >= 0 only")
+    switch = max(HANKEL_FROM, 2.0 * order_max)
+    if switch > MILLER_X_MAX and ((xs > MILLER_X_MAX) & (xs < switch)).any():
+        raise ValueError(f"order_max={order_max} sends arguments above MILLER_X_MAX="
+                         f"{MILLER_X_MAX:g} to Miller's recurrence, which is validated "
+                         f"only up to there")
     out = np.zeros((xs.shape[0], order_max + 1))
     out[xs == 0.0, 0] = 1.0  # J_0(0) = 1, J_{n>=1}(0) = 0
     small = np.flatnonzero((xs > 0.0) & (xs < _SERIES_BELOW))
-    if small.size:
-        out[small] = _series_rows(order_max, xs[small])
-    switch = max(HANKEL_FROM, 2.0 * order_max)
     near = np.flatnonzero((xs >= _SERIES_BELOW) & (xs < switch))
     far = np.flatnonzero(xs >= switch)
-    for rows_of, idx_all in ((_miller_rows, near), (_hankel_rows, far)):
+    for fill, idx_all in ((_series_rows, small), (_miller_rows, near), (_hankel_rows, far)):
         for s in range(0, idx_all.size, chunk):
             idx = idx_all[s:s + chunk]
-            out[idx] = rows_of(order_max, xs[idx])
+            lo, hi = idx[0], idx[-1] + 1
+            if hi - lo == idx.size:  # consecutive arguments: fill out in place
+                fill(order_max, xs[lo:hi], out[lo:hi])
+            else:
+                rows = np.zeros((idx.size, order_max + 1))
+                fill(order_max, xs[idx], rows)
+                out[idx] = rows
     return out

@@ -8,6 +8,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from crwqed import bic, spectrum
+from crwqed.cli import _fmt
 from crwqed.dynamics import POPULATION_ABORT, KernelSet, SolverError
 from crwqed.model import AtomTrajectory, SystemConfig, validate_config
 from crwqed.specfun import bessel_j_table
@@ -23,6 +24,27 @@ def traced_peak(fn, *args, **kwargs) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def write_csv_reference(path, header, columns):
+    """The row-joining CSV writer that the block kernel of
+    ``cli.write_csv`` replaced: every float-array cell through Python's
+    ``"%.15g" %``, every other cell through ``cli._fmt`` (str cells
+    unchanged), rows joined with commas and written as UTF-8 text.  Its
+    files are the byte-for-byte reference for ``cli.write_csv``."""
+    def cells(column):
+        if isinstance(column, np.ndarray):
+            if column.dtype.kind == "f":
+                return ["%.15g" % x for x in column.tolist()]
+            column = column.tolist()
+        return [x if type(x) is str else _fmt(x) for x in column]
+
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length {lengths} for {path}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*(cells(c) for c in columns)))
 
 
 def series_oracle(n: int, x: float, digits: int = 60) -> float:

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crwqed import cli
 from crwqed.model import ConfigError
@@ -208,6 +209,114 @@ def test_write_csv_scratch_does_not_grow_with_rows(tmp_path):
     cols = [np.linspace(0.0, 1.0, 100_000) * (k + 1) for k in range(7)]
     peak = traced_peak(cli.write_csv, tmp_path / "big.csv", [f"c{k}" for k in range(7)], cols)
     assert peak < 10 * 2 ** 20
+
+
+def _float_cell_mismatches(path, values) -> list:
+    """(value, written, expected) for every cell that ``write_csv`` writes
+    differently from ``"%.15g" % value``."""
+    values = np.asarray(values, dtype=float)
+    cli.write_csv(path, ("x",), (values,))
+    written = path.read_bytes().decode().split("\n")[1:-1]
+    expected = ["%.15g" % x for x in values.tolist()]
+    assert len(written) == len(expected)
+    return [(x, w, e) for x, w, e in zip(values.tolist(), written, expected) if w != e]
+
+
+def _log_uniform(rng, size):
+    signs = rng.choice([-1.0, 1.0], size)
+    return signs * np.exp(rng.uniform(math.log(1e-320), math.log(1e308), size))
+
+
+def test_float_cells_match_python_format_on_a_million_doubles(tmp_path):
+    rng = np.random.default_rng(20261018)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ints = np.floor(rng.uniform(0.0, 1e17, 150_000))
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 300_000, dtype=np.uint64).view(np.float64),  # both signs
+        _log_uniform(rng, 300_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+        ints, np.floor(rng.uniform(0.0, 1e15, 150_000)) + 0.5,
+        np.arange(100_000) * 0.02,
+        [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e15, 999999999999999.5,
+         1e-4, 1e-5, 1e16, 1e250, 1e-250, 9.999999999999995e14, 0.30000000000000004],
+    ])
+    assert values.size >= 1_000_000
+    assert _float_cell_mismatches(tmp_path / "sweep.csv", values) == []
+
+
+def test_float_cell_sweep_catches_a_dropped_low_part(tmp_path, monkeypatch):
+    # the same log-uniform sweep must fail when 10**k loses its low part
+    tables = dict(cli._kernel_tables())
+    tables["pow10"] = tables["pow10"].copy()
+    tables["pow10"][3] = 0.0
+    monkeypatch.setattr(cli, "_kernel_tables", lambda: tables)
+    values = _log_uniform(np.random.default_rng(20261018), 200_000)
+    assert len(_float_cell_mismatches(tmp_path / "mutant.csv", values)) > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=50))
+def test_float_cells_match_python_format_property(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("prop") / "cells.csv"
+    assert _float_cell_mismatches(path, values) == []
+
+
+MIXED_COLUMNS = (
+    np.array([0.1, -2.5e-300, np.inf, 3.0, 1e22, -0.0, 7e-5, np.nan, 1.0, 2.0, 0.02]),
+    np.arange(11, dtype=np.int64) - 5,
+    np.array([True, False] * 5 + [True]),
+    ["", "٣", "a,b", "", "é", "x", "", "", "y", "", "z"],
+    [0.5, 1, "s", True, 2.5e-8, None, -3, 1e300, "", 4.0, 0.1],
+    range(11),
+    np.linspace(-1.0, 1.0, 11, dtype=np.float32),
+)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4, 5, 11])
+def test_mixed_blocks_match_the_reference_writer(tmp_path, monkeypatch, rows):
+    from oracles import write_csv_reference
+    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+    header = [f"c{k}" for k in range(len(MIXED_COLUMNS))]
+    columns = [c[:rows] for c in MIXED_COLUMNS]
+    cli.write_csv(tmp_path / "kernel.csv", header, columns)
+    write_csv_reference(tmp_path / "reference.csv", header, columns)
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "kernel.csv").read_bytes().count(b"\n") == rows + 1
+
+
+def test_files_without_float_arrays_never_call_the_kernel(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_float_cells", None)  # must not be reached
+    run_census(tmp_path)
+    run_sweep(tmp_path, "delta", [1, 2], with_dynamics=True, t_max=20.0)
+    assert (tmp_path / "census.csv").exists() and (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_csv_keeps_a_non_ascii_value(tmp_path):
+    assert main(["sweep", "--vary", "delta", "--values", "٣,2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_bytes().decode("utf-8").splitlines()
+    assert lines[1].startswith("delta,٣,2,") and lines[2].startswith("delta,2,")
+
+
+@pytest.mark.parametrize("preset, n_c", [("fig3", 80), ("fig4", 200)])
+def test_every_csv_matches_the_reference_writer(tmp_path, monkeypatch, preset, n_c):
+    from oracles import write_csv_reference
+    scn = load_scenario(preset, t_max=40.0, n_c=n_c)
+    with pytest.warns(UserWarning, match="wavefront"):
+        run_scenario(scn, tmp_path / "kernel")
+    run_census(tmp_path / "kernel")
+    run_sweep(tmp_path / "kernel", "delta", [1, 2], with_dynamics=True, t_max=20.0)
+    monkeypatch.setattr(cli, "write_csv", write_csv_reference)
+    with pytest.warns(UserWarning, match="wavefront"):
+        run_scenario(scn, tmp_path / "reference")
+    run_census(tmp_path / "reference")
+    run_sweep(tmp_path / "reference", "delta", [1, 2], with_dynamics=True, t_max=20.0)
+    names = sorted(p.name for p in (tmp_path / "kernel").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
+    assert {"spectrum.csv", "dynamics.csv", "mtrace.csv", "field.csv", "census.csv",
+            "sweep.csv"} <= set(names)
+    for name in names:
+        assert (tmp_path / "kernel" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
 
 
 def _counting(monkeypatch, module, name):
@@ -458,3 +567,21 @@ def test_manifest_records_and_reemits_warnings(tmp_path):
     assert saved["warnings"] == manifest["warnings"]
     quiet = run_scenario(load_scenario("fig3", t_max=40.0), tmp_path / "q")
     assert quiet["warnings"] == []
+
+
+def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    from crwqed import dynamics, spectrum
+    monkeypatch.setattr(spectrum, "build_hamiltonian", None)  # must not be reached
+    monkeypatch.setattr(spectrum, "eigendecompose", None)
+    monkeypatch.setattr(dynamics, "bessel_j_table", None)
+    cfgfile = tmp_path / "long.cfg"  # leg span 1100: kernel orders up to 1100
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 1101\n"
+                       "t_max = 1100\ndt = 0.02\nn_c = 1200\n")
+    with pytest.raises(ConfigError, match="Miller"):
+        load_scenario(str(cfgfile))
+    for command in ("run", "dynamics", "field"):
+        assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "above 2000" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()

@@ -420,9 +420,9 @@ def test_tables_send_miller_only_arguments_below_the_switch(fig3_short, monkeypa
     grid, traj, _ = fig3_short
     miller = []
     original_miller = specfun._miller_rows
-    def recording_miller(order_max, xs):
+    def recording_miller(order_max, xs, rows):
         miller.append((order_max, float(xs.max())))
-        return original_miller(order_max, xs)
+        original_miller(order_max, xs, rows)
     monkeypatch.setattr(specfun, "_miller_rows", recording_miller)
     shapes = []
     def recording_table(order_max, xs):

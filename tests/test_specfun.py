@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bessel_j, bessel_j_row, bessel_reference, series_oracle
+from oracles import bessel_j, bessel_j_row, bessel_reference, series_oracle, traced_peak
 
 from crwqed import specfun
 from crwqed.specfun import HANKEL_FROM, bessel_j_table
@@ -100,8 +100,9 @@ def test_hankel_route_matches_miller_on_preset_grids(t_max, order_max):
     far = xs >= _switch(order_max)
     assert far.sum() > 0.9 * xs.size
     table = bessel_j_table(order_max, xs[far])
-    miller = np.vstack([specfun._miller_rows(order_max, xs[far][s:s + 4096])
-                        for s in range(0, int(far.sum()), 4096)])
+    miller = np.zeros_like(table)
+    for s in range(0, miller.shape[0], 4096):
+        specfun._miller_rows(order_max, xs[far][s:s + 4096], miller[s:s + 4096])
     assert np.abs(table - miller).max() <= 5e-15
 
 
@@ -143,3 +144,29 @@ def test_bounded_by_one():
     xs = np.linspace(0.0, 120.0, 241)
     table = bessel_j_table(40, xs)
     assert np.abs(table).max() <= 1.0 + 1e-14
+
+
+def test_table_is_filled_in_place():
+    # the field-norm check's first block: order 439 over 2048 grid arguments
+    xs = 0.04 * np.arange(2048)
+    table = bessel_j_table(439, xs)
+    assert traced_peak(bessel_j_table, 439, xs) <= 1.25 * table.nbytes
+
+
+def test_scattered_arguments_fill_the_same_rows():
+    # non-consecutive arguments of a route go through one scratch chunk
+    xs = np.random.default_rng(7).uniform(0.0, 60.0, 300)
+    xs[:5] = [0.0, 0.004, 0.009, 45.0, 40.0]  # zero, series, Hankel at the switch
+    order = np.argsort(xs)
+    assert np.array_equal(bessel_j_table(20, xs)[order], bessel_j_table(20, xs[order]))
+
+
+def test_miller_route_refuses_arguments_beyond_its_validated_range():
+    assert specfun.MILLER_X_MAX == 2000.0
+    with pytest.raises(ValueError, match="MILLER_X_MAX"):
+        bessel_j_table(1100, [1.0, 2000.5])
+    # 2300 takes the Hankel route at order 1100 (switch 2200); 1500 is in range
+    table = bessel_j_table(1100, [1500.0, 2300.0])
+    assert np.isfinite(table).all()
+    assert specfun.miller_reach(1100, 2300.0) == 2200.0
+    assert specfun.miller_reach(9, 1400.0) == 25.0
