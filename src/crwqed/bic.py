@@ -35,8 +35,6 @@ from .model import ConfigError, SystemConfig, validate_config
 # Exclusion zone at the band edges for the root scan; chi - chi* vanishes at
 # the edges and genuine BICs sit near band center.
 EDGE_EXCLUSION = 1e-4
-# Minimum distance from a band edge at which the residual is defined.
-EDGE_GUARD = 1e-6
 DEFAULT_SCAN_INTERVALS = 4000
 BISECTION_TOL = 1e-10
 # Roots from the two parity branches closer than this are one degenerate root.
@@ -90,42 +88,9 @@ def _bracket(E, cfg: SystemConfig, branch: int):
     return num / (np.conj(ch) - ch)
 
 
-def _bracket_shift_direct(E, cfg: SystemConfig, branch: int):
-    """Real part of the bracket from the sine form; used as a consistency
-    check on the complex-power evaluation."""
-    theta = np.arccos((np.asarray(E) - cfg.omega_c) / (2.0 * cfg.xi))
-    big_n = cfg.size_1
-    num = 2.0 * (-1.0) ** (big_n + 1) * np.sin(big_n * theta)
-    for p in cfg.cross_distances:
-        num = num + branch * (-1.0) ** (p + 1) * np.sin(p * theta)
-    return num / (2.0 * np.sin(theta))
-
-
 def _residual_grid(E, cfg: SystemConfig, branch: int):
     shift = _bracket(E, cfg, branch).real
     return np.asarray(E) - cfg.omega_1 - (cfg.g_1 ** 2 / cfg.xi) * shift
-
-
-def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
-    """Residual f_s(E) of the in-band eigenvalue equation for parity branch
-    s = +-1 (A_1 = s A_2).
-
-    ``E`` must lie in the band at least 1e-6 xi from either edge.  The
-    Hermitian shift is evaluated twice (complex powers and sine form) and
-    the two must agree to 1e-10 relative, a guard against branch-cut
-    mistakes in the complex evaluation.
-    """
-    cfg = _require_symmetric(cfg)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E <= cfg.band_top - EDGE_GUARD * cfg.xi):
-        raise ValueError(f"E={E} is outside the band or within {EDGE_GUARD} xi of an edge")
-    shift = float(_bracket(E, cfg, branch).real)
-    direct = float(_bracket_shift_direct(E, cfg, branch))
-    if abs(shift - direct) > 1e-10 * max(abs(shift), 1.0):
-        raise AssertionError(
-            f"Hermitian shift disagreement at E={E}: {shift} vs {direct}")
-    return E - cfg.omega_1 - (cfg.g_1 ** 2 / cfg.xi) * shift
 
 
 @dataclass(frozen=True)
@@ -155,71 +120,41 @@ def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer of |f| on [a, b]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = abs(f(c)), abs(f(d))
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = abs(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = abs(f(d))
-    return 0.5 * (a + b)
-
-
-def _branch_roots(cfg: SystemConfig, branch: int, n_scan: int) -> list[tuple[float, float]]:
-    """(energy, |f|) roots of one parity branch from a uniform bracket scan
-    plus bisection; even-order touches are caught by refining interior dips
-    of |f|."""
+def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
+    """(energy, |f|) roots of one parity branch: every scan node where f is
+    exactly 0, and a bisection in every scan interval where f changes sign."""
     lo = cfg.band_bottom + EDGE_EXCLUSION * cfg.xi
     hi = cfg.band_top - EDGE_EXCLUSION * cfg.xi
-    grid = np.linspace(lo, hi, n_scan + 1)
+    grid = np.linspace(lo, hi, DEFAULT_SCAN_INTERVALS + 1)
     vals = _residual_grid(grid, cfg, branch)
     f = lambda e: float(_residual_grid(e, cfg, branch))
     tol = BISECTION_TOL * cfg.xi
 
     roots: list[tuple[float, float]] = []
-    for i in range(n_scan):
-        if vals[i] == 0.0:
+    zero = vals[:-1] == 0.0
+    for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)):
+        if zero[i]:
             roots.append((float(grid[i]), 0.0))
-        elif vals[i] * vals[i + 1] < 0.0:
+        else:
             e = _bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]), tol)
             roots.append((e, abs(f(e))))
-    # interior |f| minima that do not change sign: possible even-order touch
-    absv = np.abs(vals)
-    for i in range(1, n_scan):
-        if absv[i] < absv[i - 1] and absv[i] < absv[i + 1] and absv[i] < 1e-4 * cfg.xi:
-            if vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0:
-                e = _golden_min(f, float(grid[i - 1]), float(grid[i + 1]), tol)
-                fe = abs(f(e))
-                if fe <= 1e-8 * cfg.xi:
-                    roots.append((e, fe))
-    roots.sort()
-    # collapse duplicates from adjacent scan cells
+    # roots ascend with the scan; collapse duplicates from adjacent scan cells
     dedup: list[tuple[float, float]] = []
     for e, fe in roots:
         if dedup and abs(e - dedup[-1][0]) <= DEGENERATE_MERGE * cfg.xi:
             continue
         dedup.append((e, fe))
-    width = (hi - lo) / n_scan
+    width = (hi - lo) / DEFAULT_SCAN_INTERVALS
     for (e1, _), (e2, _) in zip(dedup, dedup[1:]):
         if e2 - e1 < 2.0 * width:
             warnings.warn(
                 f"roots at E={e1:.6g} and E={e2:.6g} are closer than two scan "
-                f"intervals; increase n_scan for reliable separation", stacklevel=3)
+                f"intervals ({2.0 * width:.3g}); the scan may miss roots between them",
+                stacklevel=3)
     return dedup
 
 
-def find_bic_roots(
-    cfg: SystemConfig,
-    n_scan: int = DEFAULT_SCAN_INTERVALS,
-) -> list[BicRoot]:
+def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
     """All in-band bound states, both parity branches.
 
     Roots of the two branches are merged when they coincide within 1e-8 xi.
@@ -233,7 +168,7 @@ def find_bic_roots(
     cfg = _require_symmetric(cfg)
     if cfg.g_1 == 0.0:
         return []
-    per_branch = {s: _branch_roots(cfg, s, n_scan) for s in BRANCHES}
+    per_branch = {s: _branch_roots(cfg, s) for s in BRANCHES}
 
     # merge across branches
     merged: list[dict] = []
@@ -293,12 +228,7 @@ class CensusRow:
         return tuple(r.energy for r in self.roots)
 
 
-def bic_census(
-    size: int,
-    delta_list,
-    g: float = 0.1,
-    n_scan: int = DEFAULT_SCAN_INTERVALS,
-) -> list[CensusRow]:
+def bic_census(size: int, delta_list, g: float = 0.1) -> list[CensusRow]:
     """Bound-state count and energies for braided geometries of equal atom
     size over a list of integral leg offsets delta (0 < delta < size, else
     ConfigError), at the default band and atomic frequencies."""
@@ -311,7 +241,7 @@ def bic_census(
             raise ConfigError(f"braided geometry needs 0 < delta < size, got delta={delta}")
         cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
                            g_1=g, g_2=g)
-        roots = find_bic_roots(cfg, n_scan=n_scan)
+        roots = find_bic_roots(cfg)
         rows.append(CensusRow(
             size=size, delta=delta,
             n_bic=sum(r.multiplicity for r in roots),

@@ -1,13 +1,18 @@
 """Command-line front end: presets, scenario runs, census, sweeps.
 
-Artifacts are plain CSV (comma separator, header row, 15 significant
-digits, no locale) and JSON; reruns with identical configuration produce
-byte-identical CSV bodies.  Every float cell reads exactly as Python's
-``"%.15g" % x``: float-array columns are formatted a block of rows at a
-time by one numpy kernel (``_float_cells``), which leaves non-finite
-values, |x| outside [1e-250, 1e250) other than zero, and values near a
-rounding tie to Python itself.  Exit codes: 0 success, 1 configuration
-error, 2 solver error, 3 tolerance-check failure (with ``--check``).
+Every scenario command (``run``, ``spectrum``, ``bic``, ``dynamics``,
+``field``) is one ``run_scenario`` call with the command's stage set from
+``COMMAND_STAGES``, so each writes ``manifest.json`` with its stages,
+checks and warnings.  Artifacts are plain CSV (comma separator, header
+row, 15 significant digits, no locale) and JSON; reruns with identical
+configuration produce byte-identical CSV bodies.  Every float cell reads
+exactly as Python's ``"%.15g" % x``: float-array columns are formatted a
+block of rows at a time by one numpy kernel (``_float_cells``), which
+leaves non-finite values, |x| outside [1e-250, 1e250) other than zero,
+and values near a rounding tie to Python itself.  Exit codes: 0 success,
+1 configuration error, 2 solver error (a ``SolverError`` only; any other
+exception is a bug and propagates), 3 tolerance-check failure (with
+``--check``).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 from . import __version__, bic, dynamics, specfun, spectrum
 from .model import (
     ConfigError,
+    SolverError,
     SystemConfig,
     TimeGrid,
     config_from_mapping,
@@ -43,28 +49,31 @@ FIELD_WINDOW_PAD = 20
 NORM_CHECK_PAD = 30
 
 
+# Every scenario starts with the excitation in atom 1.
+INITIAL_STATE = "atom1"
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
     cfg: SystemConfig
     grid: TimeGrid
     n_c: int
-    psi0: str = "atom1"
-    snapshot_times: tuple[float, ...] = ()
     checks: tuple[str, ...] = ()
 
+    @property
+    def snapshot_times(self) -> tuple[float, ...]:
+        """Field snapshot times: the grid nodes nearest 0, 1/4, 1/2, 3/4
+        and 1 of the horizon."""
+        grid = self.grid
+        return tuple(round(f * grid.t_end / grid.dt) * grid.dt
+                     for f in (0.0, 0.25, 0.5, 0.75, 1.0))
 
-def _snapshot_stops(grid: TimeGrid) -> tuple[float, ...]:
-    """Field snapshot times: the grid nodes nearest 0, 1/4, 1/2, 3/4 and 1
-    of the horizon."""
-    return tuple(round(f * grid.t_end / grid.dt) * grid.dt for f in (0.0, 0.25, 0.5, 0.75, 1.0))
 
-
-def _preset(name, legs, t_max, n_c, checks=(), dt=0.02):
+def _preset(name, legs, t_max, n_c, checks=()):
     cfg = SystemConfig(n_1=legs[0], n_2=legs[1], m_1=legs[2], m_2=legs[3])
-    grid = TimeGrid(t_max=t_max, dt=dt)
-    return Scenario(name=name, cfg=cfg, grid=grid, n_c=n_c,
-                    snapshot_times=_snapshot_stops(grid), checks=tuple(checks))
+    return Scenario(name=name, cfg=cfg, grid=TimeGrid(t_max=t_max, dt=0.02), n_c=n_c,
+                    checks=tuple(checks))
 
 
 PRESETS = {
@@ -334,14 +343,13 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
             grid = TimeGrid(t_max=200.0, dt=0.02)
         scn = Scenario(
             name=os.path.splitext(os.path.basename(target))[0],
-            cfg=cfg, grid=grid, n_c=file_n_c if file_n_c is not None else 600,
-            snapshot_times=_snapshot_stops(grid))
+            cfg=cfg, grid=grid, n_c=file_n_c if file_n_c is not None else 600)
     else:
         raise ConfigError(f"{target!r} is neither a preset {sorted(PRESETS)} nor a config file")
     if dt is not None or t_max is not None:
         grid = TimeGrid(t_max=t_max if t_max is not None else scn.grid.t_max,
                         dt=dt if dt is not None else scn.grid.dt)
-        scn = replace(scn, grid=grid, snapshot_times=_snapshot_stops(grid))
+        scn = replace(scn, grid=grid)
     if n_c is not None:
         scn = replace(scn, n_c=n_c)
     dynamics.check_kernel_grid(scn.cfg, scn.grid)
@@ -370,7 +378,7 @@ def _check_bessel_range(scn: Scenario) -> None:
 
 def _config_payload(scn: Scenario) -> dict:
     return {"config": asdict(scn.cfg), "t_max": scn.grid.t_max, "dt": scn.grid.dt,
-            "n_c": scn.n_c, "initial_state": scn.psi0}
+            "n_c": scn.n_c, "initial_state": INITIAL_STATE}
 
 
 def _roots_payload(cfg, roots):
@@ -388,17 +396,10 @@ def _roots_payload(cfg, roots):
     return payload
 
 
-def _lattice(cfg, n_c):
-    """The chain sites, the eigenbasis and the classified states.  The
-    dense Hamiltonian is freed once diagonalized."""
-    ham = spectrum.build_hamiltonian(cfg, n_c)
-    basis = spectrum.eigendecompose(ham)
-    return ham.sites, basis, spectrum.classify_bound_states(basis, cfg)
-
-
 def _field_window(cfg):
     """Sites of the photon-field plot window around the legs."""
-    return np.arange(cfg.n_1 - FIELD_WINDOW_PAD, cfg.m_2 + FIELD_WINDOW_PAD + 1)
+    first, last = cfg.outer_legs
+    return np.arange(first - FIELD_WINDOW_PAD, last + FIELD_WINDOW_PAD + 1)
 
 
 def _norm_check_window(cfg, grid):
@@ -406,10 +407,11 @@ def _norm_check_window(cfg, grid):
     every site the light cone can have reached, plus a pad."""
     t_check = round(min(200.0, grid.t_end) / grid.dt) * grid.dt
     reach = int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
-    return t_check, np.arange(cfg.n_1 - reach, cfg.m_2 + reach + 1)
+    first, last = cfg.outer_legs
+    return t_check, np.arange(first - reach, last + reach + 1)
 
 
-# ---- artifact writers, shared by run_scenario and the partial commands ----
+# ---- artifact writers of the run_scenario stages ----
 
 def _write_spectrum(out_dir, sites, profiles):
     """spectrum.csv, plus profile_<index>.csv for every BIC and BOC."""
@@ -425,12 +427,12 @@ def _write_spectrum(out_dir, sites, profiles):
                       (sites, p.photon))
 
 
-def _write_dynamics(out_dir, trajectory, deficits=None):
+def _write_dynamics(out_dir, trajectory, deficits):
     """dynamics.csv; ``deficits`` maps grid nodes to field-norm deficits,
     the other rows leave that column empty."""
     times = trajectory.grid.times()
     deficit_col = [""] * times.size
-    for n, value in (deficits or {}).items():
+    for n, value in deficits.items():
         deficit_col[n] = value
     a1, a2 = trajectory.alpha_1, trajectory.alpha_2
     write_csv(os.path.join(out_dir, "dynamics.csv"),
@@ -482,23 +484,41 @@ def _info(name, value) -> dict:
     return {"name": name, "value": _native(value), "threshold": None, "passed": None}
 
 
-def run_scenario(scn: Scenario, out_dir) -> dict:
-    """Full pipeline for one scenario; returns the manifest dict.
+# The stages of a scenario run, in pipeline order, and the stages each
+# scenario command runs: the partial commands are subsets of ``run``.
+STAGES = ("lattice", "bic_roots", "volterra", "exact_propagate", "photon_field",
+          "field_norm_check", "scenario_checks", "write_artifacts")
+COMMAND_STAGES = {
+    "run": STAGES,
+    "spectrum": ("lattice", "write_artifacts"),
+    "bic": ("bic_roots", "write_artifacts"),
+    "dynamics": ("volterra", "write_artifacts"),
+    "field": ("volterra", "photon_field", "write_artifacts"),
+}
 
-    Every stage runs once: the lattice is diagonalized a single time and its
-    eigenbasis and classified states feed the exact propagation, the
-    steady-state projection and the count the closed-form roots are checked
-    against (the roots themselves need no lattice).  Every warning raised by
-    the stages is recorded in ``manifest["warnings"]`` (category and
-    message) and then re-emitted.  ``manifest["stages"]`` lists the stages
-    in order with their wall time, problem sizes and the process peak RSS
-    at their end.
+
+def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
+    """The stages of one scenario command, one of the ``COMMAND_STAGES``
+    sets (``STAGES``, the default, for ``run``); returns the manifest dict.
+
+    Every stage runs once: the lattice is diagonalized a single time and
+    its eigenbasis and classified states feed the exact propagation, the
+    steady-state projection and the count the closed-form roots are
+    checked against (the roots themselves need no lattice).  A check is
+    recorded only when every stage it reads ran, and ``write_artifacts``
+    writes the files of the stages that ran.  Every warning raised by the
+    stages is recorded in ``manifest["warnings"]`` (category and message)
+    and then re-emitted.  ``manifest["stages"]`` lists the stages in order
+    with their wall time, problem sizes and the process peak RSS at their
+    end.
     """
+    if stages not in COMMAND_STAGES.values():
+        raise ValueError(f"{stages!r} is not the stage set of a scenario command")
     started = time.monotonic()
     out_dir = _prepare_out_dir(out_dir)
-    stages: list[dict] = []
+    records: list[dict] = []
     with warnings.catch_warnings(record=True) as caught:
-        checks = _scenario_stages(scn, out_dir, stages)
+        checks = _scenario_stages(scn, out_dir, stages, records)
     # recorded for the manifest, then shown as if never caught
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
@@ -509,7 +529,7 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
         "versions": {"crwqed": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": time.monotonic() - started,
-        "stages": stages,
+        "stages": records,
         "checks": checks,
         "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                      for w in caught],
@@ -520,120 +540,146 @@ def run_scenario(scn: Scenario, out_dir) -> dict:
 
 
 @contextmanager
-def _stage(stages: list, name: str, **sizes):
-    """Append the record of one pipeline stage to ``stages``: its name, wall
-    time, problem sizes and the process high-water RSS read at its end."""
+def _stage(records: list, name: str, **sizes):
+    """Append the record of one pipeline stage to ``records``: its name,
+    wall time, problem sizes and the process high-water RSS read at its
+    end."""
     start = time.perf_counter()
     yield
     wall = time.perf_counter() - start
-    stages.append({"name": name, "wall_s": wall, "sizes": sizes,
-                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+    records.append({"name": name, "wall_s": wall, "sizes": sizes,
+                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
 
 
-def _scenario_stages(scn: Scenario, out_dir, stages: list) -> list[dict]:
-    """Every stage of ``run_scenario`` up to the manifest: writes the
-    artifacts, appends one record per stage to ``stages`` and returns the
-    checks."""
+def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict]:
+    """The ``stages`` of ``run_scenario`` up to the manifest: writes the
+    artifacts, appends one record per stage to ``records`` and returns the
+    checks.  The full set runs ``bic_roots`` only where the closed form
+    applies (symmetric resonant, g > 0); the ``bic`` command runs it
+    regardless, and an asymmetric configuration is a ConfigError there."""
     cfg = validate_config(scn.cfg)
+    if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
+        stages = tuple(name for name in STAGES if name != "bic_roots")
     grid = scn.grid
+    psi0 = initial_state(INITIAL_STATE, cfg)
     checks: list[dict] = []
 
-    with _stage(stages, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
-        sites, basis, profiles = _lattice(cfg, scn.n_c)
-        bics = spectrum.bound_states(profiles, "BIC")
+    if "lattice" in stages:
+        with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
+            ham = spectrum.build_hamiltonian(cfg, scn.n_c)
+            sites, basis = ham.sites, spectrum.eigendecompose(ham)
+            del ham  # the dense Hamiltonian is freed once diagonalized
+            profiles = spectrum.classify_bound_states(basis, cfg)
+            bics = spectrum.bound_states(profiles, "BIC")
 
     # closed-form bound states (symmetric resonant geometries only)
-    roots = None
-    if cfg.symmetric_resonant and cfg.g_1 > 0.0:
-        with _stage(stages, "bic_roots"):
+    if "bic_roots" in stages:
+        with _stage(records, "bic_roots"):
             roots = bic.find_bic_roots(cfg)
             worst = max((r.residual for r in roots), default=0.0)
             checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi,
                                  worst <= 1e-8 * cfg.xi))
-            n_closed = sum(r.multiplicity for r in roots)
-            checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
-                                 n_closed == len(bics)))
+            if "lattice" in stages:
+                n_closed = sum(r.multiplicity for r in roots)
+                checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
+                                     n_closed == len(bics)))
 
     # beyond-Markovian dynamics
-    with _stage(stages, "volterra", n_steps=grid.n_steps):
-        kernels = dynamics.build_kernels(cfg, grid)
-        psi0 = initial_state(scn.psi0, cfg)
-        trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
-        trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
-        pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())
-        bound_lim = 1.0 + 10.0 * grid.dt * cfg.xi
-        checks.append(_check("population_bound", pop_bound, bound_lim, pop_bound <= bound_lim))
-        tdr = trace.trace_determinant_residual()
-        checks.append(_check("trace_determinant_identity", tdr, 1e-10, tdr <= 1e-10))
-        # non-decaying eigenvalue traces <-> bound states in the continuum;
-        # needs the memory integrals to have settled, so gate on the horizon
-        if grid.t_end >= 150.0 / cfg.xi:
-            non_decaying = sum(abs(lam[-1].imag) <= 1e-3 * cfg.xi
-                               for lam in (trace.lambda_1, trace.lambda_2))
-            checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
-                                 non_decaying == len(bics)))
+    if "volterra" in stages:
+        with _stage(records, "volterra", n_steps=grid.n_steps):
+            kernels = dynamics.build_kernels(cfg, grid)
+            trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
+            trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
+            pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())
+            bound_lim = 1.0 + 10.0 * grid.dt * cfg.xi
+            checks.append(_check("population_bound", pop_bound, bound_lim,
+                                 pop_bound <= bound_lim))
+            tdr = trace.trace_determinant_residual()
+            checks.append(_check("trace_determinant_identity", tdr, 1e-10, tdr <= 1e-10))
+            # non-decaying eigenvalue traces <-> bound states in the continuum;
+            # needs the memory integrals to have settled, so gate on the horizon
+            if "lattice" in stages and grid.t_end >= 150.0 / cfg.xi:
+                non_decaying = sum(abs(lam[-1].imag) <= 1e-3 * cfg.xi
+                                   for lam in (trace.lambda_1, trace.lambda_2))
+                checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
+                                     non_decaying == len(bics)))
+        del kernels  # no later stage reads the kernel tables
 
     # numerically exact propagation on the finite lattice
-    with _stage(stages, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
-                snapshots=len(scn.snapshot_times)):
-        exact_traj, exact_snaps = spectrum.exact_propagate(
-            cfg, psi0, grid, basis, snapshot_times=scn.snapshot_times)
-        deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
-                        + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
-                        + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
-        worst_exact = max(deficits, default=0.0)
-        checks.append(_check("exact_norm_deficit", worst_exact, 1e-10, worst_exact <= 1e-10))
+    if "exact_propagate" in stages:
+        with _stage(records, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
+                    snapshots=len(scn.snapshot_times)):
+            exact_traj, exact_snaps = spectrum.exact_propagate(
+                cfg, psi0, grid, basis, snapshot_times=scn.snapshot_times)
+            deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
+                            + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
+                            + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
+            worst_exact = max(deficits, default=0.0)
+            checks.append(_check("exact_norm_deficit", worst_exact, 1e-10,
+                                 worst_exact <= 1e-10))
 
-        # Volterra vs exact, restricted to times free of edge reflections
-        span = cfg.m_2 - cfg.n_1
-        t_valid = min(grid.t_end, (scn.n_c - span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
-        n_valid = int(t_valid / grid.dt)
-        diff = max(np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
-                   np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
-        checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2,
-                             diff <= 1e-2))
+            # Volterra vs exact, restricted to times free of edge reflections
+            t_valid = min(grid.t_end,
+                          (scn.n_c - cfg.span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
+            n_valid = int(t_valid / grid.dt)
+            diff = max(
+                np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
+                np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
+            checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2,
+                                 diff <= 1e-2))
+        del basis  # no later stage reads the eigenvectors
 
     # photon field over the plot window, plus a wide-window unitarity check
-    window = _field_window(cfg)
-    with _stage(stages, "photon_field", sites=int(window.size),
-                order_max=dynamics.field_order_max(cfg, window),
-                arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
-        snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
-    t_check, wide = _norm_check_window(cfg, grid)
-    with _stage(stages, "field_norm_check", sites=int(wide.size),
-                order_max=dynamics.field_order_max(cfg, wide), arg_max=2.0 * cfg.xi * t_check):
-        wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
-        deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
-        checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2,
-                             deficit <= 1e-2))
+    if "photon_field" in stages:
+        window = _field_window(cfg)
+        with _stage(records, "photon_field", sites=int(window.size),
+                    order_max=dynamics.field_order_max(cfg, window),
+                    arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
+            snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
+    deficit_at = {}
+    if "field_norm_check" in stages:
+        t_check, wide = _norm_check_window(cfg, grid)
+        with _stage(records, "field_norm_check", sites=int(wide.size),
+                    order_max=dynamics.field_order_max(cfg, wide),
+                    arg_max=2.0 * cfg.xi * t_check):
+            wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
+            deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
+            checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2,
+                                 deficit <= 1e-2))
+            deficit_at = {grid.node(t_check): deficit}
 
-    with _stage(stages, "scenario_checks"):
-        if "rabi" in scn.checks and roots is not None and len(roots) == 2:
-            expected = bic.rabi_period(roots)
-            if grid.t_end >= 1.5 * expected:
-                period = oscillation_period(grid.times(), trajectory.pop_1)
-                rel = abs(period - expected) / expected
-                checks.append(_check("rabi_period_rel_err", rel, 0.02, rel <= 0.02))
-            else:
-                checks.append(_info("rabi_period_skipped_horizon", grid.t_end / expected))
-            avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
-                                + trajectory.pop_2[grid.n_steps // 2:]))
-            checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
-        if "fractional" in scn.checks and len(bics) == 1:
-            p1, p2, settled = dynamics.plateau(trajectory)
-            pred1, pred2 = dynamics.steady_state_prediction(psi0, profiles)
-            checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2, abs(p1 - p2) <= 1e-2))
-            rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
-            checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
-            checks.append(_info("plateau_settled", settled))
+    if "scenario_checks" in stages:
+        with _stage(records, "scenario_checks"):
+            if "rabi" in scn.checks and "bic_roots" in stages and len(roots) == 2:
+                expected = bic.rabi_period(roots)
+                if grid.t_end >= 1.5 * expected:
+                    period = oscillation_period(grid.times(), trajectory.pop_1)
+                    rel = abs(period - expected) / expected
+                    checks.append(_check("rabi_period_rel_err", rel, 0.02, rel <= 0.02))
+                else:
+                    checks.append(_info("rabi_period_skipped_horizon", grid.t_end / expected))
+                avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
+                                    + trajectory.pop_2[grid.n_steps // 2:]))
+                checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
+            if "fractional" in scn.checks and len(bics) == 1:
+                p1, p2, settled = dynamics.plateau(trajectory)
+                pred1, pred2 = dynamics.steady_state_prediction(psi0, profiles)
+                checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2,
+                                     abs(p1 - p2) <= 1e-2))
+                rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
+                checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
+                checks.append(_info("plateau_settled", settled))
 
-    with _stage(stages, "write_artifacts"):
-        if roots is not None:
+    with _stage(records, "write_artifacts"):
+        if "bic_roots" in stages:
             write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
-        _write_spectrum(out_dir, sites, profiles)
-        _write_dynamics(out_dir, trajectory, {grid.node(t_check): deficit})
-        _write_mtrace(out_dir, trace)
-        _write_field(out_dir, snapshots)
+        if "lattice" in stages:
+            _write_spectrum(out_dir, sites, profiles)
+        if "volterra" in stages:
+            _write_dynamics(out_dir, trajectory, deficit_at)
+            _write_mtrace(out_dir, trace)
+        if "photon_field" in stages:
+            _write_field(out_dir, snapshots)
     return checks
 
 
@@ -675,7 +721,7 @@ def _sweep_one(args):
         cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
                            g_1=g, g_2=g)
         grid = TimeGrid(t_max=t_max, dt=dt)
-        traj = dynamics.solve_volterra(cfg, initial_state("atom1", cfg), grid)
+        traj = dynamics.solve_volterra(cfg, initial_state(INITIAL_STATE, cfg), grid)
         p1, p2, settled = dynamics.plateau(traj)
         out.update({"plateau_pop1": p1, "plateau_pop2": p2, "plateau_settled": settled})
     return out
@@ -773,53 +819,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_partial(scn: Scenario, out_dir, which: str):
-    cfg = validate_config(scn.cfg)
-    out_dir = _prepare_out_dir(out_dir)
-    if which == "bic":
-        roots = bic.find_bic_roots(cfg)
-        write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
-        return
-    if which == "spectrum":
-        sites, _, profiles = _lattice(cfg, scn.n_c)
-        _write_spectrum(out_dir, sites, profiles)
-        return
-    if which not in ("dynamics", "field"):
-        raise ValueError(which)
-    kernels = dynamics.build_kernels(cfg, scn.grid)
-    psi0 = initial_state(scn.psi0, cfg)
-    trajectory = dynamics.solve_volterra(cfg, psi0, scn.grid, kernels)
-    if which == "dynamics":
-        _write_dynamics(out_dir, trajectory)
-        _write_mtrace(out_dir, dynamics.m_eigenvalues_trace(cfg, scn.grid, kernels))
-    else:
-        _write_field(out_dir, dynamics.photon_field(cfg, trajectory, _field_window(cfg),
-                                                    scn.snapshot_times))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = getattr(args, "out", None) or _default_out()
     try:
-        if args.command == "run":
-            if args.target == "table1":
-                rows = run_census(out_dir)
-                for r in rows:
-                    print(f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
-                          + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else ""))
-                return 0
+        if args.command == "run" and args.target == "table1":
+            rows = run_census(out_dir)
+            for r in rows:
+                print(f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
+                      + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else ""))
+            return 0
+        if args.command in COMMAND_STAGES:
             scn = load_scenario(args.target, dt=args.dt, t_max=args.tmax, n_c=args.nc)
-            manifest = run_scenario(scn, out_dir)
+            manifest = run_scenario(scn, out_dir, COMMAND_STAGES[args.command])
             for c in manifest["checks"]:
                 status = {True: "PASS", False: "FAIL", None: "info"}[c["passed"]]
                 print(f"[{status}] {c['name']}: {c['value']:.6g}"
                       + (f" (threshold {c['threshold']:.6g})" if c["threshold"] is not None else ""))
-            if args.check and not manifest["all_passed"]:
+            if getattr(args, "check", False) and not manifest["all_passed"]:
                 return 3
-            return 0
-        if args.command in ("spectrum", "bic", "dynamics", "field"):
-            scn = load_scenario(args.target, dt=args.dt, t_max=args.tmax, n_c=args.nc)
-            _cmd_partial(scn, out_dir, args.command)
             return 0
         if args.command == "census":
             rows = run_census(out_dir, g=args.g)
@@ -840,7 +858,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (dynamics.SolverError, RuntimeError, ValueError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ from .model import (
     AtomTrajectory,
     ConfigError,
     FieldSnapshot,
+    SolverError,
     SystemConfig,
     TimeGrid,
     WavefunctionState,
@@ -55,10 +56,6 @@ def unit_power(p: int) -> complex:
     return _I_POW[abs(int(p)) % 4]
 
 
-class SolverError(RuntimeError):
-    """Raised when the Volterra integration becomes unstable."""
-
-
 @dataclass(frozen=True)
 class KernelSet:
     """Memory-kernel integrands tabulated on a time grid."""
@@ -67,7 +64,6 @@ class KernelSet:
     k_self_1: np.ndarray
     k_self_2: np.ndarray
     k_cross: np.ndarray
-    cfg: SystemConfig
 
 
 def check_kernel_grid(cfg: SystemConfig, grid: TimeGrid) -> None:
@@ -100,7 +96,7 @@ def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     for p in cfg.cross_distances:
         kc += unit_power(p) * table[:, p]
     kc *= phase
-    return KernelSet(grid=grid, k_self_1=k1, k_self_2=k2, k_cross=kc, cfg=cfg)
+    return KernelSet(grid=grid, k_self_1=k1, k_self_2=k2, k_cross=kc)
 
 
 def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -394,8 +390,7 @@ def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,
     """
     t = snapshot.time
     reach = 2.0 * cfg.xi * t + 20.0
-    legs_min = min(cfg.n_1, cfg.m_1)
-    legs_max = max(cfg.n_2, cfg.m_2)
+    legs_min, legs_max = cfg.outer_legs
     if snapshot.sites.min() > legs_min - reach or snapshot.sites.max() < legs_max + reach:
         warnings.warn(
             f"site window [{snapshot.sites.min()}, {snapshot.sites.max()}] may not "
@@ -426,19 +421,18 @@ def steady_state_prediction(psi0: WavefunctionState, profiles) -> tuple[float, f
     return overlap * b.amp_1 ** 2, overlap * b.amp_2 ** 2
 
 
-def plateau(trajectory: AtomTrajectory, window: float = 50.0,
-            rel_tol: float = 1e-4) -> tuple[float, float, bool]:
+def plateau(trajectory: AtomTrajectory) -> tuple[float, float, bool]:
     """Trailing-window population means and a convergence flag.
 
-    The flag is set when both populations vary by less than ``rel_tol``
-    relative over the final ``window`` of evolution time.
+    The flag is set when both populations vary by less than 1e-4
+    relative over the final 50 / xi of evolution time.
     """
     grid = trajectory.grid
-    n_win = max(2, int(round(window / grid.dt)))
+    n_win = max(2, int(round(50.0 / grid.dt)))
     n_win = min(n_win, grid.n_steps)
     p1 = trajectory.pop_1[-n_win:]
     p2 = trajectory.pop_2[-n_win:]
     def settled(p):
         top = p.max()
-        return top == 0.0 or (top - p.min()) <= rel_tol * top
+        return top == 0.0 or (top - p.min()) <= 1e-4 * top
     return float(p1.mean()), float(p2.mean()), bool(settled(p1) and settled(p2))

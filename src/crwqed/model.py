@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """Invalid physical configuration or config-file content."""
 
 
+class SolverError(RuntimeError):
+    """A numerical method failed on a valid configuration: the Volterra
+    integration became unstable or the eigensolver failed its checks."""
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical parameters of the two-giant-atom / CRW system.
@@ -83,6 +88,17 @@ class SystemConfig:
     @property
     def legs(self) -> tuple[int, int, int, int]:
         return (self.n_1, self.n_2, self.m_1, self.m_2)
+
+    @property
+    def outer_legs(self) -> tuple[int, int]:
+        """Leftmost and rightmost leg, whichever atoms they belong to."""
+        return min(self.legs), max(self.legs)
+
+    @property
+    def span(self) -> int:
+        """Distance between the outermost legs."""
+        first, last = self.outer_legs
+        return last - first
 
     @property
     def cross_distances(self) -> tuple[int, int, int, int]:

@@ -26,6 +26,7 @@ from .model import (
     AtomTrajectory,
     ConfigError,
     FieldSnapshot,
+    SolverError,
     SystemConfig,
     TimeGrid,
     WavefunctionState,
@@ -69,7 +70,6 @@ class LatticeHamiltonian:
     matrix: np.ndarray
     n_c: int
     site_offset: int
-    cfg: SystemConfig
 
     def column_of(self, site: int) -> int:
         return _site_column(self.n_c, self.site_offset, site)
@@ -82,8 +82,7 @@ class LatticeHamiltonian:
 
 def site_offset(cfg: SystemConfig, n_c: int) -> int:
     """Centering rule: place the leg span symmetrically in the chain."""
-    span = cfg.m_2 - cfg.n_1
-    return (n_c - span) // 2 - cfg.n_1
+    return (n_c - cfg.span) // 2 - cfg.outer_legs[0]
 
 
 def _site_column(n_c: int, offset: int, site: int) -> int:
@@ -99,7 +98,7 @@ def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
     """Raise ConfigError unless an ``n_c``-site lattice holds both atoms
     with ``LATTICE_MARGIN`` resonators to spare and has at most
     ``MAX_LATTICE_SITES`` sites."""
-    span = cfg.m_2 - cfg.n_1
+    span = cfg.span
     if n_c < span + LATTICE_MARGIN:
         raise ConfigError(
             f"lattice too small: n_c={n_c} < leg span {span} + margin {LATTICE_MARGIN}")
@@ -121,7 +120,8 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
     ------
     ConfigError
         If the lattice cannot contain both atoms with margin
-        (requires ``n_c >= m_2 - n_1 + 40``) or has more than
+        (requires ``n_c >= span + 40``, span the distance between the
+        outermost legs) or has more than
         ``MAX_LATTICE_SITES`` sites.
     """
     cfg = validate_config(cfg)
@@ -135,7 +135,7 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
     h[2 + idx, 2 + idx] = cfg.omega_c
     h[2 + idx[:-1], 3 + idx[:-1]] = -cfg.xi
     h[3 + idx[:-1], 2 + idx[:-1]] = -cfg.xi
-    ham = LatticeHamiltonian(matrix=h, n_c=n_c, site_offset=off, cfg=cfg)
+    ham = LatticeHamiltonian(matrix=h, n_c=n_c, site_offset=off)
     for row, g, legs in ((0, cfg.g_1, (cfg.n_1, cfg.n_2)), (1, cfg.g_2, (cfg.m_1, cfg.m_2))):
         for leg in legs:
             col = ham.column_of(leg)
@@ -221,19 +221,24 @@ def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
 
     Checks residuals ||H v - E v|| <= 1e-8 ||H|| and orthonormality
     ||V^T V - I||_max <= 1e-8 before returning.
+
+    Raises
+    ------
+    SolverError
+        If ``eigh`` fails or its result misses either tolerance.
     """
     h = ham.matrix
     try:
         energies, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on real
-        raise RuntimeError(
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
             f"eigensolver failed on {h.shape[0]}x{h.shape[0]} matrix "
             f"(max|H|={np.abs(h).max():.3e}): {exc}") from exc
     h_norm = np.abs(h).sum(axis=1).max()  # inf-norm upper bound on ||H||_2
     residual = _residual(ham, energies, vectors)
     ortho = _orthonormality(vectors)
     if residual > 1e-8 * h_norm or ortho > 1e-8:
-        raise RuntimeError(
+        raise SolverError(
             f"eigendecomposition out of tolerance: residual={residual:.3e} "
             f"(||H||~{h_norm:.3e}), orthonormality={ortho:.3e}")
     return Eigenbasis(energies, vectors)
@@ -280,7 +285,7 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
 
     A state is a bound-state candidate when its inverse participation ratio
     is at least ``IPR_THRESHOLD`` and at least half of its weight sits on
-    the atoms plus the sites within ``[n_1 - 5, m_2 + 5]``; candidates
+    the atoms plus the sites within 5 of the outermost legs; candidates
     inside the open band are BICs, outside it BOCs.  Nearly degenerate
     states (within 1e-6 xi) are first rotated to a maximally-localized
     basis, which untangles bound states from accidentally degenerate band
@@ -298,8 +303,9 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
 
     mask = np.zeros(dim, dtype=bool)
     mask[0] = mask[1] = True
-    lo = max(2, 2 + off + cfg.n_1 - WINDOW_PAD)
-    hi = min(dim - 1, 2 + off + cfg.m_2 + WINDOW_PAD)
+    first, last = cfg.outer_legs
+    lo = max(2, 2 + off + first - WINDOW_PAD)
+    hi = min(dim - 1, 2 + off + last + WINDOW_PAD)
     mask[lo:hi + 1] = True
 
     profiles: list[BoundStateProfile] = []
@@ -344,11 +350,10 @@ def bound_states(profiles: list[BoundStateProfile], label: str = "BIC") -> list[
     return [p for p in profiles if p.label == label]
 
 
-def wavefront_n_c(cfg: SystemConfig, t_max: float, margin: int = LATTICE_MARGIN) -> int:
+def wavefront_n_c(cfg: SystemConfig, t_max: float) -> int:
     """Smallest lattice for which radiation (group velocity <= 2 xi) cannot
     reflect off the open ends back into the atom region within t_max."""
-    span = cfg.m_2 - cfg.n_1
-    return int(np.ceil(span + 2.0 * (2.0 * cfg.xi * t_max))) + margin
+    return int(np.ceil(cfg.span + 2.0 * (2.0 * cfg.xi * t_max))) + LATTICE_MARGIN
 
 
 def exact_propagate(

@@ -9,8 +9,8 @@ import numpy as np
 
 from crwqed import bic, spectrum
 from crwqed.cli import _fmt
-from crwqed.dynamics import POPULATION_ABORT, KernelSet, SolverError
-from crwqed.model import AtomTrajectory, SystemConfig, validate_config
+from crwqed.dynamics import POPULATION_ABORT, KernelSet
+from crwqed.model import AtomTrajectory, SolverError, SystemConfig, validate_config
 from crwqed.specfun import bessel_j_table
 
 
@@ -153,6 +153,48 @@ def continuity_order_loop(lam1: np.ndarray, lam2: np.ndarray) -> tuple[np.ndarra
     return lam1, lam2
 
 
+# Minimum distance from a band edge, in units of xi, at which the
+# closed-form residual and the momentum sum are evaluated.
+EDGE_GUARD = 1e-6
+
+
+def bracket_shift_direct(E, cfg: SystemConfig, branch: int):
+    """Real part of ``bic._bracket`` from the sine form
+    [2 (-1)^{N+1} sin(N theta) + s sum (-1)^{p+1} sin(p theta)] / (2 sin theta),
+    E = omega_c + 2 xi cos theta: an independent evaluation of the
+    Hermitian shift."""
+    theta = np.arccos((np.asarray(E) - cfg.omega_c) / (2.0 * cfg.xi))
+    big_n = cfg.size_1
+    num = 2.0 * (-1.0) ** (big_n + 1) * np.sin(big_n * theta)
+    for p in cfg.cross_distances:
+        num = num + branch * (-1.0) ** (p + 1) * np.sin(p * theta)
+    return num / (2.0 * np.sin(theta))
+
+
+def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
+    """Residual f_s(E) of the in-band eigenvalue equation for parity branch
+    s = +-1 (A_1 = s A_2), the function whose roots ``bic.find_bic_roots``
+    scans for.
+
+    ``E`` must lie in the band at least ``EDGE_GUARD`` xi from either edge.
+    The Hermitian shift is evaluated twice (``bic._bracket``'s complex
+    powers and ``bracket_shift_direct``'s sine form) and the two must agree
+    to 1e-10 relative, a guard against branch-cut mistakes in the complex
+    evaluation.
+    """
+    cfg = bic._require_symmetric(cfg)
+    if branch not in bic.BRANCHES:
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E <= cfg.band_top - EDGE_GUARD * cfg.xi):
+        raise ValueError(f"E={E} is outside the band or within {EDGE_GUARD} xi of an edge")
+    shift = float(bic._bracket(E, cfg, branch).real)
+    direct = float(bracket_shift_direct(E, cfg, branch))
+    if abs(shift - direct) > 1e-10 * max(abs(shift), 1.0):
+        raise AssertionError(
+            f"Hermitian shift disagreement at E={E}: {shift} vs {direct}")
+    return E - cfg.omega_1 - (cfg.g_1 ** 2 / cfg.xi) * shift
+
+
 def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:
     """Discrete-momentum evaluation of the waveguide-induced level shift.
 
@@ -162,7 +204,7 @@ def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int
     modes (the discrete analogue of a principal value); the comb offset is
     compensated at the fold ends so the error decays cleanly with 1/N_c.
     Converges to the Hermitian shift g^2/xi * Re(bracket) used by
-    ``bic.transcendental_residual``.
+    ``transcendental_residual``.
     """
     cfg = validate_config(cfg)
     if not cfg.symmetric_resonant:
@@ -172,8 +214,8 @@ def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     if n_modes < 8:
         raise ValueError(f"n_modes too small: {n_modes}")
-    if not (cfg.band_bottom + bic.EDGE_GUARD * cfg.xi <= E
-            <= cfg.band_top - bic.EDGE_GUARD * cfg.xi):
+    if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E
+            <= cfg.band_top - EDGE_GUARD * cfg.xi):
         raise ValueError(f"E={E} is outside the band or too close to an edge")
     if cfg.g_1 == 0.0:
         return 0.0 + 0.0j

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bessel_j_row, lamb_shift_sum_oracle, series_oracle
+from oracles import bessel_j_row, lamb_shift_sum_oracle, series_oracle, transcendental_residual
 
 from crwqed.model import SystemConfig, TimeGrid, initial_state
 from crwqed import bic, dynamics, spectrum
@@ -187,7 +187,7 @@ def test_criterion_5_effective_matrix_eigenvalue_traces():
 def test_criterion_6a_momentum_sum_convergence():
     orders = []
     for energy in (0.3, -0.9):
-        exact_shift = energy - FIG3.omega_1 - bic.transcendental_residual(energy, +1, FIG3)
+        exact_shift = energy - FIG3.omega_1 - transcendental_residual(energy, +1, FIG3)
         errs = [abs(complex(lamb_shift_sum_oracle(energy, FIG3, n, +1)).real
                     - exact_shift) for n in (4000, 40000)]
         orders.append(math.log10(errs[0] / errs[1]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lamb_shift_sum_oracle
+from oracles import lamb_shift_sum_oracle, transcendental_residual
 
 from crwqed.model import SystemConfig
 from crwqed import bic, spectrum
@@ -15,7 +15,6 @@ from crwqed.bic import (
     chi,
     find_bic_roots,
     rabi_period,
-    transcendental_residual,
 )
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)      # size 6, delta 3
@@ -195,12 +194,39 @@ def test_resonance_near_a_bic_is_not_counted():
     # 0.0194 xi: an in-band resonance, which a width-widened energy match
     # used to pair with the one E = 0 lattice BIC
     assert any(abs(e + 0.0202) <= 1e-4 for e, _ in bic._branch_roots(
-        RESONANCE_NEAR_CENTER, -1, bic.DEFAULT_SCAN_INTERVALS))
+        RESONANCE_NEAR_CENTER, -1))
     roots = find_bic_roots(RESONANCE_NEAR_CENTER)
     assert len(roots) == 1
     assert roots[0].multiplicity == 1 and roots[0].branch == "+"
     assert abs(roots[0].energy) <= 1e-6
     assert roots[0].width == 0.0
+
+
+def test_scan_keeps_a_zero_node_and_a_sign_change_in_the_last_interval(monkeypatch):
+    lo = FIG3.band_bottom + bic.EDGE_EXCLUSION * FIG3.xi
+    hi = FIG3.band_top - bic.EDGE_EXCLUSION * FIG3.xi
+    grid = np.linspace(lo, hi, bic.DEFAULT_SCAN_INTERVALS + 1)
+    node, last = grid[1234], 0.5 * (grid[-2] + grid[-1])
+    # exactly 0 on a scan node (no sign change next to it), and one sign
+    # change inside the last scan interval
+    monkeypatch.setattr(bic, "_residual_grid",
+                        lambda E, cfg, branch: (np.asarray(E) - node) * (np.asarray(E) - last))
+    roots = bic._branch_roots(FIG3, +1)
+    assert len(roots) == 2
+    assert roots[0] == (float(node), 0.0)
+    assert abs(roots[1][0] - last) <= 1e-9 and roots[1][1] <= 1e-9
+
+
+def test_close_roots_warning_names_no_setting(monkeypatch):
+    grid = np.linspace(FIG3.band_bottom + bic.EDGE_EXCLUSION * FIG3.xi,
+                       FIG3.band_top - bic.EDGE_EXCLUSION * FIG3.xi,
+                       bic.DEFAULT_SCAN_INTERVALS + 1)
+    a, b = 0.5 * (grid[100] + grid[101]), 0.5 * (grid[101] + grid[102])
+    monkeypatch.setattr(bic, "_residual_grid",
+                        lambda E, cfg, branch: (np.asarray(E) - a) * (np.asarray(E) - b))
+    with pytest.warns(UserWarning, match="closer than two scan intervals") as shown:
+        assert len(bic._branch_roots(FIG3, +1)) == 2
+    assert "n_scan" not in str(shown[0].message)
 
 
 def test_width_decides_each_branch():
@@ -215,7 +241,7 @@ def test_width_decides_each_branch():
     assert [r.width for r in find_bic_roots(DOUBLE)] == [0.0]
     # the size-8 odd-offset geometry has roots of f_s, all too wide to count
     widths = [abs(bic._bracket(e, NO_BIC, s).imag)
-              for s in bic.BRANCHES for e, _ in bic._branch_roots(NO_BIC, s, 4000)]
+              for s in bic.BRANCHES for e, _ in bic._branch_roots(NO_BIC, s)]
     assert widths and min(widths) > bic.BIC_MAX_IM_BRACKET
 
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -443,16 +447,18 @@ def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):
         assert made <= blocks
 
 
+SMALL_CFG = "n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nt_max = 20\ndt = 0.02\nn_c = 200\n"
+
+
 def test_partial_commands_write_the_same_artifacts(tmp_path):
     cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text(
-        "n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nt_max = 20\ndt = 0.02\nn_c = 200\n")
+    cfgfile.write_text(SMALL_CFG)
     full = tmp_path / "full"
     part = tmp_path / "part"
     run_scenario(load_scenario(str(cfgfile)), full)
     for command in ("spectrum", "dynamics", "field"):
         assert main([command, str(cfgfile), "--out", str(part)]) == 0
-    written = sorted(p.name for p in part.iterdir())
+    written = sorted(p.name for p in part.glob("*.csv"))
     assert written == sorted(p.name for p in full.glob("*.csv"))
     for name in written:
         if name != "dynamics.csv":
@@ -460,6 +466,101 @@ def test_partial_commands_write_the_same_artifacts(tmp_path):
     # dynamics.csv: only the run's single norm-deficit cell is extra
     strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
     assert strip(part / "dynamics.csv") == strip(full / "dynamics.csv")
+    # the manifest of the last command, field
+    stages = json.loads((part / "manifest.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == ["volterra", "photon_field", "write_artifacts"]
+
+
+@pytest.fixture(scope="module")
+def long_small_run(tmp_path_factory):
+    """A full run of the small config to t = 160, where the M(t) trace
+    check (which also reads the lattice) is recorded."""
+    base = tmp_path_factory.mktemp("long_small")
+    cfgfile = base / "long.cfg"
+    cfgfile.write_text(SMALL_CFG.replace("t_max = 20", "t_max = 160"))
+    with pytest.warns(UserWarning, match="wavefront"):
+        manifest = run_scenario(load_scenario(str(cfgfile)), base / "run")
+    return cfgfile, manifest
+
+
+@pytest.mark.parametrize("command, checks", [
+    ("spectrum", []),
+    ("bic", ["bic_root_residual"]),
+    ("dynamics", ["population_bound", "trace_determinant_identity"]),
+    ("field", ["population_bound", "trace_determinant_identity"]),
+])
+def test_partial_command_manifest_is_a_subset_of_the_run(tmp_path, long_small_run, command,
+                                                         checks):
+    cfgfile, full = long_small_run
+    run_stages = [s["name"] for s in full["stages"]]
+    assert run_stages == list(cli.STAGES)
+    assert {"bic_count_matches_lattice", "trace_nondecaying_count"} <= {
+        c["name"] for c in full["checks"]}
+    assert main([command, str(cfgfile), "--out", str(tmp_path)]) == 0
+    part = json.loads((tmp_path / "manifest.json").read_text())
+    stages = [s["name"] for s in part["stages"]]
+    assert stages == list(cli.COMMAND_STAGES[command])
+    assert [name for name in run_stages if name in stages] == stages
+    # only the checks of the stages that ran, each as the full run records it
+    by_name = {c["name"]: c for c in full["checks"]}
+    assert part["checks"] == [by_name[name] for name in checks]
+    assert part["warnings"] == [] and part["all_passed"] is True
+
+
+_NOT_REACHED = {
+    "spectrum": ("dynamics.build_kernels", "dynamics.solve_volterra", "bic.find_bic_roots"),
+    "bic": ("spectrum.build_hamiltonian", "spectrum.eigendecompose"),
+    "dynamics": ("spectrum.build_hamiltonian", "spectrum.eigendecompose",
+                 "bic.find_bic_roots", "spectrum.exact_propagate"),
+    "field": ("spectrum.build_hamiltonian", "spectrum.eigendecompose",
+              "bic.find_bic_roots", "spectrum.exact_propagate"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_REACHED))
+def test_partial_commands_call_only_their_layers(tmp_path, monkeypatch, command):
+    from crwqed import bic, dynamics, spectrum
+    modules = {"bic": bic, "dynamics": dynamics, "spectrum": spectrum}
+    for target in _NOT_REACHED[command]:
+        module, name = target.split(".")
+        monkeypatch.setattr(modules[module], name, None)  # must not be reached
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text(SMALL_CFG)
+    assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_zero_coupling_bic_command_and_run(tmp_path):
+    cfgfile = tmp_path / "decoupled.cfg"
+    cfgfile.write_text(SMALL_CFG + "g_1 = 0\ng_2 = 0\n")
+    assert main(["bic", str(cfgfile), "--out", str(tmp_path / "bic")]) == 0
+    assert json.loads((tmp_path / "bic" / "bic.json").read_text())["roots"] == []
+    assert main(["run", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
+    assert not (tmp_path / "run" / "bic.json").exists()
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == [n for n in cli.STAGES if n != "bic_roots"]
+
+
+def test_run_scenario_rejects_an_unknown_stage_set(tmp_path):
+    with pytest.raises(ValueError, match="stage set"):
+        run_scenario(load_scenario("fig3", t_max=20.0), tmp_path, ("exact_propagate",))
+
+
+def test_internal_errors_are_not_solver_errors(tmp_path, monkeypatch):
+    def broken(path, payload):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "write_json", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["bic", "fig4", "--out", str(tmp_path)])
+
+
+def test_eigensolver_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: eigensolver failed on 202x202 matrix")
+    assert "did not converge" in err
 
 
 @pytest.mark.parametrize("line", ["g_1 = nan\ng_2 = nan\n", "omega_1 = inf\n",
@@ -585,3 +686,95 @@ def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, c
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "above 2000" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_second_atom_left_of_the_first(tmp_path, capsys):
+    # found by the config fuzzer: the lattice size, centering and windows
+    # read the outermost legs, whichever atom they belong to
+    text = "n_1 = 11\nn_2 = 10\nm_1 = -30\nm_2 = -31\nt_max = 20\ndt = 0.02\n"
+    cfgfile = tmp_path / "left.cfg"
+    cfgfile.write_text(text + "n_c = 0\n")
+    assert main(["spectrum", str(cfgfile), "--out", str(tmp_path / "small")]) == 1
+    assert "lattice too small: n_c=0 < leg span 42" in capsys.readouterr().err
+    cfgfile.write_text(text + "n_c = 200\n")
+    manifest = run_scenario(load_scenario(str(cfgfile)), tmp_path / "run")
+    assert manifest["warnings"] == []
+    passed = {c["name"] for c in manifest["checks"] if c["passed"]}
+    assert {"exact_norm_deficit", "volterra_vs_exact_pop_diff_t<=20",
+            "field_norm_deficit_t=20"} <= passed
+
+
+# ---- fuzzed config text through main ----
+_LEGS = ("n_1", "n_2", "m_1", "m_2")
+_FUZZ_FLOATS = {
+    "omega_c": st.floats(-2.0, 2.0), "omega_1": st.floats(-2.0, 2.0),
+    "omega_2": st.floats(-2.0, 2.0), "xi": st.floats(0.5, 2.0),
+    "g_1": st.floats(0.0, 0.5), "g_2": st.floats(0.0, 0.5),
+}
+_FUZZ_BAD = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "0", "-0",
+                             "-1", "-0.5", "-3", "abc", "1e", "0x10", "1.5.2", "", "- 1"])
+
+
+@st.composite
+def _config_text(draw):
+    """Config text with valid values (|omega| <= 2, xi in [0.5, 2], g in
+    [0, 0.5], legs in [-30, 30], t_max <= 30, dt >= 0.01, n_c <= 300 or
+    > 8000), in about half the examples with some replaced by bad values
+    or joined by unknown or duplicate keys."""
+    values = {key: draw(st.integers(-30, 30)) for key in _LEGS}
+    for key, strategy in _FUZZ_FLOATS.items():
+        if draw(st.integers(0, 3)):
+            values[key] = repr(draw(strategy))
+    if draw(st.booleans()):  # symmetric resonant: the closed form applies
+        values["m_2"] = values["m_1"] + values["n_2"] - values["n_1"]
+        for one, two in (("g_1", "g_2"), ("omega_1", "omega_2")):
+            values.pop(two, None)
+            if one in values:
+                values[two] = values[one]
+    if draw(st.integers(0, 3)):
+        values["t_max"] = repr(draw(st.floats(0.01, 30.0)))
+        values["dt"] = repr(draw(st.one_of(st.floats(0.01, 0.05), st.floats(0.01, 0.25))))
+    if draw(st.integers(0, 7)):
+        values["n_c"] = draw(st.one_of(st.integers(100, 300), st.integers(-5, 300),
+                                       st.integers(8001, 10 ** 7)))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    for _ in range(draw(st.integers(1, 2)) if draw(st.booleans()) else 0):
+        key = draw(st.sampled_from(sorted(values)))
+        kind = draw(st.sampled_from(["bad", "unknown", "duplicate", "missing"]))
+        if kind != "unknown":
+            lines = [line for line in lines if not line.startswith(f"{key} ")]
+        if kind == "bad":
+            lines.append(f"{key} = {draw(_FUZZ_BAD)}")
+        elif kind == "unknown":
+            lines.append(f"{draw(st.sampled_from(['bogus', 'g', 'N_1', 'omega']))} = 1")
+        elif kind == "duplicate":
+            lines += [f"{key} = {values[key]}"] * 2
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@pytest.mark.parametrize("command", ["bic", "dynamics", "spectrum"])
+@settings(max_examples=30, deadline=None)
+@given(text=_config_text())
+def test_fuzzed_config_gives_an_honest_exit(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = os.path.join(tmp, "fuzz.cfg")
+        with open(cfgfile, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # e.g. close roots; not an exit
+            code = main([command, cfgfile, "--out", out])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ")
+        elif code == 2:
+            assert err.startswith("solver error: ")
+        else:
+            for name in os.listdir(out):
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        cells = fh.read().replace("\n", ",").split(",")
+                    assert not {"nan", "inf", "-inf"} & set(cells), name

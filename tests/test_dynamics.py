@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crwqed.model import AtomTrajectory, SystemConfig, TimeGrid, WavefunctionState, initial_state
 from crwqed import spectrum
@@ -224,6 +224,29 @@ def test_volterra_matches_direct_sums_on_random_systems(geometry, a, p, q, g_1, 
     cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, omega_c=omega_c,
                        omega_1=omega_1, omega_2=omega_2, g_1=g_1, g_2=g_2)
     _assert_matches_direct(cfg, state, nodes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4), st.integers(-30, 30),
+       st.floats(0.0, 0.3), st.floats(0.0, 0.3), st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       st.sampled_from(["atom1", "atom2", "symmetric", "antisymmetric"]))
+def test_volterra_is_translation_and_mirror_invariant(legs, k, g_1, g_2, omegas, state):
+    n_1, n_2, m_1, m_2 = legs
+    assume(n_1 != n_2 and m_1 != m_2)
+    omega_c, omega_1, omega_2 = omegas
+    def solve(n_1, n_2, m_1, m_2):
+        cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, omega_c=omega_c,
+                           omega_1=omega_1, omega_2=omega_2, g_1=g_1, g_2=g_2)
+        return solve_volterra(cfg, initial_state(state, cfg), TimeGrid(t_max=20.0, dt=0.05))
+    base = solve(n_1, n_2, m_1, m_2)
+    # the kernels see leg distances only: a shift changes no bit
+    shifted = solve(n_1 + k, n_2 + k, m_1 + k, m_2 + k)
+    assert np.array_equal(shifted.alpha_1, base.alpha_1)
+    assert np.array_equal(shifted.alpha_2, base.alpha_2)
+    # a mirror sums the cross kernel's terms in another order
+    mirrored = solve(-n_1, -n_2, -m_1, -m_2)
+    assert np.abs(mirrored.alpha_1 - base.alpha_1).max() <= 1e-12
+    assert np.abs(mirrored.alpha_2 - base.alpha_2).max() <= 1e-12
 
 
 def test_volterra_keeps_exact_zero_parts_on_the_fig3_preset():

@@ -1,0 +1,41 @@
+"""Guards on the source tree itself."""
+
+import ast
+from pathlib import Path
+
+import crwqed
+
+SRC = Path(crwqed.__file__).parent
+
+
+def _top_level_names(tree):
+    """Names a module defines at top level: functions, classes and
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _references(tree):
+    """Names a module reads, bare or as an attribute; imports do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_top_level_name_in_src_is_used_or_exported():
+    # a name only tests use belongs in tests/oracles.py, not in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(set(_references(tree)) for tree in trees.values()))
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _top_level_names(tree)
+              if name not in used and name not in crwqed.__all__
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []

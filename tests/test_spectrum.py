@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from crwqed.model import (
     ConfigError,
@@ -173,6 +174,37 @@ def test_exact_propagate_norm_and_wavefront_warning():
                  + snap.probabilities.sum())
         assert abs(total - 1.0) <= 1e-10
     assert wavefront_n_c(FIG3, 120.0) > 80
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4), st.integers(0, 200),
+       st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.floats(0.5, 2.0), st.sampled_from(["atom1", "atom2", "symmetric", "photon"]),
+       st.lists(st.integers(0, 600), max_size=5))
+def test_exact_propagate_is_unitary_on_random_geometries(legs, extra, g_1, g_2, omegas, xi,
+                                                         state, stops):
+    n_1, n_2, m_1, m_2 = legs
+    assume(n_1 != n_2 and m_1 != m_2)
+    omega_c, omega_1, omega_2 = omegas
+    cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, omega_c=omega_c, xi=xi,
+                       omega_1=omega_1, omega_2=omega_2, g_1=g_1, g_2=g_2)
+    n_c = min(300, cfg.span + spectrum.LATTICE_MARGIN + extra)
+    if state == "photon":  # part of the excitation on a leg site
+        psi0 = WavefunctionState(0.6 + 0.0j, 0.0j, {n_2: 0.8j})
+    else:
+        psi0 = initial_state(state, cfg)
+    grid = TimeGrid(t_max=30.0, dt=0.05)
+    basis = eigendecompose(build_hamiltonian(cfg, n_c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # below the wavefront size
+        traj, snaps = exact_propagate(cfg, psi0, grid, basis,
+                                      snapshot_times=tuple(n * grid.dt for n in stops))
+    assert len(snaps) == len(stops)
+    for snap in snaps:
+        n = grid.node(snap.time)
+        total = (abs(traj.alpha_1[n]) ** 2 + abs(traj.alpha_2[n]) ** 2
+                 + snap.probabilities.sum())
+        assert abs(total - 1.0) <= 1e-10
 
 
 def _max_amp_diff(traj, ref):
