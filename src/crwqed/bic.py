@@ -3,7 +3,7 @@ giant atoms.
 
 In the symmetric resonant regime (g_1 = g_2, Omega_1 = Omega_2, equal atom
 sizes N) the single-excitation eigenvalue problem reduces, per atomic parity
-A_1 = +-A_2, to one real transcendental equation
+A_1 = +-A_2, to one real equation
 
     f_s(E) = E - Omega - g^2 [2 G_N(E) + s * sum_{j,j'} G_{|n_j - m_j'|}(E)] = 0,
 
@@ -13,30 +13,33 @@ chi = exp[-i arccos((E - omega_c)/(2 xi))],
 
     G_p(E) = (-chi)^p / (xi (chi* - chi)),
 
-whose real part is (-1)^{p+1} sin(p theta) / (2 xi sin theta); the factor
-(-chi) = e^{i k*} is the Bloch phase of the resonant mode.  -Im G_p is the
-corresponding half decay width, which vanishes at a genuine BIC.  Roots of
-f_s are bound-state candidates only: a root is kept on the parity branches
-whose half width (g^2/xi) |Im bracket| is at most ``BIC_MAX_IM_BRACKET``
-g^2/xi, which weeds out the in-band resonances the same equation produces
-for geometries with no BIC.
+whose real part is (-1)^{p+1} U_{p-1}(x) / (2 xi), U_k the Chebyshev
+polynomials of the second kind in x = (E - omega_c)/(2 xi); the factor
+(-chi) = e^{i k*} is the Bloch phase of the resonant mode.  So f_s is a
+polynomial, whose real roots are the eigenvalues of one comrade matrix
+(I. J. Good, Q. J. Math. 12, 61 (1961)); a band-centre root is exactly
+omega_c.  -Im G_p is the half decay width, which vanishes at a genuine BIC.
+Roots of f_s are bound-state candidates only: a root is kept on the
+parity branches whose half width (g^2/xi) |Im bracket| is at most
+``BIC_MAX_IM_BRACKET`` g^2/xi, which weeds out the in-band resonances the
+same equation produces for geometries with no BIC.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ConfigError, SystemConfig, validate_config
 
-# Exclusion zone at the band edges for the root scan; chi - chi* vanishes at
-# the edges and genuine BICs sit near band center.
+# Roots closer than this (in xi) to a band edge are dropped; chi - chi*
+# vanishes at the edges and genuine BICs sit near band center.
 EDGE_EXCLUSION = 1e-4
-DEFAULT_SCAN_INTERVALS = 4000
-BISECTION_TOL = 1e-10
+# Largest leg distance (atom size or leg-to-leg path) the closed form takes:
+# its comrade matrix has that order, 1.3 s and 32 MB per branch at 2000.
+MAX_LEG_DISTANCE = 2000
 # Roots from the two parity branches closer than this are one degenerate root.
 DEGENERATE_MERGE = 1e-8
 # A parity branch of a root is a bound state when |Im bracket| is at most
@@ -48,7 +51,9 @@ BIC_MAX_IM_BRACKET = 0.1
 BRANCHES = (+1, -1)
 
 
-def _require_symmetric(cfg: SystemConfig) -> SystemConfig:
+def check_closed_form(cfg: SystemConfig) -> SystemConfig:
+    """The validated configuration, or ConfigError where the closed form
+    does not apply (unequal atoms) or exceeds ``MAX_LEG_DISTANCE``."""
     cfg = validate_config(cfg)
     if not cfg.symmetric_resonant:
         raise ConfigError(
@@ -56,20 +61,11 @@ def _require_symmetric(cfg: SystemConfig) -> SystemConfig:
             "omega_1 = omega_2 and equal atom sizes; got "
             f"g=({cfg.g_1}, {cfg.g_2}), omega=({cfg.omega_1}, {cfg.omega_2}), "
             f"sizes=({cfg.size_1}, {cfg.size_2})")
+    distance = max(cfg.size_1, *cfg.cross_distances)
+    if distance > MAX_LEG_DISTANCE:
+        raise ConfigError(f"leg distance {distance} exceeds {MAX_LEG_DISTANCE}, the "
+                          "largest the closed-form bound-state equation takes")
     return cfg
-
-
-def chi(E: float, cfg: SystemConfig) -> complex:
-    """Unit-modulus root chi = (E-omega_c)/(2 xi) - i sqrt(1 - ((E-omega_c)/(2 xi))^2).
-
-    Defined strictly inside the band.
-    """
-    cfg = validate_config(cfg)
-    x = (E - cfg.omega_c) / (2.0 * cfg.xi)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"E={E} lies outside the open band "
-                         f"({cfg.band_bottom}, {cfg.band_top})")
-    return complex(x, -math.sqrt(1.0 - x * x))
 
 
 def _bracket(E, cfg: SystemConfig, branch: int):
@@ -88,7 +84,8 @@ def _bracket(E, cfg: SystemConfig, branch: int):
     return num / (np.conj(ch) - ch)
 
 
-def _residual_grid(E, cfg: SystemConfig, branch: int):
+def _residual(E, cfg: SystemConfig, branch: int):
+    """f_s(E) from the complex bracket, independent of the polynomial."""
     shift = _bracket(E, cfg, branch).real
     return np.asarray(E) - cfg.omega_1 - (cfg.g_1 ** 2 / cfg.xi) * shift
 
@@ -99,59 +96,52 @@ class BicRoot:
 
     energy: float
     branch: str           # "+", "-" (A_1 = +-A_2) or "+-" for a degenerate pair
-    chi: complex
     multiplicity: int
     residual: float       # |f| at the root, maximum over the merged branches
     width: float          # half width (g^2/xi)|Im bracket|, maximum over the counted branches
 
 
-def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
-    """(energy, |f|) roots of one parity branch: every scan node where f is
-    exactly 0, and a bisection in every scan interval where f changes sign."""
+    """(energy, |f|) roots of one parity branch inside the band less
+    ``EDGE_EXCLUSION``, ascending; |f| from the complex bracket.
+
+    In x, f_s = (omega_c - Omega) + xi U_1 - (g^2/2xi) [2 (-1)^(N-1) U_(N-1)
+    + s sum_p (-1)^(p-1) U_(p-1)]: its real roots are the exactly real
+    eigenvalues of the comrade matrix, x U_k = (U_(k-1) + U_(k+1))/2 with U_n
+    eliminated by f = 0, each polished by a Newton step.  The g^2 terms sum
+    as integers, so on resonance f(0) is exactly 0 at a band-centre root: x
+    is divided out, a_k = (q_(k-1) + q_(k+1))/2, and x = 0 kept exactly.
+    """
+    big_n = cfg.size_1
+    ints = np.zeros(max(big_n, *cfg.cross_distances, 2), dtype=np.int64)
+    ints[big_n - 1] += 2 * (-1) ** (big_n - 1)
+    for p in cfg.cross_distances:
+        if p:  # a shared leg adds U_{-1} = 0
+            ints[p - 1] += branch * (-1) ** (p - 1)
+    coupling = cfg.g_1 ** 2 / (2.0 * cfg.xi)
+    a = -coupling * ints
+    a[:2] += (cfg.omega_c - cfg.omega_1, cfg.xi)
+    a = np.trim_zeros(a, "b")
+    x = []
+    if cfg.omega_c - cfg.omega_1 == coupling * (ints[::4].sum() - ints[2::4].sum()):
+        q = np.zeros(a.size + 1)
+        for k in range(a.size - 1, 0, -1):
+            q[k - 1] = 2.0 * a[k] - q[k + 1]
+        a, x = q[:-2], [0.0]
+    comrade = 0.5 * (np.eye(a.size - 1, k=1) + np.eye(a.size - 1, k=-1))
+    comrade[-1:] -= a[:-1] / (2.0 * a[-1])
+    eig = np.linalg.eigvals(comrade)
+    real = eig.real[(eig.imag == 0.0) & (np.abs(eig.real) <= 1.0)]
+    # one Newton step, value b and slope d by Clenshaw: b_k = a_k + 2x b_(k+1) - b_(k+2)
+    b1 = b2 = d1 = d2 = np.zeros_like(real)
+    for ak in a[::-1]:
+        b1, b2, d1, d2 = ak + 2.0 * real * b1 - b2, b1, 2.0 * (b1 + real * d1) - d2, d1
+    real -= np.divide(b1, d1, out=np.zeros_like(real), where=d1 != 0.0)
+    energies = cfg.omega_c + 2.0 * cfg.xi * np.concatenate([x, real])
     lo = cfg.band_bottom + EDGE_EXCLUSION * cfg.xi
     hi = cfg.band_top - EDGE_EXCLUSION * cfg.xi
-    grid = np.linspace(lo, hi, DEFAULT_SCAN_INTERVALS + 1)
-    vals = _residual_grid(grid, cfg, branch)
-    f = lambda e: float(_residual_grid(e, cfg, branch))
-    tol = BISECTION_TOL * cfg.xi
-
-    roots: list[tuple[float, float]] = []
-    zero = vals[:-1] == 0.0
-    for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)):
-        if zero[i]:
-            roots.append((float(grid[i]), 0.0))
-        else:
-            e = _bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]), tol)
-            roots.append((e, abs(f(e))))
-    # roots ascend with the scan; collapse duplicates from adjacent scan cells
-    dedup: list[tuple[float, float]] = []
-    for e, fe in roots:
-        if dedup and abs(e - dedup[-1][0]) <= DEGENERATE_MERGE * cfg.xi:
-            continue
-        dedup.append((e, fe))
-    width = (hi - lo) / DEFAULT_SCAN_INTERVALS
-    for (e1, _), (e2, _) in zip(dedup, dedup[1:]):
-        if e2 - e1 < 2.0 * width:
-            warnings.warn(
-                f"roots at E={e1:.6g} and E={e2:.6g} are closer than two scan "
-                f"intervals ({2.0 * width:.3g}); the scan may miss roots between them",
-                stacklevel=3)
-    return dedup
+    energies = np.sort(energies[(energies >= lo) & (energies <= hi)])
+    return list(zip(energies.tolist(), np.abs(_residual(energies, cfg, branch)).tolist()))
 
 
 def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
@@ -165,7 +155,7 @@ def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
     with none is an in-band resonance and is dropped.  Decoupled atoms
     (g = 0) carry no photon amplitude and have no bound state.
     """
-    cfg = _require_symmetric(cfg)
+    cfg = check_closed_form(cfg)
     if cfg.g_1 == 0.0:
         return []
     per_branch = {s: _branch_roots(cfg, s) for s in BRANCHES}
@@ -191,8 +181,7 @@ def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
             continue  # in-band resonance, not a bound state
         label = "+-" if len(branches) == 2 else ("+" if branches[0] > 0 else "-")
         roots.append(BicRoot(
-            energy=m["energy"], branch=label, chi=chi(m["energy"], cfg),
-            multiplicity=len(branches), residual=m["residual"],
+            energy=m["energy"], branch=label, multiplicity=len(branches), residual=m["residual"],
             width=(cfg.g_1 ** 2 / cfg.xi) * max(im[s] for s in branches)))
     return roots
 

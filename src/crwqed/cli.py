@@ -10,9 +10,9 @@ exactly as Python's ``"%.15g" % x``: float-array columns are formatted a
 block of rows at a time by one numpy kernel (``_float_cells``), which
 leaves non-finite values, |x| outside [1e-250, 1e250) other than zero,
 and values near a rounding tie to Python itself.  Exit codes: 0 success,
-1 configuration error, 2 solver error (a ``SolverError`` only; any other
-exception is a bug and propagates), 3 tolerance-check failure (with
-``--check``).
+1 configuration or usage error, 2 solver error (a ``SolverError`` only;
+any other exception is a bug and propagates), 3 tolerance-check failure
+(with ``--check``).
 """
 
 from __future__ import annotations
@@ -331,8 +331,7 @@ def _prepare_out_dir(out_dir) -> str:
 def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
     """A preset name or a key=value config file, with CLI overrides.
 
-    Raises ConfigError when the grid is too coarse for the kernel tables or
-    the lattice too small for the legs.
+    Only parses: ``run_scenario`` checks the inputs its stages read.
     """
     if target in PRESETS:
         scn = PRESETS[target]
@@ -352,28 +351,46 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
         scn = replace(scn, grid=grid)
     if n_c is not None:
         scn = replace(scn, n_c=n_c)
-    dynamics.check_kernel_grid(scn.cfg, scn.grid)
-    spectrum.check_lattice_size(scn.cfg, scn.n_c)
-    _check_bessel_range(scn)
     return scn
 
 
-def _check_bessel_range(scn: Scenario) -> None:
-    """Raise ConfigError when a Bessel table of the run (memory kernels,
-    plot window, norm-check window) would send an argument above
-    ``specfun.MILLER_X_MAX`` to Miller's recurrence."""
-    cfg, two_xi = scn.cfg, 2.0 * scn.cfg.xi
+def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
+    """``stages``, or a ConfigError for an input they read and cannot take:
+    the lattice size, the closed form's range, the kernel grid, and any
+    Bessel table (memory kernels, plot window, norm check) that would send
+    Miller's recurrence an argument above ``specfun.MILLER_X_MAX``.  ``run``
+    drops ``bic_roots`` where the closed form does not apply: silently for
+    unequal or decoupled atoms, with a warning beyond ``bic.MAX_LEG_DISTANCE``."""
+    cfg, two_xi = validate_config(scn.cfg), 2.0 * scn.cfg.xi
+    without_roots = tuple(name for name in STAGES if name != "bic_roots")
+    if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
+        stages = without_roots
+    if "bic_roots" in stages:
+        try:
+            bic.check_closed_form(cfg)
+        except ConfigError as exc:
+            if stages != STAGES:
+                raise
+            warnings.warn(f"bic_roots skipped: {exc}", stacklevel=2)
+            stages = without_roots
+    if "lattice" in stages:
+        spectrum.check_lattice_size(cfg, scn.n_c)
+    if "volterra" in stages:
+        dynamics.check_kernel_grid(cfg, scn.grid)
     t_check, wide = _norm_check_window(cfg, scn.grid)
-    tables = (("memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end),
-              ("field window", dynamics.field_order_max(cfg, _field_window(cfg)),
+    tables = (("volterra", "memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end),
+              ("photon_field", "field window",
+               dynamics.field_order_max(cfg, _field_window(cfg)),
                max(scn.snapshot_times, default=0.0)),
-              ("norm-check window", dynamics.field_order_max(cfg, wide), t_check))
-    for what, order, t in tables:
-        if specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
+              ("field_norm_check", "norm-check window", dynamics.field_order_max(cfg, wide),
+               t_check))
+    for stage, what, order, t in tables:
+        if stage in stages and specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
             raise ConfigError(
                 f"{what} needs Bessel orders up to {order} at arguments up to "
                 f"{two_xi * t:g}; Miller's recurrence would see arguments above "
                 f"{specfun.MILLER_X_MAX:g}, beyond its validated range")
+    return stages
 
 
 def _config_payload(scn: Scenario) -> dict:
@@ -427,19 +444,12 @@ def _write_spectrum(out_dir, sites, profiles):
                       (sites, p.photon))
 
 
-def _write_dynamics(out_dir, trajectory, deficits):
-    """dynamics.csv; ``deficits`` maps grid nodes to field-norm deficits,
-    the other rows leave that column empty."""
+def _write_dynamics(out_dir, trajectory):
     times = trajectory.grid.times()
-    deficit_col = [""] * times.size
-    for n, value in deficits.items():
-        deficit_col[n] = value
     a1, a2 = trajectory.alpha_1, trajectory.alpha_2
     write_csv(os.path.join(out_dir, "dynamics.csv"),
-              ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2",
-               "pop1", "pop2", "norm_deficit"),
-              (times, a1.real, a1.imag, a2.real, a2.imag,
-               trajectory.pop_1, trajectory.pop_2, deficit_col))
+              ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2", "pop1", "pop2"),
+              (times, a1.real, a1.imag, a2.real, a2.imag, trajectory.pop_1, trajectory.pop_2))
 
 
 def _write_mtrace(out_dir, trace):
@@ -506,18 +516,20 @@ def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
     steady-state projection and the count the closed-form roots are
     checked against (the roots themselves need no lattice).  A check is
     recorded only when every stage it reads ran, and ``write_artifacts``
-    writes the files of the stages that ran.  Every warning raised by the
-    stages is recorded in ``manifest["warnings"]`` (category and message)
-    and then re-emitted.  ``manifest["stages"]`` lists the stages in order
+    writes the files of the stages that ran.  The inputs those stages read
+    are checked (``_runnable_stages``) before the output directory is made.
+    Every warning raised by the stages is recorded in
+    ``manifest["warnings"]`` (category and message) and then re-emitted.  ``manifest["stages"]`` lists the stages in order
     with their wall time, problem sizes and the process peak RSS at their
     end.
     """
     if stages not in COMMAND_STAGES.values():
         raise ValueError(f"{stages!r} is not the stage set of a scenario command")
     started = time.monotonic()
-    out_dir = _prepare_out_dir(out_dir)
     records: list[dict] = []
     with warnings.catch_warnings(record=True) as caught:
+        stages = _runnable_stages(scn, stages)
+        out_dir = _prepare_out_dir(out_dir)
         checks = _scenario_stages(scn, out_dir, stages, records)
     # recorded for the manifest, then shown as if never caught
     for w in caught:
@@ -554,12 +566,8 @@ def _stage(records: list, name: str, **sizes):
 def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict]:
     """The ``stages`` of ``run_scenario`` up to the manifest: writes the
     artifacts, appends one record per stage to ``records`` and returns the
-    checks.  The full set runs ``bic_roots`` only where the closed form
-    applies (symmetric resonant, g > 0); the ``bic`` command runs it
-    regardless, and an asymmetric configuration is a ConfigError there."""
+    checks."""
     cfg = validate_config(scn.cfg)
-    if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
-        stages = tuple(name for name in STAGES if name != "bic_roots")
     grid = scn.grid
     psi0 = initial_state(INITIAL_STATE, cfg)
     checks: list[dict] = []
@@ -636,7 +644,6 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                     order_max=dynamics.field_order_max(cfg, window),
                     arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
             snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
-    deficit_at = {}
     if "field_norm_check" in stages:
         t_check, wide = _norm_check_window(cfg, grid)
         with _stage(records, "field_norm_check", sites=int(wide.size),
@@ -646,7 +653,6 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
             checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2,
                                  deficit <= 1e-2))
-            deficit_at = {grid.node(t_check): deficit}
 
     if "scenario_checks" in stages:
         with _stage(records, "scenario_checks"):
@@ -676,7 +682,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         if "lattice" in stages:
             _write_spectrum(out_dir, sites, profiles)
         if "volterra" in stages:
-            _write_dynamics(out_dir, trajectory, deficit_at)
+            _write_dynamics(out_dir, trajectory)
             _write_mtrace(out_dir, trace)
         if "photon_field" in stages:
             _write_field(out_dir, snapshots)
@@ -767,20 +773,24 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
     return results
 
 
-def _default_out() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, "out")
-
-
-def _add_common(parser):
+def _add_flags(parser, *grid_flags):
+    """``--out``, and those of ``--dt``, ``--tmax``, ``--nc`` the command reads."""
     parser.add_argument("--out", default=None, help="output directory "
                         f"(default $%s or ./out)" % OUTPUT_DIR_ENV)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--tmax", type=float, default=None)
-    parser.add_argument("--nc", type=int, default=None)
+    for flag in grid_flags:
+        parser.add_argument(flag, type=int if flag == "--nc" else float, default=None)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 1), not argparse's exit 2;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crwqed",
         description="Bound states in the continuum and beyond-Markovian dynamics "
                     "of two giant atoms coupled to a coupled-resonator waveguide.")
@@ -791,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("target", help=f"preset ({', '.join(sorted(PRESETS))}, table1) or config file")
     run_p.add_argument("--check", action="store_true",
                        help="exit 3 when any tolerance check fails")
-    _add_common(run_p)
+    _add_flags(run_p, "--dt", "--tmax", "--nc")
 
     for name, blurb in (("spectrum", "lattice spectrum and bound-state classification"),
                         ("bic", "closed-form bound-state roots"),
@@ -799,11 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
                         ("field", "real-space photon snapshots")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("target")
-        _add_common(p)
+        _add_flags(p, "--dt", "--tmax", "--nc")
 
     census_p = sub.add_parser("census", help="bound-state census over the standard geometries")
     census_p.add_argument("--g", type=float, default=0.1)
-    _add_common(census_p)
+    _add_flags(census_p)
 
     sweep_p = sub.add_parser("sweep", help="one-parameter sweep of the census")
     sweep_p.add_argument("--vary", required=True, metavar="{delta,N,g,dt}")
@@ -815,15 +825,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workers", type=int, default=1)
     sweep_p.add_argument("--dynamics", action="store_true",
                          help="also report the steady-state plateau per value")
-    _add_common(sweep_p)
+    _add_flags(sweep_p, "--dt", "--tmax")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = getattr(args, "out", None) or _default_out()
     try:
+        args = build_parser().parse_args(argv)
+        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, "out")
         if args.command == "run" and args.target == "table1":
+            if (args.dt, args.tmax, args.nc) != (None, None, None):
+                raise ConfigError("run table1 takes no --dt, --tmax or --nc")
             rows = run_census(out_dir)
             for r in rows:
                 print(f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
@@ -844,17 +856,16 @@ def main(argv=None) -> int:
             for r in rows:
                 print(f"N={r.size} delta={r.delta}: n_bic={r.n_bic}")
             return 0
-        if args.command == "sweep":
-            values = [v for v in args.values.split(",") if v != ""]
-            results = run_sweep(out_dir, args.vary, values, size=args.size,
-                                delta=args.delta, g=args.g,
-                                dt=0.02 if args.dt is None else args.dt,
-                                workers=args.workers, with_dynamics=args.dynamics,
-                                t_max=200.0 if args.tmax is None else args.tmax)
-            for r in results:
-                print(f"{args.vary}={r['value']}: n_bic={r['n_bic']}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        # sweep, the one command left: the parser rejects any other
+        values = [v for v in args.values.split(",") if v != ""]
+        results = run_sweep(out_dir, args.vary, values, size=args.size,
+                            delta=args.delta, g=args.g,
+                            dt=0.02 if args.dt is None else args.dt,
+                            workers=args.workers, with_dynamics=args.dynamics,
+                            t_max=200.0 if args.tmax is None else args.tmax)
+        for r in results:
+            print(f"{args.vary}={r['value']}: n_bic={r['n_bic']}")
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

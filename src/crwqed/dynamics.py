@@ -60,7 +60,6 @@ def unit_power(p: int) -> complex:
 class KernelSet:
     """Memory-kernel integrands tabulated on a time grid."""
 
-    grid: TimeGrid
     k_self_1: np.ndarray
     k_self_2: np.ndarray
     k_cross: np.ndarray
@@ -96,7 +95,7 @@ def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     for p in cfg.cross_distances:
         kc += unit_power(p) * table[:, p]
     kc *= phase
-    return KernelSet(grid=grid, k_self_1=k1, k_self_2=k2, k_cross=kc)
+    return KernelSet(k_self_1=k1, k_self_2=k2, k_cross=kc)
 
 
 def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:

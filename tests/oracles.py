@@ -117,16 +117,17 @@ def photon_profile(vector: np.ndarray) -> np.ndarray:
     return np.abs(vector[2:]) ** 2
 
 
-def m_matrix(cfg: SystemConfig, t: float, kernels: KernelSet) -> np.ndarray:
-    """Effective 2x2 matrix M(t) = [[A_1, B], [B, A_2]] at one grid time.
+def m_matrix(cfg: SystemConfig, grid, t: float, kernels: KernelSet) -> np.ndarray:
+    """Effective 2x2 matrix M(t) = [[A_1, B], [B, A_2]] at one time of the
+    kernels' grid.
 
     A_i(t) = Omega_i - 2i g_i^2 int_0^t K_i, B(t) = -i g_1 g_2 int_0^t K_c,
     integrals by the trapezoid rule over the kernel tables; the reference
     for the cumulative integrals of ``dynamics.m_eigenvalues_trace``.
     """
     cfg = validate_config(cfg)
-    n = kernels.grid.node(t)
-    dt = kernels.grid.dt
+    n = grid.node(t)
+    dt = grid.dt
     def integral(k):
         if n == 0:
             return 0.0j
@@ -174,7 +175,7 @@ def bracket_shift_direct(E, cfg: SystemConfig, branch: int):
 def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
     """Residual f_s(E) of the in-band eigenvalue equation for parity branch
     s = +-1 (A_1 = s A_2), the function whose roots ``bic.find_bic_roots``
-    scans for.
+    finds.
 
     ``E`` must lie in the band at least ``EDGE_GUARD`` xi from either edge.
     The Hermitian shift is evaluated twice (``bic._bracket``'s complex
@@ -182,7 +183,7 @@ def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
     to 1e-10 relative, a guard against branch-cut mistakes in the complex
     evaluation.
     """
-    cfg = bic._require_symmetric(cfg)
+    cfg = bic.check_closed_form(cfg)
     if branch not in bic.BRANCHES:
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E <= cfg.band_top - EDGE_GUARD * cfg.xi):
@@ -193,6 +194,53 @@ def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
         raise AssertionError(
             f"Hermitian shift disagreement at E={E}: {shift} vs {direct}")
     return E - cfg.omega_1 - (cfg.g_1 ** 2 / cfg.xi) * shift
+
+
+# The reference root search ``bic._branch_roots`` replaced: a sign scan on
+# this many equal intervals of the band less ``bic.EDGE_EXCLUSION``, each
+# sign change bisected to this width (in xi).
+SCAN_INTERVALS = 4000
+BISECTION_TOL = 1e-10
+
+
+def _bisect(f, a: float, b: float, fa: float, tol: float) -> float:
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if b - a <= tol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def branch_roots_scan(cfg: SystemConfig, branch: int,
+                      intervals: int = SCAN_INTERVALS) -> list[tuple[float, float]]:
+    """(energy, |f|) roots of one parity branch by a sign scan of the
+    complex-bracket residual: every scan node where f is exactly 0, and a
+    bisection in every interval where f changes sign; roots within
+    ``bic.DEGENERATE_MERGE`` of the previous one are dropped.  Two roots in
+    one interval are missed."""
+    lo = cfg.band_bottom + bic.EDGE_EXCLUSION * cfg.xi
+    hi = cfg.band_top - bic.EDGE_EXCLUSION * cfg.xi
+    grid = np.linspace(lo, hi, intervals + 1)
+    vals = bic._residual(grid, cfg, branch)
+    f = lambda e: float(bic._residual(e, cfg, branch))
+    roots: list[tuple[float, float]] = []
+    zero = vals[:-1] == 0.0
+    for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)):
+        if zero[i]:
+            e = float(grid[i])
+        else:
+            e = _bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]),
+                        BISECTION_TOL * cfg.xi)
+        if not roots or e - roots[-1][0] > bic.DEGENERATE_MERGE * cfg.xi:
+            roots.append((e, abs(f(e))))
+    return roots
 
 
 def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:

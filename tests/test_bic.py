@@ -1,18 +1,16 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lamb_shift_sum_oracle, transcendental_residual
+from oracles import branch_roots_scan, lamb_shift_sum_oracle, transcendental_residual
 
-from crwqed.model import SystemConfig
+from crwqed.model import ConfigError, SystemConfig
 from crwqed import bic, spectrum
 from crwqed.bic import (
     BicRoot,
     bic_census,
-    chi,
     find_bic_roots,
     rabi_period,
 )
@@ -21,17 +19,6 @@ FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)      # size 6, delta 3
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)      # size 8, delta 2
 NO_BIC = SystemConfig(n_1=1, n_2=9, m_1=4, m_2=12)    # size 8, delta 3
 DOUBLE = SystemConfig(n_1=1, n_2=7, m_1=3, m_2=9)     # size 6, delta 2
-
-
-def test_chi_reference_points():
-    assert chi(0.0, FIG3) == pytest.approx(-1j, abs=1e-15)
-    assert chi(1.0, FIG3) == pytest.approx(cmath.exp(-1j * math.pi / 3), abs=1e-15)
-    assert chi(1.0, FIG3) == pytest.approx(0.5 - 1j * math.sqrt(3) / 2, abs=1e-15)
-    assert abs(chi(1.999, FIG3)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        chi(2.0, FIG3)
-    with pytest.raises(ValueError):
-        chi(-2.5, FIG3)
 
 
 def test_residual_zero_at_band_center_for_size8_even_offset():
@@ -77,7 +64,6 @@ def test_fig3_root_pair(fig3_roots):
     assert energies[1] == pytest.approx(+0.0097, abs=1e-3)
     for r in fig3_roots:
         assert r.multiplicity == 1
-        assert abs(abs(r.chi) - 1.0) <= 1e-12
         assert r.residual <= 1e-8
 
 
@@ -202,33 +188,6 @@ def test_resonance_near_a_bic_is_not_counted():
     assert roots[0].width == 0.0
 
 
-def test_scan_keeps_a_zero_node_and_a_sign_change_in_the_last_interval(monkeypatch):
-    lo = FIG3.band_bottom + bic.EDGE_EXCLUSION * FIG3.xi
-    hi = FIG3.band_top - bic.EDGE_EXCLUSION * FIG3.xi
-    grid = np.linspace(lo, hi, bic.DEFAULT_SCAN_INTERVALS + 1)
-    node, last = grid[1234], 0.5 * (grid[-2] + grid[-1])
-    # exactly 0 on a scan node (no sign change next to it), and one sign
-    # change inside the last scan interval
-    monkeypatch.setattr(bic, "_residual_grid",
-                        lambda E, cfg, branch: (np.asarray(E) - node) * (np.asarray(E) - last))
-    roots = bic._branch_roots(FIG3, +1)
-    assert len(roots) == 2
-    assert roots[0] == (float(node), 0.0)
-    assert abs(roots[1][0] - last) <= 1e-9 and roots[1][1] <= 1e-9
-
-
-def test_close_roots_warning_names_no_setting(monkeypatch):
-    grid = np.linspace(FIG3.band_bottom + bic.EDGE_EXCLUSION * FIG3.xi,
-                       FIG3.band_top - bic.EDGE_EXCLUSION * FIG3.xi,
-                       bic.DEFAULT_SCAN_INTERVALS + 1)
-    a, b = 0.5 * (grid[100] + grid[101]), 0.5 * (grid[101] + grid[102])
-    monkeypatch.setattr(bic, "_residual_grid",
-                        lambda E, cfg, branch: (np.asarray(E) - a) * (np.asarray(E) - b))
-    with pytest.warns(UserWarning, match="closer than two scan intervals") as shown:
-        assert len(bic._branch_roots(FIG3, +1)) == 2
-    assert "n_scan" not in str(shown[0].message)
-
-
 def test_width_decides_each_branch():
     g2 = FIG3.g_1 ** 2 / FIG3.xi
     # quasi-BIC pair: small but finite width, one branch each
@@ -245,13 +204,82 @@ def test_width_decides_each_branch():
     assert widths and min(widths) > bic.BIC_MAX_IM_BRACKET
 
 
+def test_band_centre_roots_are_exactly_omega_c():
+    # the compact-support BICs: x = 0 is divided out of the polynomial
+    assert [r.energy for r in find_bic_roots(FIG4)] == [0.0]
+    assert [r.energy for r in find_bic_roots(DOUBLE)] == [0.0]
+    shifted = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11, omega_c=0.3, omega_1=0.3, omega_2=0.3)
+    assert [r.energy for r in find_bic_roots(shifted)] == [0.3]
+
+
+def test_two_roots_in_one_scan_interval_are_both_found():
+    cfg = SystemConfig(n_1=-22, n_2=-3, m_1=24, m_2=43, g_1=0.40212120527825085,
+                       g_2=0.40212120527825085, omega_c=-0.4898619485211566,
+                       omega_1=0.782887334737727, omega_2=0.782887334737727)
+    pair = (1.358110335212618, 1.358949306539053)
+    # both sit in the scan interval [1.358046, 1.359046], where f has no
+    # sign change, so the scan reports neither
+    assert not any(min(pair) - 1e-3 <= e <= max(pair) + 1e-3
+                   for e, _ in branch_roots_scan(cfg, +1))
+    energies = [e for e, _ in bic._branch_roots(cfg, +1)]
+    for e in pair:
+        assert min(abs(np.array(energies) - e)) <= 1e-9
+    # a finer scan confirms each root by a sign change of the bracket form
+    for e in pair:
+        f = bic._residual(np.array([e - 1e-5, e + 1e-5]), cfg, +1)
+        assert f[0] * f[1] < 0.0
+
+
+RESIDUAL_CASE = SystemConfig(n_1=-20, n_2=6, m_1=28, m_2=54, g_1=0.4126241543625412,
+                             g_2=0.4126241543625412, omega_c=0.6171273270628221,
+                             omega_1=-1.0660945726617705, omega_2=-1.0660945726617705,
+                             xi=0.5774124868625323)
+
+
+def test_roots_meet_the_residual_check_where_bisection_did_not():
+    # the 1e-10 xi bisection left |f| = 8.5e-9 here, above the 1e-8 xi check
+    roots = find_bic_roots(RESIDUAL_CASE)
+    assert roots
+    assert max(r.residual for r in roots) <= 1e-10 * RESIDUAL_CASE.xi
+
+
+@st.composite
+def symmetric_geometries(draw):
+    size = draw(st.integers(1, 30))
+    n_1 = draw(st.integers(-30, 30 - size))
+    m_1 = draw(st.integers(-30, 30 - size))
+    g = draw(st.floats(0.001, 0.5))
+    omega = draw(st.floats(-1.5, 1.5))
+    return SystemConfig(n_1=n_1, n_2=n_1 + size, m_1=m_1, m_2=m_1 + size,
+                        omega_c=draw(st.floats(-1.5, 1.5)), xi=draw(st.floats(0.5, 2.0)),
+                        omega_1=omega, omega_2=omega, g_1=g, g_2=g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_geometries(), st.sampled_from(bic.BRANCHES))
+def test_branch_roots_contain_every_scan_root(cfg, branch):
+    roots = bic._branch_roots(cfg, branch)
+    energies = np.array([e for e, _ in roots])
+    for e, _ in branch_roots_scan(cfg, branch):
+        assert np.abs(energies - e).min() <= 1e-9 * cfg.xi
+    for e, residual in roots:
+        assert residual <= 1e-10 * cfg.xi
+        assert residual == abs(float(bic._residual(e, cfg, branch)))
+
+
+def test_leg_distance_beyond_the_limit_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(bic, "MAX_LEG_DISTANCE", 9)
+    assert find_bic_roots(FIG3)  # largest leg distance 9
+    with pytest.raises(ConfigError, match="leg distance 10 exceeds 9"):
+        find_bic_roots(FIG4)
+
+
 def test_decoupled_atoms_have_no_bound_state():
     cfg = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11, g_1=0.0, g_2=0.0)
     assert find_bic_roots(cfg) == []
 
 
 def test_census_rejects_offsets_out_of_range_as_config_error():
-    from crwqed.model import ConfigError
     for delta in (0, 6, -1):
         with pytest.raises(ConfigError, match="0 < delta < size"):
             bic_census(6, [delta])

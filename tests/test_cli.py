@@ -134,6 +134,37 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "not-a-preset", "--out", str(tmp_path / "z")]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--bogus"], "crwqed: unrecognized arguments: --bogus"),
+    (["run"], "crwqed run: the following arguments are required: target"),
+    (["run", "fig3", "--nc", "abc"], "argument --nc: invalid int value: 'abc'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["census", "--dt", "0.01"], "unrecognized arguments: --dt 0.01"),
+    (["census", "--tmax", "5"], "unrecognized arguments: --tmax 5"),
+    (["census", "--nc", "100"], "unrecognized arguments: --nc 100"),
+    (["sweep", "--vary", "delta", "--values", "1", "--nc", "100"],
+     "unrecognized arguments: --nc 100"),
+    (["run", "table1", "--dt", "0.01"], "run table1 takes no --dt, --tmax or --nc"),
+    (["run", "table1", "--tmax", "5"], "run table1 takes no --dt, --tmax or --nc"),
+    (["run", "table1", "--nc", "100"], "run table1 takes no --dt, --tmax or --nc"),
+], ids=["unknown_flag", "no_target", "bad_int", "unknown_command",
+        "census_dt", "census_tmax", "census_nc", "sweep_nc", "table1_dt", "table1_tmax",
+        "table1_nc"])
+def test_usage_errors_and_unread_flags_exit_1(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "usage:" not in captured.err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["census", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_main_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -461,11 +492,7 @@ def test_partial_commands_write_the_same_artifacts(tmp_path):
     written = sorted(p.name for p in part.glob("*.csv"))
     assert written == sorted(p.name for p in full.glob("*.csv"))
     for name in written:
-        if name != "dynamics.csv":
-            assert (part / name).read_bytes() == (full / name).read_bytes(), name
-    # dynamics.csv: only the run's single norm-deficit cell is extra
-    strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-    assert strip(part / "dynamics.csv") == strip(full / "dynamics.csv")
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
     # the manifest of the last command, field
     stages = json.loads((part / "manifest.json").read_text())["stages"]
     assert [s["name"] for s in stages] == ["volterra", "photon_field", "write_artifacts"]
@@ -592,9 +619,54 @@ def test_coarse_grid_and_small_lattice_are_config_errors(tmp_path, capsys, argv,
         cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\n" + config)
         argv = argv + [str(cfgfile)]
         with pytest.raises(ConfigError, match=message):
-            load_scenario(str(cfgfile))
+            run_scenario(load_scenario(str(cfgfile)), tmp_path / "out",
+                         cli.COMMAND_STAGES[argv[0]])
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bic", "fig3", "--nc", "10"],
+    ["bic", "fig3", "--dt", "0.5"],
+    ["spectrum", "fig3", "--dt", "0.5"],
+    ["dynamics", "fig3", "--nc", "10", "--tmax", "20"],
+], ids=["bic_nc", "bic_dt", "spectrum_dt", "dynamics_nc"])
+def test_commands_check_only_the_inputs_they_read(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+def test_hand_built_scenarios_get_the_stage_checks(tmp_path):
+    from dataclasses import replace
+    small = replace(load_scenario("fig3", t_max=20.0), n_c=10)
+    with pytest.raises(ConfigError, match="lattice too small"):
+        run_scenario(small, tmp_path / "out", cli.COMMAND_STAGES["spectrum"])
+    assert not (tmp_path / "out").exists()
+    run_scenario(small, tmp_path / "out", cli.COMMAND_STAGES["dynamics"])
+
+
+def test_closed_form_range_limit(tmp_path, capsys, monkeypatch):
+    from crwqed import bic
+    monkeypatch.setattr(bic, "MAX_LEG_DISTANCE", 8)  # fig3's largest leg distance is 9
+    monkeypatch.setattr(bic, "_branch_roots", None)  # must not be reached
+    assert main(["bic", "fig3", "--out", str(tmp_path / "bic")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "leg distance 9 exceeds 8" in err
+    assert not (tmp_path / "bic").exists()
+    with pytest.warns(UserWarning, match="bic_roots skipped: leg distance 9 exceeds 8"):
+        manifest = run_scenario(load_scenario("fig3", t_max=20.0, n_c=200), tmp_path / "run")
+    assert "bic_roots" not in [s["name"] for s in manifest["stages"]]
+    assert not (tmp_path / "run" / "bic.json").exists()
+    assert any(w["message"].startswith("bic_roots skipped") for w in manifest["warnings"])
+
+
+def test_bic_command_passes_the_residual_check_where_bisection_failed(tmp_path, capsys):
+    cfgfile = tmp_path / "residual.cfg"
+    cfgfile.write_text("n_1 = -20\nn_2 = 6\nm_1 = 28\nm_2 = 54\n"
+                       "g_1 = 0.4126241543625412\ng_2 = 0.4126241543625412\n"
+                       "omega_c = 0.6171273270628221\nomega_1 = -1.0660945726617705\n"
+                       "omega_2 = -1.0660945726617705\nxi = 0.5774124868625323\n")
+    assert main(["bic", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    assert "[PASS] bic_root_residual" in capsys.readouterr().out
 
 
 def test_population_abort_is_a_solver_error(tmp_path, capsys):
@@ -680,7 +752,7 @@ def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, c
     cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 1101\n"
                        "t_max = 1100\ndt = 0.02\nn_c = 1200\n")
     with pytest.raises(ConfigError, match="Miller"):
-        load_scenario(str(cfgfile))
+        run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
     for command in ("run", "dynamics", "field"):
         assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -764,7 +836,7 @@ def test_fuzzed_config_gives_an_honest_exit(command, text):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # e.g. close roots; not an exit
+            warnings.simplefilter("ignore", UserWarning)  # e.g. the wavefront rule; not an exit
             code = main([command, cfgfile, "--out", out])
         err = err.getvalue()
         assert code in (0, 1, 2)

@@ -88,14 +88,14 @@ def test_m_matrix_start_and_decoupled():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, omega_1=0.4, omega_2=-0.2)
     grid = TimeGrid(t_max=2.0, dt=0.02)
     ks = build_kernels(cfg, grid)
-    m0 = m_matrix(cfg, 0.0, ks)
+    m0 = m_matrix(cfg, grid, 0.0, ks)
     assert np.allclose(m0, np.diag([0.4, -0.2]))
     free = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0,
                         omega_1=0.4, omega_2=-0.2)
     ksf = build_kernels(free, grid)
     for t in (0.0, 1.0, 2.0):
-        assert np.allclose(m_matrix(free, t, ksf), np.diag([0.4, -0.2]))
-    m1 = m_matrix(cfg, 1.0, ks)
+        assert np.allclose(m_matrix(free, grid, t, ksf), np.diag([0.4, -0.2]))
+    m1 = m_matrix(cfg, grid, 1.0, ks)
     assert m1[0, 1] == m1[1, 0]
 
 

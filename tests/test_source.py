@@ -39,3 +39,30 @@ def test_every_top_level_name_in_src_is_used_or_exported():
               if name not in used and name not in crwqed.__all__
               and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_in_src_is_read():
+    # a field is read as an attribute, or named in a string (getattr, a
+    # key list); one that is only ever written is dead state
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [f"{module}:{cls}.{name}" for module, tree in trees.items()
+              for cls, name in _dataclass_fields(tree) if name not in read]
+    assert unread == []
