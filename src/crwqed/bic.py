@@ -108,9 +108,11 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     In x, f_s = (omega_c - Omega) + xi U_1 - (g^2/2xi) [2 (-1)^(N-1) U_(N-1)
     + s sum_p (-1)^(p-1) U_(p-1)]: its real roots are the exactly real
     eigenvalues of the comrade matrix, x U_k = (U_(k-1) + U_(k+1))/2 with U_n
-    eliminated by f = 0, each polished by a Newton step.  The g^2 terms sum
-    as integers, so on resonance f(0) is exactly 0 at a band-centre root: x
-    is divided out, a_k = (q_(k-1) + q_(k+1))/2, and x = 0 kept exactly.
+    eliminated by f = 0, each polished by a Newton step.  A near-double real
+    root that the eigensolver returns as a complex pair is missed.  The g^2
+    terms sum as integers, so on resonance f(0) is exactly 0 at a band-centre
+    root: x is divided out, a_k = (q_(k-1) + q_(k+1))/2, and x = 0 kept
+    exactly.
     """
     big_n = cfg.size_1
     ints = np.zeros(max(big_n, *cfg.cross_distances, 2), dtype=np.int64)

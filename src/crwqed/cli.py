@@ -355,12 +355,13 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
 
 
 def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
-    """``stages``, or a ConfigError for an input they read and cannot take:
-    the lattice size, the closed form's range, the kernel grid, and any
-    Bessel table (memory kernels, plot window, norm check) that would send
-    Miller's recurrence an argument above ``specfun.MILLER_X_MAX``.  ``run``
-    drops ``bic_roots`` where the closed form does not apply: silently for
-    unequal or decoupled atoms, with a warning beyond ``bic.MAX_LEG_DISTANCE``."""
+    """``stages``, or a ConfigError, from sizes alone, for an input they read
+    and cannot take: the lattice size, the closed form's range, the kernel
+    grid, the leg span, and any Bessel table (memory kernels, plot window,
+    norm check) that would send Miller's recurrence an argument above
+    ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots`` where the closed
+    form does not apply: silently for unequal or decoupled atoms, with a
+    warning beyond ``bic.MAX_LEG_DISTANCE``."""
     cfg, two_xi = validate_config(scn.cfg), 2.0 * scn.cfg.xi
     without_roots = tuple(name for name in STAGES if name != "bic_roots")
     if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
@@ -377,13 +378,15 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
         spectrum.check_lattice_size(cfg, scn.n_c)
     if "volterra" in stages:
         dynamics.check_kernel_grid(cfg, scn.grid)
-    t_check, wide = _norm_check_window(cfg, scn.grid)
+        # the lattice's bound on the legs, which caps the Bessel orders too
+        if cfg.span + spectrum.LATTICE_MARGIN > spectrum.MAX_LATTICE_SITES:
+            raise ConfigError(f"leg span {cfg.span} + margin {spectrum.LATTICE_MARGIN} "
+                              f"exceeds {spectrum.MAX_LATTICE_SITES}, the largest lattice")
+    t_check, reach = _norm_check_reach(cfg, scn.grid)
     tables = (("volterra", "memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end),
-              ("photon_field", "field window",
-               dynamics.field_order_max(cfg, _field_window(cfg)),
+              ("photon_field", "field window", cfg.span + FIELD_WINDOW_PAD,
                max(scn.snapshot_times, default=0.0)),
-              ("field_norm_check", "norm-check window", dynamics.field_order_max(cfg, wide),
-               t_check))
+              ("field_norm_check", "norm-check window", cfg.span + reach, t_check))
     for stage, what, order, t in tables:
         if stage in stages and specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
             raise ConfigError(
@@ -413,19 +416,11 @@ def _roots_payload(cfg, roots):
     return payload
 
 
-def _field_window(cfg):
-    """Sites of the photon-field plot window around the legs."""
-    first, last = cfg.outer_legs
-    return np.arange(first - FIELD_WINDOW_PAD, last + FIELD_WINDOW_PAD + 1)
-
-
-def _norm_check_window(cfg, grid):
-    """The grid time of the field-norm check (at most 200) and its sites:
-    every site the light cone can have reached, plus a pad."""
+def _norm_check_reach(cfg, grid):
+    """The grid time of the field-norm check (at most 200) and how far its
+    window reaches beyond the legs: as far as the light cone, plus a pad."""
     t_check = round(min(200.0, grid.t_end) / grid.dt) * grid.dt
-    reach = int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
-    first, last = cfg.outer_legs
-    return t_check, np.arange(first - reach, last + reach + 1)
+    return t_check, int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
 
 
 # ---- artifact writers of the run_scenario stages ----
@@ -570,6 +565,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     cfg = validate_config(scn.cfg)
     grid = scn.grid
     psi0 = initial_state(INITIAL_STATE, cfg)
+    first, last = cfg.outer_legs
     checks: list[dict] = []
 
     if "lattice" in stages:
@@ -639,13 +635,14 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
 
     # photon field over the plot window, plus a wide-window unitarity check
     if "photon_field" in stages:
-        window = _field_window(cfg)
+        window = np.arange(first - FIELD_WINDOW_PAD, last + FIELD_WINDOW_PAD + 1)
         with _stage(records, "photon_field", sites=int(window.size),
                     order_max=dynamics.field_order_max(cfg, window),
                     arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
             snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
     if "field_norm_check" in stages:
-        t_check, wide = _norm_check_window(cfg, grid)
+        t_check, reach = _norm_check_reach(cfg, grid)
+        wide = np.arange(first - reach, last + reach + 1)
         with _stage(records, "field_norm_check", sites=int(wide.size),
                     order_max=dynamics.field_order_max(cfg, wide),
                     arg_max=2.0 * cfg.xi * t_check):

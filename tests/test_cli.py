@@ -644,6 +644,32 @@ def test_hand_built_scenarios_get_the_stage_checks(tmp_path):
     run_scenario(small, tmp_path / "out", cli.COMMAND_STAGES["dynamics"])
 
 
+@pytest.mark.parametrize("command", ["bic", "spectrum"])
+def test_commands_without_dynamics_build_no_field_window_at_a_large_xi(tmp_path, command):
+    # At xi = 1e4 and the default t_max = 200 the norm-check window would
+    # hold 8e6 sites (64 MB, 128 MB with its distances); at xi = 1e6, GBs.
+    cfgfile = tmp_path / "stiff.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nxi = 1e4\n")
+    argv = [command, str(cfgfile), "--out", str(tmp_path / "out")]
+    codes = []
+    assert traced_peak(lambda: codes.append(main(argv))) < 32e6 and codes == [0]
+    assert main(["run", str(cfgfile), "--out", str(tmp_path / "run")]) == 1
+
+
+@pytest.mark.parametrize("command", ["dynamics", "field"])
+def test_legs_beyond_the_largest_lattice_exit_1_before_any_table(tmp_path, capsys,
+                                                                monkeypatch, command):
+    from crwqed import dynamics
+    monkeypatch.setattr(dynamics, "bessel_j_table", None)  # must not be reached
+    cfgfile = tmp_path / "far.cfg"
+    cfgfile.write_text("n_1 = 0\nn_2 = 1\nm_1 = 100000000\nm_2 = 100000001\n"
+                       "t_max = 1\ndt = 0.02\n")
+    assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "leg span 100000001 + margin 40 exceeds 8000" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_closed_form_range_limit(tmp_path, capsys, monkeypatch):
     from crwqed import bic
     monkeypatch.setattr(bic, "MAX_LEG_DISTANCE", 8)  # fig3's largest leg distance is 9
