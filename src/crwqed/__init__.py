@@ -11,10 +11,8 @@ from .model import (
     SystemConfig,
     TimeGrid,
     WavefunctionState,
-    dispersion,
     initial_state,
     parse_config_file,
-    validate_config,
 )
 
 __all__ = [
@@ -24,9 +22,7 @@ __all__ = [
     "SystemConfig",
     "TimeGrid",
     "WavefunctionState",
-    "dispersion",
     "initial_state",
     "parse_config_file",
-    "validate_config",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, validate_config
+from .model import ConfigError, SystemConfig
 
 # Roots closer than this (in xi) to a band edge are dropped; chi - chi*
 # vanishes at the edges and genuine BICs sit near band center.
@@ -51,10 +51,9 @@ BIC_MAX_IM_BRACKET = 0.1
 BRANCHES = (+1, -1)
 
 
-def check_closed_form(cfg: SystemConfig) -> SystemConfig:
-    """The validated configuration, or ConfigError where the closed form
-    does not apply (unequal atoms) or exceeds ``MAX_LEG_DISTANCE``."""
-    cfg = validate_config(cfg)
+def check_closed_form(cfg: SystemConfig) -> None:
+    """Raise ConfigError where the closed form does not apply (unequal
+    atoms) or exceeds ``MAX_LEG_DISTANCE``."""
     if not cfg.symmetric_resonant:
         raise ConfigError(
             "the closed-form bound-state equation requires g_1 = g_2, "
@@ -65,7 +64,6 @@ def check_closed_form(cfg: SystemConfig) -> SystemConfig:
     if distance > MAX_LEG_DISTANCE:
         raise ConfigError(f"leg distance {distance} exceeds {MAX_LEG_DISTANCE}, the "
                           "largest the closed-form bound-state equation takes")
-    return cfg
 
 
 def _bracket(E, cfg: SystemConfig, branch: int):
@@ -157,7 +155,7 @@ def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
     with none is an in-band resonance and is dropped.  Decoupled atoms
     (g = 0) carry no photon amplitude and have no bound state.
     """
-    cfg = check_closed_form(cfg)
+    check_closed_form(cfg)
     if cfg.g_1 == 0.0:
         return []
     per_branch = {s: _branch_roots(cfg, s) for s in BRANCHES}

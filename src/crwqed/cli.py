@@ -41,7 +41,6 @@ from .model import (
     config_from_mapping,
     initial_state,
     parse_config_file,
-    validate_config,
 )
 
 OUTPUT_DIR_ENV = "CRWQED_OUT"
@@ -362,7 +361,7 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots`` where the closed
     form does not apply: silently for unequal or decoupled atoms, with a
     warning beyond ``bic.MAX_LEG_DISTANCE``."""
-    cfg, two_xi = validate_config(scn.cfg), 2.0 * scn.cfg.xi
+    cfg, two_xi = scn.cfg, 2.0 * scn.cfg.xi
     without_roots = tuple(name for name in STAGES if name != "bic_roots")
     if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
         stages = without_roots
@@ -562,16 +561,16 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     """The ``stages`` of ``run_scenario`` up to the manifest: writes the
     artifacts, appends one record per stage to ``records`` and returns the
     checks."""
-    cfg = validate_config(scn.cfg)
-    grid = scn.grid
-    psi0 = initial_state(INITIAL_STATE, cfg)
+    cfg, grid = scn.cfg, scn.grid
+    psi0 = initial_state(INITIAL_STATE)
     first, last = cfg.outer_legs
     checks: list[dict] = []
 
     if "lattice" in stages:
         with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
             ham = spectrum.build_hamiltonian(cfg, scn.n_c)
-            sites, basis = ham.sites, spectrum.eigendecompose(ham)
+            basis = spectrum.eigendecompose(ham)
+            sites = basis.sites
             del ham  # the dense Hamiltonian is freed once diagonalized
             profiles = spectrum.classify_bound_states(basis, cfg)
             bics = spectrum.bound_states(profiles, "BIC")
@@ -724,7 +723,7 @@ def _sweep_one(args):
         cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
                            g_1=g, g_2=g)
         grid = TimeGrid(t_max=t_max, dt=dt)
-        traj = dynamics.solve_volterra(cfg, initial_state(INITIAL_STATE, cfg), grid)
+        traj = dynamics.solve_volterra(cfg, initial_state(INITIAL_STATE), grid)
         p1, p2, settled = dynamics.plateau(traj)
         out.update({"plateau_pop1": p1, "plateau_pop2": p2, "plateau_settled": settled})
     return out
@@ -830,11 +829,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, "out")
-        if args.command == "run" and args.target == "table1":
-            if (args.dt, args.tmax, args.nc) != (None, None, None):
+        table1 = args.command == "run" and args.target == "table1"
+        if table1 or args.command == "census":
+            if table1 and (args.dt, args.tmax, args.nc) != (None, None, None):
                 raise ConfigError("run table1 takes no --dt, --tmax or --nc")
-            rows = run_census(out_dir)
-            for r in rows:
+            for r in run_census(out_dir, g=getattr(args, "g", 0.1)):
                 print(f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
                       + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else ""))
             return 0
@@ -847,11 +846,6 @@ def main(argv=None) -> int:
                       + (f" (threshold {c['threshold']:.6g})" if c["threshold"] is not None else ""))
             if getattr(args, "check", False) and not manifest["all_passed"]:
                 return 3
-            return 0
-        if args.command == "census":
-            rows = run_census(out_dir, g=args.g)
-            for r in rows:
-                print(f"N={r.size} delta={r.delta}: n_bic={r.n_bic}")
             return 0
         # sweep, the one command left: the parser rejects any other
         values = [v for v in args.values.split(",") if v != ""]

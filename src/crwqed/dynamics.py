@@ -35,7 +35,6 @@ from .model import (
     SystemConfig,
     TimeGrid,
     WavefunctionState,
-    validate_config,
 )
 from .specfun import bessel_j_table
 
@@ -84,7 +83,6 @@ def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     At tau = 0 the self kernels equal 1 and the cross kernel equals the
     number of shared legs (zero for braided, non-touching geometries).
     """
-    cfg = validate_config(cfg)
     check_kernel_grid(cfg, grid)
     taus = grid.times()
     table = bessel_j_table(kernel_order_max(cfg), 2.0 * cfg.xi * taus)
@@ -131,7 +129,6 @@ def m_eigenvalues_trace(cfg: SystemConfig, grid: TimeGrid,
     """Eigenvalues lambda_+-(t) of M(t) at every node, ordered so each trace
     is continuous in the complex plane (nearest-neighbor matching between
     consecutive nodes, see :func:`_continuity_order`)."""
-    cfg = validate_config(cfg)
     if kernels is None:
         kernels = build_kernels(cfg, grid)
     dt = grid.dt
@@ -200,7 +197,6 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
         at the first such node of the causal sums (one overflow turns a
         whole FFT into NaN).
     """
-    cfg = validate_config(cfg)
     if not psi0.photon_vacuum:
         raise ValueError("solve_volterra requires an initially empty photon sector")
     if kernels is None:
@@ -330,7 +326,6 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     cost is one table plus one matrix product per block and time, and the
     scratch memory is O(chunk * orders) whatever the horizon.
     """
-    cfg = validate_config(cfg)
     grid = trajectory.grid
     sites = np.asarray(sites, dtype=int)
     nodes = [grid.node(t) for t in sorted(float(t) for t in times)]

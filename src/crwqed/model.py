@@ -11,7 +11,7 @@ placed.  The lattice constant is unity throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class SystemConfig:
 
     The resonant regime used by all bundled presets is
     ``omega_1 = omega_2 = omega_c = 0`` with ``g = 0.1 xi``.
+
+    A ``SystemConfig`` that exists is valid, with its legs sorted:
+    construction raises ConfigError otherwise (see ``__post_init__``).
     """
 
     n_1: int
@@ -66,6 +69,29 @@ class SystemConfig:
     g_1: float = 0.1
     g_2: float = 0.1
 
+    def __post_init__(self):
+        """Reject non-finite frequencies or couplings, non-positive ``xi``,
+        negative couplings and coincident legs (ConfigError), then sort the
+        legs so that ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is
+        invariant under leg relabelling)."""
+        if not (self.xi > 0.0) or not math.isfinite(self.xi):
+            raise ConfigError(f"hopping strength xi must be positive, got {self.xi}")
+        for name in ("omega_c", "omega_1", "omega_2", "g_1", "g_2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.g_1 < 0.0 or self.g_2 < 0.0:
+            raise ConfigError(
+                f"couplings must be non-negative, got g_1={self.g_1}, g_2={self.g_2}")
+        if self.n_1 == self.n_2:
+            raise ConfigError(f"coincident legs for the first atom: n_1 = n_2 = {self.n_1}")
+        if self.m_1 == self.m_2:
+            raise ConfigError(f"coincident legs for the second atom: m_1 = m_2 = {self.m_1}")
+        for first, second in (("n_1", "n_2"), ("m_1", "m_2")):
+            lo, hi = sorted((getattr(self, first), getattr(self, second)))
+            object.__setattr__(self, first, lo)
+            object.__setattr__(self, second, hi)
+
     @property
     def size_1(self) -> int:
         """Extent of the first giant atom, n_2 - n_1."""
@@ -74,16 +100,6 @@ class SystemConfig:
     @property
     def size_2(self) -> int:
         return self.m_2 - self.m_1
-
-    @property
-    def delta(self) -> int:
-        """Leg offset m_1 - n_1 between the two atoms."""
-        return self.m_1 - self.n_1
-
-    @property
-    def braided(self) -> bool:
-        """True when the coupling legs interleave: n_1 < m_1 < n_2 < m_2."""
-        return self.n_1 < self.m_1 < self.n_2 < self.m_2
 
     @property
     def legs(self) -> tuple[int, int, int, int]:
@@ -121,48 +137,6 @@ class SystemConfig:
                 and self.size_1 == self.size_2)
 
 
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Normalize and validate a configuration.
-
-    Legs are sorted so that ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is
-    invariant under leg relabelling).  Idempotent.
-
-    Raises
-    ------
-    ConfigError
-        For non-finite frequencies or couplings, non-positive ``xi``,
-        negative couplings, or coincident legs.
-    """
-    if not (cfg.xi > 0.0) or not math.isfinite(cfg.xi):
-        raise ConfigError(f"hopping strength xi must be positive, got {cfg.xi}")
-    for name in ("omega_c", "omega_1", "omega_2", "g_1", "g_2"):
-        value = getattr(cfg, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.g_1 < 0.0 or cfg.g_2 < 0.0:
-        raise ConfigError(f"couplings must be non-negative, got g_1={cfg.g_1}, g_2={cfg.g_2}")
-    if cfg.n_1 == cfg.n_2:
-        raise ConfigError(f"coincident legs for the first atom: n_1 = n_2 = {cfg.n_1}")
-    if cfg.m_1 == cfg.m_2:
-        raise ConfigError(f"coincident legs for the second atom: m_1 = m_2 = {cfg.m_1}")
-    n_1, n_2 = sorted((cfg.n_1, cfg.n_2))
-    m_1, m_2 = sorted((cfg.m_1, cfg.m_2))
-    if (n_1, n_2, m_1, m_2) != (cfg.n_1, cfg.n_2, cfg.m_1, cfg.m_2):
-        cfg = replace(cfg, n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2)
-    return cfg
-
-
-def dispersion(k: float | np.ndarray, cfg: SystemConfig) -> float | np.ndarray:
-    """Waveguide dispersion ``omega_k = omega_c - 2 xi cos k``.
-
-    ``k`` is wrapped into [-pi, pi); the cosine band spans
-    ``[omega_c - 2 xi, omega_c + 2 xi]``.
-    """
-    k = np.mod(np.asarray(k) + np.pi, 2.0 * np.pi) - np.pi
-    out = cfg.omega_c - 2.0 * cfg.xi * np.cos(k)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class WavefunctionState:
     """Single-excitation amplitudes: two atoms plus real-space photon field.
@@ -175,10 +149,6 @@ class WavefunctionState:
     alpha_2: complex
     beta: dict[int, complex] = field(default_factory=dict)
 
-    def norm_squared(self) -> float:
-        return (abs(self.alpha_1) ** 2 + abs(self.alpha_2) ** 2
-                + sum(abs(b) ** 2 for b in self.beta.values()))
-
     @property
     def photon_vacuum(self) -> bool:
         return all(abs(b) == 0.0 for b in self.beta.values())
@@ -187,13 +157,12 @@ class WavefunctionState:
 _INITIAL_STATES = ("atom1", "atom2", "symmetric", "antisymmetric")
 
 
-def initial_state(which: str, cfg: SystemConfig) -> WavefunctionState:
+def initial_state(which: str) -> WavefunctionState:
     """Unit-norm initial state with the photon field in vacuum.
 
     ``which`` selects atom1, atom2, or the (anti)symmetric superposition
     ``(atom1 +- atom2)/sqrt(2)``.
     """
-    validate_config(cfg)
     if which == "atom1":
         return WavefunctionState(1.0 + 0.0j, 0.0j)
     if which == "atom2":
@@ -233,10 +202,11 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
     def node(self, t: float) -> int:
-        """Index of the grid node at time t; t must lie on the grid."""
+        """Index of the grid node at time t; ConfigError unless t lies on
+        the grid."""
         n = int(round(t / self.dt))
         if n < 0 or n > self.n_steps or abs(t - n * self.dt) > 1e-9 * max(1.0, self.dt):
-            raise ValueError(f"t={t} is not a node of the grid (dt={self.dt}, t_end={self.t_end})")
+            raise ConfigError(f"t={t} is not a node of the grid (dt={self.dt}, t_end={self.t_end})")
         return n
 
 
@@ -314,7 +284,7 @@ def config_from_mapping(values: dict) -> tuple[SystemConfig, TimeGrid | None, in
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     cfg_kwargs = {k: values[k] for k in values if k not in ("t_max", "dt", "n_c")}
-    cfg = validate_config(SystemConfig(**cfg_kwargs))
+    cfg = SystemConfig(**cfg_kwargs)
     grid = None
     if "t_max" in values or "dt" in values:
         if not ("t_max" in values and "dt" in values):

@@ -10,8 +10,8 @@ classifier here is the numerical oracle the closed-form bound-state solver
 is checked against, and spectral propagation exp(-iHt) is the oracle for
 the memory-kernel dynamics.  The lattice is diagonalized once: the
 :class:`Eigenbasis` holds the energies and the eigenvector array exactly as
-``np.linalg.eigh`` returns them, and classification and propagation read
-those two arrays directly.
+``np.linalg.eigh`` returns them with the chain's absolute site indices,
+and classification and propagation read those arrays directly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .model import (
     SystemConfig,
     TimeGrid,
     WavefunctionState,
-    validate_config,
 )
 
 # Margin of resonators required around the outermost legs.
@@ -63,35 +62,12 @@ IPR_THRESHOLD = 0.02
 class LatticeHamiltonian:
     """Dense Hermitian single-excitation Hamiltonian on a finite chain.
 
-    Basis ordering: row 0 = atom 1, row 1 = atom 2, rows 2.. = resonators.
-    ``site_offset`` maps an absolute site index s to column 2 + site_offset + s.
+    Basis ordering: row 0 = atom 1, row 1 = atom 2, rows 2.. = resonators,
+    whose absolute site indices are ``sites``, in column order.
     """
 
     matrix: np.ndarray
-    n_c: int
-    site_offset: int
-
-    def column_of(self, site: int) -> int:
-        return _site_column(self.n_c, self.site_offset, site)
-
-    @property
-    def sites(self) -> np.ndarray:
-        """Absolute site indices of the chain columns, in column order."""
-        return np.arange(self.n_c) - self.site_offset
-
-
-def site_offset(cfg: SystemConfig, n_c: int) -> int:
-    """Centering rule: place the leg span symmetrically in the chain."""
-    return (n_c - cfg.span) // 2 - cfg.outer_legs[0]
-
-
-def _site_column(n_c: int, offset: int, site: int) -> int:
-    """Basis column of an absolute site on an ``n_c``-site chain whose
-    sites are shifted by ``offset`` (see :func:`site_offset`)."""
-    col = 2 + offset + site
-    if col < 2 or col >= n_c + 2:
-        raise ValueError(f"site {site} lies outside the lattice")
-    return col
+    sites: np.ndarray
 
 
 def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
@@ -124,9 +100,9 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
         outermost legs) or has more than
         ``MAX_LATTICE_SITES`` sites.
     """
-    cfg = validate_config(cfg)
     check_lattice_size(cfg, n_c)
-    off = site_offset(cfg, n_c)
+    # the leg span sits at the centre of the chain
+    sites = np.arange(n_c) + (cfg.outer_legs[0] - (n_c - cfg.span) // 2)
     dim = n_c + 2
     h = np.zeros((dim, dim))
     h[0, 0] = cfg.omega_1
@@ -135,35 +111,40 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
     h[2 + idx, 2 + idx] = cfg.omega_c
     h[2 + idx[:-1], 3 + idx[:-1]] = -cfg.xi
     h[3 + idx[:-1], 2 + idx[:-1]] = -cfg.xi
-    ham = LatticeHamiltonian(matrix=h, n_c=n_c, site_offset=off)
     for row, g, legs in ((0, cfg.g_1, (cfg.n_1, cfg.n_2)), (1, cfg.g_2, (cfg.m_1, cfg.m_2))):
         for leg in legs:
-            col = ham.column_of(leg)
+            col = 2 + leg - sites[0]
             h[row, col] = g
             h[col, row] = g
-    return ham
+    return LatticeHamiltonian(matrix=h, sites=sites)
 
 
 @dataclass(frozen=True)
 class Eigenbasis:
     """Complete eigenbasis of a lattice Hamiltonian, as ``np.linalg.eigh``
     returns it: column q of ``vectors`` is the basis vector
-    (A1, A2, B_1..B_nc) of the eigenstate with energy ``energies[q]``.
+    (A1, A2, B_1..B_nc) of the eigenstate with energy ``energies[q]``, and
+    ``sites`` are the absolute site indices of the rows B_1..B_nc.
 
     Raises
     ------
     ValueError
-        Unless ``vectors`` is square with side ``energies.size``.
+        Unless ``vectors`` is square with side ``energies.size`` and
+        ``sites`` has ``energies.size - 2`` entries.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
+    sites: np.ndarray
 
     def __post_init__(self):
         n = self.energies.size
         if self.vectors.shape != (n, n):
             raise ValueError(
                 f"vectors must be {n}x{n} for {n} energies, got shape {self.vectors.shape}")
+        if len(self.sites) != n - 2:
+            raise ValueError(f"sites must have {n - 2} entries for {n} energies, "
+                             f"got {len(self.sites)}")
 
 
 # Rows per block of the structured residual in ``_residual``.
@@ -241,7 +222,7 @@ def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
         raise SolverError(
             f"eigendecomposition out of tolerance: residual={residual:.3e} "
             f"(||H||~{h_norm:.3e}), orthonormality={ortho:.3e}")
-    return Eigenbasis(energies, vectors)
+    return Eigenbasis(energies, vectors, ham.sites)
 
 
 @dataclass(frozen=True)
@@ -296,17 +277,12 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     and BOC profiles keep their photon probabilities (``photon`` is None on
     extended states).
     """
-    cfg = validate_config(cfg)
     energies, vectors = basis.energies, basis.vectors
     dim = energies.size
-    off = site_offset(cfg, dim - 2)
 
-    mask = np.zeros(dim, dtype=bool)
-    mask[0] = mask[1] = True
     first, last = cfg.outer_legs
-    lo = max(2, 2 + off + first - WINDOW_PAD)
-    hi = min(dim - 1, 2 + off + last + WINDOW_PAD)
-    mask[lo:hi + 1] = True
+    mask = np.ones(dim, dtype=bool)
+    mask[2:] = (basis.sites >= first - WINDOW_PAD) & (basis.sites <= last + WINDOW_PAD)
 
     profiles: list[BoundStateProfile] = []
     i = 0
@@ -383,22 +359,23 @@ def exact_propagate(
     the requested horizon, i.e. when emitted radiation can reflect off the
     lattice edges back into the atom region before ``t_max``.  Snapshots of
     the full photon field are returned for the requested times (which must
-    lie on the grid).
+    lie on the grid).  A photon site of ``psi0`` that is not one of
+    ``basis.sites`` raises ValueError.
     """
-    cfg = validate_config(cfg)
     energies, vectors = basis.energies, basis.vectors
     n_c = energies.size - 2
-    check_lattice_size(cfg, n_c)
     need = wavefront_n_c(cfg, grid.t_end)
     if n_c < need:
         warnings.warn(
             f"n_c={n_c} is below the wavefront criterion ({need}) for "
             f"t_max={grid.t_end}; edge reflections may contaminate late times",
             stacklevel=2)
-    offset = site_offset(cfg, n_c)
     coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
     for site, amp in psi0.beta.items():
-        coeff += vectors[_site_column(n_c, offset, site)] * complex(amp)
+        col = np.flatnonzero(basis.sites == site)
+        if col.size != 1:
+            raise ValueError(f"site {site} lies outside the lattice")
+        coeff += vectors[2 + col[0]] * complex(amp)
     w1 = vectors[0] * coeff
     w2 = vectors[1] * coeff
 
@@ -425,6 +402,5 @@ def exact_propagate(
     parts = np.concatenate([table.real, table.imag], axis=1)
     psi = vectors @ parts
     beta = psi[2:, :n_s] + 1j * psi[2:, n_s:]
-    sites = np.arange(n_c) - offset
-    return trajectory, [FieldSnapshot(time=times[n], sites=sites, beta=beta[:, i])
+    return trajectory, [FieldSnapshot(time=times[n], sites=basis.sites, beta=beta[:, i])
                         for i, n in enumerate(nodes)]

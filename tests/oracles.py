@@ -10,7 +10,7 @@ import numpy as np
 from crwqed import bic, spectrum
 from crwqed.cli import _fmt
 from crwqed.dynamics import POPULATION_ABORT, KernelSet
-from crwqed.model import AtomTrajectory, SolverError, SystemConfig, validate_config
+from crwqed.model import AtomTrajectory, SolverError, SystemConfig
 from crwqed.specfun import bessel_j_table
 
 
@@ -125,7 +125,6 @@ def m_matrix(cfg: SystemConfig, grid, t: float, kernels: KernelSet) -> np.ndarra
     integrals by the trapezoid rule over the kernel tables; the reference
     for the cumulative integrals of ``dynamics.m_eigenvalues_trace``.
     """
-    cfg = validate_config(cfg)
     n = grid.node(t)
     dt = grid.dt
     def integral(k):
@@ -183,7 +182,7 @@ def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
     to 1e-10 relative, a guard against branch-cut mistakes in the complex
     evaluation.
     """
-    cfg = bic.check_closed_form(cfg)
+    bic.check_closed_form(cfg)
     if branch not in bic.BRANCHES:
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     if not (cfg.band_bottom + EDGE_GUARD * cfg.xi <= E <= cfg.band_top - EDGE_GUARD * cfg.xi):
@@ -254,7 +253,6 @@ def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int
     Converges to the Hermitian shift g^2/xi * Re(bracket) used by
     ``transcendental_residual``.
     """
-    cfg = validate_config(cfg)
     if not cfg.symmetric_resonant:
         raise ValueError("the momentum sum assumes g_1 = g_2, omega_1 = omega_2 "
                          "and equal atom sizes")
@@ -366,9 +364,8 @@ def exact_propagate_direct(cfg, psi0, grid, basis: spectrum.Eigenbasis) -> AtomT
     vec0 = np.zeros(energies.size, dtype=complex)
     vec0[0] = psi0.alpha_1
     vec0[1] = psi0.alpha_2
-    offset = spectrum.site_offset(cfg, energies.size - 2)
     for site, amp in psi0.beta.items():
-        vec0[2 + offset + site] = amp
+        vec0[2 + site - basis.sites[0]] = amp
     coeff = vectors.T @ vec0
     w1 = vectors[0] * coeff
     w2 = vectors[1] * coeff

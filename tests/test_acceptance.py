@@ -70,7 +70,7 @@ def fig3_run(fig3_basis):
     start = time.monotonic()
     roots = bic.find_bic_roots(FIG3)
     grid = TimeGrid(t_max=700.0, dt=0.02)
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     trajectory = dynamics.solve_volterra(FIG3, psi0, grid)
     exact, _ = spectrum.exact_propagate(FIG3, psi0, grid, basis)
     elapsed = time.monotonic() - start
@@ -81,7 +81,7 @@ def fig3_run(fig3_basis):
 @pytest.fixture(scope="session")
 def fig4_run():
     grid = TimeGrid(t_max=600.0, dt=0.02)
-    psi0 = initial_state("atom1", FIG4)
+    psi0 = initial_state("atom1")
     trajectory = dynamics.solve_volterra(FIG4, psi0, grid)
     ham = spectrum.build_hamiltonian(FIG4, 600)
     profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG4)
@@ -212,7 +212,7 @@ def test_criterion_6b_bessel_oracle_agreement():
 
 def test_criterion_6c_volterra_convergence_order(fig3_run, fig3_basis):
     _, basis = fig3_basis
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     coarse = fig3_run["trajectory"]
     exact_c = fig3_run["exact"]
     err_coarse = max(np.abs(coarse.pop_1 - exact_c.pop_1).max(),
@@ -237,7 +237,7 @@ def test_criterion_7_unitarity(fig3_run, fig3_basis):
     fro = float(np.linalg.norm(gram_defect))
     exact_bound = 2.0 * fro  # >= | ||psi(t)||^2 - 1 | for all t
     grid = fig3_run["grid"]
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     spot_times = (0.0, 175.0, 350.0, 525.0, 700.0)
     _, snaps = spectrum.exact_propagate(FIG3, psi0, grid, basis, snapshot_times=spot_times)
     exact_traj = fig3_run["exact"]

@@ -111,7 +111,7 @@ def test_mirror_symmetry_of_root_set():
     # at resonance the residual is odd under E -> -E; the branch swaps when
     # the leg distances are odd (they all share the parity of the offset)
     for cfg in (FIG3, FIG4, DOUBLE, NO_BIC):
-        swap = cfg.delta % 2 == 1
+        swap = (cfg.m_1 - cfg.n_1) % 2 == 1
         for e in (0.3, 0.87, 1.4):
             for s in (+1, -1):
                 partner = -s if swap else s

@@ -179,6 +179,24 @@ def test_main_run_table1(tmp_path, capsys):
     assert (out / "census.csv").exists()
     printed = capsys.readouterr().out
     assert "N=8 delta=7: 0 BIC(s)" in printed
+    # `census` at its default coupling is the same census, printed alike
+    assert main(["census", "--out", str(tmp_path / "census")]) == 0
+    assert capsys.readouterr().out == printed
+    assert (tmp_path / "census" / "census.csv").read_bytes() == (out / "census.csv").read_bytes()
+
+
+def test_failed_check_exits_3_only_with_check(tmp_path, capsys):
+    # at g = 0.05 a 600-site lattice labels resonances as BICs: the
+    # closed form finds 0 bound states where the lattice counts 2
+    cfgfile = tmp_path / "weak.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 5\nm_1 = 4\nm_2 = 8\ng_1 = 0.05\ng_2 = 0.05\n"
+                       "n_c = 600\nt_max = 20\ndt = 0.02\n")
+    fail = "[FAIL] bic_count_matches_lattice: 0 (threshold 2)\n"
+    assert main(["run", str(cfgfile), "--check", "--out", str(tmp_path / "a")]) == 3
+    printed = capsys.readouterr().out
+    assert fail in printed
+    assert main(["run", str(cfgfile), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_main_config_file_run(tmp_path):

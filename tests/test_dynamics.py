@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from crwqed.model import AtomTrajectory, SystemConfig, TimeGrid, WavefunctionState, initial_state
+from crwqed.model import (
+    AtomTrajectory,
+    ConfigError,
+    SystemConfig,
+    TimeGrid,
+    WavefunctionState,
+    initial_state,
+)
 from crwqed import spectrum
 from crwqed.cli import PRESETS
 from crwqed.dynamics import (
@@ -162,7 +169,7 @@ def test_continuity_order_matches_loop_on_small_integer_traces(parts):
 def test_volterra_decoupled_phase_evolution():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0, omega_1=0.5)
     grid = TimeGrid(t_max=10.0, dt=0.02)
-    traj = solve_volterra(cfg, initial_state("atom1", cfg), grid)
+    traj = solve_volterra(cfg, initial_state("atom1"), grid)
     expected = np.exp(-1j * 0.5 * grid.times())
     assert np.abs(traj.alpha_1 - expected).max() <= 1e-8
     assert np.abs(traj.alpha_2).max() == 0.0
@@ -195,7 +202,7 @@ def _assert_matches_direct(cfg, state, nodes):
     grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
     assert grid.n_steps + 1 == nodes
     kernels = build_kernels(cfg, grid)
-    psi0 = initial_state(state, cfg)
+    psi0 = initial_state(state)
     fast = solve_volterra(cfg, psi0, grid, kernels)
     direct = volterra_direct(cfg, psi0, grid, kernels)
     diff = max(np.abs(fast.alpha_1 - direct.alpha_1).max(),
@@ -237,7 +244,7 @@ def test_volterra_is_translation_and_mirror_invariant(legs, k, g_1, g_2, omegas,
     def solve(n_1, n_2, m_1, m_2):
         cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, omega_c=omega_c,
                            omega_1=omega_1, omega_2=omega_2, g_1=g_1, g_2=g_2)
-        return solve_volterra(cfg, initial_state(state, cfg), TimeGrid(t_max=20.0, dt=0.05))
+        return solve_volterra(cfg, initial_state(state), TimeGrid(t_max=20.0, dt=0.05))
     base = solve(n_1, n_2, m_1, m_2)
     # the kernels see leg distances only: a shift changes no bit
     shifted = solve(n_1 + k, n_2 + k, m_1 + k, m_2 + k)
@@ -253,7 +260,7 @@ def test_volterra_keeps_exact_zero_parts_on_the_fig3_preset():
     # on resonance alpha_1 stays real and alpha_2 imaginary; FFTs of the
     # complex values would leave rounding noise in the zero parts
     scn = PRESETS["fig3"]
-    traj = solve_volterra(scn.cfg, initial_state("atom1", scn.cfg), scn.grid)
+    traj = solve_volterra(scn.cfg, initial_state("atom1"), scn.grid)
     assert traj.alpha_1.size == 35_001
     assert np.all(traj.alpha_1.imag == 0.0) and np.all(traj.alpha_2.real == 0.0)
 
@@ -262,7 +269,7 @@ def test_volterra_aborts_when_a_population_exceeds_one():
     # over 200/xi the resolvent overflows to inf, and every node of the FFT
     # product is NaN: the abort must still name node 1 with its true values
     cfg = SystemConfig(n_1=1, n_2=3, m_1=2, m_2=4, g_1=20.0, g_2=20.0)
-    psi0 = initial_state("atom1", cfg)
+    psi0 = initial_state("atom1")
     for t_max in (5.0, 200.0):
         grid = TimeGrid(t_max=t_max, dt=0.1)
         with pytest.raises(SolverError, match=r"population exceeded 1\.001 at t=0\.1 ") as fast:
@@ -285,7 +292,7 @@ def test_volterra_abort_inside_a_block(monkeypatch, limit, node, message):
     monkeypatch.setattr(dynamics, "POPULATION_ABORT", limit)
     monkeypatch.setattr(oracles, "POPULATION_ABORT", limit)
     grid = TimeGrid(t_max=200.0, dt=0.02)
-    psi0 = initial_state("symmetric", ASYMMETRIC)
+    psi0 = initial_state("symmetric")
     kernels = build_kernels(ASYMMETRIC, grid)
     with pytest.raises(SolverError) as fast:
         solve_volterra(ASYMMETRIC, psi0, grid, kernels)
@@ -303,8 +310,8 @@ def fig3_basis():
 @pytest.fixture(scope="module")
 def fig3_short(fig3_basis):
     grid = TimeGrid(t_max=60.0, dt=0.02)
-    traj = solve_volterra(FIG3, initial_state("atom1", FIG3), grid)
-    exact, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), grid, fig3_basis)
+    traj = solve_volterra(FIG3, initial_state("atom1"), grid)
+    exact, _ = spectrum.exact_propagate(FIG3, initial_state("atom1"), grid, fig3_basis)
     return grid, traj, exact
 
 
@@ -325,8 +332,8 @@ def test_volterra_population_bound(fig3_short):
 def test_volterra_second_order_convergence(fig3_short, fig3_basis):
     grid, traj, exact = fig3_short
     half = TimeGrid(t_max=60.0, dt=0.01)
-    traj_h = solve_volterra(FIG3, initial_state("atom1", FIG3), half)
-    exact_h, _ = spectrum.exact_propagate(FIG3, initial_state("atom1", FIG3), half, fig3_basis)
+    traj_h = solve_volterra(FIG3, initial_state("atom1"), half)
+    exact_h, _ = spectrum.exact_propagate(FIG3, initial_state("atom1"), half, fig3_basis)
     err = max(np.abs(traj.pop_1 - exact.pop_1).max(),
               np.abs(traj.pop_2 - exact.pop_2).max())
     err_h = max(np.abs(traj_h.pop_1 - exact_h.pop_1).max(),
@@ -337,7 +344,7 @@ def test_volterra_second_order_convergence(fig3_short, fig3_basis):
 def test_no_bound_state_means_complete_decay():
     # regression value: with no in-band bound state the atoms empty out
     grid = TimeGrid(t_max=400.0, dt=0.02)
-    traj = solve_volterra(NO_BIC, initial_state("atom1", NO_BIC), grid)
+    traj = solve_volterra(NO_BIC, initial_state("atom1"), grid)
     tail = traj.pop_1[grid.node(300.0):] + traj.pop_2[grid.node(300.0):]
     assert tail.max() <= 0.05  # measured ~7e-6
 
@@ -346,6 +353,14 @@ def test_photon_field_zero_at_start(fig3_short):
     _, traj, _ = fig3_short
     snap = photon_field(FIG3, traj, np.arange(-20, 31), [0.0])[0]
     assert np.all(snap.beta == 0.0)
+
+
+def test_photon_field_refuses_a_time_off_the_grid():
+    grid = TimeGrid(t_max=1.0, dt=0.02)
+    ones = np.ones(grid.n_steps + 1, dtype=complex)
+    traj = AtomTrajectory(grid=grid, alpha_1=ones, alpha_2=0.0 * ones)
+    with pytest.raises(ConfigError, match=r"t=0.013 is not a node of the grid \(dt=0.02"):
+        photon_field(FIG3, traj, np.arange(-5, 16), times=[0.013])
 
 
 def test_photon_field_early_emission_sites(fig3_short):
@@ -478,7 +493,7 @@ def test_norm_check_values(fig3_short):
 def test_norm_check_decoupled_is_exact():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0)
     grid = TimeGrid(t_max=5.0, dt=0.05)
-    traj = solve_volterra(cfg, initial_state("atom1", cfg), grid)
+    traj = solve_volterra(cfg, initial_state("atom1"), grid)
     sites = np.arange(-40, 52)
     snap = photon_field(cfg, traj, sites, [5.0])[0]
     assert norm_check(traj, snap, cfg) <= 1e-14
@@ -490,14 +505,14 @@ def _lattice_profiles(cfg):
 
 
 def test_steady_state_prediction_fig4():
-    p1, p2 = steady_state_prediction(initial_state("atom1", FIG4), _lattice_profiles(FIG4))
+    p1, p2 = steady_state_prediction(initial_state("atom1"), _lattice_profiles(FIG4))
     assert p1 == pytest.approx(p2, rel=1e-9)      # symmetric bound state
     assert p1 == pytest.approx(0.245, abs=0.01)   # |A1|^4 of the normalized state
 
 
 def test_steady_state_prediction_requires_unique_bic():
     with pytest.raises(ValueError, match="exactly one"):
-        steady_state_prediction(initial_state("atom1", FIG3), _lattice_profiles(FIG3))
+        steady_state_prediction(initial_state("atom1"), _lattice_profiles(FIG3))
 
 
 def test_plateau_detector():

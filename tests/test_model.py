@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,49 +10,49 @@ from crwqed.model import (
     SystemConfig,
     TimeGrid,
     config_from_mapping,
-    dispersion,
     initial_state,
     parse_config_text,
-    validate_config,
 )
 
 
 def test_validate_fig3_geometry():
-    cfg = validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10))
+    cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
     assert cfg.size_1 == cfg.size_2 == 6
-    assert cfg.delta == 3
-    assert cfg.braided
+    assert cfg.cross_distances == (3, 9, 3, 3)
 
 
 def test_validate_fig4_geometry():
-    cfg = validate_config(SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11))
+    cfg = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
     assert cfg.size_1 == cfg.size_2 == 8
-    assert cfg.delta == 2
-    assert cfg.braided
+    assert cfg.cross_distances == (2, 10, 6, 2)
 
 
 def test_coincident_legs_rejected():
-    with pytest.raises(ConfigError, match="coincident"):
-        validate_config(SystemConfig(n_1=5, n_2=5, m_1=1, m_2=2))
-    with pytest.raises(ConfigError, match="coincident"):
-        validate_config(SystemConfig(n_1=1, n_2=2, m_1=7, m_2=7))
+    with pytest.raises(ConfigError, match="first atom: n_1 = n_2 = 5"):
+        SystemConfig(n_1=5, n_2=5, m_1=1, m_2=2)
+    with pytest.raises(ConfigError, match="second atom: m_1 = m_2 = 7"):
+        SystemConfig(n_1=1, n_2=2, m_1=7, m_2=7)
 
 
 def test_bad_scalars_rejected():
-    with pytest.raises(ConfigError):
-        validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=0.0))
-    with pytest.raises(ConfigError):
-        validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=-1.0))
-    with pytest.raises(ConfigError):
-        validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=-0.1))
+    with pytest.raises(ConfigError, match="xi must be positive, got 0.0"):
+        SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=0.0)
+    with pytest.raises(ConfigError, match="xi must be positive, got -1.0"):
+        SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=-1.0)
+    with pytest.raises(ConfigError, match="xi must be positive, got nan"):
+        SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=math.nan)
+    with pytest.raises(ConfigError, match="non-negative, got g_1=-0.1, g_2=0.1"):
+        SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=-0.1)
+    # replace() constructs anew, so it cannot make an invalid config either
+    with pytest.raises(ConfigError, match="coincident"):
+        replace(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10), n_2=1)
 
 
 @pytest.mark.parametrize("name", ["omega_c", "omega_1", "omega_2", "g_1", "g_2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_scalars_rejected(name, value):
-    cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, **{name: value})
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        validate_config(cfg)
+        SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, **{name: value})
 
 
 @pytest.mark.parametrize("t_max, dt", [(math.nan, 0.02), (math.inf, 0.02),
@@ -62,46 +63,30 @@ def test_time_grid_rejects_non_finite(t_max, dt):
 
 
 def test_leg_normalization_sorts():
-    cfg = validate_config(SystemConfig(n_1=7, n_2=1, m_1=10, m_2=4))
+    cfg = SystemConfig(n_1=7, n_2=1, m_1=10, m_2=4)
     assert (cfg.n_1, cfg.n_2, cfg.m_1, cfg.m_2) == (1, 7, 4, 10)
+    assert cfg == SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 
 
 @given(st.integers(-40, 40), st.integers(1, 12), st.integers(-40, 40), st.integers(1, 12))
 def test_validate_idempotent(n_1, size_1, m_1, size_2):
-    cfg = validate_config(SystemConfig(n_1=n_1 + size_1, n_2=n_1,
-                                       m_1=m_1, m_2=m_1 + size_2))
-    assert validate_config(cfg) == cfg
-
-
-CFG = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
-
-
-def test_dispersion_values():
-    assert dispersion(math.pi / 2, CFG) == pytest.approx(0.0, abs=1e-15)
-    assert dispersion(0.0, CFG) == CFG.omega_c - 2.0 * CFG.xi
-    assert dispersion(-math.pi + 1e-9, CFG) == pytest.approx(CFG.omega_c + 2.0 * CFG.xi, abs=1e-8)
-
-
-@given(st.floats(-50.0, 50.0))
-def test_dispersion_even_and_bounded(k):
-    cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, omega_c=0.3, xi=1.7)
-    w = dispersion(k, cfg)
-    assert dispersion(-k, cfg) == pytest.approx(w, abs=1e-12)
-    assert cfg.band_bottom - 1e-12 <= w <= cfg.band_top + 1e-12
+    cfg = SystemConfig(n_1=n_1 + size_1, n_2=n_1, m_1=m_1 + size_2, m_2=m_1)
+    assert cfg.legs == (n_1, n_1 + size_1, m_1, m_1 + size_2)
+    assert SystemConfig(**asdict(cfg)) == cfg
 
 
 def test_initial_states():
-    s1 = initial_state("atom1", CFG)
+    s1 = initial_state("atom1")
     assert (s1.alpha_1, s1.alpha_2) == (1.0 + 0.0j, 0.0j)
-    assert s1.photon_vacuum and s1.norm_squared() == pytest.approx(1.0)
-    s2 = initial_state("atom2", CFG)
+    assert s1.photon_vacuum
+    s2 = initial_state("atom2")
     assert (s2.alpha_1, s2.alpha_2) == (0.0j, 1.0 + 0.0j)
     for which in ("symmetric", "antisymmetric"):
-        s = initial_state(which, CFG)
-        assert s.norm_squared() == pytest.approx(1.0, abs=1e-15)
+        s = initial_state(which)
+        assert abs(s.alpha_1) ** 2 + abs(s.alpha_2) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert not s.beta
     with pytest.raises(ConfigError):
-        initial_state("atom3", CFG)
+        initial_state("atom3")
 
 
 def test_time_grid_nodes_exact():
@@ -110,7 +95,7 @@ def test_time_grid_nodes_exact():
     assert times.size == 11
     assert np.all(times == np.arange(11) * 0.1)
     assert grid.node(0.5) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="not a node"):
         grid.node(0.55001)
     with pytest.raises(ConfigError):
         TimeGrid(t_max=1.0, dt=2.0)
@@ -135,7 +120,7 @@ def test_parse_config_roundtrip():
     """
     values = parse_config_text(text)
     cfg, grid, n_c = config_from_mapping(values)
-    assert cfg == validate_config(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10))
+    assert cfg == SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
     assert grid.t_max == 700.0 and grid.dt == 0.02
     assert n_c == 600
 

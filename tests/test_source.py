@@ -1,6 +1,11 @@
 """Guards on the source tree itself."""
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+import typing
 from pathlib import Path
 
 import crwqed
@@ -66,3 +71,61 @@ def test_every_dataclass_field_in_src_is_read():
     unread = [f"{module}:{cls}.{name}" for module, tree in trees.items()
               for cls, name in _dataclass_fields(tree) if name not in read]
     assert unread == []
+
+
+# ---- the benchmark's tracer, read only ----
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _argument_reads(tree, counter) -> dict[str, set[str]]:
+    """Each ``args["name"]`` a counter of ``bench/tracing.py`` reads from the
+    bound arguments of its target, with the attributes it reads off it."""
+    line = counter.__code__.co_firstlineno
+    node = next(n for n in ast.walk(tree)
+                if isinstance(n, (ast.FunctionDef, ast.Lambda)) and n.lineno == line)
+    bound = node.args.args[0].arg
+
+    def key(n):
+        if (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                and n.value.id == bound and isinstance(n.slice, ast.Constant)):
+            return n.slice.value
+        return None
+
+    reads = {key(n): set() for n in ast.walk(node) if key(n) is not None}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and key(n.value) is not None:
+            reads[key(n.value)].add(n.attr)
+    return reads
+
+
+def test_bench_tracing_targets_and_their_arguments_exist():
+    # the traced benchmark run wraps these by name and binds these
+    # arguments; nothing else would notice a rename
+    tracing = _load_tracing()
+    tree = ast.parse(BENCH_TRACING.read_text(encoding="utf-8"))
+    bound = set()
+    for mod_name, attr, metric, counter in tracing.TARGETS:
+        module = importlib.import_module(f"crwqed.{mod_name}")
+        if "." in attr:
+            cls_name, prop = attr.split(".")
+            assert isinstance(vars(getattr(module, cls_name)).get(prop), property), metric
+            continue
+        target = getattr(module, attr, None)
+        assert callable(target), metric
+        if counter is None:
+            continue
+        params = inspect.signature(target).parameters
+        for name, attrs in _argument_reads(tree, counter).items():
+            assert name in params, f"{metric}: the counter binds {name!r}"
+            if attrs:
+                fields = {f.name for f in dataclasses.fields(typing.get_type_hints(target)[name])}
+                assert attrs <= fields, f"{metric}: {name}.{attrs - fields}"
+            bound.add(name)
+    assert bound == {"ham", "order_max", "xs", "path"}

@@ -12,7 +12,6 @@ from crwqed.model import (
     TimeGrid,
     WavefunctionState,
     initial_state,
-    validate_config,
 )
 from crwqed import spectrum
 from crwqed.spectrum import (
@@ -155,7 +154,7 @@ def test_exact_propagate_decoupled_phase():
     grid = TimeGrid(t_max=20.0, dt=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        traj, _ = exact_propagate(cfg, initial_state("atom1", cfg), grid,
+        traj, _ = exact_propagate(cfg, initial_state("atom1"), grid,
                                   eigendecompose(build_hamiltonian(cfg, 120)))
     expected = np.exp(-1j * cfg.omega_1 * grid.times())
     assert np.allclose(traj.alpha_1, expected, atol=1e-10)
@@ -165,7 +164,7 @@ def test_exact_propagate_decoupled_phase():
 def test_exact_propagate_norm_and_wavefront_warning():
     grid = TimeGrid(t_max=120.0, dt=0.5)
     with pytest.warns(UserWarning, match="wavefront"):
-        traj, snaps = exact_propagate(FIG3, initial_state("atom1", FIG3), grid,
+        traj, snaps = exact_propagate(FIG3, initial_state("atom1"), grid,
                                       eigendecompose(build_hamiltonian(FIG3, 80)),
                                       snapshot_times=(60.0, 120.0))
     for snap in snaps:
@@ -192,7 +191,7 @@ def test_exact_propagate_is_unitary_on_random_geometries(legs, extra, g_1, g_2, 
     if state == "photon":  # part of the excitation on a leg site
         psi0 = WavefunctionState(0.6 + 0.0j, 0.0j, {n_2: 0.8j})
     else:
-        psi0 = initial_state(state, cfg)
+        psi0 = initial_state(state)
     grid = TimeGrid(t_max=30.0, dt=0.05)
     basis = eigendecompose(build_hamiltonian(cfg, n_c))
     with warnings.catch_warnings():
@@ -230,7 +229,7 @@ def fig3_small_basis():
 def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_basis):
     grid = TimeGrid(t_max=(nodes - 1) * 0.05, dt=0.05)
     assert grid.times().size == nodes
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     traj = _propagate_quietly(FIG3, psi0, grid, fig3_small_basis)
     ref = exact_propagate_direct(FIG3, psi0, grid, fig3_small_basis)
     assert traj.alpha_1.shape == traj.alpha_2.shape == (nodes,)
@@ -239,7 +238,7 @@ def test_exact_propagate_matches_direct_on_any_node_count(nodes, fig3_small_basi
 
 def test_exact_propagate_matches_direct_on_fig3_preset():
     grid = TimeGrid(t_max=700.0, dt=0.02)
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     basis = eigendecompose(build_hamiltonian(FIG3, 600))
     traj = _propagate_quietly(FIG3, psi0, grid, basis)
     ref = exact_propagate_direct(FIG3, psi0, grid, basis)
@@ -265,7 +264,7 @@ def test_exact_propagate_matches_direct_on_geometries(cfg, psi0):
 def test_exact_propagate_scratch_memory_is_small():
     grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
     assert grid.times().size == 20001
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     basis = eigendecompose(build_hamiltonian(FIG3, 600))
     assert traced_peak(_propagate_quietly, FIG3, psi0, grid, basis) < 32 * 2 ** 20
 
@@ -275,7 +274,7 @@ def test_exact_propagate_makes_no_basis_copy():
     # a copied basis and its complex upcast would add about 11.6 MB
     grid = TimeGrid(t_max=20000 * 0.03, dt=0.03)
     assert grid.times().size == 20001
-    psi0 = initial_state("atom1", FIG3)
+    psi0 = initial_state("atom1")
     basis = eigendecompose(build_hamiltonian(FIG3, 600))
     stops = tuple(f * grid.t_end for f in (0.0, 0.25, 0.5, 0.75, 1.0))
     with warnings.catch_warnings():
@@ -288,9 +287,21 @@ def test_eigenbasis_rejects_mismatched_arrays():
     basis = eigendecompose(build_hamiltonian(FIG3, 200))
     with pytest.raises(ValueError, match=r"vectors must be 202x202 for 202 energies, "
                                          r"got shape \(201, 202\)"):
-        spectrum.Eigenbasis(basis.energies, basis.vectors[:-1])
+        spectrum.Eigenbasis(basis.energies, basis.vectors[:-1], basis.sites)
     with pytest.raises(ValueError, match=r"must be 201x201 .* got shape \(202, 202\)"):
-        spectrum.Eigenbasis(basis.energies[:-1], basis.vectors)
+        spectrum.Eigenbasis(basis.energies[:-1], basis.vectors, basis.sites)
+    with pytest.raises(ValueError, match=r"sites must have 200 entries for 202 energies, got 199"):
+        spectrum.Eigenbasis(basis.energies, basis.vectors, basis.sites[1:])
+
+
+def test_exact_propagate_rejects_a_photon_site_off_the_lattice():
+    basis = eigendecompose(build_hamiltonian(FIG3, 200))
+    grid = TimeGrid(t_max=1.0, dt=0.05)
+    last = int(basis.sites[-1])
+    exact_propagate(FIG3, WavefunctionState(0.0j, 0.0j, {last: 1.0 + 0.0j}), grid, basis)
+    for site in (int(basis.sites[0]) - 1, last + 1):
+        with pytest.raises(ValueError, match=f"site {site} lies outside the lattice"):
+            exact_propagate(FIG3, WavefunctionState(0.0j, 0.0j, {site: 1.0 + 0.0j}), grid, basis)
 
 
 def test_exact_propagate_snapshots_match_dense_spectral_sum():
@@ -308,7 +319,7 @@ def test_exact_propagate_snapshots_match_dense_spectral_sum():
     vec0 = np.zeros(n_c + 2, dtype=complex)
     vec0[:2] = psi0.alpha_1, psi0.alpha_2
     for site, amp in psi0.beta.items():
-        vec0[ham.column_of(site)] = amp
+        vec0[2 + site - ham.sites[0]] = amp
     assert [s.time for s in snaps] == list(stops)
     for snap in snaps:
         psi = vectors @ (np.exp(-1j * energies * snap.time) * (vectors.T @ vec0))
