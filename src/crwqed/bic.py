@@ -217,22 +217,27 @@ class CensusRow:
         return tuple(r.energy for r in self.roots)
 
 
+def braided_config(size: int, delta, g: float = 0.1) -> SystemConfig:
+    """The census geometry: two atoms of size ``size``, legs (1, 1 + size)
+    and (1 + delta, 1 + delta + size), both coupled at ``g``, at the default
+    band and atomic frequencies.  ``delta`` is an integer (or its numeral)
+    with 0 < delta < size, else ConfigError."""
+    offset = int(delta)
+    if not isinstance(delta, str) and offset != delta:
+        raise ConfigError(f"leg offset delta must be an integer, got {delta!r}")
+    if not 0 < offset < size:
+        raise ConfigError(f"braided geometry needs 0 < delta < size, got delta={offset}")
+    return SystemConfig(n_1=1, n_2=1 + size, m_1=1 + offset, m_2=1 + offset + size,
+                        g_1=g, g_2=g)
+
+
 def bic_census(size: int, delta_list, g: float = 0.1) -> list[CensusRow]:
-    """Bound-state count and energies for braided geometries of equal atom
-    size over a list of integral leg offsets delta (0 < delta < size, else
-    ConfigError), at the default band and atomic frequencies."""
+    """Bound-state count and energies of the ``braided_config`` geometries
+    of one atom size over a list of leg offsets."""
     rows = []
-    for value in delta_list:
-        delta = int(value)
-        if not isinstance(value, str) and delta != value:
-            raise ConfigError(f"leg offset delta must be an integer, got {value!r}")
-        if not 0 < delta < size:
-            raise ConfigError(f"braided geometry needs 0 < delta < size, got delta={delta}")
-        cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
-                           g_1=g, g_2=g)
+    for delta in delta_list:
+        cfg = braided_config(size, delta, g)
         roots = find_bic_roots(cfg)
-        rows.append(CensusRow(
-            size=size, delta=delta,
-            n_bic=sum(r.multiplicity for r in roots),
-            roots=tuple(roots)))
+        rows.append(CensusRow(size=size, delta=cfg.m_1 - cfg.n_1,
+                              n_bic=sum(r.multiplicity for r in roots), roots=tuple(roots)))
     return rows

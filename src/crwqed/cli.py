@@ -2,8 +2,9 @@
 
 Every scenario command (``run``, ``spectrum``, ``bic``, ``dynamics``,
 ``field``) is one ``run_scenario`` call with the command's stage set from
-``COMMAND_STAGES``, so each writes ``manifest.json`` with its stages,
-checks and warnings.  Artifacts are plain CSV (comma separator, header
+``COMMAND_STAGES``; it, ``run_census`` and ``run_sweep`` run in one frame
+(``_run_pipeline``) that writes ``manifest.json`` with the stages, checks
+and warnings.  Artifacts are plain CSV (comma separator, header
 row, 15 significant digits, no locale) and JSON; reruns with identical
 configuration produce byte-identical CSV bodies.  Every float cell reads
 exactly as Python's ``"%.15g" % x``: float-array columns are formatted a
@@ -12,7 +13,7 @@ leaves non-finite values, |x| outside [1e-250, 1e250) other than zero,
 and values near a rounding tie to Python itself.  Exit codes: 0 success,
 1 configuration or usage error, 2 solver error (a ``SolverError`` only;
 any other exception is a bug and propagates), 3 tolerance-check failure
-(with ``--check``).
+(with ``--check``, which every command takes).
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def write_csv(path, header, columns):
 
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_native)
         fh.write("\n")
 
 
@@ -395,11 +396,6 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     return stages
 
 
-def _config_payload(scn: Scenario) -> dict:
-    return {"config": asdict(scn.cfg), "t_max": scn.grid.t_max, "dt": scn.grid.dt,
-            "n_c": scn.n_c, "initial_state": INITIAL_STATE}
-
-
 def _roots_payload(cfg, roots):
     payload = {
         "config": asdict(cfg),
@@ -438,15 +434,13 @@ def _write_spectrum(out_dir, sites, profiles):
                       (sites, p.photon))
 
 
-def _write_dynamics(out_dir, trajectory):
+def _write_dynamics(out_dir, trajectory, trace):
+    """dynamics.csv and mtrace.csv."""
     times = trajectory.grid.times()
     a1, a2 = trajectory.alpha_1, trajectory.alpha_2
     write_csv(os.path.join(out_dir, "dynamics.csv"),
               ("t", "re_alpha1", "im_alpha1", "re_alpha2", "im_alpha2", "pop1", "pop2"),
               (times, a1.real, a1.imag, a2.real, a2.imag, trajectory.pop_1, trajectory.pop_2))
-
-
-def _write_mtrace(out_dir, trace):
     write_csv(os.path.join(out_dir, "mtrace.csv"),
               ("t", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2"),
               (trace.grid.times(), trace.lambda_1.real, trace.lambda_1.imag,
@@ -479,9 +473,10 @@ def _native(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _check(name, value, threshold, ok) -> dict:
+def _check(name, value, threshold, ok=None) -> dict:
+    """A check that passes when ``ok``, by default when value <= threshold."""
     return {"name": name, "value": _native(value), "threshold": _native(threshold),
-            "passed": bool(ok)}
+            "passed": bool(value <= threshold if ok is None else ok)}
 
 
 def _info(name, value) -> dict:
@@ -512,26 +507,35 @@ def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
     recorded only when every stage it reads ran, and ``write_artifacts``
     writes the files of the stages that ran.  The inputs those stages read
     are checked (``_runnable_stages``) before the output directory is made.
-    Every warning raised by the stages is recorded in
-    ``manifest["warnings"]`` (category and message) and then re-emitted.  ``manifest["stages"]`` lists the stages in order
-    with their wall time, problem sizes and the process peak RSS at their
-    end.
     """
     if stages not in COMMAND_STAGES.values():
         raise ValueError(f"{stages!r} is not the stage set of a scenario command")
+    return _run_pipeline(
+        out_dir, {"scenario": scn.name, "config": asdict(scn.cfg), "t_max": scn.grid.t_max,
+                  "dt": scn.grid.dt, "n_c": scn.n_c, "initial_state": INITIAL_STATE},
+        lambda out, records, runnable: _scenario_stages(scn, out, runnable, records),
+        check_inputs=lambda: _runnable_stages(scn, stages))
+
+
+def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs=None) -> dict:
+    """Every command's frame: ``check_inputs()`` raises before the output
+    directory is made, ``run_stages(out_dir, records, <what it returned>)``
+    writes the artifacts, appends a ``_stage`` record per stage and returns
+    the checks.  Every warning raised is recorded in the manifest, then
+    re-emitted.  Writes ``payload`` plus the versions, wall time, stages,
+    checks, warnings and ``all_passed`` to ``manifest.json``; returns it."""
     started = time.monotonic()
     records: list[dict] = []
     with warnings.catch_warnings(record=True) as caught:
-        stages = _runnable_stages(scn, stages)
+        checked = check_inputs() if check_inputs else None
         out_dir = _prepare_out_dir(out_dir)
-        checks = _scenario_stages(scn, out_dir, stages, records)
+        checks = run_stages(out_dir, records, checked)
     # recorded for the manifest, then shown as if never caught
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
     manifest = {
-        "scenario": scn.name,
-        **_config_payload(scn),
+        **payload,
         "versions": {"crwqed": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": time.monotonic() - started,
@@ -543,6 +547,12 @@ def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
+
+
+def _residual_check(residuals, xi=SystemConfig.xi) -> dict:
+    """``bic_root_residual``: the worst |f| of the closed-form roots, against
+    1e-8 xi (by default the hopping of the ``bic.braided_config`` geometries)."""
+    return _check("bic_root_residual", max(residuals, default=0.0), 1e-8 * xi)
 
 
 @contextmanager
@@ -579,9 +589,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     if "bic_roots" in stages:
         with _stage(records, "bic_roots"):
             roots = bic.find_bic_roots(cfg)
-            worst = max((r.residual for r in roots), default=0.0)
-            checks.append(_check("bic_root_residual", worst, 1e-8 * cfg.xi,
-                                 worst <= 1e-8 * cfg.xi))
+            checks.append(_residual_check((r.residual for r in roots), cfg.xi))
             if "lattice" in stages:
                 n_closed = sum(r.multiplicity for r in roots)
                 checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
@@ -595,10 +603,9 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
             pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())
             bound_lim = 1.0 + 10.0 * grid.dt * cfg.xi
-            checks.append(_check("population_bound", pop_bound, bound_lim,
-                                 pop_bound <= bound_lim))
+            checks.append(_check("population_bound", pop_bound, bound_lim))
             tdr = trace.trace_determinant_residual()
-            checks.append(_check("trace_determinant_identity", tdr, 1e-10, tdr <= 1e-10))
+            checks.append(_check("trace_determinant_identity", tdr, 1e-10))
             # non-decaying eigenvalue traces <-> bound states in the continuum;
             # needs the memory integrals to have settled, so gate on the horizon
             if "lattice" in stages and grid.t_end >= 150.0 / cfg.xi:
@@ -618,8 +625,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                             + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
                             + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
             worst_exact = max(deficits, default=0.0)
-            checks.append(_check("exact_norm_deficit", worst_exact, 1e-10,
-                                 worst_exact <= 1e-10))
+            checks.append(_check("exact_norm_deficit", worst_exact, 1e-10))
 
             # Volterra vs exact, restricted to times free of edge reflections
             t_valid = min(grid.t_end,
@@ -628,8 +634,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             diff = max(
                 np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
                 np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
-            checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2,
-                                 diff <= 1e-2))
+            checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2))
         del basis  # no later stage reads the eigenvectors
 
     # photon field over the plot window, plus a wide-window unitarity check
@@ -647,8 +652,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                     arg_max=2.0 * cfg.xi * t_check):
             wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
             deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
-            checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2,
-                                 deficit <= 1e-2))
+            checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2))
 
     if "scenario_checks" in stages:
         with _stage(records, "scenario_checks"):
@@ -657,7 +661,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                 if grid.t_end >= 1.5 * expected:
                     period = oscillation_period(grid.times(), trajectory.pop_1)
                     rel = abs(period - expected) / expected
-                    checks.append(_check("rabi_period_rel_err", rel, 0.02, rel <= 0.02))
+                    checks.append(_check("rabi_period_rel_err", rel, 0.02))
                 else:
                     checks.append(_info("rabi_period_skipped_horizon", grid.t_end / expected))
                 avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
@@ -666,10 +670,9 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             if "fractional" in scn.checks and len(bics) == 1:
                 p1, p2, settled = dynamics.plateau(trajectory)
                 pred1, pred2 = dynamics.steady_state_prediction(psi0, profiles)
-                checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2,
-                                     abs(p1 - p2) <= 1e-2))
+                checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2))
                 rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
-                checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05, rel <= 0.05))
+                checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05))
                 checks.append(_info("plateau_settled", settled))
 
     with _stage(records, "write_artifacts"):
@@ -678,101 +681,120 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         if "lattice" in stages:
             _write_spectrum(out_dir, sites, profiles)
         if "volterra" in stages:
-            _write_dynamics(out_dir, trajectory)
-            _write_mtrace(out_dir, trace)
+            _write_dynamics(out_dir, trajectory, trace)
         if "photon_field" in stages:
             _write_field(out_dir, snapshots)
     return checks
 
 
-def _census_columns(rows):
-    return ([r.size for r in rows], [r.delta for r in rows], [r.n_bic for r in rows],
-            [";".join(f"{e:.15g}" for e in r.energies) for r in rows])
-
-
 def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
-    out_dir = _prepare_out_dir(out_dir)
-    all_rows = []
-    for size, deltas in sizes:
-        all_rows.extend(bic.bic_census(size, deltas, g=g))
-    write_csv(os.path.join(out_dir, "census.csv"),
-              ("N", "delta", "n_bic", "energies"), _census_columns(all_rows))
-    return all_rows
+    """The closed-form census of the ``bic.braided_config`` geometries, one
+    (size, deltas) pair of ``sizes`` at a time, to ``census.csv``; returns
+    its rows.  The manifest records the worst root residual."""
+    sizes = [(size, list(deltas)) for size, deltas in sizes]
+    rows: list = []
+
+    def stages(out_dir, records, _):
+        with _stage(records, "bic_roots", geometries=sum(len(d) for _, d in sizes)):
+            for size, deltas in sizes:
+                rows.extend(bic.bic_census(size, deltas, g=g))
+        with _stage(records, "write_artifacts"):
+            write_csv(os.path.join(out_dir, "census.csv"), ("N", "delta", "n_bic", "energies"),
+                      ([r.size for r in rows], [r.delta for r in rows],
+                       [r.n_bic for r in rows], [_joined(r.energies) for r in rows]))
+        return [_residual_check(x.residual for r in rows for x in r.roots)]
+
+    _run_pipeline(out_dir, {"census": {"sizes": sizes, "g": g}}, stages)
+    return rows
 
 
-def _sweep_int(value) -> int:
-    """``int(value)``, refusing to truncate a non-integral number."""
-    n = int(value)
-    if not isinstance(value, str) and n != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return n
+def _joined(energies) -> str:
+    return ";".join(f"{e:.15g}" for e in energies)
 
 
-# Sweep keys and the parser of each key's values.
-_SWEEP_KEYS = {"delta": _sweep_int, "N": _sweep_int, "g": float, "dt": float}
+# Sweep keys and the type of each key's values.
+_SWEEP_KEYS = {"delta": int, "N": int, "g": float, "dt": float}
 
 
-def _sweep_one(args):
-    params, key, value, with_dynamics, t_max = args
-    size, delta, g, dt = params["N"], params["delta"], params["g"], params["dt"]
-    rows = bic.bic_census(size, [delta], g=g)
-    row = rows[0]
-    out = {"key": key, "value": value, "n_bic": row.n_bic,
-           "energies": ";".join(f"{e:.15g}" for e in row.energies)}
-    if with_dynamics:
-        cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=1 + delta, m_2=1 + delta + size,
-                           g_1=g, g_2=g)
-        grid = TimeGrid(t_max=t_max, dt=dt)
-        traj = dynamics.solve_volterra(cfg, initial_state(INITIAL_STATE), grid)
-        p1, p2, settled = dynamics.plateau(traj)
-        out.update({"plateau_pop1": p1, "plateau_pop2": p2, "plateau_settled": settled})
-    return out
+def _sweep_one(task):
+    """One sweep task: its row, with the worst root residual, and the
+    warnings it raised, which a pool worker could not show itself."""
+    key, value, cfg, grid = task
+    with warnings.catch_warnings(record=True) as caught:
+        roots = bic.find_bic_roots(cfg)
+        row = {"key": key, "value": value, "n_bic": sum(r.multiplicity for r in roots),
+               "energies": _joined(r.energy for r in roots),
+               "residual": max((r.residual for r in roots), default=0.0)}
+        if grid is not None:
+            p1, p2, settled = dynamics.plateau(
+                dynamics.solve_volterra(cfg, initial_state(INITIAL_STATE), grid))
+            row.update({"plateau_pop1": p1, "plateau_pop2": p2, "plateau_settled": settled})
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
               workers=1, with_dynamics=False, t_max=200.0) -> list:
     """One census (and optionally one Volterra plateau) per value of ``key``,
-    run on up to ``workers`` processes, capped at ``os.cpu_count()``.
+    run on up to ``workers`` processes, capped at ``os.cpu_count()``;
+    returns the rows of ``sweep.csv``, each with its worst root residual.
 
     Every value is parsed by its key (an integer for delta and N, a float
-    for g and dt) before any task starts; one that does not parse is a
-    ConfigError, and so is, with dynamics, a time grid ``TimeGrid`` rejects.
-    The ``value`` column keeps each value as given.
+    for g and dt; a number must keep its value, so 7.5 is no N), and its
+    ``bic.braided_config`` geometry and, with dynamics, its time grid are
+    built before any task starts; a value that does not parse, or a
+    geometry or grid that is invalid, is a ConfigError.  The ``value``
+    column keeps each value as given.
     """
     if key not in _SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    parse = _SWEEP_KEYS[key]
     base = {"N": size, "delta": delta, "g": g, "dt": dt}
     tasks = []
     for v in values:
         try:
-            params = {**base, key: parse(v)}
+            params = {**base, key: _SWEEP_KEYS[key](v)}
+            if not isinstance(v, str) and params[key] != v:
+                raise ValueError  # the key's type would truncate it
         except (TypeError, ValueError):
             raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
+        grid = TimeGrid(t_max=t_max, dt=params["dt"]) if with_dynamics else None
+        tasks.append((key, v, bic.braided_config(params["N"], params["delta"], params["g"]),
+                      grid))
+    workers = min(workers, os.cpu_count() or 1) if len(tasks) > 1 else 1
+    rows: list = []
+
+    def stages(out_dir, records, _):
+        with _stage(records, "sweep", tasks=len(tasks), workers=workers):
+            if workers > 1:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(_sweep_one, tasks))
+            else:
+                results = [_sweep_one(t) for t in tasks]
+        for row, caught in results:
+            rows.append(row)
+            for w in caught:
+                warnings.warn_explicit(*w)
+        header = ["key", "value", "n_bic", "energies"]
         if with_dynamics:
-            TimeGrid(t_max=t_max, dt=params["dt"])  # ConfigError before any task
-        tasks.append((params, key, v, with_dynamics, t_max))
-    workers = min(workers, os.cpu_count() or 1)
-    out_dir = _prepare_out_dir(out_dir)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
-    header = ["key", "value", "n_bic", "energies"]
-    if with_dynamics:
-        header += ["plateau_pop1", "plateau_pop2", "plateau_settled"]
-    write_csv(os.path.join(out_dir, "sweep.csv"), header,
-              [[r[h] for r in results] for h in header])
-    return results
+            header += ["plateau_pop1", "plateau_pop2", "plateau_settled"]
+        with _stage(records, "write_artifacts"):
+            write_csv(os.path.join(out_dir, "sweep.csv"), header,
+                      [[r[h] for r in rows] for h in header])
+        return [_residual_check(r["residual"] for r in rows)]
+
+    _run_pipeline(out_dir, {"sweep": {**base, "key": key, "values": list(values),
+                                      "dynamics": with_dynamics, "t_max": t_max}}, stages)
+    return rows
 
 
 def _add_flags(parser, *grid_flags):
-    """``--out``, and those of ``--dt``, ``--tmax``, ``--nc`` the command reads."""
+    """``--out``, ``--check``, and those of ``--dt``, ``--tmax``, ``--nc``
+    the command reads."""
     parser.add_argument("--out", default=None, help="output directory "
                         f"(default $%s or ./out)" % OUTPUT_DIR_ENV)
+    parser.add_argument("--check", action="store_true",
+                        help="exit 3 when any tolerance check fails")
     for flag in grid_flags:
         parser.add_argument(flag, type=int if flag == "--nc" else float, default=None)
 
@@ -785,7 +807,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _scenario_command(args, out_dir) -> list[str]:
+    """A scenario command; ``run table1`` is the census at g = 0.1."""
+    if args.command == "run" and args.target == "table1":
+        if (args.dt, args.tmax, args.nc) != (None, None, None):
+            raise ConfigError("run table1 takes no --dt, --tmax or --nc")
+        return _census_command(out_dir)
+    scn = load_scenario(args.target, dt=args.dt, t_max=args.tmax, n_c=args.nc)
+    run_scenario(scn, out_dir, COMMAND_STAGES[args.command])
+    return []
+
+
+def _census_command(out_dir, g=0.1) -> list[str]:
+    return [f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
+            + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else "")
+            for r in run_census(out_dir, g=g)]
+
+
+def _sweep_command(args, out_dir) -> list[str]:
+    values = [v for v in args.values.split(",") if v != ""]
+    rows = run_sweep(out_dir, args.vary, values, size=args.size, delta=args.delta,
+                     g=args.g, dt=args.dt, workers=args.workers,
+                     with_dynamics=args.dynamics, t_max=args.tmax)
+    return [f"{args.vary}={r['value']}: n_bic={r['n_bic']}" for r in rows]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each command's ``execute(args, out_dir)`` runs it
+    and returns the lines it prints before its checks."""
     parser = _Parser(
         prog="crwqed",
         description="Bound states in the continuum and beyond-Markovian dynamics "
@@ -793,23 +842,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"crwqed {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="full pipeline for a preset or config file")
-    run_p.add_argument("target", help=f"preset ({', '.join(sorted(PRESETS))}, table1) or config file")
-    run_p.add_argument("--check", action="store_true",
-                       help="exit 3 when any tolerance check fails")
-    _add_flags(run_p, "--dt", "--tmax", "--nc")
-
-    for name, blurb in (("spectrum", "lattice spectrum and bound-state classification"),
+    for name, blurb in (("run", "full pipeline for a preset or config file"),
+                        ("spectrum", "lattice spectrum and bound-state classification"),
                         ("bic", "closed-form bound-state roots"),
                         ("dynamics", "atomic populations and M(t) eigenvalue trace"),
                         ("field", "real-space photon snapshots")):
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("target")
+        p.add_argument("target", help=f"preset ({', '.join(sorted(PRESETS))}"
+                       + (", table1)" if name == "run" else ")") + " or config file")
         _add_flags(p, "--dt", "--tmax", "--nc")
+        p.set_defaults(execute=_scenario_command)
 
     census_p = sub.add_parser("census", help="bound-state census over the standard geometries")
     census_p.add_argument("--g", type=float, default=0.1)
     _add_flags(census_p)
+    census_p.set_defaults(execute=lambda args, out_dir: _census_command(out_dir, args.g))
 
     sweep_p = sub.add_parser("sweep", help="one-parameter sweep of the census")
     sweep_p.add_argument("--vary", required=True, metavar="{delta,N,g,dt}")
@@ -822,6 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--dynamics", action="store_true",
                          help="also report the steady-state plateau per value")
     _add_flags(sweep_p, "--dt", "--tmax")
+    sweep_p.set_defaults(execute=_sweep_command, dt=0.02, tmax=200.0)
     return parser
 
 
@@ -829,34 +877,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, "out")
-        table1 = args.command == "run" and args.target == "table1"
-        if table1 or args.command == "census":
-            if table1 and (args.dt, args.tmax, args.nc) != (None, None, None):
-                raise ConfigError("run table1 takes no --dt, --tmax or --nc")
-            for r in run_census(out_dir, g=getattr(args, "g", 0.1)):
-                print(f"N={r.size} delta={r.delta}: {r.n_bic} BIC(s) "
-                      + (f"at {', '.join(f'{e:+.4f}' for e in r.energies)}" if r.n_bic else ""))
-            return 0
-        if args.command in COMMAND_STAGES:
-            scn = load_scenario(args.target, dt=args.dt, t_max=args.tmax, n_c=args.nc)
-            manifest = run_scenario(scn, out_dir, COMMAND_STAGES[args.command])
-            for c in manifest["checks"]:
-                status = {True: "PASS", False: "FAIL", None: "info"}[c["passed"]]
-                print(f"[{status}] {c['name']}: {c['value']:.6g}"
-                      + (f" (threshold {c['threshold']:.6g})" if c["threshold"] is not None else ""))
-            if getattr(args, "check", False) and not manifest["all_passed"]:
-                return 3
-            return 0
-        # sweep, the one command left: the parser rejects any other
-        values = [v for v in args.values.split(",") if v != ""]
-        results = run_sweep(out_dir, args.vary, values, size=args.size,
-                            delta=args.delta, g=args.g,
-                            dt=0.02 if args.dt is None else args.dt,
-                            workers=args.workers, with_dynamics=args.dynamics,
-                            t_max=200.0 if args.tmax is None else args.tmax)
-        for r in results:
-            print(f"{args.vary}={r['value']}: n_bic={r['n_bic']}")
-        return 0
+        for line in args.execute(args, out_dir):
+            print(line)
+        with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        for c in manifest["checks"]:
+            status = {True: "PASS", False: "FAIL", None: "info"}[c["passed"]]
+            print(f"[{status}] {c['name']}: {c['value']:.6g}"
+                  + (f" (threshold {c['threshold']:.6g})" if c["threshold"] is not None else ""))
+        return 3 if args.check and not manifest["all_passed"] else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

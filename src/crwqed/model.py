@@ -11,6 +11,7 @@ placed.  The lattice constant is unity throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +71,16 @@ class SystemConfig:
     g_2: float = 0.1
 
     def __post_init__(self):
-        """Reject non-finite frequencies or couplings, non-positive ``xi``,
-        negative couplings and coincident legs (ConfigError), then sort the
-        legs so that ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is
-        invariant under leg relabelling)."""
+        """Reject non-integral legs, non-finite frequencies or couplings,
+        non-positive ``xi``, negative couplings and coincident legs
+        (ConfigError), then store the legs as ints, sorted so that
+        ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is invariant under leg
+        relabelling)."""
+        for name in ("n_1", "n_2", "m_1", "m_2"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value == int(value)):
+                raise ConfigError(f"leg {name} must be an integer, got {value!r}")
         if not (self.xi > 0.0) or not math.isfinite(self.xi):
             raise ConfigError(f"hopping strength xi must be positive, got {self.xi}")
         for name in ("omega_c", "omega_1", "omega_2", "g_1", "g_2"):
@@ -88,7 +95,7 @@ class SystemConfig:
         if self.m_1 == self.m_2:
             raise ConfigError(f"coincident legs for the second atom: m_1 = m_2 = {self.m_1}")
         for first, second in (("n_1", "n_2"), ("m_1", "m_2")):
-            lo, hi = sorted((getattr(self, first), getattr(self, second)))
+            lo, hi = sorted((int(getattr(self, first)), int(getattr(self, second))))
             object.__setattr__(self, first, lo)
             object.__setattr__(self, second, hi)
 

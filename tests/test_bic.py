@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,12 @@ def test_census_rejects_offsets_out_of_range_as_config_error():
             bic_census(6, [delta])
     with pytest.raises(ConfigError, match="must be an integer, got 2.5"):
         bic_census(6, [2.5])
+
+
+def test_braided_config_builds_the_census_geometry():
+    assert bic.braided_config(6, 3) == FIG3 and bic.braided_config(8, "2") == FIG4
+    assert bic.braided_config(8, 3.0, g=0.05) == replace(NO_BIC, g_1=0.05, g_2=0.05)
+    assert [r.delta for r in bic_census(8, [2.0, "3"])] == [2, 3]
 
 
 def test_bic_module_builds_no_lattice():

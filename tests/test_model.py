@@ -55,6 +55,19 @@ def test_non_finite_scalars_rejected(name, value):
         SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, **{name: value})
 
 
+@pytest.mark.parametrize("value", [7.5, math.nan, math.inf, "7", None])
+def test_non_integral_legs_rejected(value):
+    with pytest.raises(ConfigError, match=f"leg n_2 must be an integer, got {value!r}"):
+        SystemConfig(n_1=1, n_2=value, m_1=4, m_2=10.5 if value == 7.5 else 10)
+
+
+@pytest.mark.parametrize("value", [7.0, np.int64(7), np.float64(7.0)])
+def test_integral_legs_stored_as_int(value):
+    cfg = SystemConfig(n_1=value, n_2=1, m_1=4, m_2=10)
+    assert cfg.legs == (1, 7, 4, 10) and all(type(leg) is int for leg in cfg.legs)
+    assert cfg == SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
+
+
 @pytest.mark.parametrize("t_max, dt", [(math.nan, 0.02), (math.inf, 0.02),
                                        (1.0, math.nan), (1.0, math.inf)])
 def test_time_grid_rejects_non_finite(t_max, dt):
