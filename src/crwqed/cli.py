@@ -587,7 +587,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
 
     # closed-form bound states (symmetric resonant geometries only)
     if "bic_roots" in stages:
-        with _stage(records, "bic_roots"):
+        with _stage(records, "bic_roots", leg_distance=max(cfg.size_1, *cfg.cross_distances)):
             roots = bic.find_bic_roots(cfg)
             checks.append(_residual_check((r.residual for r in roots), cfg.xi))
             if "lattice" in stages:
@@ -597,7 +597,8 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
 
     # beyond-Markovian dynamics
     if "volterra" in stages:
-        with _stage(records, "volterra", n_steps=grid.n_steps):
+        with _stage(records, "volterra", n_steps=grid.n_steps,
+                    order_max=dynamics.kernel_order_max(cfg), arg_max=2.0 * cfg.xi * grid.t_end):
             kernels = dynamics.build_kernels(cfg, grid)
             trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
             trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)

@@ -43,6 +43,9 @@ MAX_KERNEL_DT = 0.1
 # S-sized scratch grow with it, the sums over earlier blocks shrink; 1024
 # is faster on fig3 but adds about 1 MB of peak memory).
 _BLOCK = 512
+# Nodes per Bessel table block of photon_field: its scratch is
+# O(_FIELD_CHUNK * orders) whatever the horizon.
+_FIELD_CHUNK = 2048
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
 
@@ -310,7 +313,7 @@ def field_order_max(cfg: SystemConfig, sites) -> int:
 
 
 def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
-                 times, chunk: int = 2048) -> list[FieldSnapshot]:
+                 times) -> list[FieldSnapshot]:
     """Reconstruct the real-space photon amplitudes at the requested times.
 
     beta_j(t) = -i sum_atoms g int_0^t alpha(t - tau) * e^{-i omega_c tau}
@@ -320,11 +323,10 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     tau integral is reduced to one weighted sum per Bessel order, shared by
     both legs and by all sites at equal distance from a leg.  The Bessel
     table over the nodes up to the latest requested time is filled once, in
-    ``chunk``-node blocks (so early, small-argument rows do not pay the
-    recurrence depth of the largest argument); each block is added to the
-    per-order sums of every requested time as soon as it is filled, so the
-    cost is one table plus one matrix product per block and time, and the
-    scratch memory is O(chunk * orders) whatever the horizon.
+    ``_FIELD_CHUNK``-node blocks; each block is added to the per-order sums
+    of every requested time as soon as it is filled, so the cost is one
+    table plus one matrix product per block and time, and the scratch
+    memory does not grow with the horizon.
     """
     grid = trajectory.grid
     sites = np.asarray(sites, dtype=int)
@@ -342,8 +344,8 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     # at nodes[i]: sum_k w_k e^{-i omega_c tau_k} alpha(t_n - tau_k) J(2 xi tau_k)
     sums = np.zeros((len(nodes), 4, order_max + 1))
     n_rows = max(nodes, default=-1) + 1
-    for s in range(0, n_rows, chunk):
-        e = min(s + chunk, n_rows)
+    for s in range(0, n_rows, _FIELD_CHUNK):
+        e = min(s + _FIELD_CHUNK, n_rows)
         table = bessel_j_table(order_max, 2.0 * cfg.xi * taus[s:e])
         for i, n in enumerate(nodes):
             if n == 0 or n < s:  # empty integral, or no rows of this block

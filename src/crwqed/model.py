@@ -277,8 +277,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def parse_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+    return parse_config_text(text, source=str(path))
 
 
 def config_from_mapping(values: dict) -> tuple[SystemConfig, TimeGrid | None, int | None]:

@@ -4,21 +4,22 @@ The memory kernels of the waveguide dynamics are built entirely from
 J_n(2 xi tau), so this module provides exactly that: tables of J_0..J_max
 at non-negative real arguments, vectorized over many arguments.
 
-Each argument takes one of two routes, chosen by ``order_max`` and x alone:
+Each argument takes one of three routes, chosen by ``order_max`` and x
+alone, and its row depends on nothing else:
 
 * x >= max(HANKEL_FROM, 2*order_max): J_0 and J_1 from the Hankel
   asymptotic expansion (DLMF 10.17.3), summed until the next term is below
   1e-17, and J_2..J_order_max by the upward three-term recurrence, which is
   stable for n < x (here n <= x/2).  Cost O(order_max) per argument;
   measured error <= 1e-16 absolute against exact-decimal series values.
-* smaller x: Miller's downward recurrence normalized by the sum rule
-  J_0(x) + 2 sum_{k>=1} J_2k(x) = 1, started far enough above max(n, x)
-  that the seed contamination is below double precision.  Cost O(x +
-  order_max) per argument; measured accuracy ~1e-14 relative for
-  n <= 64 up to x ~ 2000, so a table that would send a larger argument
-  here (possible only for order_max > 1000) raises ValueError.
-
-Arguments below ``_SERIES_BELOW`` use the power series.
+* smaller x down to ``_ONE_TERM_BELOW``: Miller's downward recurrence
+  normalized by the sum rule J_0(x) + 2 sum_{k>=1} J_2k(x) = 1, started at
+  an order of its own far enough above max(n, x) that the seed
+  contamination is below double precision.  Cost O(x + order_max) per
+  argument; measured accuracy ~1e-14 relative for n <= 64 up to
+  ``MILLER_X_MAX``, and within 2.2e-16 absolute of the series below 0.01.
+* x < ``_ONE_TERM_BELOW``, x = 0 included: the series' first term
+  (x/2)^n / n!, whose relative error (x/2)^2 / (n + 1) is below 2.5e-17.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ import numpy as np
 # Renormalize when the unscaled recurrence exceeds this magnitude.
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
-# Below this argument the recurrence ratio 2m/x outruns the rescaling;
-# the power series is exact to machine precision there in a few terms.
-_SERIES_BELOW = 0.01
+# Below this argument one series term is exact to machine precision.  The
+# recurrence ratio 2m/x outruns the rescaling only below about 1e-55.
+_ONE_TERM_BELOW = 1e-8
+# Rows a route fills at a time: the small-x rows of a long table skip the
+# recurrence depth of the largest x, and scattered ones need no more scratch.
+_CHUNK = 4096
 # Arguments at or above max(HANKEL_FROM, 2*order_max) take the Hankel route.
 # At x = 25 the expansion's terms fall below 1e-17 after 20 terms (its
 # smallest term is about 2e-23), and n <= x/2 keeps the upward recurrence
@@ -53,44 +57,38 @@ def miller_reach(order_max: int, x_max: float) -> float:
     return min(x_max, max(HANKEL_FROM, 2.0 * order_max))
 
 
-def _start_order(order_max: int, x_max: float) -> int:
-    """Downward-recurrence start index; even, comfortably above the turning
-    point so the arbitrary seed has decayed below 1e-16 by order_max."""
-    base = max(order_max, int(np.ceil(x_max)))
-    m = base + 50 + int(np.ceil(12.0 * base ** (1.0 / 3.0)))
+def _start_orders(order_max: int, xs: np.ndarray) -> np.ndarray:
+    """Downward-recurrence start index of each argument: even, and so far
+    above the turning point that the seed decays below 1e-16 by order_max."""
+    base = np.maximum(order_max, np.ceil(xs))
+    m = (base + 50 + np.ceil(12.0 * base ** (1.0 / 3.0))).astype(int)
     return m + (m % 2)
 
 
-def _series_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
-    """Fill ``rows`` with the power series for small arguments; leading
-    factors built iteratively so high orders underflow to zero instead of
-    overflowing."""
+def _one_term_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
+    """Fill the zeroed ``rows`` with (x/2)^n / n!, built iteratively so high
+    orders underflow to zero instead of overflowing."""
     half = xs / 2.0
-    half_sq = half * half
-    lead = np.ones_like(xs)
-    for n in range(order_max + 1):
-        if n > 0:
-            lead = lead * half / n
-        term = lead.copy()
-        acc = lead.copy()
-        for k in range(1, 40):
-            term = -term * half_sq / (k * (k + n))
-            prev = acc.copy()
-            acc += term
-            if np.array_equal(acc, prev):
-                break
-        rows[:, n] = acc
+    rows[:, 0] = 1.0
+    for n in range(1, order_max + 1):
+        rows[:, n] = rows[:, n - 1] * half / n
+        if not rows[:, n].any():  # every higher order is zero too (x = 0 at once)
+            break
 
 
 def _miller_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
     """Fill ``rows`` with J_0(x)..J_order_max(x) for every x in xs (all
-    x > 0).  A rescale touches only the orders already stored."""
+    x > 0).  Each argument's terms are exactly zero until its own start
+    order seeds it.  A rescale touches only the orders already stored."""
     n_x = xs.shape[0]
-    m_start = _start_order(order_max, float(xs.max()))
+    starts = _start_orders(order_max, xs)
+    seeds = set(starts.tolist())
     j_above = np.zeros(n_x)
-    j_here = np.full(n_x, 1e-30)
+    j_here = np.zeros(n_x)
     even_sum = np.zeros(n_x)
-    for m in range(m_start, 0, -1):
+    for m in range(int(starts.max()), 0, -1):
+        if m in seeds:  # a mask on every step would cost ~5 % of a preset table
+            j_here[starts == m] = 1e-30
         j_below = (2.0 * m / xs) * j_here - j_above
         j_above = j_here
         j_here = j_below
@@ -151,32 +149,13 @@ def _hankel_rows(order_max: int, xs: np.ndarray, rows: np.ndarray) -> None:
         rows[:, n + 1] = (2.0 * n / xs) * rows[:, n] - rows[:, n - 1]
 
 
-def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
-    """J_n(x) for n = 0..order_max over an array of arguments.
-
-    Arguments x >= max(HANKEL_FROM, 2*order_max) take the Hankel route
-    (J_0, J_1 asymptotic, upward recurrence above; O(order_max) each, error
-    <= 1e-16 absolute); smaller ones take Miller's downward recurrence
-    (O(x + order_max) each, ~1e-14 relative), and x < 0.01 the power series.
-    Which route an argument takes depends only on x and ``order_max``.
-    An argument above ``MILLER_X_MAX`` on Miller's route raises ValueError.
-    Every route writes its rows into the returned table.
-
-    Parameters
-    ----------
-    order_max : int
-        Highest order, >= 0.
-    xs : array_like
-        Non-negative arguments.
-    chunk : int
-        Arguments are processed in chunks so early (small-x) entries of a
-        long kernel table do not pay the recurrence depth of the largest x.
-        A chunk of non-consecutive arguments is filled through one
-        (chunk, order_max + 1) scratch array; consecutive ones need none.
-
-    Returns
-    -------
-    (len(xs), order_max + 1) ndarray.
+def bessel_j_table(order_max: int, xs) -> np.ndarray:
+    """J_n(x) for n = 0..order_max over the non-negative arguments xs: a
+    (len(xs), order_max + 1) table whose row i depends only on
+    ``order_max`` and xs[i], by the routes of the module docstring.  Each
+    route fills up to ``_CHUNK`` rows at a time, in place where their
+    arguments are consecutive.  An argument above ``MILLER_X_MAX`` on
+    Miller's route raises ValueError.
     """
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
@@ -191,13 +170,12 @@ def bessel_j_table(order_max: int, xs, chunk: int = 4096) -> np.ndarray:
                          f"{MILLER_X_MAX:g} to Miller's recurrence, which is validated "
                          f"only up to there")
     out = np.zeros((xs.shape[0], order_max + 1))
-    out[xs == 0.0, 0] = 1.0  # J_0(0) = 1, J_{n>=1}(0) = 0
-    small = np.flatnonzero((xs > 0.0) & (xs < _SERIES_BELOW))
-    near = np.flatnonzero((xs >= _SERIES_BELOW) & (xs < switch))
-    far = np.flatnonzero(xs >= switch)
-    for fill, idx_all in ((_series_rows, small), (_miller_rows, near), (_hankel_rows, far)):
-        for s in range(0, idx_all.size, chunk):
-            idx = idx_all[s:s + chunk]
+    low = xs < _ONE_TERM_BELOW
+    far = xs >= switch
+    for fill, mask in ((_one_term_rows, low), (_miller_rows, ~low & ~far), (_hankel_rows, far)):
+        idx_all = np.flatnonzero(mask)
+        for s in range(0, idx_all.size, _CHUNK):
+            idx = idx_all[s:s + _CHUNK]
             lo, hi = idx[0], idx[-1] + 1
             if hi - lo == idx.size:  # consecutive arguments: fill out in place
                 fill(order_max, xs[lo:hi], out[lo:hi])

@@ -78,7 +78,10 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
     sizes = {s["name"]: s["sizes"] for s in stages}
     assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2}
-    assert sizes["volterra"] == {"n_steps": scn.grid.n_steps}
+    # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40
+    assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
+                                 "arg_max": pytest.approx(80.0)}
+    assert sizes["bic_roots"] == {"leg_distance": 9}
     # sites reach 80 + 30 beyond the legs at t = 40, plus the leg span 9
     assert sizes["field_norm_check"]["order_max"] == 110 + 9
     assert sizes["field_norm_check"]["arg_max"] == pytest.approx(80.0)
@@ -458,6 +461,18 @@ def test_sweep_zero_dt_or_tmax_is_config_error(tmp_path, capsys, monkeypatch, fl
     assert tasks == [] and not (tmp_path / "cli").exists()
 
 
+def test_unreadable_config_target_is_config_error(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"n_1 = 1\n\xff\n")
+    for target in (tmp_path, binary):
+        assert main(["bic", str(target), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "Traceback" not in err
+        with pytest.raises(ConfigError):
+            load_scenario(str(target))
+
+
 def test_bic_on_asymmetric_config_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "asym.cfg"
     cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\ng_1 = 0.1\ng_2 = 0.2\n")
@@ -483,11 +498,12 @@ def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):
     bessel_calls = _counting(monkeypatch, dynamics, "bessel_j_table")
     field_calls = []
     original = dynamics.photon_field
-    def field(cfg, trajectory, sites, times, chunk=2048):
+    def field(cfg, trajectory, sites, times):
         before = len(bessel_calls)
-        out = original(cfg, trajectory, sites, times, chunk)
+        out = original(cfg, trajectory, sites, times)
         n_last = max(trajectory.grid.node(t) for t in times)
-        field_calls.append((len(bessel_calls) - before, math.ceil((n_last + 1) / chunk)))
+        blocks = math.ceil((n_last + 1) / dynamics._FIELD_CHUNK)
+        field_calls.append((len(bessel_calls) - before, blocks))
         return out
     monkeypatch.setattr(dynamics, "photon_field", field)
     run_scenario(load_scenario("fig3", t_max=40.0), tmp_path)

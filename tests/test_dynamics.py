@@ -388,14 +388,17 @@ def test_photon_field_shared_table_matches_single_times(fig3_short):
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 1000])
-def test_photon_field_blocks_match_one_block(fig3_short, chunk):
+def test_photon_field_blocks_match_one_block(fig3_short, monkeypatch, chunk):
     # every time's sums are accumulated block by block; times on, before and
     # after block edges must agree with a single block over all nodes
+    from crwqed import dynamics
     grid, traj, _ = fig3_short
     sites = np.arange(-30, 41)
     times = [0.0, 0.02, 0.12, 0.14, 1.26, 1.28, 1.30, 20.0, 60.0]
-    one = photon_field(FIG3, traj, sites, times, chunk=grid.n_steps + 1)
-    blocked = photon_field(FIG3, traj, sites, times, chunk=chunk)
+    monkeypatch.setattr(dynamics, "_FIELD_CHUNK", grid.n_steps + 1)
+    one = photon_field(FIG3, traj, sites, times)
+    monkeypatch.setattr(dynamics, "_FIELD_CHUNK", chunk)
+    blocked = photon_field(FIG3, traj, sites, times)
     for a, b in zip(blocked, one):
         assert a.time == b.time
         scale = max(np.abs(b.beta).max(), 1e-300)
@@ -448,8 +451,9 @@ def test_photon_field_builds_each_table_block_once(fig3_short, monkeypatch):
         calls.append(len(xs))
         return bessel_j_table(order_max, xs)
     monkeypatch.setattr(dynamics, "bessel_j_table", counting)
+    monkeypatch.setattr(dynamics, "_FIELD_CHUNK", 1000)
     grid, traj, _ = fig3_short
-    photon_field(FIG3, traj, np.arange(-20, 31), [20.0, 60.0, 40.0], chunk=1000)
+    photon_field(FIG3, traj, np.arange(-20, 31), [20.0, 60.0, 40.0])
     assert calls == [1000, 1000, 1000, 1]  # nodes 0..3000 of the latest time
 
 
@@ -469,8 +473,9 @@ def test_tables_send_miller_only_arguments_below_the_switch(fig3_short, monkeypa
         return table
     monkeypatch.setattr(dynamics, "bessel_j_table", recording_table)
     sites = np.arange(-20, 31)
+    monkeypatch.setattr(dynamics, "_FIELD_CHUNK", 1000)
     build_kernels(FIG3, grid)
-    photon_field(FIG3, traj, sites, [20.0, 60.0], chunk=1000)
+    photon_field(FIG3, traj, sites, [20.0, 60.0])
     orders = {order_max for order_max, _ in miller}
     assert orders == {9, dynamics.field_order_max(FIG3, sites)}
     for order_max, x_max in miller:

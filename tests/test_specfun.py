@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import bessel_j, bessel_j_row, bessel_reference, series_oracle, traced_peak
 
@@ -43,6 +43,16 @@ def test_series_agreement_low_orders(x):
             assert abs(row[n] - ref) <= 1e-12 * abs(ref)
         else:
             assert abs(row[n] - ref) <= 1e-12
+
+
+def test_tiny_arguments_match_series_oracle():
+    # the one-term limit (1e-9) and Miller's recurrence (1e-5, 5e-3) in one table
+    xs = [1e-9, 1e-5, 5e-3]
+    table = bessel_j_table(20, xs)
+    for row, x in zip(table, xs):
+        for n in range(21):
+            ref = series_oracle(n, x)
+            assert abs(row[n] - ref) <= 1e-14 * abs(ref), (n, x)
 
 
 @pytest.mark.parametrize("x", [50.0, 150.0, 400.0])
@@ -106,13 +116,33 @@ def test_hankel_route_matches_miller_on_preset_grids(t_max, order_max):
     assert np.abs(table - miller).max() <= 5e-15
 
 
-def test_route_depends_on_the_argument_only():
-    # a Hankel-route row is the same alone and inside a mixed table
-    xs = np.array([0.0, 0.005, 3.0, 57.9, 58.0, 90.5, 1400.0])
-    table = bessel_j_table(29, xs, chunk=3)
+def test_route_depends_on_the_argument_only(monkeypatch):
+    # a row of every route is the same alone and inside a mixed, chunked table
+    monkeypatch.setattr(specfun, "_CHUNK", 3)
+    xs = np.array([0.0, 1e-9, 0.005, 3.0, 57.9, 58.0, 90.5, 1400.0])
+    table = bessel_j_table(29, xs)
     for i, x in enumerate(xs):
-        if x >= _switch(29):
-            assert np.array_equal(table[i], bessel_j_row(29, x).values)
+        assert np.array_equal(table[i], bessel_j_row(29, x).values), x
+
+
+@st.composite
+def _orders_and_arguments(draw):
+    # tiny values, values next to the one-term and Hankel switches, and the rest
+    order_max = draw(st.integers(0, 500))
+    switch = _switch(order_max)
+    edge = st.sampled_from([np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(switch, 0.0), switch])
+    xs = st.one_of(st.floats(0.0, 1e-7), edge, st.floats(0.0, 2000.0))
+    return order_max, draw(st.lists(xs, min_size=1, max_size=12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orders_and_arguments())
+@example((20, [5.0, 24.0]))  # Miller rows once started at the largest argument of a chunk
+def test_table_rows_are_one_argument_tables(case):
+    order_max, xs = case
+    table = bessel_j_table(order_max, xs)
+    for row, x in zip(table, xs):
+        assert np.array_equal(row, bessel_j_table(order_max, [x])[0]), x
 
 
 def test_sum_rule_at_25():
@@ -126,11 +156,12 @@ def test_row_matches_scalar():
         assert abs(row[n] - bessel_j(n, 9.3)) <= 1e-12
 
 
-def test_table_matches_rows_across_chunks():
+def test_table_matches_rows_across_chunks(monkeypatch):
+    monkeypatch.setattr(specfun, "_CHUNK", 10)
     xs = np.linspace(0.0, 30.0, 57)
-    table = bessel_j_table(8, xs, chunk=10)
+    table = bessel_j_table(8, xs)
     for i, x in enumerate(xs):
-        assert np.allclose(table[i], bessel_j_row(8, x).values, rtol=0, atol=1e-13)
+        assert np.array_equal(table[i], bessel_j_row(8, x).values)
 
 
 def test_negative_argument_rejected():
@@ -156,7 +187,7 @@ def test_table_is_filled_in_place():
 def test_scattered_arguments_fill_the_same_rows():
     # non-consecutive arguments of a route go through one scratch chunk
     xs = np.random.default_rng(7).uniform(0.0, 60.0, 300)
-    xs[:5] = [0.0, 0.004, 0.009, 45.0, 40.0]  # zero, series, Hankel at the switch
+    xs[:5] = [0.0, 1e-9, 0.009, 45.0, 40.0]  # zero, one term, Miller, Hankel at the switch
     order = np.argsort(xs)
     assert np.array_equal(bessel_j_table(20, xs)[order], bessel_j_table(20, xs[order]))
 
