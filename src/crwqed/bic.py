@@ -42,6 +42,10 @@ EDGE_EXCLUSION = 1e-4
 MAX_LEG_DISTANCE = 2000
 # Roots from the two parity branches closer than this are one degenerate root.
 DEGENERATE_MERGE = 1e-8
+# A root's |f| must be at most this times xi (the manifest's
+# ``bic_root_residual`` threshold); a root read off a complex eigenvalue
+# pair is kept only if it meets it.
+RESIDUAL_TOL = 1e-8
 # A parity branch of a root is a bound state when |Im bracket| is at most
 # this, i.e. its half width is at most 0.1 g^2/xi.  Over N = 2..12, every
 # offset and g = 0.02..0.3, exact BICs (compact support) have zero width,
@@ -106,9 +110,15 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     In x, f_s = (omega_c - Omega) + xi U_1 - (g^2/2xi) [2 (-1)^(N-1) U_(N-1)
     + s sum_p (-1)^(p-1) U_(p-1)]: its real roots are the exactly real
     eigenvalues of the comrade matrix, x U_k = (U_(k-1) + U_(k+1))/2 with U_n
-    eliminated by f = 0, each polished by a Newton step.  A near-double real
-    root that the eigensolver returns as a complex pair is missed.  The g^2
-    terms sum as integers, so on resonance f(0) is exactly 0 at a band-centre
+    eliminated by f = 0, each polished by a Newton step unless the step is
+    longer than sqrt(eps ||C||) (at a double root the slope vanishes and the
+    step can throw the root away).  A near-double real root can come back as
+    a complex pair split by about that much: the real part of each pair that
+    close to the real axis is polished too, and kept when its |f| meets
+    ``RESIDUAL_TOL`` xi.  Roots closer than
+    ``DEGENERATE_MERGE`` xi are one root, the one with the smaller |f| (a
+    real eigenvalue and a pair can polish to the same point).  The g^2 terms
+    sum as integers, so on resonance f(0) is exactly 0 at a band-centre
     root: x is divided out, a_k = (q_(k-1) + q_(k+1))/2, and x = 0 kept
     exactly.
     """
@@ -121,7 +131,7 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     coupling = cfg.g_1 ** 2 / (2.0 * cfg.xi)
     a = -coupling * ints
     a[:2] += (cfg.omega_c - cfg.omega_1, cfg.xi)
-    a = np.trim_zeros(a, "b")
+    a = a[:np.flatnonzero(a)[-1] + 1]  # a[1] = xi > 0
     x = []
     if cfg.omega_c - cfg.omega_1 == coupling * (ints[::4].sum() - ints[2::4].sum()):
         q = np.zeros(a.size + 1)
@@ -131,17 +141,35 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     comrade = 0.5 * (np.eye(a.size - 1, k=1) + np.eye(a.size - 1, k=-1))
     comrade[-1:] -= a[:-1] / (2.0 * a[-1])
     eig = np.linalg.eigvals(comrade)
-    real = eig.real[(eig.imag == 0.0) & (np.abs(eig.real) <= 1.0)]
+    # a near-double real root can come back as a complex pair split by about
+    # sqrt(eps ||C||): one candidate per such pair, kept on its residual below
+    norm = 1.0 + np.abs(a[:-1]).sum() / (2.0 * abs(a[-1]))  # bounds ||C||_inf
+    split = math.sqrt(np.finfo(float).eps * norm)
+    eig = eig[(eig.imag >= 0.0) & (eig.imag <= split) & (np.abs(eig.real) <= 1.0)]
+    start = eig.real
     # one Newton step, value b and slope d by Clenshaw: b_k = a_k + 2x b_(k+1) - b_(k+2)
-    b1 = b2 = d1 = d2 = np.zeros_like(real)
+    b1 = b2 = d1 = d2 = np.zeros_like(start)
     for ak in a[::-1]:
-        b1, b2, d1, d2 = ak + 2.0 * real * b1 - b2, b1, 2.0 * (b1 + real * d1) - d2, d1
-    real -= np.divide(b1, d1, out=np.zeros_like(real), where=d1 != 0.0)
-    energies = cfg.omega_c + 2.0 * cfg.xi * np.concatenate([x, real])
+        b1, b2, d1, d2 = ak + 2.0 * start * b1 - b2, b1, 2.0 * (b1 + start * d1) - d2, d1
+    step = np.divide(b1, d1, out=np.zeros_like(start), where=d1 != 0.0)
+    # the slope vanishes at a double root, where the step can throw the root
+    # away: a step longer than a pair's splitting is not taken
+    step[np.abs(step) > split] = 0.0
     lo = cfg.band_bottom + EDGE_EXCLUSION * cfg.xi
     hi = cfg.band_top - EDGE_EXCLUSION * cfg.xi
-    energies = np.sort(energies[(energies >= lo) & (energies <= hi)])
-    return list(zip(energies.tolist(), np.abs(_residual(energies, cfg, branch)).tolist()))
+    candidates = [(e, paired) for e, paired in zip(
+        (cfg.omega_c + 2.0 * cfg.xi * np.concatenate([x, start - step])).tolist(),
+        [False] * len(x) + (eig.imag > 0.0).tolist()) if lo <= e <= hi]
+    misses = np.abs(_residual(np.array([e for e, _ in candidates]), cfg, branch)).tolist()
+    roots: list[tuple[float, float]] = []
+    for (e, paired), f in sorted(zip(candidates, misses)):
+        if paired and f > RESIDUAL_TOL * cfg.xi:
+            continue
+        if roots and e - roots[-1][0] <= DEGENERATE_MERGE * cfg.xi:
+            roots[-1] = min(roots[-1], (e, f), key=lambda root: root[1])
+        else:
+            roots.append((e, f))
+    return roots
 
 
 def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:

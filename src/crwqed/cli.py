@@ -551,17 +551,18 @@ def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs=None) -> dict
 
 def _residual_check(residuals, xi=SystemConfig.xi) -> dict:
     """``bic_root_residual``: the worst |f| of the closed-form roots, against
-    1e-8 xi (by default the hopping of the ``bic.braided_config`` geometries)."""
-    return _check("bic_root_residual", max(residuals, default=0.0), 1e-8 * xi)
+    ``bic.RESIDUAL_TOL`` xi (by default the hopping of the
+    ``bic.braided_config`` geometries)."""
+    return _check("bic_root_residual", max(residuals, default=0.0), bic.RESIDUAL_TOL * xi)
 
 
 @contextmanager
 def _stage(records: list, name: str, **sizes):
     """Append the record of one pipeline stage to ``records``: its name,
     wall time, problem sizes and the process high-water RSS read at its
-    end."""
+    end.  Yields the sizes dict, so the stage can add sizes it learns."""
     start = time.perf_counter()
-    yield
+    yield sizes
     wall = time.perf_counter() - start
     records.append({"name": name, "wall_s": wall, "sizes": sizes,
                     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
@@ -577,11 +578,15 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     checks: list[dict] = []
 
     if "lattice" in stages:
-        with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2):
-            ham = spectrum.build_hamiltonian(cfg, scn.n_c)
-            basis = spectrum.eigendecompose(ham)
+        with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2) as sizes:
+            basis = spectrum.lattice_eigenbasis(cfg, scn.n_c)
+            solve = basis.report
+            sizes.update(leg_system_dim=solve.leg_system_dim, bisection_steps=solve.bisection_steps)
+            checks.append(_check("lattice_residual", solve.residual,
+                                 spectrum.RESIDUAL_TOL * solve.h_norm))
+            checks.append(_check("lattice_orthonormality", solve.orthonormality,
+                                 spectrum.ORTHONORMALITY_TOL))
             sites = basis.sites
-            del ham  # the dense Hamiltonian is freed once diagonalized
             profiles = spectrum.classify_bound_states(basis, cfg)
             bics = spectrum.bound_states(profiles, "BIC")
 

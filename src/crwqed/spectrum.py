@@ -1,17 +1,26 @@
-"""Finite-lattice spectrum: exact diagonalization, bound-state
+"""Finite-lattice spectrum: a structured eigensolver, bound-state
 classification, and spectral time propagation.
 
 A chain of ``n_c`` resonators with open boundaries hosts the two atoms near
-its center.  The single-excitation Hamiltonian is a dense real symmetric
-matrix over the basis (atom1, atom2, site 1..n_c); its eigenstates separate
-into extended band states, bound states outside the continuum (BOC), and --
-for the right leg geometries -- bound states in the continuum (BIC).  The
-classifier here is the numerical oracle the closed-form bound-state solver
-is checked against, and spectral propagation exp(-iHt) is the oracle for
-the memory-kernel dynamics.  The lattice is diagonalized once: the
-:class:`Eigenbasis` holds the energies and the eigenvector array exactly as
-``np.linalg.eigh`` returns them with the chain's absolute site indices,
-and classification and propagation read those arrays directly.
+its center.  The single-excitation Hamiltonian over the basis (atom1,
+atom2, site 1..n_c) is the tridiagonal chain plus two atom rows and
+columns; its eigenstates separate into extended band states, bound states
+outside the continuum (BOC), and -- for the right leg geometries -- bound
+states in the continuum (BIC).  The classifier here is the numerical oracle
+the closed-form bound-state solver is checked against, and spectral
+propagation exp(-iHt) is the oracle for the memory-kernel dynamics.
+
+``lattice_eigenbasis`` diagonalizes the lattice without forming H: the
+free chain is solvable in closed form, so each energy is located by
+bisection on an inertia count that costs O(1) per energy, and each
+eigenvector is the null vector of a leg system with three unknowns more
+than there are distinct leg sites, whatever the leg span: the free runs
+between and beyond the legs are sines (scaled sinh out of the band) with
+one or two amplitudes each.  The :class:`Eigenbasis` it returns holds the
+energies and the eigenvector array with the chain's absolute site
+indices, and classification and propagation read those arrays directly.
+``build_hamiltonian`` and ``eigendecompose`` (dense ``eigh``) are the test
+oracle; the pipeline never calls them.
 """
 
 from __future__ import annotations
@@ -34,15 +43,15 @@ from .model import (
 
 # Margin of resonators required around the outermost legs.
 LATTICE_MARGIN = 40
-# Largest lattice accepted: the dense (n_c + 2)^2 Hamiltonian and its
-# eigenbasis take about 0.5 GB each at this size, and ``eigh`` briefly needs
-# about as much again in copies and workspace.  No later stage holds another
-# n x n array: the pipeline frees the Hamiltonian once it is diagonalized,
-# and classification and propagation read the one eigenvector array through
-# views and products with thin matrices.
+# Largest lattice accepted.  The eigenvector array is (n_c + 2)^2 floats,
+# about 0.5 GB at this size, and the orthonormality check that every
+# eigenbasis passes is an O(n^3) product over it.  No later stage holds
+# another n x n array: classification and propagation read the one
+# eigenvector array through views and products with thin matrices.
 MAX_LATTICE_SITES = 8000
 # Eigenstates closer in energy than this are treated as one degenerate
-# cluster and rotated to a maximally-localized basis before classification.
+# cluster: the solver gives it an orthonormal basis of its null space, and
+# the classifier rotates it to a maximally-localized basis.
 DEGENERACY_TOL = 1e-6
 # A bound state must hold at least this fraction of its weight on the atoms
 # plus the sites within +-5 of the leg span.
@@ -56,6 +65,10 @@ BAND_EDGE_GUARD = 1e-3
 MIN_PHOTON_WEIGHT = 1e-12
 # A bound state's inverse participation ratio is at least this.
 IPR_THRESHOLD = 0.02
+# Every eigenbasis has max |H V - V E| <= RESIDUAL_TOL ||H|| and
+# max |V^T V - I| <= ORTHONORMALITY_TOL, else SolverError.
+RESIDUAL_TOL = 1e-8
+ORTHONORMALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,11 +76,13 @@ class LatticeHamiltonian:
     """Dense Hermitian single-excitation Hamiltonian on a finite chain.
 
     Basis ordering: row 0 = atom 1, row 1 = atom 2, rows 2.. = resonators,
-    whose absolute site indices are ``sites``, in column order.
+    whose absolute site indices are ``sites``, in column order.  ``cfg`` is
+    the system it was built from.
     """
 
     matrix: np.ndarray
     sites: np.ndarray
+    cfg: SystemConfig
 
 
 def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
@@ -81,12 +96,20 @@ def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
     if n_c > MAX_LATTICE_SITES:
         dim = n_c + 2
         raise ConfigError(
-            f"lattice too large: n_c={n_c} > {MAX_LATTICE_SITES}; its dense "
-            f"{dim}x{dim} Hamiltonian alone takes {dim * dim * 8 / 1e9:.2f} GB")
+            f"lattice too large: n_c={n_c} > {MAX_LATTICE_SITES}; its {dim}x{dim} "
+            f"eigenvector array alone takes {dim * dim * 8 / 1e9:.2f} GB, and its "
+            f"orthonormality check is an O(n^3) product")
+
+
+def lattice_sites(cfg: SystemConfig, n_c: int) -> np.ndarray:
+    """Absolute site indices of an ``n_c``-site chain whose leg span sits at
+    its centre, in column order."""
+    return np.arange(n_c) + (cfg.outer_legs[0] - _tails(cfg, n_c)[0])
 
 
 def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
-    """Assemble the (n_c + 2)-dimensional lattice Hamiltonian.
+    """Assemble the dense (n_c + 2)-dimensional lattice Hamiltonian (the
+    test oracle of ``lattice_eigenbasis``).
 
     The resonator block is tridiagonal (diagonal ``omega_c``, off-diagonal
     ``-xi``, open ends); each atom row carries exactly two couplings of
@@ -101,8 +124,7 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
         ``MAX_LATTICE_SITES`` sites.
     """
     check_lattice_size(cfg, n_c)
-    # the leg span sits at the centre of the chain
-    sites = np.arange(n_c) + (cfg.outer_legs[0] - (n_c - cfg.span) // 2)
+    sites = lattice_sites(cfg, n_c)
     dim = n_c + 2
     h = np.zeros((dim, dim))
     h[0, 0] = cfg.omega_1
@@ -116,15 +138,28 @@ def build_hamiltonian(cfg: SystemConfig, n_c: int) -> LatticeHamiltonian:
             col = 2 + leg - sites[0]
             h[row, col] = g
             h[col, row] = g
-    return LatticeHamiltonian(matrix=h, sites=sites)
+    return LatticeHamiltonian(matrix=h, sites=sites, cfg=cfg)
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """What ``lattice_eigenbasis`` measured on the basis it returns."""
+
+    residual: float         # max |H V - V E| over all entries
+    h_norm: float           # row-sum bound on ||H||; the residual is held to RESIDUAL_TOL of it
+    orthonormality: float   # max |V^T V - I| over all entries
+    leg_system_dim: int     # side of the per-energy leg system: distinct leg sites + 3
+    bisection_steps: int
 
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """Complete eigenbasis of a lattice Hamiltonian, as ``np.linalg.eigh``
-    returns it: column q of ``vectors`` is the basis vector
+    """Complete orthonormal eigenbasis of a lattice Hamiltonian, energies
+    ascending: column q of ``vectors`` is the real basis vector
     (A1, A2, B_1..B_nc) of the eigenstate with energy ``energies[q]``, and
     ``sites`` are the absolute site indices of the rows B_1..B_nc.
+    ``report`` holds the structured solver's self-checks (None from the
+    dense ``eigendecompose``).
 
     Raises
     ------
@@ -136,6 +171,7 @@ class Eigenbasis:
     energies: np.ndarray
     vectors: np.ndarray
     sites: np.ndarray
+    report: SolveReport | None = None
 
     def __post_init__(self):
         n = self.energies.size
@@ -151,32 +187,55 @@ class Eigenbasis:
 _RESIDUAL_ROWS = 64
 
 
-def _residual(ham: LatticeHamiltonian, energies: np.ndarray, vectors: np.ndarray) -> float:
-    """max |H V - V E| over all entries, from the structure of H: the
-    tridiagonal resonator chain plus the two atom rows and columns.
+def _leg_couplings(cfg: SystemConfig) -> tuple[tuple[int, int, float], ...]:
+    """(leg site, atom row, coupling) of the four legs."""
+    return ((cfg.n_1, 0, cfg.g_1), (cfg.n_2, 0, cfg.g_1),
+            (cfg.m_1, 1, cfg.g_2), (cfg.m_2, 1, cfg.g_2))
 
-    Each term is formed on blocks of ``_RESIDUAL_ROWS`` rows, so the cost is
-    O(n^2) and no n x n temporary is made.
-    """
-    h = ham.matrix
-    dim = h.shape[0]
-    diag = np.diag(h)
-    hop = np.diag(h, 1)  # hop[i] = H[i, i+1]; only i >= 2 lies in the chain
-    # atom rows: every column, so the leg couplings need no bookkeeping
-    worst = np.abs(h[:2] @ vectors - vectors[:2] * energies).max()
+
+def _h_norm(cfg: SystemConfig) -> float:
+    """Largest absolute row sum of the lattice Hamiltonian, an upper bound on
+    ||H||_2 (every leg site is inside the chain, so it has both hops)."""
+    legs = _leg_couplings(cfg)
+    at_leg = max(sum(g for other, _, g in legs if other == leg) for leg, _, _ in legs)
+    return max(abs(cfg.omega_1) + 2.0 * cfg.g_1, abs(cfg.omega_2) + 2.0 * cfg.g_2,
+               abs(cfg.omega_c) + 2.0 * cfg.xi + at_leg)
+
+
+def _residual_rows(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
+                   vectors: np.ndarray):
+    """Yield (lo, H V - V E over rows lo..) in blocks of ``_RESIDUAL_ROWS``
+    rows (the two atom rows first), from the structure of H read off
+    ``cfg`` and the chain's absolute ``sites``: the tridiagonal resonator
+    chain plus the two atom rows and columns.  The cost is O(n^2) and no
+    n x n temporary is made."""
+    dim = vectors.shape[0]
+    legs = [(2 + leg - int(sites[0]), atom, g) for leg, atom, g in _leg_couplings(cfg)]
+    atoms = (np.array([[cfg.omega_1], [cfg.omega_2]]) - energies) * vectors[:2]
+    for row, atom, g in legs:
+        atoms[atom] += g * vectors[row]
+    yield 0, atoms
+    shift = cfg.omega_c - energies
     for lo in range(2, dim, _RESIDUAL_ROWS):
         hi = min(dim, lo + _RESIDUAL_ROWS)
-        block = np.subtract.outer(diag[lo:hi], energies)
-        block *= vectors[lo:hi]
-        block += h[lo:hi, :2] @ vectors[:2]
+        block = vectors[lo:hi] * shift
         if lo > 2:
-            block[0] += hop[lo - 1] * vectors[lo - 1]
-        block[1:] += hop[lo:hi - 1, None] * vectors[lo:hi - 1]
-        block[:hi - lo - 1] += hop[lo:hi - 1, None] * vectors[lo + 1:hi]
+            block[0] -= cfg.xi * vectors[lo - 1]
+        block[1:] -= cfg.xi * vectors[lo:hi - 1]
+        block[:-1] -= cfg.xi * vectors[lo + 1:hi]
         if hi < dim:
-            block[-1] += hop[hi - 1] * vectors[hi]
-        worst = max(worst, np.abs(block).max())
-    return float(worst)
+            block[-1] -= cfg.xi * vectors[hi]
+        for row, atom, g in legs:
+            if lo <= row < hi:
+                block[row - lo] += g * vectors[atom]
+        yield lo, block
+
+
+def _residual(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
+              vectors: np.ndarray) -> float:
+    """max |H V - V E| over all entries (``_residual_rows``)."""
+    return float(max(np.abs(block).max()
+                     for _, block in _residual_rows(cfg, sites, energies, vectors)))
 
 
 def _orthonormality(vectors: np.ndarray) -> float:
@@ -197,8 +256,16 @@ def _orthonormality(vectors: np.ndarray) -> float:
     return float(worst)
 
 
+def _check_tolerances(residual: float, h_norm: float, ortho: float) -> None:
+    if not (residual <= RESIDUAL_TOL * h_norm and ortho <= ORTHONORMALITY_TOL):  # NaN fails
+        raise SolverError(
+            f"eigendecomposition out of tolerance: residual={residual:.3e} "
+            f"(||H||~{h_norm:.3e}), orthonormality={ortho:.3e}")
+
+
 def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
-    """Complete orthonormal eigenbasis, energies ascending.
+    """Complete orthonormal eigenbasis by dense ``eigh``, energies ascending:
+    the test oracle of ``lattice_eigenbasis``.
 
     Checks residuals ||H v - E v|| <= 1e-8 ||H|| and orthonormality
     ||V^T V - I||_max <= 1e-8 before returning.
@@ -215,14 +282,452 @@ def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
         raise SolverError(
             f"eigensolver failed on {h.shape[0]}x{h.shape[0]} matrix "
             f"(max|H|={np.abs(h).max():.3e}): {exc}") from exc
-    h_norm = np.abs(h).sum(axis=1).max()  # inf-norm upper bound on ||H||_2
-    residual = _residual(ham, energies, vectors)
-    ortho = _orthonormality(vectors)
-    if residual > 1e-8 * h_norm or ortho > 1e-8:
-        raise SolverError(
-            f"eigendecomposition out of tolerance: residual={residual:.3e} "
-            f"(||H||~{h_norm:.3e}), orthonormality={ortho:.3e}")
+    _check_tolerances(_residual(ham.cfg, ham.sites, energies, vectors), _h_norm(ham.cfg),
+                      _orthonormality(vectors))
     return Eigenbasis(energies, vectors, ham.sites)
+
+
+# ---- the structured eigensolver ----
+#
+# Energies are parametrized by the chain phase u, increasing with E:
+#   0 <= u <= pi:  E = omega_c - 2 xi cos(u)        (the band, theta = u)
+#   u < 0:         E = omega_c - 2 xi cosh(u)       (below it, eta = -u)
+#   u > pi:        E = omega_c + 2 xi cosh(u - pi)  (above it, eta = u - pi)
+# Bisection, the inertia count and the tails all read u itself, whose floats
+# are finer than E's where a tail is most sensitive (near the band edges, a
+# rounding unit of E moves a long tail's phase by about 1e-11); E(u) enters
+# only the atoms' diagonal and the result.
+
+# A vector whose Rayleigh quotient moves its energy by more than this times
+# ||H|| is rebuilt at the moved energy.
+_REFINE_TOL = 4.0 * np.finfo(float).eps
+
+
+def _tails(cfg: SystemConfig, n_c: int) -> tuple[int, int]:
+    """Sites of the free left and right tails: the chain columns before the
+    first leg and after the last."""
+    left = (n_c - cfg.span) // 2
+    return left, n_c - cfg.span - 1 - left
+
+
+def _in_band(u: np.ndarray) -> np.ndarray:
+    return (u > 0.0) & (u < np.pi)
+
+
+def _eta(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eta, sign of x) of out-of-band phases u; eta is kept above zero so
+    that band-edge ratios of (1 - exp(-2 k eta)) stay finite."""
+    above = u >= np.pi
+    eta = np.maximum(np.where(above, u - np.pi, -u), np.finfo(float).tiny)
+    return eta, np.where(above, -1.0, 1.0)
+
+
+def _energy_slope(u: np.ndarray) -> np.ndarray:
+    """dE/du / (2 xi): sin(theta) in the band, sinh(eta) outside it."""
+    slope = np.sin(u)
+    out = ~_in_band(u)
+    slope[out] = np.sinh(_eta(u[out])[0])
+    return slope
+
+
+def _half_detuning(u: np.ndarray) -> np.ndarray:
+    """x = (omega_c - E) / (2 xi) at phases u."""
+    x = np.cos(u)
+    out = ~_in_band(u)
+    eta, sign = _eta(u[out])
+    x[out] = sign * np.cosh(eta)
+    return x
+
+
+def _atom_block(cfg: SystemConfig, kernel, energies: np.ndarray):
+    """(s11, s12, s22) of Omega - E - V^T G V, V the leg couplings and
+    ``kernel(leg, leg')`` the chain kernel G between two legs."""
+    n_1, n_2, m_1, m_2 = cfg.legs
+    s11 = (cfg.omega_1 - energies) - cfg.g_1 ** 2 * (
+        kernel(n_1, n_1) + kernel(n_2, n_2) + 2.0 * kernel(n_1, n_2))
+    s22 = (cfg.omega_2 - energies) - cfg.g_2 ** 2 * (
+        kernel(m_1, m_1) + kernel(m_2, m_2) + 2.0 * kernel(m_1, m_2))
+    s12 = -cfg.g_1 * cfg.g_2 * (kernel(n_1, m_1) + kernel(n_1, m_2)
+                                + kernel(n_2, m_1) + kernel(n_2, m_2))
+    return s11, s12, s22
+
+
+def _negatives(*coefficients) -> np.ndarray:
+    """Negative eigenvalues of real symmetric matrices, from the coefficients
+    c_1..c_m of det(t + T) = t^m + c_1 t^(m-1) + ... + c_m: the sign changes
+    of (1, c_1, ..., c_m), zeros skipped (Descartes' rule of signs, exact
+    for a polynomial whose roots are all real)."""
+    last = np.ones(coefficients[0].shape)
+    count = np.zeros(coefficients[0].shape, dtype=np.int64)
+    for c in coefficients:
+        sign = np.sign(c)
+        count += (sign != 0.0) & (sign != last)
+        last = np.where(sign != 0.0, sign, last)
+    return count
+
+
+def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
+    """Number of lattice eigenvalues below E(u), for each phase u, at O(1)
+    cost each.
+
+    By Sylvester's law of inertia and Haynsworth's Schur-complement split,
+    the count is that of the free chain's modes eps_k below E plus the
+    negative eigenvalues of the atoms' Schur complement
+    S = Omega - E - V^T (C - E)^{-1} V, C the open n-site chain and V its
+    leg couplings.  In the band (theta = u), for i <= j,
+
+        (C - E)^{-1}_ij = [sin((i+1) theta) cos((j+1) theta)
+                           - cot((n+1) theta) psi_i psi_j] / (xi sin(theta)),
+
+    psi_i = sin((i+1) theta): every pole of the chain sits in the scalar
+    cot, so S = B + tau w w^T with B = Omega - E - V^T A V regular,
+    w = V^T psi and tau = cot((n+1) theta) / (xi sin(theta)).  The inertia
+    of S is that of T = [[-1/tau, w^T], [w, B]] less that of -1/tau; with
+    its first row and column scaled by cos((n+1) theta), every entry of T is
+    bounded, so a count next to a chain mode (even one that coincides with
+    an eigenvalue of the lattice) reads no small difference of large terms.
+    The mode count floor(p), the sign of -1/tau (that of -cos((n+1) theta)
+    once scaled) and the scaling all come from the one phase
+    p = (n+1) theta / pi; an energy on a mode counts as just above it.  Out
+    of the band S has no poles and the resolvent is its sinh form, written
+    with decaying exponentials.
+    """
+    n = n_c
+    left = _tails(cfg, n_c)[0]
+    cols = {leg: leg - cfg.outer_legs[0] + left for leg in cfg.legs}
+    counts = np.empty(u.size, dtype=np.int64)
+
+    band = _in_band(u)
+    theta = u[band]
+    phase = (n + 1) * theta / np.pi
+    turns = np.floor(phase)
+    frac = phase - turns
+    xi_sin = cfg.xi * np.sin(theta)
+    psi = {c: np.sin((c + 1) * theta) for c in cols.values()}
+    cosines = {c: np.cos((c + 1) * theta) for c in cols.values()}
+
+    def regular(a, b):
+        i, j = sorted((cols[a], cols[b]))
+        return psi[i] * cosines[j] / xi_sin
+
+    b11, b12, b22 = _atom_block(cfg, regular, cfg.omega_c - 2.0 * cfg.xi * np.cos(theta))
+    scale = np.cos(np.pi * frac)
+    w1 = scale * cfg.g_1 * (psi[cols[cfg.n_1]] + psi[cols[cfg.n_2]])
+    w2 = scale * cfg.g_2 * (psi[cols[cfg.m_1]] + psi[cols[cfg.m_2]])
+    t = -xi_sin * np.sin(np.pi * frac) * scale
+    det_b = b11 * b22 - b12 * b12
+    negative = _negatives(t + b11 + b22,
+                          t * (b11 + b22) - w1 * w1 - w2 * w2 + det_b,
+                          t * det_b - (w1 * w1 * b22 - 2.0 * w1 * w2 * b12 + w2 * w2 * b11))
+    counts[band] = np.minimum(turns, n).astype(np.int64) - (scale > 0.0) + negative
+
+    out = ~band
+    if out.any():
+        eta, sign = _eta(u[out])
+        decay = sign * np.exp(-eta)
+
+        def rise(k):  # 1 - exp(-2 k eta)
+            return -np.expm1(-2.0 * k * eta)
+
+        lefts = {c: rise(c + 1) / rise(1) for c in cols.values()}
+        rights = {c: rise(n - c) / rise(n + 1) for c in cols.values()}
+
+        def resolvent(a, b):
+            i, j = sorted((cols[a], cols[b]))
+            return decay ** (j - i + 1) * lefts[i] * rights[j] / cfg.xi
+
+        s11, s12, s22 = _atom_block(cfg, resolvent,
+                                    cfg.omega_c - 2.0 * cfg.xi * sign * np.cosh(eta))
+        counts[out] = np.where(sign < 0.0, n, 0) + _negatives(s11 + s22, s11 * s22 - s12 * s12)
+    return counts
+
+
+def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
+    """The phases u of all n_c + 2 eigenvalues, ascending, and the number
+    of bisection steps.
+
+    Every eigen-index q is bisected at once on ``_counts_below``.  Cauchy
+    interlacing with the free chain's modes u_k = k pi / (n + 1) brackets
+    the q-th eigenvalue in [u_(q-2), u_q]; Gershgorin bounds close the two
+    ends, and each bracket is widened by a few rounding units.  A bracket is
+    done when its midpoint equals an endpoint (or, at a phase of zero, when
+    it is narrower than eps^2).
+    """
+    n = n_c
+    modes = np.arange(1, n + 1) * (np.pi / (n + 1))
+    reach = cfg.g_1 + cfg.g_2
+    bottom = min(cfg.omega_1 - 2.0 * cfg.g_1, cfg.omega_2 - 2.0 * cfg.g_2,
+                 cfg.band_bottom - reach)
+    top = max(cfg.omega_1 + 2.0 * cfg.g_1, cfg.omega_2 + 2.0 * cfg.g_2, cfg.band_top + reach)
+    lowest = -math.acosh((cfg.omega_c - bottom) / (2.0 * cfg.xi))
+    highest = np.pi + math.acosh((top - cfg.omega_c) / (2.0 * cfg.xi))
+    eps = np.finfo(float).eps
+    lo = np.concatenate([[lowest, lowest], modes]) - 64.0 * eps
+    hi = np.concatenate([modes, [highest, highest]]) + 64.0 * eps
+    index = np.arange(n + 2)
+    if (np.any(_counts_below(cfg, n, lo) > index)
+            or np.any(_counts_below(cfg, n, hi) <= index)):
+        raise SolverError(f"inertia count of the {n + 2}x{n + 2} lattice disagrees with "
+                          "the interlacing brackets of its free chain")
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = np.flatnonzero((mid != lo) & (mid != hi) & (hi - lo > eps * eps))
+        if active.size == 0:
+            return mid, steps
+        above = _counts_below(cfg, n, mid[active]) > index[active]
+        hi[active[above]] = mid[active[above]]
+        lo[active[~above]] = mid[active[~above]]
+        steps += 1
+
+
+def _run(length: int, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Out-of-band amplitudes f(k) of a free run of ``length`` sites, k sites
+    from its open end, at each phase u; shape (k.size, u.size):
+    sign(x)^(k-1) sinh(k eta) / sinh((length+1) eta), which solves the free
+    recurrence f(k+1) = 2x f(k) - f(k-1) with f(0) = 0 and is at most 1 for
+    k <= length + 1."""
+    k = k[:, None]
+    eta, sign = _eta(u)
+    return (sign ** (k - 1) * np.exp((k - length - 1) * eta)
+            * np.expm1(-2.0 * k * eta) / np.expm1(-2.0 * (length + 1) * eta))
+
+
+def _run_rows(rows: np.ndarray, u: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write the free run f(k), k = 1..length sites from an end where
+    f(0) = 0, into the rows of ``rows`` (length x u.size, length >= 0) in
+    place; return f(1), f(length) and f(length + 1).
+
+    In the band f runs the recurrence f(k+1) = 2x f(k) - f(k-1) from
+    f(1) = sin(u), with the same rounded x that the leg system holds, so
+    every row of (H - E) v inside the run vanishes to rounding (a sine per
+    site would carry each argument's rounding, about 1e-13 at a few hundred
+    sites).  Out of the band f is ``_run``'s closed form.
+    """
+    length = rows.shape[0]
+    band = _in_band(u)
+    two_x = np.where(band, 2.0 * x, 0.0)  # bounded filler where ``_run`` takes over
+    first = np.sin(np.where(band, u, 0.0))
+    if length == 0:
+        end, beyond = np.zeros(u.size), first.copy()
+    else:
+        rows[0] = first
+        for k in range(1, length):
+            np.multiply(rows[k - 1], two_x, out=rows[k])
+            if k > 1:
+                rows[k] -= rows[k - 2]
+        end = rows[-1].copy()
+        beyond = two_x * rows[-1] - (rows[-2] if length > 1 else 0.0)
+    if not band.all():
+        closed = _run(length, np.arange(length + 2), u[~band])
+        rows[:, ~band] = closed[1:-1]
+        first[~band], end[~band], beyond[~band] = closed[1], closed[-2], closed[-1]
+    return first, end, beyond
+
+
+def _cosines(u: np.ndarray, x: np.ndarray, count: int):
+    """Yield C(t), t = 1..count, of the free recurrence from C(0) = 1,
+    C(1) = x in the band (cos(t theta)); bounded filler out of it."""
+    band = _in_band(u)
+    two_x = np.where(band, 2.0 * x, 0.0)
+    prev, cur = np.ones(u.size), np.where(band, x, 0.0)
+    for _ in range(count):
+        yield cur
+        prev, cur = cur, two_x * cur - prev
+
+
+def _leg_columns(cfg: SystemConfig, n_c: int) -> list[int]:
+    """Chain columns of the distinct leg sites, ascending."""
+    shift = _tails(cfg, n_c)[0] - cfg.outer_legs[0]
+    return sorted({leg + shift for leg in cfg.legs})
+
+
+# ---- the leg system ----
+#
+# Between two neighbouring leg sites p < p' (d = p' - p) every row of
+# (H - E) v is the free recurrence, so v there is b Start(t) + sigma Other(t),
+# t = 0..d sites from p, with b = v_p: in the band Start = cos(t theta) and
+# Other = sin(t theta) (by the recurrence), out of it Start and Other are the
+# decaying closed forms with Start(d) = 0 and Other(0) = 0.  Each free tail
+# is an amplitude times its run f from the open end.  Continuity gives each
+# leg value b as a combination of the unknowns before it (b_1 = a_left f(L+1),
+# b_(k+1) = b_k Start(d) + sigma_k Other(d)), so with r distinct leg sites
+# the unknowns are z = (a_left, sigma_1..sigma_(r-1), a_right, A1, A2), r + 3
+# of them, and the rows are the r leg rows of H - E, the continuity at the
+# last leg (scaled by xi) and the two atom rows.  Every entry is bounded, no
+# equation divides by a run's value at its end (so a tail or a stretch
+# between legs that has a mode at E needs no care), and the size does not
+# grow with the leg span.
+
+def _leg_system(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the tails' runs and the ``Other`` runs between the legs into the
+    rows of ``out`` ((n_c + 2) x u.size) in place.  Return the leg systems,
+    shape (u.size, r + 3, r + 3), and the leg values b_k as coefficients on
+    the unknowns, shape (r, u.size, r + 3)."""
+    cols = _leg_columns(cfg, n_c)
+    r = len(cols)
+    xi = cfg.xi
+    right, atom = r, r + 1  # unknowns a_right and A1; sigma_k is 1 + k
+    m = np.zeros((u.size, r + 3, r + 3))
+    legs = np.zeros((r, u.size, r + 3))
+    _, end, beyond = _run_rows(out[2:2 + cols[0]], u, x)
+    legs[0][:, 0] = beyond
+    m[:, 0, 0] = -xi * end  # leg 1's left neighbour
+    _, end, beyond = _run_rows(out[3 + cols[-1]:][::-1], u, x)
+    m[:, r - 1, right] = -xi * end  # leg r's right neighbour
+    m[:, right, right] = xi * beyond
+    band = _in_band(u)
+    sign = _eta(u)[1]
+    for k in range(r - 1):
+        d = cols[k + 1] - cols[k]
+        other_1, other_end, other_d = _run_rows(out[3 + cols[k]:2 + cols[k + 1]], u, x)
+        c_end = c_d = np.ones(u.size)
+        for c in _cosines(u, x, d):
+            c_end, c_d = c_d, c
+        flip = sign ** (d - 1)
+        start_1 = np.where(band, x, flip * other_end)
+        start_end = np.where(band, c_end, flip * other_1)
+        start_d = np.where(band, c_d, 0.0)
+        legs[k + 1] = start_d[:, None] * legs[k]
+        legs[k + 1][:, 1 + k] += other_d
+        m[:, k] -= (xi * start_1)[:, None] * legs[k]  # leg k's right neighbour
+        m[:, k, 1 + k] -= xi * other_1
+        m[:, k + 1] -= (xi * start_end)[:, None] * legs[k]  # leg k + 1's left one
+        m[:, k + 1, 1 + k] -= xi * other_end
+    m[:, right] -= xi * legs[-1]
+    m[:, :r] += (2.0 * xi * x)[:, None, None] * legs.swapaxes(0, 1)  # the leg diagonals
+    shift = _tails(cfg, n_c)[0] - cfg.outer_legs[0]
+    for leg, which, g in _leg_couplings(cfg):
+        k = cols.index(leg + shift)
+        m[:, k, atom + which] += g
+        m[:, atom + which] += g * legs[k]
+    energies = cfg.omega_c - 2.0 * xi * x
+    m[:, atom, atom] = cfg.omega_1 - energies
+    m[:, atom + 1, atom + 1] = cfg.omega_2 - energies
+    return m, legs
+
+
+def _combine(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray, x: np.ndarray,
+             z: np.ndarray, legs: np.ndarray) -> None:
+    """Turn the runs ``_leg_system`` wrote into ``out`` into the lattice
+    vectors of the leg-system solutions ``z`` (one row per column; ``legs``
+    as it returned them), in place and unnormalized."""
+    cols = _leg_columns(cfg, n_c)
+    r = len(cols)
+    values = np.einsum("kij,ij->ki", legs, z)
+    out[2:2 + cols[0]] *= z[:, 0]
+    out[3 + cols[-1]:] *= z[:, r]
+    out[[2 + c for c in cols]] = values
+    outside = ~_in_band(u)
+    sign = _eta(u[outside])[1]
+    for k in range(r - 1):
+        d = cols[k + 1] - cols[k]
+        rows = out[3 + cols[k]:2 + cols[k + 1]]
+        b, sigma = values[k], z[:, 1 + k]
+        other = rows[:, outside]
+        for row, c in zip(rows, _cosines(u, x, d - 1)):
+            row *= sigma
+            row += b * c
+        rows[:, outside] = b[outside] * sign ** (d - 1) * other[::-1] + sigma[outside] * other
+    out[:2] = z[:, r + 1:].T
+
+
+def _right_singular(mats: np.ndarray, dim: int) -> np.ndarray:
+    """Right singular vectors (rows, by descending singular value) of leg
+    systems (or their restrictions) of the dim x dim lattice; SolverError if
+    the SVD fails."""
+    try:
+        return np.linalg.svd(mats)[2]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"eigensolver failed on {dim}x{dim} lattice "
+                          f"({mats.shape[-1]}x{mats.shape[-1]} leg system): {exc}") from exc
+
+
+def _build(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray) -> None:
+    """Write the unit eigenvectors at phases u into the columns of ``out``
+    ((n_c + 2) x u.size), in place: each is the lattice vector of its leg
+    system's null vector (the SVD's last right singular vector)."""
+    x = _half_detuning(u)
+    mats, legs = _leg_system(out, cfg, n_c, u, x)
+    _combine(out, cfg, n_c, u, x, _right_singular(mats, n_c + 2)[:, -1], legs)
+    out /= np.sqrt(np.einsum("ij,ij->j", out, out))
+
+
+def _orthogonalize_clusters(vectors: np.ndarray, cfg: SystemConfig, n_c: int,
+                            u: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Give each cluster of energies closer than ``DEGENERACY_TOL`` xi an
+    orthonormal basis of its null spaces, in place: member q's vector is the
+    null vector of its leg system among the solutions whose lattice vectors
+    are orthogonal to the members before it.  Returns the mask of clustered
+    columns."""
+    close = np.diff(energies) < DEGENERACY_TOL * cfg.xi
+    side = len(_leg_columns(cfg, n_c)) + 3
+    for q in np.flatnonzero(close) + 1:  # q joins the cluster of q - 1
+        first = q - 1
+        while first > 0 and close[first - 1]:
+            first -= 1
+        # the lattice vectors of the unit solutions at u[q], one per column
+        at = np.full(side, u[q])
+        x = _half_detuning(at)
+        lifts = np.empty((n_c + 2, side))
+        mats, legs = _leg_system(lifts, cfg, n_c, at, x)
+        _combine(lifts, cfg, n_c, at, x, np.eye(side), legs)
+        basis = _right_singular(vectors[:, first:q].T @ lifts, n_c + 2)[q - first:].T
+        column = lifts @ (basis @ _right_singular(mats[0] @ basis, n_c + 2)[-1])
+        vectors[:, q] = column / np.linalg.norm(column)
+    return np.concatenate([close, [False]]) | np.concatenate([[False], close])
+
+
+def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
+    """Complete orthonormal eigenbasis of the ``n_c``-site lattice, energies
+    ascending: the contract of ``eigendecompose(build_hamiltonian(cfg, n_c))``
+    without the dense Hamiltonian or an n x n eigensolver.
+
+    Energies come from ``_phases`` (bisection on an O(1) inertia count),
+    vectors from the null vectors of the per-energy leg systems of side
+    r + 3 for r distinct leg sites (``_leg_system``), whatever the leg
+    span, with the free runs between and beyond the legs written in place
+    into the one (n_c + 2)^2 array.  Degenerate clusters are made
+    orthonormal by ``_orthogonalize_clusters``.  The result is checked like
+    the dense oracle's, and ``report`` records those checks and the
+    solver's sizes.
+
+    Raises
+    ------
+    ConfigError
+        If the lattice size is out of range (``check_lattice_size``).
+    SolverError
+        If the counts contradict the interlacing brackets, an SVD fails, or
+        the basis misses ``RESIDUAL_TOL`` ||H|| or ``ORTHONORMALITY_TOL``.
+    """
+    check_lattice_size(cfg, n_c)
+    h_norm = _h_norm(cfg)
+    u, steps = _phases(cfg, n_c)
+    energies = cfg.omega_c - 2.0 * cfg.xi * _half_detuning(u)
+    vectors = np.empty((n_c + 2, n_c + 2))
+    _build(vectors, cfg, n_c, u)
+    clustered = _orthogonalize_clusters(vectors, cfg, n_c, u, energies)
+    sites = lattice_sites(cfg, n_c)
+    # one Rayleigh-quotient step, v^T (H - E) v, on the built vectors
+    shifts = np.zeros(n_c + 2)
+    for lo, block in _residual_rows(cfg, sites, energies, vectors):
+        shifts += np.einsum("ij,ij->j", vectors[lo:lo + block.shape[0]], block)
+    shifts[clustered] = 0.0
+    redo = np.flatnonzero(np.abs(shifts) > _REFINE_TOL * h_norm)
+    if redo.size:
+        u[redo] += shifts[redo] / (2.0 * cfg.xi * _energy_slope(u[redo]))
+        energies[redo] = cfg.omega_c - 2.0 * cfg.xi * _half_detuning(u[redo])
+        columns = np.empty((n_c + 2, redo.size))
+        _build(columns, cfg, n_c, u[redo])
+        vectors[:, redo] = columns
+    residual = _residual(cfg, sites, energies, vectors)
+    ortho = _orthonormality(vectors)
+    _check_tolerances(residual, h_norm, ortho)
+    return Eigenbasis(energies, vectors, sites, SolveReport(
+        residual=residual, h_norm=h_norm, orthonormality=ortho,
+        leg_system_dim=len(_leg_columns(cfg, n_c)) + 3, bisection_steps=steps))
 
 
 @dataclass(frozen=True)
@@ -383,11 +888,15 @@ def exact_propagate(
     n_t = times.size
     inner = math.isqrt(n_t - 1) + 1  # ceil(sqrt(T)): nodes per outer step
     n_outer = -(-n_t // inner)
-    inner_phase = np.exp(-1j * np.outer(np.arange(inner) * grid.dt, energies))
-    outer_phase = np.exp(-1j * np.outer(energies, np.arange(n_outer) * (inner * grid.dt)))
+    inner_phase = -1j * np.outer(np.arange(inner) * grid.dt, energies)
+    np.exp(inner_phase, out=inner_phase)
+    # the outer phases are formed in place in the first half of ``scaled``
     scaled = np.empty((n_c + 2, 2 * n_outer), dtype=complex)
-    np.multiply(outer_phase, w1[:, None], out=scaled[:, :n_outer])
+    outer_phase = scaled[:, :n_outer]
+    np.multiply(-1j, np.outer(energies, np.arange(n_outer) * (inner * grid.dt)), out=outer_phase)
+    np.exp(outer_phase, out=outer_phase)
     np.multiply(outer_phase, w2[:, None], out=scaled[:, n_outer:])
+    outer_phase *= w1[:, None]
     # amps[k, j] = a_1 at node j*inner + k; columns n_outer.. hold a_2
     amps = inner_phase @ scaled
     a1 = amps[:, :n_outer].T.reshape(-1)[:n_t]

@@ -301,3 +301,67 @@ def test_bic_module_builds_no_lattice():
 def test_dynamics_module_builds_no_lattice():
     from crwqed import dynamics
     assert not hasattr(dynamics, "spectrum")
+
+
+def _u_series(coefficients):
+    """sum_k c_k U_k(x), U the Chebyshev polynomials of the second kind, as a
+    power-basis polynomial."""
+    total = np.polynomial.Polynomial([0.0])
+    u_prev, u = np.polynomial.Polynomial([0.0]), np.polynomial.Polynomial([1.0])
+    for c in coefficients:
+        total = total + c * u
+        u_prev, u = u, np.polynomial.Polynomial([0.0, 2.0]) * u - u_prev
+    return total
+
+
+def _constructed_double_root():
+    """(cfg, energy) of a double root of branch - at x* = -0.7 on fig3's legs.
+
+    In x = (E - omega_c) / 2 xi, f_s = (omega_c - Omega) + xi U_1 - (g^2 / 2 xi) Q
+    with Q = 2 (-1)^(N-1) U_(N-1) + s sum_p (-1)^(p-1) U_(p-1).  g sets f' = 0
+    and Omega sets f = 0 at x*: the comrade eigensolver returns that double
+    root as a complex pair split by about 4e-9."""
+    branch, x_star = -1, -0.7
+    base = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
+    ints = np.zeros(max(base.size_1, *base.cross_distances))
+    ints[base.size_1 - 1] += 2 * (-1) ** (base.size_1 - 1)
+    for p in base.cross_distances:
+        ints[p - 1] += branch * (-1) ** (p - 1)
+    q = _u_series(ints)
+    coupling = 2.0 / q.deriv()(x_star)  # (g^2 / 2 xi) Q'(x*) = xi U_1'(x*) = 2 xi
+    omega = 2.0 * x_star - coupling * q(x_star)
+    g = math.sqrt(2.0 * coupling)
+    return replace(base, omega_1=omega, omega_2=omega, g_1=g, g_2=g), 2.0 * x_star
+
+
+def test_constructed_double_root_is_found():
+    branch = -1
+    cfg, energy = _constructed_double_root()
+    f = lambda e: float(bic._residual(e, cfg, branch))
+    assert abs(f(energy)) <= 1e-14
+    assert f(energy - 1e-4) * f(energy + 1e-4) > 0.0  # a tangency: no sign change
+    near = [(e, r) for e, r in bic._branch_roots(cfg, branch) if abs(e - energy) <= 1e-6]
+    assert len(near) == 1
+    assert near[0][1] <= bic.RESIDUAL_TOL * cfg.xi
+
+
+def test_real_eigenvalue_and_pair_at_one_root_are_one_root(monkeypatch):
+    # a near-triple root can come back as a real eigenvalue next to a complex
+    # pair; where both land on one energy they are one root of one branch,
+    # not a degenerate pair
+    cfg, energy = _constructed_double_root()
+    eigvals = np.linalg.eigvals
+
+    def with_a_real_copy(matrix):
+        eig = eigvals(matrix)
+        pair = eig[np.argmin(np.abs(eig - energy / 2.0))]
+        return np.concatenate([eig, [pair.real]])
+
+    monkeypatch.setattr(np.linalg, "eigvals", with_a_real_copy)
+    roots = bic._branch_roots(cfg, -1)
+    near = [(e, r) for e, r in roots if abs(e - energy) <= 1e-6]
+    assert len(near) == 1
+    # a Newton step from the real copy, where the slope vanishes, must not
+    # throw it to a spurious root nearby
+    assert not [e for e, _ in roots if 1e-6 < abs(e - energy) < 0.1]
+    assert near[0][1] <= bic.RESIDUAL_TOL * cfg.xi

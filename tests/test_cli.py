@@ -77,7 +77,11 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
     sizes = {s["name"]: s["sizes"] for s in stages}
-    assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2}
+    # fig3's leg system: two tail amplitudes, the three stretches between
+    # its four distinct leg sites, two atoms
+    assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2, "leg_system_dim": 7,
+                                "bisection_steps": sizes["lattice"]["bisection_steps"]}
+    assert 40 <= sizes["lattice"]["bisection_steps"] <= 80
     # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
                                  "arg_max": pytest.approx(80.0)}
@@ -387,26 +391,30 @@ def _counting(monkeypatch, module, name):
 
 def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
     from crwqed import bic, dynamics, spectrum
-    eigh_calls = _counting(monkeypatch, spectrum, "eigendecompose")
+    solves = _counting(monkeypatch, spectrum, "lattice_eigenbasis")
     projections = _counting(monkeypatch, dynamics, "steady_state_prediction")
     root_scans = _counting(monkeypatch, bic, "find_bic_roots")
-    builds = _counting(monkeypatch, spectrum, "build_hamiltonian")
+    # the dense oracle is never the pipeline's diagonalizer
+    monkeypatch.setattr(spectrum, "build_hamiltonian", None)
+    monkeypatch.setattr(spectrum, "eigendecompose", None)
     # n_c=200 is below the wavefront criterion (210) for t_max=40
     with pytest.warns(UserWarning, match="wavefront"):
         run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
     assert len(projections) == 1 and len(root_scans) == 1  # both consumers ran
-    assert len(eigh_calls) == 1
-    assert len(builds) == 1
+    assert len(solves) == 1
+    assert main(["spectrum", "fig4", "--nc", "200", "--out", str(tmp_path / "s")]) == 0
+    assert len(solves) == 2
 
 
 def test_census_sweep_and_bic_build_no_lattice(tmp_path, monkeypatch):
     from crwqed import spectrum
+    solves = _counting(monkeypatch, spectrum, "lattice_eigenbasis")
     eigh_calls = _counting(monkeypatch, spectrum, "eigendecompose")
     builds = _counting(monkeypatch, spectrum, "build_hamiltonian")
     run_census(tmp_path / "census")
     run_sweep(tmp_path / "sweep", "delta", [1, 2, 3], size=8, workers=1)
     assert main(["bic", "fig4", "--out", str(tmp_path / "bic")]) == 0
-    assert eigh_calls == [] and builds == []
+    assert solves == [] and eigh_calls == [] and builds == []
     roots = json.loads((tmp_path / "bic" / "bic.json").read_text())["roots"]
     assert [(r["multiplicity"], r["width"]) for r in roots] == [(1, 0.0)]
 
@@ -428,7 +436,7 @@ def test_profile_csv_holds_the_bound_state_photon_probabilities(tmp_path):
     from oracles import photon_profile
     scn = load_scenario("fig3", n_c=200)
     assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 0
-    vectors = spectrum.eigendecompose(spectrum.build_hamiltonian(scn.cfg, 200)).vectors
+    vectors = spectrum.lattice_eigenbasis(scn.cfg, 200).vectors
     written = sorted(tmp_path.glob("profile_*.csv"))
     assert len(written) == 2  # the two quasi-BICs, each a non-degenerate state
     for path in written:
@@ -545,7 +553,7 @@ def long_small_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, checks", [
-    ("spectrum", []),
+    ("spectrum", ["lattice_residual", "lattice_orthonormality"]),
     ("bic", ["bic_root_residual"]),
     ("dynamics", ["population_bound", "trace_determinant_identity"]),
     ("field", ["population_bound", "trace_determinant_identity"]),
@@ -568,13 +576,18 @@ def test_partial_command_manifest_is_a_subset_of_the_run(tmp_path, long_small_ru
     assert part["warnings"] == [] and part["all_passed"] is True
 
 
+# no command reaches the dense oracle (spectrum.build_hamiltonian and
+# spectrum.eigendecompose); only run and spectrum reach the lattice
+_DENSE = ("spectrum.build_hamiltonian", "spectrum.eigendecompose")
 _NOT_REACHED = {
-    "spectrum": ("dynamics.build_kernels", "dynamics.solve_volterra", "bic.find_bic_roots"),
-    "bic": ("spectrum.build_hamiltonian", "spectrum.eigendecompose"),
-    "dynamics": ("spectrum.build_hamiltonian", "spectrum.eigendecompose",
-                 "bic.find_bic_roots", "spectrum.exact_propagate"),
-    "field": ("spectrum.build_hamiltonian", "spectrum.eigendecompose",
-              "bic.find_bic_roots", "spectrum.exact_propagate"),
+    "run": _DENSE,
+    "spectrum": _DENSE + ("dynamics.build_kernels", "dynamics.solve_volterra",
+                          "bic.find_bic_roots"),
+    "bic": _DENSE + ("spectrum.lattice_eigenbasis",),
+    "dynamics": _DENSE + ("spectrum.lattice_eigenbasis", "bic.find_bic_roots",
+                          "spectrum.exact_propagate"),
+    "field": _DENSE + ("spectrum.lattice_eigenbasis", "bic.find_bic_roots",
+                       "spectrum.exact_propagate"),
 }
 
 
@@ -615,12 +628,14 @@ def test_internal_errors_are_not_solver_errors(tmp_path, monkeypatch):
 
 
 def test_eigensolver_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
-    def fail(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    # the SVD of the leg systems fails
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
     assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("solver error: eigensolver failed on 202x202 matrix")
+    assert err.startswith("solver error: eigensolver failed on 202x202 lattice "
+                          "(7x7 leg system)")
     assert "did not converge" in err
 
 
@@ -740,7 +755,8 @@ def test_population_abort_is_a_solver_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "spectrum"])
 def test_lattice_over_the_cap_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command):
     from crwqed import spectrum
-    monkeypatch.setattr(spectrum, "build_hamiltonian", None)  # must not be reached
+    monkeypatch.setattr(spectrum, "lattice_eigenbasis", None)  # must not be reached
+    monkeypatch.setattr(spectrum, "build_hamiltonian", None)
     assert main([command, "fig3", "--nc", "8001", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "lattice too large: n_c=8001 > 8000" in err and "8003x8003" in err
@@ -805,7 +821,8 @@ def test_manifest_records_and_reemits_warnings(tmp_path):
 def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, capsys,
                                                                     monkeypatch):
     from crwqed import dynamics, spectrum
-    monkeypatch.setattr(spectrum, "build_hamiltonian", None)  # must not be reached
+    monkeypatch.setattr(spectrum, "lattice_eigenbasis", None)  # must not be reached
+    monkeypatch.setattr(spectrum, "build_hamiltonian", None)
     monkeypatch.setattr(spectrum, "eigendecompose", None)
     monkeypatch.setattr(dynamics, "bessel_j_table", None)
     cfgfile = tmp_path / "long.cfg"  # leg span 1100: kernel orders up to 1100

@@ -35,10 +35,14 @@ def _references(tree):
 
 
 def test_every_top_level_name_in_src_is_used_or_exported():
-    # a name only tests use belongs in tests/oracles.py, not in the package
+    # a name only tests use belongs in tests/oracles.py, not in the package.
+    # The dense oracle pair is the one exception: bench/tracing.py wraps it
+    # by name, and it moves to tests/oracles.py when the tracer is retargeted
+    # (ROADMAP item 1)
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = set().union(*(set(_references(tree)) for tree in trees.values()))
+    used |= {"build_hamiltonian", "eigendecompose"}
     unused = [f"{module}:{name}" for module, tree in trees.items()
               for name in _top_level_names(tree)
               if name not in used and name not in crwqed.__all__

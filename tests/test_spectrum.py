@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crwqed.model import (
     ConfigError,
@@ -21,6 +21,7 @@ from crwqed.spectrum import (
     classify_bound_states,
     eigendecompose,
     exact_propagate,
+    lattice_eigenbasis,
     wavefront_n_c,
 )
 from oracles import exact_propagate_direct, photon_profile, traced_peak
@@ -337,14 +338,14 @@ def test_structured_residual_equals_dense(cfg, n_c):
     h = ham.matrix
     energies, vectors = np.linalg.eigh(h)
     h_norm = np.abs(h).sum(axis=1).max()
-    res = spectrum._residual(ham, energies, vectors)
+    res = spectrum._residual(cfg, ham.sites, energies, vectors)
     assert abs(res - _dense_residual(h, energies, vectors)) <= 1e-14 * h_norm
     # away from an eigenbasis the residual is O(1): every term must be there
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal(h.shape)
     energies = rng.uniform(-2.0, 2.0, h.shape[0])
     dense = _dense_residual(h, energies, vectors)
-    assert spectrum._residual(ham, energies, vectors) == pytest.approx(dense, rel=1e-14)
+    assert spectrum._residual(cfg, ham.sites, energies, vectors) == pytest.approx(dense, rel=1e-14)
 
 
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
@@ -418,3 +419,136 @@ def test_only_bound_state_profiles_keep_photon_probabilities(fig3_profiles):
         else:
             assert p.photon.shape == (600,)
             assert p.photon.sum() == pytest.approx(1.0 - p.amp_1 ** 2 - p.amp_2 ** 2, abs=1e-12)
+
+
+# ---- the structured eigensolver against the dense oracle ----
+
+def _assert_matches_dense(cfg, n_c):
+    """``lattice_eigenbasis`` against ``eigendecompose(build_hamiltonian)``:
+    energies to 1e-12 xi, and the atomic weights |A_i|^2 of each state and
+    the projector of each cluster (energies closer than DEGENERACY_TOL xi)
+    to 1e-12.  A state or cluster close to its neighbours is resolved by
+    neither solver to that: by the Davis-Kahan theorem each solver's
+    projector is within its residual 2-norm over the gap of the exact one.
+    There the tolerance is that measured bound, the sum of both solvers'
+    residuals over the gap, where it exceeds 1e-12."""
+    ham = build_hamiltonian(cfg, n_c)
+    basis = lattice_eigenbasis(cfg, n_c)
+    dense = eigendecompose(ham)
+    assert np.array_equal(basis.sites, dense.sites)
+    assert np.abs(basis.energies - dense.energies).max() <= 1e-12 * cfg.xi
+    residuals = [np.linalg.norm(ham.matrix @ b.vectors - b.vectors * b.energies, axis=0)
+                 for b in (basis, dense)]
+    energies = dense.energies
+    close = np.diff(energies) < spectrum.DEGENERACY_TOL * cfg.xi
+    first = 0
+    while first < energies.size:
+        last = first
+        while last + 1 < energies.size and close[last]:
+            last += 1
+        gap = min(energies[first] - energies[first - 1] if first else np.inf,
+                  energies[last + 1] - energies[last] if last + 1 < energies.size else np.inf)
+        bound = sum(np.linalg.norm(r[first:last + 1]) for r in residuals) / gap
+        tol = max(1e-12, bound)
+        mine = basis.vectors[:, first:last + 1]
+        ref = dense.vectors[:, first:last + 1]
+        if last > first:
+            assert np.abs(mine @ mine.T - ref @ ref.T).max() <= tol
+        else:
+            assert np.abs(mine[:2, 0] ** 2 - ref[:2, 0] ** 2).max() <= tol
+        first = last + 1
+
+
+@st.composite
+def _lattices(draw):
+    legs = draw(st.lists(st.integers(-30, 30), min_size=4, max_size=4)
+                .filter(lambda legs: legs[0] != legs[1] and legs[2] != legs[3]))
+    omega_c = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    xi = draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+    detunings = [draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))) for _ in range(2)]
+    couplings = [draw(st.floats(0.0, 1.0)) for _ in range(2)]
+    cfg = SystemConfig(*legs, omega_c=omega_c, xi=xi, omega_1=omega_c + detunings[0],
+                       omega_2=omega_c + detunings[1], g_1=couplings[0], g_2=couplings[1])
+    return cfg, draw(st.integers(cfg.span + spectrum.LATTICE_MARGIN, 800))
+
+
+# geometries where earlier structured solvers missed 1e-12: a coincidence
+# with a tail eigenvalue, strong coupling, detuned atoms, weak coupling
+@example(lattice=(SystemConfig(n_1=-13, n_2=-7, m_1=-5, m_2=14, g_1=1.0,
+                               g_2=0.29234975662829726), 735))
+@example(lattice=(SystemConfig(n_1=2, n_2=13, m_1=-30, m_2=-2, g_1=1.0, g_2=1.0), 163))
+@example(lattice=(SystemConfig(n_1=-2, n_2=1, m_1=-11, m_2=-9, omega_1=0.07577651794794793,
+                               omega_2=-0.9815797352770761, g_1=1.0,
+                               g_2=0.28506992790832225), 211))
+@example(lattice=(SystemConfig(n_1=7, n_2=25, m_1=-8, m_2=11, g_1=0.05, g_2=0.05), 539))
+@example(lattice=(FIG3, 600))
+# a leg span in the hundreds, and a leg shared by both atoms next to an
+# adjacent one (three distinct leg sites)
+@example(lattice=(SystemConfig(n_1=1, n_2=301, m_1=80, m_2=200), 400))
+@example(lattice=(SystemConfig(n_1=0, n_2=1, m_1=1, m_2=250, g_1=0.7, g_2=0.4,
+                               omega_2=0.3), 331))
+@settings(max_examples=30, deadline=None)
+@given(_lattices())
+def test_structured_eigenbasis_matches_dense(lattice):
+    _assert_matches_dense(*lattice)
+
+
+@pytest.mark.parametrize("cfg", [FIG3, FIG4, SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10,
+                                                          g_1=0.0, g_2=0.0)],
+                         ids=["fig3", "fig4", "decoupled"])
+@pytest.mark.parametrize("n_c", [120, 121])
+def test_structured_eigenbasis_matches_dense_on_both_parities(cfg, n_c):
+    _assert_matches_dense(cfg, n_c)
+
+
+def test_fig4_band_centre_pair_is_one_bic_and_one_extended_state():
+    # at n_c = 1400 the BIC at E = omega_c shares its energy (to about 1e-16)
+    # with a state of the odd 695-site left tail, whose free chain has a mode
+    # at omega_c
+    basis = lattice_eigenbasis(FIG4, 1400)
+    dense = eigendecompose(build_hamiltonian(FIG4, 1400))
+    assert spectrum._tails(FIG4, 1400) == (695, 694)
+    pair = np.flatnonzero(np.abs(basis.energies) < 1e-6)
+    assert pair.size == 2 and np.ptp(basis.energies[pair]) < 1e-14
+    for name, profiles in (("structured", classify_bound_states(basis, FIG4)),
+                           ("dense", classify_bound_states(dense, FIG4))):
+        centre = [p for p in profiles if abs(p.energy) < 1e-6]
+        assert sorted(p.label for p in centre) == ["BIC", "extended"], name
+    mine = bound_states(classify_bound_states(basis, FIG4))
+    ref = bound_states(classify_bound_states(dense, FIG4))
+    assert len(mine) == len(ref) == 1
+    for a, b in ((mine[0].amp_1, ref[0].amp_1), (mine[0].amp_2, ref[0].amp_2)):
+        assert abs(a * a - b * b) <= 1e-12
+    assert mine[0].amp_1 ** 2 == pytest.approx(0.495050, abs=1e-6)
+    assert mine[0].amp_2 ** 2 == pytest.approx(0.495050, abs=1e-6)
+
+
+def test_structured_eigenbasis_reports_its_checks():
+    basis = lattice_eigenbasis(FIG3, 200)
+    report = basis.report
+    # four distinct leg sites: 4 + 3 unknowns, whatever the span
+    assert report.leg_system_dim == 7 and report.bisection_steps > 0
+    long_span = SystemConfig(n_1=1, n_2=301, m_1=80, m_2=200)
+    assert lattice_eigenbasis(long_span, 400).report.leg_system_dim == 7
+    # the largest row sum of H: a leg site, with its two hops and one coupling
+    assert report.h_norm == pytest.approx(2.0 * FIG3.xi + FIG3.g_1)
+    assert report.residual == spectrum._residual(FIG3, basis.sites, basis.energies,
+                                                 basis.vectors)
+    assert report.orthonormality == spectrum._orthonormality(basis.vectors)
+    assert report.residual <= spectrum.RESIDUAL_TOL * report.h_norm
+    assert report.orthonormality <= spectrum.ORTHONORMALITY_TOL
+    assert eigendecompose(build_hamiltonian(FIG3, 200)).report is None
+
+
+@pytest.mark.parametrize("check", ["_residual", "_orthonormality"])
+def test_structured_eigenbasis_raises_on_a_failed_check(monkeypatch, check):
+    monkeypatch.setattr(spectrum, check, lambda *args: 1.0)
+    with pytest.raises(RuntimeError, match="out of tolerance"):
+        lattice_eigenbasis(FIG3, 120)
+
+
+def test_structured_eigenbasis_holds_one_n_by_n_array():
+    # fig4: the (n_c + 2)^2 eigenvector array is 15.0 MB; the dense route
+    # also holds H and eigh's copies, about twice that
+    dim = 1402
+    assert traced_peak(lattice_eigenbasis, FIG4, 1400) < 1.5 * dim * dim * 8
