@@ -485,7 +485,7 @@ def _info(name, value) -> dict:
 
 # The stages of a scenario run, in pipeline order, and the stages each
 # scenario command runs: the partial commands are subsets of ``run``.
-STAGES = ("lattice", "bic_roots", "volterra", "exact_propagate", "photon_field",
+STAGES = ("lattice", "exact_propagate", "bic_roots", "volterra", "photon_field",
           "field_norm_check", "scenario_checks", "write_artifacts")
 COMMAND_STAGES = {
     "run": STAGES,
@@ -503,7 +503,9 @@ def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
     Every stage runs once: the lattice is diagonalized a single time and
     its eigenbasis and classified states feed the exact propagation, the
     steady-state projection and the count the closed-form roots are
-    checked against (the roots themselves need no lattice).  A check is
+    checked against (the roots themselves need no lattice).  The exact
+    propagation runs right after the lattice, so the eigenbasis is freed
+    before the dynamics.  A check is
     recorded only when every stage it reads ran, and ``write_artifacts``
     writes the files of the stages that ran.  The inputs those stages read
     are checked (``_runnable_stages``) before the output directory is made.
@@ -590,6 +592,27 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             profiles = spectrum.classify_bound_states(basis, cfg)
             bics = spectrum.bound_states(profiles, "BIC")
 
+    # numerically exact propagation on the finite lattice, the last reader
+    # of the eigenvectors
+    if "exact_propagate" in stages:
+        with _stage(records, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
+                    snapshots=len(scn.snapshot_times)):
+            exact_traj, exact_snaps = spectrum.exact_propagate(
+                cfg, psi0, grid, basis, snapshot_times=scn.snapshot_times)
+            deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
+                            + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
+                            + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
+            worst_exact = max(deficits, default=0.0)
+            checks.append(_check("exact_norm_deficit", worst_exact, 1e-10))
+            # the exact populations over the times free of edge reflections,
+            # which the Volterra stage is compared against
+            t_valid = min(grid.t_end,
+                          (scn.n_c - cfg.span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
+            n_valid = int(t_valid / grid.dt)
+            exact_pops = [np.abs(a[:n_valid + 1]) ** 2
+                          for a in (exact_traj.alpha_1, exact_traj.alpha_2)]
+        del basis, exact_traj, exact_snaps  # no later stage reads the eigenvectors
+
     # closed-form bound states (symmetric resonant geometries only)
     if "bic_roots" in stages:
         with _stage(records, "bic_roots", leg_distance=max(cfg.size_1, *cfg.cross_distances)):
@@ -619,29 +642,11 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                                    for lam in (trace.lambda_1, trace.lambda_2))
                 checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
                                      non_decaying == len(bics)))
+            if "exact_propagate" in stages:
+                diff = max(np.abs(pop[:n_valid + 1] - exact).max() for pop, exact in
+                           zip((trajectory.pop_1, trajectory.pop_2), exact_pops))
+                checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2))
         del kernels  # no later stage reads the kernel tables
-
-    # numerically exact propagation on the finite lattice
-    if "exact_propagate" in stages:
-        with _stage(records, "exact_propagate", dim=scn.n_c + 2, n_steps=grid.n_steps,
-                    snapshots=len(scn.snapshot_times)):
-            exact_traj, exact_snaps = spectrum.exact_propagate(
-                cfg, psi0, grid, basis, snapshot_times=scn.snapshot_times)
-            deficits = [abs(abs(exact_traj.alpha_1[grid.node(s.time)]) ** 2
-                            + abs(exact_traj.alpha_2[grid.node(s.time)]) ** 2
-                            + np.sum(s.probabilities) - 1.0) for s in exact_snaps]
-            worst_exact = max(deficits, default=0.0)
-            checks.append(_check("exact_norm_deficit", worst_exact, 1e-10))
-
-            # Volterra vs exact, restricted to times free of edge reflections
-            t_valid = min(grid.t_end,
-                          (scn.n_c - cfg.span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
-            n_valid = int(t_valid / grid.dt)
-            diff = max(
-                np.abs(trajectory.pop_1[:n_valid + 1] - exact_traj.pop_1[:n_valid + 1]).max(),
-                np.abs(trajectory.pop_2[:n_valid + 1] - exact_traj.pop_2[:n_valid + 1]).max())
-            checks.append(_check(f"volterra_vs_exact_pop_diff_t<={t_valid:g}", diff, 1e-2))
-        del basis  # no later stage reads the eigenvectors
 
     # photon field over the plot window, plus a wide-window unitarity check
     if "photon_field" in stages:

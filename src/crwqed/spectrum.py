@@ -459,8 +459,9 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     bottom = min(cfg.omega_1 - 2.0 * cfg.g_1, cfg.omega_2 - 2.0 * cfg.g_2,
                  cfg.band_bottom - reach)
     top = max(cfg.omega_1 + 2.0 * cfg.g_1, cfg.omega_2 + 2.0 * cfg.g_2, cfg.band_top + reach)
-    lowest = -math.acosh((cfg.omega_c - bottom) / (2.0 * cfg.xi))
-    highest = np.pi + math.acosh((top - cfg.omega_c) / (2.0 * cfg.xi))
+    # at g = 0 a quotient can round below 1, where acosh is undefined
+    lowest = -math.acosh(max(1.0, (cfg.omega_c - bottom) / (2.0 * cfg.xi)))
+    highest = np.pi + math.acosh(max(1.0, (top - cfg.omega_c) / (2.0 * cfg.xi)))
     eps = np.finfo(float).eps
     lo = np.concatenate([[lowest, lowest], modes]) - 64.0 * eps
     hi = np.concatenate([modes, [highest, highest]]) + 64.0 * eps
@@ -766,6 +767,19 @@ def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     return w, vecs
 
 
+# States per C-contiguous block of the transposed eigenvector array in
+# ``classify_bound_states``.
+_CLASSIFY_STATES = 128
+
+
+def _state_weights(rows: np.ndarray, mask: np.ndarray):
+    """(IPR, photon weight, window weight) of the unit states in the rows of
+    the C-contiguous array ``rows``, each a sum along one row (the same
+    pairwise sum as ``np.sum`` of that state alone)."""
+    prob = rows ** 2
+    return (prob ** 2).sum(axis=1), prob[:, 2:].sum(axis=1), prob[:, mask].sum(axis=1)
+
+
 def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundStateProfile]:
     """Label every eigenstate as BIC, BOC, or extended.
 
@@ -774,13 +788,18 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     the atoms plus the sites within 5 of the outermost legs; candidates
     inside the open band are BICs, outside it BOCs.  Nearly degenerate
     states (within 1e-6 xi) are first rotated to a maximally-localized
-    basis, which untangles bound states from accidentally degenerate band
-    states; the returned profiles are that rotated basis.  States with
-    essentially no photon weight (a decoupled atom) and states within
-    1e-3 xi of a band edge are never bound states.  Each degenerate cluster
-    is read as a column slice of ``basis.vectors`` (no copy), and only BIC
-    and BOC profiles keep their photon probabilities (``photon`` is None on
-    extended states).
+    basis (``_localized_rotation``), which untangles bound states from
+    accidentally degenerate band states; the returned profiles are that
+    rotated basis.  States with essentially no photon weight (a decoupled
+    atom) and states within 1e-3 xi of a band edge are never bound states.
+
+    The weights of all states are row sums over C-contiguous copies of
+    ``_CLASSIFY_STATES``-column blocks of ``basis.vectors``, transposed;
+    each degenerate cluster is read as a column slice and its rotated
+    states replace its members' weights.  The labels are then set for all
+    states at once.  Only BIC and BOC profiles keep their photon
+    probabilities (``photon`` is None on extended states), read again from
+    their own column.
     """
     energies, vectors = basis.energies, basis.vectors
     dim = energies.size
@@ -789,41 +808,41 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     mask = np.ones(dim, dtype=bool)
     mask[2:] = (basis.sites >= first - WINDOW_PAD) & (basis.sites <= last + WINDOW_PAD)
 
+    ipr, photon_weight, window = (np.empty(dim) for _ in range(3))
+    for lo in range(0, dim, _CLASSIFY_STATES):
+        hi = min(dim, lo + _CLASSIFY_STATES)
+        rows = np.ascontiguousarray(vectors[:, lo:hi].T)
+        ipr[lo:hi], photon_weight[lo:hi], window[lo:hi] = _state_weights(rows, mask)
+
+    state = energies.copy()
+    amps = vectors[:2].copy()
+    rotated: dict[int, np.ndarray] = {}  # the rotated column of each clustered state
+    close = np.diff(energies) < DEGENERACY_TOL * cfg.xi
+    starts = np.flatnonzero(np.concatenate([[True], ~close]))
+    for i, j in zip(starts, np.append(starts[1:], dim)):
+        if j - i > 1:
+            window[i:j], vecs = _localized_rotation(vectors[:, i:j], mask)
+            ipr[i:j], photon_weight[i:j], _ = _state_weights(np.ascontiguousarray(vecs.T), mask)
+            state[i:j] = np.mean(energies[i:j])
+            amps[:, i:j] = vecs[:2]
+            rotated.update(zip(range(i, j), vecs.T))
+
+    in_band = (cfg.band_bottom < state) & (state < cfg.band_top)
+    near_edge = ((np.abs(state - cfg.band_bottom) < BAND_EDGE_GUARD * cfg.xi)
+                 | (np.abs(state - cfg.band_top) < BAND_EDGE_GUARD * cfg.xi))
+    localized = ((ipr >= IPR_THRESHOLD) & (window >= WINDOW_MIN_WEIGHT)
+                 & (photon_weight >= MIN_PHOTON_WEIGHT))
+    labels = np.where(localized & in_band & ~near_edge, "BIC",
+                      np.where(localized & ~in_band, "BOC", "extended"))
+
     profiles: list[BoundStateProfile] = []
-    i = 0
-    while i < dim:
-        j = i
-        while j + 1 < dim and energies[j + 1] - energies[j] < DEGENERACY_TOL * cfg.xi:
-            j += 1
-        if j > i:
-            weights, vecs = _localized_rotation(vectors[:, i:j + 1], mask)
-        else:
-            vecs = vectors[:, i:i + 1]
-            weights = np.array([float(np.sum(vecs[mask, 0] ** 2))])
-        for c in range(vecs.shape[1]):
-            v = vecs[:, c]
-            e = float(energies[i + c]) if j == i else float(np.mean(energies[i:j + 1]))
-            prob = v ** 2
-            ipr = float(np.sum(prob ** 2))
-            photon_weight = float(np.sum(prob[2:]))
-            in_band = cfg.band_bottom < e < cfg.band_top
-            near_edge = (abs(e - cfg.band_bottom) < BAND_EDGE_GUARD * cfg.xi
-                         or abs(e - cfg.band_top) < BAND_EDGE_GUARD * cfg.xi)
-            localized = (ipr >= IPR_THRESHOLD
-                         and weights[c] >= WINDOW_MIN_WEIGHT
-                         and photon_weight >= MIN_PHOTON_WEIGHT)
-            if localized and in_band and not near_edge:
-                label = "BIC"
-            elif localized and not in_band:
-                label = "BOC"
-            else:
-                label = "extended"
-            profiles.append(BoundStateProfile(
-                energy=e, label=label, ipr=ipr,
-                amp_1=float(v[0]), amp_2=float(v[1]),
-                photon=prob[2:] if label != "extended" else None,
-            ))
-        i = j + 1
+    for q, label in enumerate(labels.tolist()):
+        photon = None
+        if label != "extended":
+            photon = (rotated[q] if q in rotated else vectors[:, q])[2:] ** 2
+        profiles.append(BoundStateProfile(
+            energy=float(state[q]), label=label, ipr=float(ipr[q]),
+            amp_1=float(amps[0, q]), amp_2=float(amps[1, q]), photon=photon))
     return profiles
 
 
@@ -835,6 +854,10 @@ def wavefront_n_c(cfg: SystemConfig, t_max: float) -> int:
     """Smallest lattice for which radiation (group velocity <= 2 xi) cannot
     reflect off the open ends back into the atom region within t_max."""
     return int(np.ceil(cfg.span + 2.0 * (2.0 * cfg.xi * t_max))) + LATTICE_MARGIN
+
+
+# States per block of ``exact_propagate``'s phase tables.
+_PROPAGATE_STATES = 128
 
 
 def exact_propagate(
@@ -850,15 +873,17 @@ def exact_propagate(
     The atomic amplitudes use the uniform grid: with B = ceil(sqrt(T)) for
     T nodes, node n = jB + k has t_n = (jB + k) dt, so
     a_i(t_n) = sum_q e^{-iE_q k dt} [w_iq e^{-iE_q jB dt}], w_iq = v_q[i] <v_q|psi0>.
-    Both series come from one complex matrix product of a (B x n) inner-phase
-    table and an (n x 2 ceil(T/B)) outer-phase table scaled by w_1 and w_2:
-    about 2nT complex multiply-adds in a single GEMM and about 2n sqrt(T)
-    complex exponentials.  The overlaps <v_q|psi0> come from the basis rows
-    psi0 touches and w_1, w_2 from rows 0 and 1; all snapshots come from one
-    real product of the eigenvector array with the real and imaginary parts
-    of an (n x #snapshots) coefficient table.  Besides the O(T) result and
-    the given eigenbasis, the scratch memory is O(n sqrt(T) + n #snapshots):
-    no n x n array is made.
+    The states are taken ``_PROPAGATE_STATES`` at a time: each block adds
+    the complex product of its (B x block) inner-phase table and its
+    (block x 2 ceil(T/B)) outer-phase table, scaled by w_1 and w_2, to the
+    (B x 2 ceil(T/B)) amplitude table.  That is about 2nT complex
+    multiply-adds and about 2n sqrt(T) complex exponentials in all.  The
+    overlaps <v_q|psi0> come from the basis rows psi0 touches and w_1, w_2
+    from rows 0 and 1; all snapshots come from one real product of the
+    eigenvector array with the real and imaginary parts of an
+    (n x #snapshots) coefficient table.  Besides the given eigenbasis and
+    the O(T) result, the scratch is O(block sqrt(T) + n #snapshots) and does
+    not grow with n beyond that table: no n x n array is made.
 
     Warns (does not fail) when n_c is below the wavefront criterion for
     the requested horizon, i.e. when emitted radiation can reflect off the
@@ -888,17 +913,22 @@ def exact_propagate(
     n_t = times.size
     inner = math.isqrt(n_t - 1) + 1  # ceil(sqrt(T)): nodes per outer step
     n_outer = -(-n_t // inner)
-    inner_phase = -1j * np.outer(np.arange(inner) * grid.dt, energies)
-    np.exp(inner_phase, out=inner_phase)
-    # the outer phases are formed in place in the first half of ``scaled``
-    scaled = np.empty((n_c + 2, 2 * n_outer), dtype=complex)
-    outer_phase = scaled[:, :n_outer]
-    np.multiply(-1j, np.outer(energies, np.arange(n_outer) * (inner * grid.dt)), out=outer_phase)
-    np.exp(outer_phase, out=outer_phase)
-    np.multiply(outer_phase, w2[:, None], out=scaled[:, n_outer:])
-    outer_phase *= w1[:, None]
+    inner_times = np.arange(inner) * grid.dt
+    outer_times = np.arange(n_outer) * (inner * grid.dt)
     # amps[k, j] = a_1 at node j*inner + k; columns n_outer.. hold a_2
-    amps = inner_phase @ scaled
+    amps = np.zeros((inner, 2 * n_outer), dtype=complex)
+    for lo in range(0, n_c + 2, _PROPAGATE_STATES):
+        part = slice(lo, lo + _PROPAGATE_STATES)
+        inner_phase = -1j * np.outer(inner_times, energies[part])
+        np.exp(inner_phase, out=inner_phase)
+        # the outer phases are formed in place in the first half of ``scaled``
+        scaled = np.empty((inner_phase.shape[1], 2 * n_outer), dtype=complex)
+        outer_phase = scaled[:, :n_outer]
+        np.multiply(-1j, np.outer(energies[part], outer_times), out=outer_phase)
+        np.exp(outer_phase, out=outer_phase)
+        np.multiply(outer_phase, w2[part, None], out=scaled[:, n_outer:])
+        outer_phase *= w1[part, None]
+        amps += inner_phase @ scaled
     a1 = amps[:, :n_outer].T.reshape(-1)[:n_t]
     a2 = amps[:, n_outer:].T.reshape(-1)[:n_t]
     trajectory = AtomTrajectory(grid=grid, alpha_1=a1, alpha_2=a2)

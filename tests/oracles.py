@@ -379,3 +379,70 @@ def exact_propagate_direct(cfg, psi0, grid, basis: spectrum.Eigenbasis) -> AtomT
         a1[s:s + block] = phases @ w1
         a2[s:s + block] = phases @ w2
     return AtomTrajectory(grid=grid, alpha_1=a1, alpha_2=a2)
+
+
+def exact_propagate_one_product(psi0, grid, basis: spectrum.Eigenbasis) -> AtomTrajectory:
+    """The atomic amplitudes of ``spectrum.exact_propagate`` with every state
+    in one product: t = (jB + k) dt, B = ceil(sqrt(T)), from an (B x n)
+    inner-phase table times an (n x 2 ceil(T/B)) outer-phase table scaled by
+    w_1 and w_2, with n x sqrt(T) scratch."""
+    energies, vectors = basis.energies, basis.vectors
+    coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
+    for site, amp in psi0.beta.items():
+        coeff += vectors[2 + site - basis.sites[0]] * complex(amp)
+    n_t = grid.times().size
+    inner = math.isqrt(n_t - 1) + 1
+    n_outer = -(-n_t // inner)
+    inner_phase = np.exp(-1j * np.outer(np.arange(inner) * grid.dt, energies))
+    outer_phase = np.exp(-1j * np.outer(energies, np.arange(n_outer) * (inner * grid.dt)))
+    amps = inner_phase @ np.concatenate([outer_phase * (vectors[0] * coeff)[:, None],
+                                         outer_phase * (vectors[1] * coeff)[:, None]], axis=1)
+    return AtomTrajectory(grid=grid, alpha_1=amps[:, :n_outer].T.reshape(-1)[:n_t],
+                          alpha_2=amps[:, n_outer:].T.reshape(-1)[:n_t])
+
+
+def classify_bound_states_loop(basis: spectrum.Eigenbasis,
+                               cfg: SystemConfig) -> list[spectrum.BoundStateProfile]:
+    """``spectrum.classify_bound_states`` one state at a time: each state's
+    IPR, photon weight and window weight are ``np.sum`` calls over its own
+    column (a degenerate cluster's over its ``_localized_rotation``)."""
+    energies, vectors = basis.energies, basis.vectors
+    dim = energies.size
+    first, last = cfg.outer_legs
+    mask = np.ones(dim, dtype=bool)
+    mask[2:] = ((basis.sites >= first - spectrum.WINDOW_PAD)
+                & (basis.sites <= last + spectrum.WINDOW_PAD))
+    profiles = []
+    i = 0
+    while i < dim:
+        j = i
+        while j + 1 < dim and energies[j + 1] - energies[j] < spectrum.DEGENERACY_TOL * cfg.xi:
+            j += 1
+        if j > i:
+            weights, vecs = spectrum._localized_rotation(vectors[:, i:j + 1], mask)
+        else:
+            vecs = vectors[:, i:i + 1]
+            weights = np.array([float(np.sum(vecs[mask, 0] ** 2))])
+        for c in range(vecs.shape[1]):
+            v = vecs[:, c]
+            e = float(energies[i + c]) if j == i else float(np.mean(energies[i:j + 1]))
+            prob = v ** 2
+            ipr = float(np.sum(prob ** 2))
+            photon_weight = float(np.sum(prob[2:]))
+            in_band = cfg.band_bottom < e < cfg.band_top
+            near_edge = (abs(e - cfg.band_bottom) < spectrum.BAND_EDGE_GUARD * cfg.xi
+                         or abs(e - cfg.band_top) < spectrum.BAND_EDGE_GUARD * cfg.xi)
+            localized = (ipr >= spectrum.IPR_THRESHOLD
+                         and weights[c] >= spectrum.WINDOW_MIN_WEIGHT
+                         and photon_weight >= spectrum.MIN_PHOTON_WEIGHT)
+            if localized and in_band and not near_edge:
+                label = "BIC"
+            elif localized and not in_band:
+                label = "BOC"
+            else:
+                label = "extended"
+            profiles.append(spectrum.BoundStateProfile(
+                energy=e, label=label, ipr=ipr, amp_1=float(v[0]), amp_2=float(v[1]),
+                photon=prob[2:] if label != "extended" else None))
+        i = j + 1
+    return profiles

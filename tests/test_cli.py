@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crwqed import cli
 from crwqed.model import ConfigError
@@ -71,7 +71,7 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     stages = json.loads((out1 / "manifest.json").read_text())["stages"]
     assert [s["name"] for s in stages] == [
-        "lattice", "bic_roots", "volterra", "exact_propagate", "photon_field",
+        "lattice", "exact_propagate", "bic_roots", "volterra", "photon_field",
         "field_norm_check", "scenario_checks", "write_artifacts"]
     assert all(s["wall_s"] >= 0.0 for s in stages)
     peaks = [s["peak_rss_mb"] for s in stages]
@@ -904,6 +904,11 @@ def _config_text(draw):
 @pytest.mark.parametrize("command", ["bic", "dynamics", "spectrum"])
 @settings(max_examples=30, deadline=None)
 @given(text=_config_text())
+# decoupled atoms: (band edge - omega_c) / (2 xi) rounds below 1
+@example(
+    text='n_1 = 0\nn_2 = 1\nm_1 = 0\nm_2 = 1\nomega_c = 0.7007099289601046\n'
+         'xi = 1.9679684691247359\ng_1 = 0.0\ng_2 = 0.0\n',
+).via('discovered failure')
 def test_fuzzed_config_gives_an_honest_exit(command, text):
     with tempfile.TemporaryDirectory() as tmp:
         cfgfile = os.path.join(tmp, "fuzz.cfg")

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +26,14 @@ from crwqed.spectrum import (
     lattice_eigenbasis,
     wavefront_n_c,
 )
-from oracles import exact_propagate_direct, photon_profile, traced_peak
+from crwqed.cli import load_scenario
+from oracles import (
+    classify_bound_states_loop,
+    exact_propagate_direct,
+    exact_propagate_one_product,
+    photon_profile,
+    traced_peak,
+)
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -284,6 +293,39 @@ def test_exact_propagate_makes_no_basis_copy():
     assert peak < 10 * 2 ** 20
 
 
+@pytest.fixture(scope="module")
+def fig4_basis():
+    return lattice_eigenbasis(FIG4, 1400)
+
+
+def test_exact_propagate_scratch_does_not_grow_with_the_states(fig4_basis):
+    # fig4: n = 1402 states, 30 001 nodes; phase tables for all states at
+    # once would be about 16 MB, blocks of 128 states about 1 MB
+    scn = load_scenario("fig4")
+    assert (scn.n_c, scn.grid.times().size) == (1400, 30001)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj, snaps = exact_propagate(FIG4, initial_state("atom1"), scn.grid, fig4_basis,
+                                          snapshot_times=scn.snapshot_times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = traj.alpha_1.nbytes + traj.alpha_2.nbytes + sum(s.beta.nbytes for s in snaps)
+    assert len(snaps) == len(scn.snapshot_times) > 0
+    assert peak - kept <= 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("nodes", [2, 1031, 30001])
+def test_exact_propagate_blocks_equal_the_one_product(nodes, fig4_basis):
+    grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
+    psi0 = WavefunctionState(0.6 + 0.0j, 0.0j, {4: 0.48j, -3: 0.64 + 0.0j})
+    traj = _propagate_quietly(FIG4, psi0, grid, fig4_basis)
+    ref = exact_propagate_one_product(psi0, grid, fig4_basis)
+    assert _max_amp_diff(traj, ref) <= 1e-14
+
+
 def test_eigenbasis_rejects_mismatched_arrays():
     basis = eigendecompose(build_hamiltonian(FIG3, 200))
     with pytest.raises(ValueError, match=r"vectors must be 202x202 for 202 energies, "
@@ -501,6 +543,16 @@ def test_structured_eigenbasis_matches_dense_on_both_parities(cfg, n_c):
     _assert_matches_dense(cfg, n_c)
 
 
+@pytest.mark.parametrize("n_c", [41, 42])
+def test_structured_eigenbasis_of_decoupled_atoms_with_a_rounded_band_edge(n_c):
+    # (band_top - omega_c) / (2 xi) and (omega_c - band_bottom) / (2 xi)
+    # round below 1 here; the outermost brackets must still open
+    cfg = SystemConfig(n_1=0, n_2=1, m_1=0, m_2=1, omega_c=0.7007099289601046,
+                       xi=1.9679684691247359, g_1=0.0, g_2=0.0)
+    assert (cfg.band_top - cfg.omega_c) / (2.0 * cfg.xi) < 1.0
+    _assert_matches_dense(cfg, n_c)
+
+
 def test_fig4_band_centre_pair_is_one_bic_and_one_extended_state():
     # at n_c = 1400 the BIC at E = omega_c shares its energy (to about 1e-16)
     # with a state of the odd 695-site left tail, whose free chain has a mode
@@ -521,6 +573,46 @@ def test_fig4_band_centre_pair_is_one_bic_and_one_extended_state():
         assert abs(a * a - b * b) <= 1e-12
     assert mine[0].amp_1 ** 2 == pytest.approx(0.495050, abs=1e-6)
     assert mine[0].amp_2 ** 2 == pytest.approx(0.495050, abs=1e-6)
+
+
+def _assert_classified_like_the_loop(basis, cfg):
+    profiles = classify_bound_states(basis, cfg)
+    ref = classify_bound_states_loop(basis, cfg)
+    assert [p.label for p in profiles] == [p.label for p in ref]
+    for mine, theirs in zip(profiles, ref):
+        assert (mine.energy, mine.ipr, mine.amp_1, mine.amp_2) == (
+            theirs.energy, theirs.ipr, theirs.amp_1, theirs.amp_2)
+        assert (mine.photon is None) == (theirs.photon is None)
+        if mine.photon is not None:
+            assert np.array_equal(mine.photon, theirs.photon)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_classification_equals_the_per_state_loop_on_the_presets(name):
+    scn = load_scenario(name)
+    _assert_classified_like_the_loop(lattice_eigenbasis(scn.cfg, scn.n_c), scn.cfg)
+
+
+@st.composite
+def _degenerate_lattices(draw):
+    """A lattice with atom 2 decoupled and tuned onto another eigenvalue, so
+    its bare state and a lattice state form a degenerate cluster."""
+    cfg, n_c = draw(_lattices())
+    cfg = dataclasses.replace(cfg, g_2=0.0)
+    energies = lattice_eigenbasis(cfg, n_c).energies
+    target = float(energies[draw(st.integers(0, energies.size - 1))])
+    assume(abs(target - cfg.omega_2) > 1e-3 * cfg.xi)
+    return dataclasses.replace(cfg, omega_2=target), n_c
+
+
+@example(lattice=(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0), 121))
+@settings(max_examples=15, deadline=None)
+@given(_degenerate_lattices())
+def test_classification_equals_the_per_state_loop_on_degenerate_clusters(lattice):
+    cfg, n_c = lattice
+    basis = lattice_eigenbasis(cfg, n_c)
+    assert np.any(np.diff(basis.energies) < spectrum.DEGENERACY_TOL * cfg.xi)
+    _assert_classified_like_the_loop(basis, cfg)
 
 
 def test_structured_eigenbasis_reports_its_checks():
