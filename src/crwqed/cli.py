@@ -583,7 +583,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2) as sizes:
             basis = spectrum.lattice_eigenbasis(cfg, scn.n_c)
             solve = basis.report
-            sizes.update(leg_system_dim=solve.leg_system_dim, bisection_steps=solve.bisection_steps)
+            sizes.update(leg_system_dim=solve.leg_system_dim, count_steps=solve.count_steps)
             checks.append(_check("lattice_residual", solve.residual,
                                  spectrum.RESIDUAL_TOL * solve.h_norm))
             checks.append(_check("lattice_orthonormality", solve.orthonormality,

@@ -12,7 +12,8 @@ propagation exp(-iHt) is the oracle for the memory-kernel dynamics.
 
 ``lattice_eigenbasis`` diagonalizes the lattice without forming H: the
 free chain is solvable in closed form, so each energy is located by
-bisection on an inertia count that costs O(1) per energy, and each
+safeguarded regula falsi on an inertia count and a secular function that
+cost O(1) per energy, and each
 eigenvector is the null vector of a leg system with three unknowns more
 than there are distinct leg sites, whatever the leg span: the free runs
 between and beyond the legs are sines (scaled sinh out of the band) with
@@ -149,7 +150,7 @@ class SolveReport:
     h_norm: float           # row-sum bound on ||H||; the residual is held to RESIDUAL_TOL of it
     orthonormality: float   # max |V^T V - I| over all entries
     leg_system_dim: int     # side of the per-energy leg system: distinct leg sites + 3
-    bisection_steps: int
+    count_steps: int        # inertia-count calls after the first
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,10 @@ def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
 #   0 <= u <= pi:  E = omega_c - 2 xi cos(u)        (the band, theta = u)
 #   u < 0:         E = omega_c - 2 xi cosh(u)       (below it, eta = -u)
 #   u > pi:        E = omega_c + 2 xi cosh(u - pi)  (above it, eta = u - pi)
-# Bisection, the inertia count and the tails all read u itself, whose floats
-# are finer than E's where a tail is most sensitive (near the band edges, a
-# rounding unit of E moves a long tail's phase by about 1e-11); E(u) enters
-# only the atoms' diagonal and the result.
+# The root-finder, the inertia count and the tails all read u itself, whose
+# floats are finer than E's where a tail is most sensitive (near the band
+# edges, a rounding unit of E moves a long tail's phase by about 1e-11);
+# E(u) enters only the atoms' diagonal and the result.
 
 # A vector whose Rayleigh quotient moves its energy by more than this times
 # ||H|| is rebuilt at the moved energy.
@@ -366,9 +367,10 @@ def _negatives(*coefficients) -> np.ndarray:
     return count
 
 
-def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
-    """Number of lattice eigenvalues below E(u), for each phase u, at O(1)
-    cost each.
+def _counts_below(cfg: SystemConfig, n_c: int,
+                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number of lattice eigenvalues below E(u), for each phase u, and the
+    secular function F(u), at O(1) cost each.
 
     By Sylvester's law of inertia and Haynsworth's Schur-complement split,
     the count is that of the free chain's modes eps_k below E plus the
@@ -391,11 +393,17 @@ def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
     p = (n+1) theta / pi; an energy on a mode counts as just above it.  Out
     of the band S has no poles and the resolvent is its sinh form, written
     with decaying exponentials.
+
+    F is smooth on each of the three ranges of u (below, in and above the
+    band) and vanishes exactly at the lattice eigenvalues there: in the
+    band F = -xi sin(theta) sin(pi p) det B - cos(pi p) w^T adj(B) w, which
+    is det(H - E) times -xi^(1-n) sin(theta)^2; out of it F = det S.
     """
     n = n_c
     left = _tails(cfg, n_c)[0]
     cols = {leg: leg - cfg.outer_legs[0] + left for leg in cfg.legs}
     counts = np.empty(u.size, dtype=np.int64)
+    secular = np.empty(u.size)
 
     band = _in_band(u)
     theta = u[band]
@@ -405,20 +413,27 @@ def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
     xi_sin = cfg.xi * np.sin(theta)
     psi = {c: np.sin((c + 1) * theta) for c in cols.values()}
     cosines = {c: np.cos((c + 1) * theta) for c in cols.values()}
+    psi_over = {c: psi[c] / xi_sin for c in cols.values()}
 
     def regular(a, b):
         i, j = sorted((cols[a], cols[b]))
-        return psi[i] * cosines[j] / xi_sin
+        return psi_over[i] * cosines[j]
 
     b11, b12, b22 = _atom_block(cfg, regular, cfg.omega_c - 2.0 * cfg.xi * np.cos(theta))
     scale = np.cos(np.pi * frac)
-    w1 = scale * cfg.g_1 * (psi[cols[cfg.n_1]] + psi[cols[cfg.n_2]])
-    w2 = scale * cfg.g_2 * (psi[cols[cfg.m_1]] + psi[cols[cfg.m_2]])
-    t = -xi_sin * np.sin(np.pi * frac) * scale
+    pole = -xi_sin * np.sin(np.pi * frac)
+    w1 = cfg.g_1 * (psi[cols[cfg.n_1]] + psi[cols[cfg.n_2]])
+    w2 = cfg.g_2 * (psi[cols[cfg.m_1]] + psi[cols[cfg.m_2]])
     det_b = b11 * b22 - b12 * b12
-    negative = _negatives(t + b11 + b22,
-                          t * (b11 + b22) - w1 * w1 - w2 * w2 + det_b,
-                          t * det_b - (w1 * w1 * b22 - 2.0 * w1 * w2 * b12 + w2 * w2 * b11))
+    adj = w1 * w1 * b22 - 2.0 * w1 * w2 * b12 + w2 * w2 * b11  # w^T adj(B) w
+    folded = pole * det_b - scale * adj
+    # (-1)^turns turns the phase's fractional part back into (n+1) theta
+    secular[band] = (1.0 - 2.0 * (turns % 2.0)) * folded
+    t = pole * scale
+    trace_b = b11 + b22
+    negative = _negatives(t + trace_b,
+                          t * trace_b - scale * scale * (w1 * w1 + w2 * w2) + det_b,
+                          scale * folded)
     counts[band] = np.minimum(turns, n).astype(np.int64) - (scale > 0.0) + negative
 
     out = ~band
@@ -429,8 +444,9 @@ def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
         def rise(k):  # 1 - exp(-2 k eta)
             return -np.expm1(-2.0 * k * eta)
 
-        lefts = {c: rise(c + 1) / rise(1) for c in cols.values()}
-        rights = {c: rise(n - c) / rise(n + 1) for c in cols.values()}
+        first, last = rise(1), rise(n + 1)
+        lefts = {c: rise(c + 1) / first for c in cols.values()}
+        rights = {c: rise(n - c) / last for c in cols.values()}
 
         def resolvent(a, b):
             i, j = sorted((cols[a], cols[b]))
@@ -438,20 +454,30 @@ def _counts_below(cfg: SystemConfig, n_c: int, u: np.ndarray) -> np.ndarray:
 
         s11, s12, s22 = _atom_block(cfg, resolvent,
                                     cfg.omega_c - 2.0 * cfg.xi * sign * np.cosh(eta))
-        counts[out] = np.where(sign < 0.0, n, 0) + _negatives(s11 + s22, s11 * s22 - s12 * s12)
-    return counts
+        secular[out] = s11 * s22 - s12 * s12
+        counts[out] = np.where(sign < 0.0, n, 0) + _negatives(s11 + s22, secular[out])
+    return counts, secular
 
 
 def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     """The phases u of all n_c + 2 eigenvalues, ascending, and the number
-    of bisection steps.
+    of count steps after the first.
 
-    Every eigen-index q is bisected at once on ``_counts_below``.  Cauchy
-    interlacing with the free chain's modes u_k = k pi / (n + 1) brackets
-    the q-th eigenvalue in [u_(q-2), u_q]; Gershgorin bounds close the two
-    ends, and each bracket is widened by a few rounding units.  A bracket is
-    done when its midpoint equals an endpoint (or, at a phase of zero, when
-    it is narrower than eps^2).
+    Cauchy interlacing with the free chain's modes u_k = k pi / (n + 1)
+    brackets the q-th eigenvalue in [u_(q-2), u_q]; Gershgorin bounds close
+    the two ends.  One ``_counts_below`` call at every mode (from a few
+    rounding units below and above it) and at the two ends checks those
+    brackets and narrows each to the tightest interval between those
+    points.  Then every open bracket takes one step per call.  With k
+    eigenvalues inside and both ends on one smooth range of the secular
+    function F, the step is regula falsi on |F|^(1/k), signed by the
+    count, which is about linear in u next to a cluster of k eigenvalues
+    (k = 1: F itself); it keeps a few rounding units clear of both ends,
+    and an end kept twice in a row has its value scaled down
+    (Anderson-Bjorck).  Any other bracket, and one that three steps did
+    not halve, is bisected.  The count, not F, decides which end a step
+    replaces.  A bracket is done when it is at most 2 eps (|lo| + |hi|)
+    wide (plus eps^2, for a phase of zero), and its midpoint is returned.
     """
     n = n_c
     modes = np.arange(1, n + 1) * (np.pi / (n + 1))
@@ -459,26 +485,73 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     bottom = min(cfg.omega_1 - 2.0 * cfg.g_1, cfg.omega_2 - 2.0 * cfg.g_2,
                  cfg.band_bottom - reach)
     top = max(cfg.omega_1 + 2.0 * cfg.g_1, cfg.omega_2 + 2.0 * cfg.g_2, cfg.band_top + reach)
-    # at g = 0 a quotient can round below 1, where acosh is undefined
-    lowest = -math.acosh(max(1.0, (cfg.omega_c - bottom) / (2.0 * cfg.xi)))
-    highest = np.pi + math.acosh(max(1.0, (top - cfg.omega_c) / (2.0 * cfg.xi)))
     eps = np.finfo(float).eps
-    lo = np.concatenate([[lowest, lowest], modes]) - 64.0 * eps
-    hi = np.concatenate([modes, [highest, highest]]) + 64.0 * eps
+    # the Gershgorin ends, moved out by a few rounding units: an eigenvalue
+    # on one (a decoupled atom at a band edge) counts below the top end; at
+    # g = 0 a quotient can round below 1, where acosh is undefined
+    margin = 8.0 * eps * max(abs(bottom), abs(top), 2.0 * cfg.xi)
+    lowest = -math.acosh(max(1.0, (cfg.omega_c - bottom + margin) / (2.0 * cfg.xi)))
+    highest = np.pi + math.acosh(max(1.0, (top + margin - cfg.omega_c) / (2.0 * cfg.xi)))
+    pad = 64.0 * eps
+    # lowest, then each mode from below and from above, then highest
+    points = np.concatenate([[lowest - pad], np.column_stack([modes - pad, modes + pad]).ravel(),
+                             [highest + pad]])
+    counts, secular = _counts_below(cfg, n, points)
     index = np.arange(n + 2)
-    if (np.any(_counts_below(cfg, n, lo) > index)
-            or np.any(_counts_below(cfg, n, hi) <= index)):
+    lo_end = np.concatenate([[0, 0], 1 + 2 * np.arange(n)])
+    hi_end = np.concatenate([2 + 2 * np.arange(n), [2 * n + 1, 2 * n + 1]])
+    if np.any(counts[lo_end] > index) or np.any(counts[hi_end] <= index):
         raise SolverError(f"inertia count of the {n + 2}x{n + 2} lattice disagrees with "
                           "the interlacing brackets of its free chain")
+    # the last point whose count is at most q, and the point after it
+    below = np.searchsorted(np.minimum.accumulate(counts[::-1])[::-1], index, side="right") - 1
+    # each bracket's two ends (row 0 the lower): phase, count, |F| and
+    # falsi weight
+    ends = np.stack([points[below], points[below + 1]])
+    end_counts = np.stack([counts[below], counts[below + 1]])
+    end_values = np.abs(np.stack([secular[below], secular[below + 1]]))
+    weights = np.ones((2, n + 2))
+    moved = np.full(n + 2, -1)  # the end each bracket's last step replaced
+    widths = np.full((3, n + 2), np.inf)  # each bracket's width one to three steps back
     steps = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        active = np.flatnonzero((mid != lo) & (mid != hi) & (hi - lo > eps * eps))
+        lo, hi = ends
+        active = np.flatnonzero(hi - lo > 2.0 * eps * (np.abs(lo) + np.abs(hi)) + eps * eps)
         if active.size == 0:
-            return mid, steps
-        above = _counts_below(cfg, n, mid[active]) > index[active]
-        hi[active[above]] = mid[active[above]]
-        lo[active[~above]] = mid[active[~above]]
+            return 0.5 * (lo + hi), steps
+        a, b = pair = ends[:, active]
+        # a bracket that three steps did not halve is bisected
+        stalled = b - a > 0.5 * widths[2, active]
+        widths[1:, active] = widths[:-1, active]
+        widths[0, active] = b - a
+        # |F|^(1/k) is about linear in u next to a cluster of k eigenvalues,
+        # so the falsi step divides the bracket in the ratio of the ends'
+        # values (the count gives the sign)
+        root = 1.0 / (end_counts[1, active] - end_counts[0, active])
+        sizes = weights[:, active] * end_values[:, active] ** root
+        # a falsi step keeps a few rounding units clear of both ends, so one
+        # that lands on the eigenvalue from one side closes the bracket next
+        clear = eps * (np.abs(a) + np.abs(b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            falsi = np.clip(a + (b - a) * (sizes[0] / (sizes[0] + sizes[1])), a + clear, b - clear)
+        # 0 below the band, 1 in it, 2 above it: F is smooth within each
+        region = (pair > 0.0).astype(np.int8) + (pair >= np.pi)
+        falsi_ok = (region[0] == region[1]) & ~stalled & (falsi > a) & (falsi < b)
+        trial = np.where(falsi_ok, falsi, 0.5 * (a + b))
+        count, value = _counts_below(cfg, n, trial)
+        side = (count > index[active]).astype(np.intp)  # the end the trial replaces
+        value = np.abs(value)
+        # Anderson-Bjorck: an end kept twice in a row by falsi steps is
+        # weighted down by the ratio of the values that replaced the other
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrink = 1.0 - value ** root / sizes[side, np.arange(side.size)]
+        kept = falsi_ok & (moved[active] == side)
+        weights[1 - side[kept], active[kept]] *= np.where(shrink[kept] > 0.0, shrink[kept], 0.5)
+        ends[side, active] = trial
+        end_counts[side, active] = count
+        end_values[side, active] = value
+        weights[side, active] = 1.0
+        moved[active] = side
         steps += 1
 
 
@@ -686,7 +759,8 @@ def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
     ascending: the contract of ``eigendecompose(build_hamiltonian(cfg, n_c))``
     without the dense Hamiltonian or an n x n eigensolver.
 
-    Energies come from ``_phases`` (bisection on an O(1) inertia count),
+    Energies come from ``_phases`` (safeguarded regula falsi, bracketed by
+    an O(1) inertia count),
     vectors from the null vectors of the per-energy leg systems of side
     r + 3 for r distinct leg sites (``_leg_system``), whatever the leg
     span, with the free runs between and beyond the legs written in place
@@ -728,7 +802,7 @@ def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
     _check_tolerances(residual, h_norm, ortho)
     return Eigenbasis(energies, vectors, sites, SolveReport(
         residual=residual, h_norm=h_norm, orthonormality=ortho,
-        leg_system_dim=len(_leg_columns(cfg, n_c)) + 3, bisection_steps=steps))
+        leg_system_dim=len(_leg_columns(cfg, n_c)) + 3, count_steps=steps))
 
 
 @dataclass(frozen=True)
@@ -774,8 +848,11 @@ _CLASSIFY_STATES = 128
 
 def _state_weights(rows: np.ndarray, mask: np.ndarray):
     """(IPR, photon weight, window weight) of the unit states in the rows of
-    the C-contiguous array ``rows``, each a sum along one row (the same
-    pairwise sum as ``np.sum`` of that state alone)."""
+    the C-contiguous array ``rows``, each a sum along one row.  The first
+    two sum whole rows: the same pairwise sums as ``np.sum`` of each state
+    alone, bit for bit.  numpy may order the short masked window sums
+    differently, so the window weight can differ from a per-state sum in
+    the last bit."""
     prob = rows ** 2
     return (prob ** 2).sum(axis=1), prob[:, 2:].sum(axis=1), prob[:, mask].sum(axis=1)
 
@@ -882,8 +959,9 @@ def exact_propagate(
     from rows 0 and 1; all snapshots come from one real product of the
     eigenvector array with the real and imaginary parts of an
     (n x #snapshots) coefficient table.  Besides the given eigenbasis and
-    the O(T) result, the scratch is O(block sqrt(T) + n #snapshots) and does
-    not grow with n beyond that table: no n x n array is made.
+    the O(T) result, the scratch is O(n (1 + #snapshots)) for the overlaps and
+    snapshots and O(block sqrt(T)) for the phase tables, with
+    block = ``_PROPAGATE_STATES``: no n x n or n x sqrt(T) array is made.
 
     Warns (does not fail) when n_c is below the wavefront criterion for
     the requested horizon, i.e. when emitted radiation can reflect off the

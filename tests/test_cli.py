@@ -80,8 +80,8 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     # fig3's leg system: two tail amplitudes, the three stretches between
     # its four distinct leg sites, two atoms
     assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2, "leg_system_dim": 7,
-                                "bisection_steps": sizes["lattice"]["bisection_steps"]}
-    assert 40 <= sizes["lattice"]["bisection_steps"] <= 80
+                                "count_steps": sizes["lattice"]["count_steps"]}
+    assert 5 <= sizes["lattice"]["count_steps"] <= 25
     # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
                                  "arg_max": pytest.approx(80.0)}

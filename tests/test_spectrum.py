@@ -529,6 +529,9 @@ def _lattices(draw):
 @example(lattice=(SystemConfig(n_1=1, n_2=301, m_1=80, m_2=200), 400))
 @example(lattice=(SystemConfig(n_1=0, n_2=1, m_1=1, m_2=250, g_1=0.7, g_2=0.4,
                                omega_2=0.3), 331))
+# a decoupled atom exactly at the band top, the Gershgorin bound
+@example(lattice=(SystemConfig(n_1=0, n_2=1, m_1=0, m_2=1, omega_c=0.0, xi=0.5, omega_1=0.0,
+                               omega_2=1.0, g_1=0.0, g_2=0.0), 41))
 @settings(max_examples=30, deadline=None)
 @given(_lattices())
 def test_structured_eigenbasis_matches_dense(lattice):
@@ -619,7 +622,7 @@ def test_structured_eigenbasis_reports_its_checks():
     basis = lattice_eigenbasis(FIG3, 200)
     report = basis.report
     # four distinct leg sites: 4 + 3 unknowns, whatever the span
-    assert report.leg_system_dim == 7 and report.bisection_steps > 0
+    assert report.leg_system_dim == 7 and report.count_steps > 0
     long_span = SystemConfig(n_1=1, n_2=301, m_1=80, m_2=200)
     assert lattice_eigenbasis(long_span, 400).report.leg_system_dim == 7
     # the largest row sum of H: a leg site, with its two hops and one coupling
