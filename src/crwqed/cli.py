@@ -254,15 +254,21 @@ def _float_cells(v):
     return out
 
 
-# Rows formatted and written per block by ``write_csv``.
-_CSV_ROWS = 4096
+# Scratch of one ``write_csv`` block, and the bytes of it one float cell
+# takes: the kernel's temporaries peak at about 150 (the NUL-padded block,
+# its mask and the bytes kept, about 100, come after them).
+_CSV_BLOCK_BYTES = 3 << 19
+_CSV_CELL_BYTES = 150
+
+
+def _float_columns(columns) -> list[int]:
+    return [i for i, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
 
 
 def _block(columns) -> np.ndarray:
     """One block of rows as a (rows, width) uint8 array: a fixed-width,
     NUL-padded slot per cell, each ending in its ',' or '\\n'."""
-    floats = [i for i, c in enumerate(columns)
-              if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+    floats = _float_columns(columns)
     slots = {}
     if floats:
         values = np.stack([columns[i] for i in floats], axis=1).astype(np.float64, copy=False)
@@ -286,28 +292,32 @@ def write_csv(path, header, columns):
     header field, all of one length).
 
     Ragged columns raise ValueError before the file is opened.  Rows are
-    formatted and written in blocks of ``_CSV_ROWS``.  The cells of every
+    formatted and written in blocks of ``_CSV_BLOCK_BYTES`` over
+    ``_CSV_CELL_BYTES`` per float-array column (1497 rows of 7 float
+    columns; as if one for a file without any).  The cells of every
     float-array column of a block go through one ``_float_cells`` call,
     whose bytes equal ``"%.15g" % float(x)``; the cells it cannot decide
     (non-finite, nonzero |x| outside [1e-250, 1e250), within 1e-6 of a
     rounding tie) are formatted by exactly that.  Other cells go through
     ``_fmt``, str cells unchanged, and are written as UTF-8.  A block is
     one NUL-padded uint8 array (33 bytes per float cell, the widest cell
-    plus one of every other column); its NULs are removed in one pass
-    and the rest written in binary mode.  Block and kernel scratch
-    together peak at about 220 bytes per float cell (6.3 MB for 4096 rows
-    of 7 float columns).  A file with no float-array column builds no
-    kernel table.
+    plus one of every other column); its NULs are removed by one boolean
+    mask and the rest written in binary mode.  Block and kernel scratch
+    peak at about 150 bytes per float cell, so a block stays within
+    about 1.5 MB whatever the row count.  A file with no
+    float-array column builds no kernel table.
     """
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length {lengths} for {path}")
     n_rows = lengths[0] if lengths else 0
+    rows = max(1, _CSV_BLOCK_BYTES // (_CSV_CELL_BYTES * max(1, len(_float_columns(columns)))))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, n_rows, _CSV_ROWS):
-            block = _block([c[lo:lo + _CSV_ROWS] for c in columns]).ravel()
-            fh.write(np.compress(block != 0, block))
+        for lo in range(0, n_rows, rows):
+            block = _block([c[lo:lo + rows] for c in columns])
+            fh.write(block[block != 0])
+            del block
 
 
 def write_json(path, payload):
@@ -357,8 +367,9 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
 def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     """``stages``, or a ConfigError, from sizes alone, for an input they read
     and cannot take: the lattice size, the closed form's range, the kernel
-    grid, the leg span, and any Bessel table (memory kernels, plot window,
-    norm check) that would send Miller's recurrence an argument above
+    grid, the leg span, the norm-check window's momentum grid (at most
+    ``dynamics.MAX_FIELD_K_POINTS``), and any Bessel table (memory kernels,
+    plot window) that would send Miller's recurrence an argument above
     ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots`` where the closed
     form does not apply: silently for unequal or decoupled atoms, with a
     warning beyond ``bic.MAX_LEG_DISTANCE``."""
@@ -382,11 +393,11 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
         if cfg.span + spectrum.LATTICE_MARGIN > spectrum.MAX_LATTICE_SITES:
             raise ConfigError(f"leg span {cfg.span} + margin {spectrum.LATTICE_MARGIN} "
                               f"exceeds {spectrum.MAX_LATTICE_SITES}, the largest lattice")
-    t_check, reach = _norm_check_reach(cfg, scn.grid)
+    if "field_norm_check" in stages:
+        dynamics.check_field_k_points(cfg.span + 2 * _norm_check_reach(cfg, scn.grid)[1] + 1)
     tables = (("volterra", "memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end),
               ("photon_field", "field window", cfg.span + FIELD_WINDOW_PAD,
-               max(scn.snapshot_times, default=0.0)),
-              ("field_norm_check", "norm-check window", cfg.span + reach, t_check))
+               max(scn.snapshot_times, default=0.0)))
     for stage, what, order, t in tables:
         if stage in stages and specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
             raise ConfigError(
@@ -659,9 +670,8 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         t_check, reach = _norm_check_reach(cfg, grid)
         wide = np.arange(first - reach, last + reach + 1)
         with _stage(records, "field_norm_check", sites=int(wide.size),
-                    order_max=dynamics.field_order_max(cfg, wide),
-                    arg_max=2.0 * cfg.xi * t_check):
-            wide_snap = dynamics.photon_field(cfg, trajectory, wide, [t_check])[0]
+                    k_points=dynamics.field_k_points(wide.size), nodes=grid.node(t_check) + 1):
+            wide_snap = dynamics.wide_field_snapshot(cfg, trajectory, wide, t_check)
             deficit = dynamics.norm_check(trajectory, wide_snap, cfg)
             checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2))
 

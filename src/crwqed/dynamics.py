@@ -22,6 +22,7 @@ convolving the atomic histories with single-site kernels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,17 @@ _BLOCK = 512
 # Nodes per Bessel table block of photon_field: its scratch is
 # O(_FIELD_CHUNK * orders) whatever the horizon.
 _FIELD_CHUNK = 2048
+# Bytes of phase tables and block sums per momentum block of
+# wide_field_snapshot, whatever the window and the horizon.
+_K_SCRATCH = 1 << 20
+# Largest momentum grid wide_field_snapshot takes.  Its cost is M/2 + 1
+# polynomial evaluations of one term per node, so a run pays M/2 times the
+# nodes up to the check time; at this size (a 16 384-site window, a light
+# cone of about 8000 sites) that is 1.3e9 complex products at 40 000
+# nodes, a few seconds, in 1 MB of block scratch and 1.5 MB of arrays of
+# length M.  Every window of a run that the Bessel route took (light cone
+# up to 2000 sites, leg span up to 7960) has M <= 32 768.
+MAX_FIELD_K_POINTS = 1 << 15
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
 
@@ -373,6 +385,116 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
                     beta += -1j * g * i_powers[dist] * u[dist]
         snapshots.append(FieldSnapshot(time=taus[n], sites=sites, beta=beta))
     return snapshots
+
+
+def field_k_points(n_sites: int) -> int:
+    """Size M of :func:`wide_field_snapshot`'s momentum grid for a window
+    of ``n_sites`` sites: the smallest power of two at least twice it."""
+    return 1 << max(2 * n_sites - 1, 1).bit_length()
+
+
+def check_field_k_points(n_sites: int) -> None:
+    """Raise ConfigError if an ``n_sites`` window needs a momentum grid
+    above ``MAX_FIELD_K_POINTS``."""
+    m = field_k_points(n_sites)
+    if m > MAX_FIELD_K_POINTS:
+        raise ConfigError(f"field window of {n_sites} sites needs {m} momenta, "
+                          f"above {MAX_FIELD_K_POINTS}, the largest grid")
+
+
+def wide_field_snapshot(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
+                        t: float) -> FieldSnapshot:
+    """The photon amplitudes of :func:`photon_field` at grid time t over a
+    site window that holds the legs, from the same trapezoid sums summed
+    in momentum space.
+
+    By Jacobi-Anger, i^d J_d(x) = (1/2 pi) int e^{ix cos k} e^{-idk} dk, so
+
+        beta_j = (1/M) sum_m e^{-ijk_m} B(k_m),  k_m = 2 pi m / M,
+        B(k) = -i sum_a g_a (sum_{l in a} e^{ilk})
+               sum_n w_n e^{-i omega_c tau_n} alpha_a(t - tau_n) e^{2i xi tau_n cos k},
+
+    with photon_field's weights w_n.  The M-point sum returns beta_j plus
+    its images beta_{j + pM}, p != 0.  M is the smallest power of two at
+    least twice the window's extent W, and the legs lie inside the window,
+    so every image is at least M - W >= W sites from every leg: a window
+    that reaches the light cone 2 xi t leaves every image a window's width
+    beyond it, where the Bessel tails are far below double precision.  The
+    sum over n is a polynomial in e^{2i xi dt cos k}, one per atom, even in
+    k: it is taken at the M/2 + 1 distinct cosines, in node blocks of about
+    sqrt(N) for N nodes, with the phases within a block and the one phase
+    of each block start from the cosine and sine of the whole angle (no
+    running product), so each term's phase error is a few rounding units
+    of its angle.  The momenta go in blocks of ``_K_SCRATCH`` bytes of
+    scratch; the inverse transform is one length-M FFT per atom, and the
+    leg sums read it at the site-to-leg distances, as photon_field reads
+    its per-order sums.
+
+    The result is within about 2e-15 absolute of photon_field, not within a
+    relative error: the far tails of the field, which ``field.csv`` writes,
+    need photon_field.  Cost O(M N) time in BLAS products, O(N + M) memory.
+    """
+    grid = trajectory.grid
+    sites = np.asarray(sites, dtype=int)
+    n = grid.node(t)
+    taus = np.arange(n + 1) * grid.dt  # grid.times() up to t
+    beta = np.zeros(sites.size, dtype=complex)
+    atoms = [(g, legs, alpha) for g, legs, alpha in (
+        (cfg.g_1, (cfg.n_1, cfg.n_2), trajectory.alpha_1),
+        (cfg.g_2, (cfg.m_1, cfg.m_2), trajectory.alpha_2)) if g != 0.0]
+    if n == 0 or not atoms:
+        return FieldSnapshot(time=taus[n], sites=sites, beta=beta)
+    first, last = cfg.outer_legs
+    if sites.min() > first or sites.max() < last:
+        raise ValueError(f"site window [{sites.min()}, {sites.max()}] does not hold the legs")
+    m = field_k_points(int(sites.max() - sites.min()) + 1)
+
+    # coefficients c[a, b, j] of node bB + j, zero past node n
+    width = max(1, int(np.sqrt(n + 1)))
+    n_blocks = -(-(n + 1) // width)
+    weights = np.exp(-1j * cfg.omega_c * taus)
+    weights *= grid.dt
+    c = np.zeros((len(atoms), n_blocks * width), dtype=complex)
+    for row, (_, _, alpha) in zip(c, atoms):
+        np.multiply(alpha[n::-1], weights, out=row[:n + 1])
+    del weights
+    c[:, [0, n]] *= 0.5
+    c = c.reshape(-1, width)
+    starts = taus[::width]
+
+    # polynomial values at k_0..k_{M/2}, then the even extension
+    poly = np.empty((len(atoms), m), dtype=complex)
+    half = m // 2 + 1
+    # k_m to about twice double precision: 2 pi = two_pi + two_pi_rest with
+    # m two_pi exact; fl(2 pi) alone would scale the whole grid, which moves
+    # beta by about 1e-15 at t = 200
+    two_pi = math.ldexp(round(math.ldexp(2.0 * math.pi, 32)), -32)
+    two_pi_rest = (2.0 * math.pi - two_pi) - math.sin(2.0 * math.pi)
+    k = np.arange(half) * (two_pi / m)
+    cos_k = np.cos(k) - np.sin(k) * (np.arange(half) * (two_pi_rest / m))
+    k_block = max(1, _K_SCRATCH // (24 * width + (24 + 16 * len(atoms)) * n_blocks))
+    for k0 in range(0, half, k_block):
+        x = 2.0 * cfg.xi * cos_k[k0:k0 + k_block]
+        inner = _unit_phases(np.multiply.outer(taus[:width], x))
+        sums = (c @ inner).reshape(len(atoms), n_blocks, -1)
+        sums *= _unit_phases(np.multiply.outer(starts, x))
+        sums.sum(axis=1, out=poly[:, k0:k0 + x.size])
+    poly[:, half:] = poly[:, m - half:0:-1]
+    per_order = np.fft.fft(poly, axis=1)
+    per_order /= m
+    for (g, legs, _), u in zip(atoms, per_order):
+        for leg in legs:
+            dist = np.abs(sites - leg)
+            beta += -1j * g * u[dist]
+    return FieldSnapshot(time=taus[n], sites=sites, beta=beta)
+
+
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """e^{i angle} for a real array, from the cosine and sine of each angle."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
 
 
 def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,

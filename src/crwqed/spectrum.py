@@ -478,6 +478,11 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     not halve, is bisected.  The count, not F, decides which end a step
     replaces.  A bracket is done when it is at most 2 eps (|lo| + |hi|)
     wide (plus eps^2, for a phase of zero), and its midpoint is returned.
+    Next to a band edge E(u) is flat to rounding (F is zero there for a
+    decoupled atom on the edge), so an eigenvalue that two more counts of
+    the first call place within 16 rounding units of an edge energy is
+    bisected in the signed square of u - edge, about linear in E, and is
+    done when its ends' energies are 2 eps (|omega_c| + 2 xi) apart.
     """
     n = n_c
     modes = np.arange(1, n + 1) * (np.pi / (n + 1))
@@ -493,10 +498,18 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     lowest = -math.acosh(max(1.0, (cfg.omega_c - bottom + margin) / (2.0 * cfg.xi)))
     highest = np.pi + math.acosh(max(1.0, (top + margin - cfg.omega_c) / (2.0 * cfg.xi)))
     pad = 64.0 * eps
-    # lowest, then each mode from below and from above, then highest
+    # E(u) is flat to rounding next to a band edge: E - E_edge is about
+    # +-xi (u - edge)^2, at most 8 e_tol within delta of u = 0 or pi
+    e_tol = 2.0 * eps * (abs(cfg.omega_c) + 2.0 * cfg.xi)
+    delta = math.sqrt(8.0 * e_tol / cfg.xi)
+    zones = np.array([[-delta, delta], [np.pi - delta, np.pi + delta]])
+    # lowest, then each mode from below and from above, then highest; the
+    # zones around the band edges only mark the eigenvalues inside them
     points = np.concatenate([[lowest - pad], np.column_stack([modes - pad, modes + pad]).ravel(),
-                             [highest + pad]])
+                             [highest + pad], zones.ravel()])
     counts, secular = _counts_below(cfg, n, points)
+    zone_counts, zone_values = counts[-4:].reshape(2, 2), np.abs(secular[-4:]).reshape(2, 2)
+    points, counts, secular = points[:-4], counts[:-4], secular[:-4]
     index = np.arange(n + 2)
     lo_end = np.concatenate([[0, 0], 1 + 2 * np.arange(n)])
     hi_end = np.concatenate([2 + 2 * np.arange(n), [2 * n + 1, 2 * n + 1]])
@@ -510,13 +523,30 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
     ends = np.stack([points[below], points[below + 1]])
     end_counts = np.stack([counts[below], counts[below + 1]])
     end_values = np.abs(np.stack([secular[below], secular[below + 1]]))
+    # an eigenvalue in a zone is bracketed by it (where tighter) and
+    # bisected in s = d |d|, d = u - edge, which is about linear in E,
+    # until its ends' energies are e_tol apart: a bracket in u would be
+    # bisected down to 2 eps |u| with F zero over the whole zone
+    flat = np.zeros(n + 2, dtype=bool)
+    edge = np.zeros(n + 2)
+    for zone, (c_lo, c_hi), (f_lo, f_hi) in zip(zones, zone_counts, zone_values):
+        inside = (index >= c_lo) & (index < c_hi)
+        flat |= inside
+        edge[inside] = zone.mean()
+        tighter = inside & (ends[0] < zone[0])
+        ends[0, tighter], end_counts[0, tighter], end_values[0, tighter] = zone[0], c_lo, f_lo
+        tighter = inside & (ends[1] > zone[1])
+        ends[1, tighter], end_counts[1, tighter], end_values[1, tighter] = zone[1], c_hi, f_hi
     weights = np.ones((2, n + 2))
     moved = np.full(n + 2, -1)  # the end each bracket's last step replaced
     widths = np.full((3, n + 2), np.inf)  # each bracket's width one to three steps back
     steps = 0
     while True:
         lo, hi = ends
-        active = np.flatnonzero(hi - lo > 2.0 * eps * (np.abs(lo) + np.abs(hi)) + eps * eps)
+        wide = hi - lo > 2.0 * eps * (np.abs(lo) + np.abs(hi)) + eps * eps
+        d = ends[:, flat] - edge[flat]
+        wide[flat] = cfg.xi * (d[1] * np.abs(d[1]) - d[0] * np.abs(d[0])) > e_tol
+        active = np.flatnonzero(wide)
         if active.size == 0:
             return 0.5 * (lo + hi), steps
         a, b = pair = ends[:, active]
@@ -536,8 +566,12 @@ def _phases(cfg: SystemConfig, n_c: int) -> tuple[np.ndarray, int]:
             falsi = np.clip(a + (b - a) * (sizes[0] / (sizes[0] + sizes[1])), a + clear, b - clear)
         # 0 below the band, 1 in it, 2 above it: F is smooth within each
         region = (pair > 0.0).astype(np.int8) + (pair >= np.pi)
-        falsi_ok = (region[0] == region[1]) & ~stalled & (falsi > a) & (falsi < b)
+        falsi_ok = (region[0] == region[1]) & ~stalled & (falsi > a) & (falsi < b) & ~flat[active]
         trial = np.where(falsi_ok, falsi, 0.5 * (a + b))
+        zoned = flat[active]
+        d = pair[:, zoned] - edge[active[zoned]]
+        mid = 0.5 * (d[0] * np.abs(d[0]) + d[1] * np.abs(d[1]))
+        trial[zoned] = edge[active[zoned]] + np.sign(mid) * np.sqrt(np.abs(mid))
         count, value = _counts_below(cfg, n, trial)
         side = (count > index[active]).astype(np.intp)  # the end the trial replaces
         value = np.abs(value)

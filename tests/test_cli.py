@@ -86,9 +86,10 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
                                  "arg_max": pytest.approx(80.0)}
     assert sizes["bic_roots"] == {"leg_distance": 9}
-    # sites reach 80 + 30 beyond the legs at t = 40, plus the leg span 9
-    assert sizes["field_norm_check"]["order_max"] == 110 + 9
-    assert sizes["field_norm_check"]["arg_max"] == pytest.approx(80.0)
+    # sites reach 80 + 30 beyond the legs at t = 40, plus the leg span 9;
+    # the k-grid is the power of two at or above twice the 230 sites
+    assert sizes["field_norm_check"] == {"sites": 2 * 110 + 9 + 1, "k_points": 512,
+                                         "nodes": 2001}
 
 
 def test_manifest_contents(tmp_path):
@@ -258,7 +259,7 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
 def test_write_csv_blocks_are_seamless(tmp_path, monkeypatch):
     cols = (np.arange(11) * 0.1, range(11), ["x"] * 11)
     cli.write_csv(tmp_path / "one.csv", ("a", "b", "c"), cols)
-    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", 4 * cli._CSV_CELL_BYTES)  # 4 rows of 1 float
     cli.write_csv(tmp_path / "blocks.csv", ("a", "b", "c"), cols)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
     assert (tmp_path / "one.csv").read_text().count("\n") == 12
@@ -269,6 +270,17 @@ def test_write_csv_scratch_does_not_grow_with_rows(tmp_path):
     cols = [np.linspace(0.0, 1.0, 100_000) * (k + 1) for k in range(7)]
     peak = traced_peak(cli.write_csv, tmp_path / "big.csv", [f"c{k}" for k in range(7)], cols)
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("rows", [1, 35_001])
+def test_write_csv_block_scratch_stays_within_2_mb(tmp_path, rows):
+    # fig3's dynamics.csv: 35 001 rows of 7 float columns; one block of
+    # 4096 rows at 220 bytes per cell took 6.3 MB
+    cols = [np.linspace(0.0, 1.0, rows) * (k + 1) + 1e-3 * np.sin(np.arange(rows) * k)
+            for k in range(7)]
+    cli._kernel_tables()
+    peak = traced_peak(cli.write_csv, tmp_path / "dyn.csv", [f"c{k}" for k in range(7)], cols)
+    assert peak <= 2 * 2 ** 20
 
 
 def _float_cell_mismatches(path, values) -> list:
@@ -335,7 +347,8 @@ MIXED_COLUMNS = (
 @pytest.mark.parametrize("rows", [0, 1, 4, 5, 11])
 def test_mixed_blocks_match_the_reference_writer(tmp_path, monkeypatch, rows):
     from oracles import write_csv_reference
-    monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+    # 4 rows of the two float-array columns per block
+    monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", 4 * 2 * cli._CSV_CELL_BYTES)
     header = [f"c{k}" for k in range(len(MIXED_COLUMNS))]
     columns = [c[:rows] for c in MIXED_COLUMNS]
     cli.write_csv(tmp_path / "kernel.csv", header, columns)
@@ -515,7 +528,7 @@ def test_photon_field_builds_one_table_per_call(tmp_path, monkeypatch):
         return out
     monkeypatch.setattr(dynamics, "photon_field", field)
     run_scenario(load_scenario("fig3", t_max=40.0), tmp_path)
-    assert len(field_calls) == 2  # plot window and wide norm-check window
+    assert len(field_calls) == 1  # the plot window; the norm check sums over momenta
     for made, blocks in field_calls:
         assert made <= blocks
 
@@ -835,6 +848,30 @@ def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, c
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "above 2000" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_norm_check_momentum_grid_beyond_the_cap_exits_1_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch):
+    from crwqed import dynamics, spectrum
+    monkeypatch.setattr(spectrum, "lattice_eigenbasis", None)  # must not be reached
+    monkeypatch.setattr(dynamics, "bessel_j_table", None)
+    monkeypatch.setattr(dynamics, "wide_field_snapshot", None)
+    # 2 xi t = 20 000 at t = 200: a 40 070-site window needs 131 072 momenta
+    cfgfile = tmp_path / "fast.cfg"
+    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nxi = 50\n"
+                       "t_max = 200\ndt = 0.002\nn_c = 100\n")
+    with pytest.raises(ConfigError, match="131072 momenta, above 32768"):
+        run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
+    assert main(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field window of 40070 sites") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the largest window a Bessel table took (light cone 2000 sites, leg
+    # span 7960) is within the cap; one site more than the cap allows is not
+    assert dynamics.field_k_points(7960 + 2 * 2030 + 1) == dynamics.MAX_FIELD_K_POINTS
+    dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS // 2)
+    with pytest.raises(ConfigError):
+        dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS // 2 + 1)
 
 
 def test_second_atom_left_of_the_first(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crwqed.model import (
     AtomTrajectory,
@@ -23,6 +25,7 @@ from crwqed.dynamics import (
     solve_volterra,
     steady_state_prediction,
     unit_power,
+    wide_field_snapshot,
 )
 from oracles import bessel_j, continuity_order_loop, m_matrix, traced_peak, volterra_direct
 
@@ -500,8 +503,91 @@ def test_norm_check_decoupled_is_exact():
     grid = TimeGrid(t_max=5.0, dt=0.05)
     traj = solve_volterra(cfg, initial_state("atom1"), grid)
     sites = np.arange(-40, 52)
-    snap = photon_field(cfg, traj, sites, [5.0])[0]
-    assert norm_check(traj, snap, cfg) <= 1e-14
+    for snap in (photon_field(cfg, traj, sites, [5.0])[0],
+                 wide_field_snapshot(cfg, traj, sites, 5.0)):
+        assert norm_check(traj, snap, cfg) <= 1e-14
+
+
+def _wide_window(cfg, t):
+    """The norm check's window at time t: the legs, the light cone and 30
+    sites more on each side."""
+    first, last = cfg.outer_legs
+    reach = int(np.ceil(2.0 * cfg.xi * t)) + 30
+    return np.arange(first - reach, last + reach + 1)
+
+
+@st.composite
+def _field_cases(draw):
+    """A coupled geometry (legs of unequal atoms anywhere in [-15, 15],
+    atom 2 possibly decoupled, detunings, omega_c != 0, xi in [0.5, 2]),
+    its Volterra trajectory on the kernel limit's grid, and a grid time
+    from dt to 200."""
+    n_1, n_2, m_1, m_2 = (draw(st.integers(-15, 15)) for _ in range(4))
+    assume(n_1 != n_2 and m_1 != m_2)
+    xi = draw(st.floats(0.5, 2.0))
+    cfg = SystemConfig(n_1=n_1, n_2=n_2, m_1=m_1, m_2=m_2, xi=xi,
+                       omega_c=draw(st.floats(-1.0, 1.0)),
+                       omega_1=draw(st.floats(-0.5, 0.5)), omega_2=draw(st.floats(-0.5, 0.5)),
+                       g_1=draw(st.floats(0.01, 0.3)),
+                       g_2=draw(st.sampled_from([0.0, 0.05, 0.2])))
+    dt = 0.1 / xi
+    steps = draw(st.integers(1, int(200.0 / dt)))
+    grid = TimeGrid(t_max=steps * dt, dt=dt)
+    traj = solve_volterra(cfg, initial_state("atom1"), grid)
+    return cfg, traj, grid.t_end
+
+
+@settings(max_examples=12, deadline=None)
+@given(_field_cases())
+@example((SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_2=0.0, omega_c=0.3, xi=0.5),
+          None, 200.0))
+def test_wide_snapshot_equals_photon_field(case):
+    cfg, traj, t = case
+    if traj is None:
+        grid = TimeGrid(t_max=t, dt=0.1 / cfg.xi)
+        traj = solve_volterra(cfg, initial_state("atom1"), grid)
+    sites = _wide_window(cfg, t)
+    ref = photon_field(cfg, traj, sites, [t])[0]
+    snap = wide_field_snapshot(cfg, traj, sites, t)
+    assert snap.time == ref.time and np.array_equal(snap.sites, sites)
+    assert np.abs(snap.beta - ref.beta).max() <= 1e-13
+    # twice the momenta move nothing: the images were already negligible
+    from crwqed import dynamics
+    original = dynamics.field_k_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "field_k_points", lambda n: 2 * original(n))
+        finer = wide_field_snapshot(cfg, traj, sites, t)
+    assert np.abs(finer.beta - snap.beta).max() <= 1e-15
+
+
+def test_wide_snapshot_at_time_zero_is_empty(fig3_short):
+    _, traj, _ = fig3_short
+    snap = wide_field_snapshot(FIG3, traj, _wide_window(FIG3, 0.0), 0.0)
+    assert snap.time == 0.0 and not snap.beta.any()
+
+
+def test_wide_snapshot_needs_the_legs_in_its_window(fig3_short):
+    _, traj, _ = fig3_short
+    with pytest.raises(ValueError, match="does not hold the legs"):
+        wide_field_snapshot(FIG3, traj, np.arange(-40, 8), 20.0)
+
+
+def test_wide_snapshot_scratch_stays_within_2_mb():
+    # fig3's norm check: 870 sites, 2048 momenta, 10 001 nodes up to t = 200;
+    # the Bessel route's first table block alone was 7.2 MB
+    grid = TimeGrid(t_max=700.0, dt=0.02)
+    taus = grid.times()
+    traj = AtomTrajectory(grid=grid, alpha_1=np.exp(-(0.01 + 0.3j) * taus),
+                          alpha_2=0.5j * np.exp(-0.02 * taus))
+    sites = _wide_window(FIG3, 200.0)
+    assert sites.size == 870
+    tracemalloc.start()
+    try:
+        snap = wide_field_snapshot(FIG3, traj, sites, 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - snap.beta.nbytes <= 2 * 2 ** 20
 
 
 def _lattice_profiles(cfg):

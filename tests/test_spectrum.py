@@ -554,6 +554,13 @@ def test_structured_eigenbasis_of_decoupled_atoms_with_a_rounded_band_edge(n_c):
                        xi=1.9679684691247359, g_1=0.0, g_2=0.0)
     assert (cfg.band_top - cfg.omega_c) / (2.0 * cfg.xi) < 1.0
     _assert_matches_dense(cfg, n_c)
+    assert lattice_eigenbasis(cfg, n_c).report.count_steps <= 30
+    # atom 2 exactly at the band top: E(u) is flat to rounding within about
+    # 2e-8 of u = pi, where stepping in u took 104 (n_c = 41) and 85 steps
+    top = SystemConfig(n_1=0, n_2=1, m_1=0, m_2=1, xi=0.5, omega_2=1.0, g_1=0.0, g_2=0.0)
+    assert top.band_top == top.omega_2
+    _assert_matches_dense(top, n_c)
+    assert lattice_eigenbasis(top, n_c).report.count_steps <= 30
 
 
 def test_fig4_band_centre_pair_is_one_bic_and_one_extended_state():
