@@ -19,10 +19,13 @@ polynomials of the second kind in x = (E - omega_c)/(2 xi); the factor
 polynomial, whose real roots are the eigenvalues of one comrade matrix
 (I. J. Good, Q. J. Math. 12, 61 (1961)); a band-centre root is exactly
 omega_c.  -Im G_p is the half decay width, which vanishes at a genuine BIC.
-Roots of f_s are bound-state candidates only: a root is kept on the
-parity branches whose half width (g^2/xi) |Im bracket| is at most
-``BIC_MAX_IM_BRACKET`` g^2/xi, which weeds out the in-band resonances the
-same equation produces for geometries with no BIC.
+Roots of f_s are bound-state candidates only, and they follow the
+lattice classifier's rules: none lies within ``model.BAND_EDGE_GUARD`` xi
+of a band edge, a branch that does not couple to the chain (g = 0, or the
+antisymmetric branch of two atoms on the same two sites) has none, and a
+root is kept on the parity branches whose half width (g^2/xi) |Im bracket|
+is at most ``BIC_MAX_IM_BRACKET`` g^2/xi, which weeds out the in-band
+resonances the same equation produces for geometries with no BIC.
 """
 
 from __future__ import annotations
@@ -32,15 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig
+from .model import BAND_EDGE_GUARD, ConfigError, SystemConfig
 
-# Roots closer than this (in xi) to a band edge are dropped; chi - chi*
-# vanishes at the edges and genuine BICs sit near band center.
-EDGE_EXCLUSION = 1e-4
 # Largest leg distance (atom size or leg-to-leg path) the closed form takes:
 # its comrade matrix has that order, 1.3 s and 32 MB per branch at 2000.
 MAX_LEG_DISTANCE = 2000
-# Roots from the two parity branches closer than this are one degenerate root.
+# Candidates closer than this are one root (degenerate if from both branches).
 DEGENERATE_MERGE = 1e-8
 # A root's |f| must be at most this times xi (the manifest's
 # ``bic_root_residual`` threshold); a root read off a complex eigenvalue
@@ -104,8 +104,11 @@ class BicRoot:
 
 
 def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
-    """(energy, |f|) roots of one parity branch inside the band less
-    ``EDGE_EXCLUSION``, ascending; |f| from the complex bracket.
+    """(energy, |f|) root candidates of one parity branch at least
+    ``BAND_EDGE_GUARD`` xi inside the band, unmerged; |f| from the complex
+    bracket.  A branch whose g^2 terms vanish (g = 0, or they cancel: the
+    antisymmetric branch of two atoms on the same two sites) does not
+    couple to the chain and has none.
 
     In x, f_s = (omega_c - Omega) + xi U_1 - (g^2/2xi) [2 (-1)^(N-1) U_(N-1)
     + s sum_p (-1)^(p-1) U_(p-1)]: its real roots are the exactly real
@@ -115,9 +118,8 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     step can throw the root away).  A near-double real root can come back as
     a complex pair split by about that much: the real part of each pair that
     close to the real axis is polished too, and kept when its |f| meets
-    ``RESIDUAL_TOL`` xi.  Roots closer than
-    ``DEGENERATE_MERGE`` xi are one root, the one with the smaller |f| (a
-    real eigenvalue and a pair can polish to the same point).  The g^2 terms
+    ``RESIDUAL_TOL`` xi (a real eigenvalue and a pair can polish to the
+    same point; ``find_bic_roots`` merges them).  The g^2 terms
     sum as integers, so on resonance f(0) is exactly 0 at a band-centre
     root: x is divided out, a_k = (q_(k-1) + q_(k+1))/2, and x = 0 kept
     exactly.
@@ -129,6 +131,8 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
         if p:  # a shared leg adds U_{-1} = 0
             ints[p - 1] += branch * (-1) ** (p - 1)
     coupling = cfg.g_1 ** 2 / (2.0 * cfg.xi)
+    if coupling == 0.0 or not ints.any():
+        return []
     a = -coupling * ints
     a[:2] += (cfg.omega_c - cfg.omega_1, cfg.xi)
     a = a[:np.flatnonzero(a)[-1] + 1]  # a[1] = xi > 0
@@ -155,62 +159,49 @@ def _branch_roots(cfg: SystemConfig, branch: int) -> list[tuple[float, float]]:
     # the slope vanishes at a double root, where the step can throw the root
     # away: a step longer than a pair's splitting is not taken
     step[np.abs(step) > split] = 0.0
-    lo = cfg.band_bottom + EDGE_EXCLUSION * cfg.xi
-    hi = cfg.band_top - EDGE_EXCLUSION * cfg.xi
+    lo = cfg.band_bottom + BAND_EDGE_GUARD * cfg.xi
+    hi = cfg.band_top - BAND_EDGE_GUARD * cfg.xi
     candidates = [(e, paired) for e, paired in zip(
         (cfg.omega_c + 2.0 * cfg.xi * np.concatenate([x, start - step])).tolist(),
         [False] * len(x) + (eig.imag > 0.0).tolist()) if lo <= e <= hi]
     misses = np.abs(_residual(np.array([e for e, _ in candidates]), cfg, branch)).tolist()
-    roots: list[tuple[float, float]] = []
-    for (e, paired), f in sorted(zip(candidates, misses)):
-        if paired and f > RESIDUAL_TOL * cfg.xi:
-            continue
-        if roots and e - roots[-1][0] <= DEGENERATE_MERGE * cfg.xi:
-            roots[-1] = min(roots[-1], (e, f), key=lambda root: root[1])
-        else:
-            roots.append((e, f))
-    return roots
+    return [(e, f) for (e, paired), f in zip(candidates, misses)
+            if not (paired and f > RESIDUAL_TOL * cfg.xi)]
 
 
 def find_bic_roots(cfg: SystemConfig) -> list[BicRoot]:
-    """All in-band bound states, both parity branches.
+    """All in-band bound states, both parity branches, ascending.
 
-    Roots of the two branches are merged when they coincide within 1e-8 xi.
-    A branch s of a merged root counts when |Im bracket_s(E)| <=
+    The candidates of both branches (``_branch_roots``) are taken in energy
+    order, and a candidate within ``DEGENERATE_MERGE`` xi of the previous
+    one joins its root: each branch keeps its candidate with the smallest
+    |f|, and the root takes the energy of the first branch in ``BRANCHES``
+    that has one.  A branch s of a root counts when |Im bracket_s(E)| <=
     ``BIC_MAX_IM_BRACKET``, that is when its half width
     (g^2/xi)|Im bracket_s| is at most 0.1 g^2/xi; the multiplicity is the
     number of counting branches, the branch label names them, and a root
-    with none is an in-band resonance and is dropped.  Decoupled atoms
-    (g = 0) carry no photon amplitude and have no bound state.
+    with none is an in-band resonance and is dropped.
     """
     check_closed_form(cfg)
-    if cfg.g_1 == 0.0:
-        return []
-    per_branch = {s: _branch_roots(cfg, s) for s in BRANCHES}
-
-    # merge across branches
-    merged: list[dict] = []
-    for s in BRANCHES:
-        for e, fe in per_branch[s]:
-            for m in merged:
-                if abs(e - m["energy"]) <= DEGENERATE_MERGE * cfg.xi:
-                    m["branches"].append(s)
-                    m["residual"] = max(m["residual"], fe)
-                    break
-            else:
-                merged.append({"energy": e, "branches": [s], "residual": fe})
-    merged.sort(key=lambda m: m["energy"])
+    groups: list[dict[int, tuple[float, float]]] = []  # per root: branch -> (energy, |f|)
+    last = -math.inf
+    for e, f, s in sorted((e, f, s) for s in BRANCHES for e, f in _branch_roots(cfg, s)):
+        if e - last > DEGENERATE_MERGE * cfg.xi:
+            groups.append({})
+        last = e
+        if s not in groups[-1] or f < groups[-1][s][1]:
+            groups[-1][s] = (e, f)
 
     roots: list[BicRoot] = []
-    for m in merged:
-        im = {s: abs(float(_bracket(m["energy"], cfg, s).imag)) for s in m["branches"]}
-        branches = [s for s in m["branches"] if im[s] <= BIC_MAX_IM_BRACKET]
-        if not branches:
-            continue  # in-band resonance, not a bound state
-        label = "+-" if len(branches) == 2 else ("+" if branches[0] > 0 else "-")
-        roots.append(BicRoot(
-            energy=m["energy"], branch=label, multiplicity=len(branches), residual=m["residual"],
-            width=(cfg.g_1 ** 2 / cfg.xi) * max(im[s] for s in branches)))
+    for best in groups:
+        energy = next(best[s][0] for s in BRANCHES if s in best)
+        im = {s: abs(float(_bracket(energy, cfg, s).imag)) for s in BRANCHES if s in best}
+        counted = [s for s, w in im.items() if w <= BIC_MAX_IM_BRACKET]
+        if counted:  # else an in-band resonance, not a bound state
+            roots.append(BicRoot(
+                energy=energy, branch="".join("+" if s > 0 else "-" for s in counted),
+                multiplicity=len(counted), residual=max(f for _, f in best.values()),
+                width=(cfg.g_1 ** 2 / cfg.xi) * max(im[s] for s in counted)))
     return roots
 
 

@@ -370,13 +370,10 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     grid, the leg span, the norm-check window's momentum grid (at most
     ``dynamics.MAX_FIELD_K_POINTS``), and any Bessel table (memory kernels,
     plot window) that would send Miller's recurrence an argument above
-    ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots`` where the closed
-    form does not apply: silently for unequal or decoupled atoms, with a
-    warning beyond ``bic.MAX_LEG_DISTANCE``."""
+    ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots``, with a warning,
+    wherever ``bic.check_closed_form`` refuses the config (unequal atoms, or
+    beyond ``bic.MAX_LEG_DISTANCE``)."""
     cfg, two_xi = scn.cfg, 2.0 * scn.cfg.xi
-    without_roots = tuple(name for name in STAGES if name != "bic_roots")
-    if stages == STAGES and not (cfg.symmetric_resonant and cfg.g_1 > 0.0):
-        stages = without_roots
     if "bic_roots" in stages:
         try:
             bic.check_closed_form(cfg)
@@ -384,7 +381,7 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
             if stages != STAGES:
                 raise
             warnings.warn(f"bic_roots skipped: {exc}", stacklevel=2)
-            stages = without_roots
+            stages = tuple(name for name in STAGES if name != "bic_roots")
     if "lattice" in stages:
         spectrum.check_lattice_size(cfg, scn.n_c)
     if "volterra" in stages:
@@ -535,17 +532,19 @@ def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs=None) -> dict
     directory is made, ``run_stages(out_dir, records, <what it returned>)``
     writes the artifacts, appends a ``_stage`` record per stage and returns
     the checks.  Every warning raised is recorded in the manifest, then
-    re-emitted.  Writes ``payload`` plus the versions, wall time, stages,
-    checks, warnings and ``all_passed`` to ``manifest.json``; returns it."""
+    re-emitted (also when a stage raises).  Writes ``payload`` plus the
+    versions, wall time, stages, checks, warnings and ``all_passed`` to
+    ``manifest.json``; returns it."""
     started = time.monotonic()
     records: list[dict] = []
-    with warnings.catch_warnings(record=True) as caught:
-        checked = check_inputs() if check_inputs else None
-        out_dir = _prepare_out_dir(out_dir)
-        checks = run_stages(out_dir, records, checked)
-    # recorded for the manifest, then shown as if never caught
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            checked = check_inputs() if check_inputs else None
+            out_dir = _prepare_out_dir(out_dir)
+            checks = run_stages(out_dir, records, checked)
+    finally:  # recorded for the manifest, then shown as if never caught
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
     manifest = {
         **payload,

@@ -22,6 +22,12 @@ CONFIG_KEYS = (
 )
 _INT_KEYS = frozenset({"n_1", "n_2", "m_1", "m_2", "n_c"})
 
+# Neither the closed form nor the lattice labels a state closer than this
+# (in xi) to a band edge a BIC: light is slow there.  An exact BIC needs
+# e^{ikN} = -1 or e^{ik delta} = -s, and the smallest such k lies this close
+# to an edge only for leg distances of about 100 sites or more.
+BAND_EDGE_GUARD = 1e-3
+
 
 class ConfigError(ValueError):
     """Invalid physical configuration or config-file content."""

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    BAND_EDGE_GUARD,
     AtomTrajectory,
     ConfigError,
     FieldSnapshot,
@@ -58,11 +59,10 @@ DEGENERACY_TOL = 1e-6
 # plus the sites within +-5 of the leg span.
 WINDOW_MIN_WEIGHT = 0.5
 WINDOW_PAD = 5
-# States within this distance of a band edge are never labelled BIC
-# (slow-light artifacts).
-BAND_EDGE_GUARD = 1e-3
-# Pure atomic states of a decoupled atom carry no photon weight and are not
-# bound states of the coupled problem.
+# States within ``model.BAND_EDGE_GUARD`` of a band edge are never labelled
+# BIC.  Pure atomic states (a decoupled atom, or the dark parity of two atoms
+# on the same two sites) carry no photon weight and are not bound states of
+# the coupled problem; the closed form gives such a branch no root.
 MIN_PHOTON_WEIGHT = 1e-12
 # A bound state's inverse participation ratio is at least this.
 IPR_THRESHOLD = 0.02

@@ -4,10 +4,11 @@ import math
 import tracemalloc
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
+from unittest import mock
 
 import numpy as np
 
-from crwqed import bic, spectrum
+from crwqed import bic, model, spectrum
 from crwqed.cli import _fmt
 from crwqed.dynamics import POPULATION_ABORT, KernelSet
 from crwqed.model import AtomTrajectory, SolverError, SystemConfig
@@ -196,7 +197,7 @@ def transcendental_residual(E: float, branch: int, cfg: SystemConfig) -> float:
 
 
 # The reference root search ``bic._branch_roots`` replaced: a sign scan on
-# this many equal intervals of the band less ``bic.EDGE_EXCLUSION``, each
+# this many equal intervals of the band less ``model.BAND_EDGE_GUARD``, each
 # sign change bisected to this width (in xi).
 SCAN_INTERVALS = 4000
 BISECTION_TOL = 1e-10
@@ -224,8 +225,8 @@ def branch_roots_scan(cfg: SystemConfig, branch: int,
     bisection in every interval where f changes sign; roots within
     ``bic.DEGENERATE_MERGE`` of the previous one are dropped.  Two roots in
     one interval are missed."""
-    lo = cfg.band_bottom + bic.EDGE_EXCLUSION * cfg.xi
-    hi = cfg.band_top - bic.EDGE_EXCLUSION * cfg.xi
+    lo = cfg.band_bottom + model.BAND_EDGE_GUARD * cfg.xi
+    hi = cfg.band_top - model.BAND_EDGE_GUARD * cfg.xi
     grid = np.linspace(lo, hi, intervals + 1)
     vals = bic._residual(grid, cfg, branch)
     f = lambda e: float(bic._residual(e, cfg, branch))
@@ -240,6 +241,55 @@ def branch_roots_scan(cfg: SystemConfig, branch: int,
         if not roots or e - roots[-1][0] > bic.DEGENERATE_MERGE * cfg.xi:
             roots.append((e, abs(f(e))))
     return roots
+
+
+# The closed form's own band-edge exclusion (in xi) before it read the
+# lattice's guard, ``model.BAND_EDGE_GUARD``.
+EDGE_EXCLUSION = 1e-4
+
+
+def bic_roots_two_pass(cfg: SystemConfig) -> list[bic.BicRoot]:
+    """The reference ``bic.find_bic_roots`` replaced: candidates down to
+    ``EDGE_EXCLUSION`` xi from the band edges (``bic._branch_roots`` with its
+    guard patched, so a branch that does not couple to the chain has none
+    here either), merged per branch (a candidate within
+    ``bic.DEGENERATE_MERGE`` xi of the branch's previous root replaces it
+    when its |f| is smaller), then each root of each branch in turn joining
+    the first root already listed within that distance, else listed on its
+    own.  Labelled by the width rule of ``bic.find_bic_roots``."""
+    bic.check_closed_form(cfg)
+    tol = bic.DEGENERATE_MERGE * cfg.xi
+    merged: list[dict] = []
+    for s in bic.BRANCHES:
+        with mock.patch.object(bic, "BAND_EDGE_GUARD", EDGE_EXCLUSION):
+            candidates = sorted(bic._branch_roots(cfg, s))
+        roots: list[tuple[float, float]] = []
+        for e, f in candidates:
+            if roots and e - roots[-1][0] <= tol:
+                roots[-1] = min(roots[-1], (e, f), key=lambda root: root[1])
+            else:
+                roots.append((e, f))
+        for e, f in roots:
+            for m in merged:
+                if abs(e - m["energy"]) <= tol:
+                    m["branches"].append(s)
+                    m["residual"] = max(m["residual"], f)
+                    break
+            else:
+                merged.append({"energy": e, "branches": [s], "residual": f})
+    merged.sort(key=lambda m: m["energy"])
+
+    found: list[bic.BicRoot] = []
+    for m in merged:
+        im = {s: abs(float(bic._bracket(m["energy"], cfg, s).imag)) for s in m["branches"]}
+        branches = [s for s in m["branches"] if im[s] <= bic.BIC_MAX_IM_BRACKET]
+        if branches:
+            label = "+-" if len(branches) == 2 else ("+" if branches[0] > 0 else "-")
+            found.append(bic.BicRoot(
+                energy=m["energy"], branch=label, multiplicity=len(branches),
+                residual=m["residual"],
+                width=(cfg.g_1 ** 2 / cfg.xi) * max(im[s] for s in branches)))
+    return found
 
 
 def lamb_shift_sum_oracle(E: float, cfg: SystemConfig, n_modes: int, branch: int = +1) -> complex:
@@ -430,8 +480,8 @@ def classify_bound_states_loop(basis: spectrum.Eigenbasis,
             ipr = float(np.sum(prob ** 2))
             photon_weight = float(np.sum(prob[2:]))
             in_band = cfg.band_bottom < e < cfg.band_top
-            near_edge = (abs(e - cfg.band_bottom) < spectrum.BAND_EDGE_GUARD * cfg.xi
-                         or abs(e - cfg.band_top) < spectrum.BAND_EDGE_GUARD * cfg.xi)
+            near_edge = (abs(e - cfg.band_bottom) < model.BAND_EDGE_GUARD * cfg.xi
+                         or abs(e - cfg.band_top) < model.BAND_EDGE_GUARD * cfg.xi)
             localized = (ipr >= spectrum.IPR_THRESHOLD
                          and weights[c] >= spectrum.WINDOW_MIN_WEIGHT
                          and photon_weight >= spectrum.MIN_PHOTON_WEIGHT)

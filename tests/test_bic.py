@@ -3,11 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import branch_roots_scan, lamb_shift_sum_oracle, transcendental_residual
+from oracles import (
+    bic_roots_two_pass,
+    branch_roots_scan,
+    lamb_shift_sum_oracle,
+    transcendental_residual,
+)
 
-from crwqed.model import ConfigError, SystemConfig
+from crwqed.model import BAND_EDGE_GUARD, ConfigError, SystemConfig
 from crwqed import bic, spectrum
 from crwqed.bic import (
     BicRoot,
@@ -218,10 +223,10 @@ def test_two_roots_in_one_scan_interval_are_both_found():
                        g_2=0.40212120527825085, omega_c=-0.4898619485211566,
                        omega_1=0.782887334737727, omega_2=0.782887334737727)
     pair = (1.358110335212618, 1.358949306539053)
-    # both sit in the scan interval [1.358046, 1.359046], where f has no
-    # sign change, so the scan reports neither
+    # both sit in the interval [1.358025, 1.359025] of a 3995-interval scan,
+    # where f has no sign change, so the scan reports neither
     assert not any(min(pair) - 1e-3 <= e <= max(pair) + 1e-3
-                   for e, _ in branch_roots_scan(cfg, +1))
+                   for e, _ in branch_roots_scan(cfg, +1, intervals=3995))
     energies = [e for e, _ in bic._branch_roots(cfg, +1)]
     for e in pair:
         assert min(abs(np.array(energies) - e)) <= 1e-9
@@ -260,12 +265,69 @@ def symmetric_geometries(draw):
 @given(symmetric_geometries(), st.sampled_from(bic.BRANCHES))
 def test_branch_roots_contain_every_scan_root(cfg, branch):
     roots = bic._branch_roots(cfg, branch)
+    if branch < 0 and cfg.n_1 == cfg.m_1:
+        # two atoms on the same two sites: the antisymmetric branch does not
+        # couple to the chain, and f = E - Omega has its one root at Omega
+        assert roots == []
+        return
     energies = np.array([e for e, _ in roots])
     for e, _ in branch_roots_scan(cfg, branch):
         assert np.abs(energies - e).min() <= 1e-9 * cfg.xi
     for e, residual in roots:
         assert residual <= 1e-10 * cfg.xi
         assert residual == abs(float(bic._residual(e, cfg, branch)))
+
+
+@st.composite
+def selection_cases(draw):
+    """Symmetric geometries of every leg offset up to 3 beyond the atom
+    size (shared legs and the same two sites included), off-centre bands
+    and detunings near both band edges."""
+    size = draw(st.integers(1, 12))
+    offset = draw(st.integers(-size - 3, size + 3))
+    g = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0]))
+    omega_c, xi = draw(st.sampled_from([-0.7, 0.4])), draw(st.sampled_from([0.6, 1.7]))
+    detuning = draw(st.sampled_from([-2.0, 2.0])) + draw(st.floats(-0.1, 0.1))
+    omega = omega_c + xi * detuning
+    return SystemConfig(n_1=0, n_2=size, m_1=offset, m_2=offset + size, omega_c=omega_c,
+                        xi=xi, omega_1=omega, omega_2=omega, g_1=g, g_2=g)
+
+
+def _bits(roots):
+    return [(r.energy.hex(), r.branch, r.multiplicity, r.residual.hex(), r.width.hex())
+            for r in roots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+@example(SystemConfig(n_1=0, n_2=1, m_1=-3, m_2=-2, g_1=0.05, g_2=0.05,
+                      omega_1=1.9970666957921912, omega_2=1.9970666957921912))
+@example(SystemConfig(n_1=1, n_2=7, m_1=1, m_2=7))
+def test_one_pass_selection_matches_the_two_pass_reference(cfg):
+    # the reference's candidates come from the same ``_branch_roots``, so
+    # photon-free branches have none on either side; roots within the
+    # shared band-edge guard are the reference's only extra
+    roots = find_bic_roots(cfg)
+    guard = BAND_EDGE_GUARD * cfg.xi
+    reference = [r for r in bic_roots_two_pass(cfg)
+                 if cfg.band_bottom + guard <= r.energy <= cfg.band_top - guard]
+    assert _bits(roots) == _bits(reference)
+    if cfg.g_1 == 0.0:
+        assert roots == []
+    if cfg.n_1 == cfg.m_1:
+        assert bic._branch_roots(cfg, -1) == []
+
+
+def test_candidates_within_the_merge_distance_are_one_root(monkeypatch):
+    # each branch keeps its candidate with the smallest |f|, the root takes
+    # the energy of the first branch in BRANCHES and the largest kept |f|
+    candidates = {+1: [(0.5, 3e-9), (0.5 + 5e-9, 1e-9), (0.9, 0.0)],
+                  -1: [(0.5 + 2e-9, 2e-9), (0.5 + 8e-9, 4e-9)]}
+    monkeypatch.setattr(bic, "_branch_roots", lambda cfg, s: candidates[s])
+    monkeypatch.setattr(bic, "BIC_MAX_IM_BRACKET", math.inf)
+    roots = find_bic_roots(FIG3)
+    assert [(r.energy, r.branch, r.multiplicity, r.residual) for r in roots] == [
+        (0.5 + 5e-9, "+-", 2, 2e-9), (0.9, "+", 1, 0.0)]
 
 
 def test_leg_distance_beyond_the_limit_is_a_config_error(monkeypatch):
@@ -358,10 +420,12 @@ def test_real_eigenvalue_and_pair_at_one_root_are_one_root(monkeypatch):
         return np.concatenate([eig, [pair.real]])
 
     monkeypatch.setattr(np.linalg, "eigvals", with_a_real_copy)
-    roots = bic._branch_roots(cfg, -1)
-    near = [(e, r) for e, r in roots if abs(e - energy) <= 1e-6]
+    monkeypatch.setattr(bic, "BIC_MAX_IM_BRACKET", math.inf)  # label the resonance too
+    roots = bic.find_bic_roots(cfg)
+    near = [r for r in roots if abs(r.energy - energy) <= 1e-6]
     assert len(near) == 1
+    assert (near[0].branch, near[0].multiplicity) == ("-", 1)
     # a Newton step from the real copy, where the slope vanishes, must not
     # throw it to a spurious root nearby
-    assert not [e for e, _ in roots if 1e-6 < abs(e - energy) < 0.1]
-    assert near[0][1] <= bic.RESIDUAL_TOL * cfg.xi
+    assert not [r for r in roots if 1e-6 < abs(r.energy - energy) < 0.1]
+    assert near[0].residual <= bic.RESIDUAL_TOL * cfg.xi

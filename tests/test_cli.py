@@ -622,9 +622,31 @@ def test_zero_coupling_bic_command_and_run(tmp_path):
     assert main(["bic", str(cfgfile), "--out", str(tmp_path / "bic")]) == 0
     assert json.loads((tmp_path / "bic" / "bic.json").read_text())["roots"] == []
     assert main(["run", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
-    assert not (tmp_path / "run" / "bic.json").exists()
-    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
-    assert [s["name"] for s in stages] == [n for n in cli.STAGES if n != "bic_roots"]
+    assert json.loads((tmp_path / "run" / "bic.json").read_text())["roots"] == []
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert [s["name"] for s in manifest["stages"]] == list(cli.STAGES)
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["bic_root_residual"]["value"] == 0.0
+    assert checks["bic_count_matches_lattice"]["value"] == 0
+    assert checks["bic_count_matches_lattice"]["passed"]
+
+
+@pytest.mark.parametrize("case, roots", [
+    # both roots of f_s sit 4.3e-4 xi below the band top, inside the guard
+    ("n_1 = 0\nn_2 = 1\nm_1 = -3\nm_2 = -2\ng_1 = 0.05\ng_2 = 0.05\n"
+     "omega_1 = 1.9970666957921912\nomega_2 = 1.9970666957921912\n", []),
+    # two atoms on the same two sites: the antisymmetric branch is photon-free
+    ("n_1 = 1\nn_2 = 7\nm_1 = 1\nm_2 = 7\n", [(0.0, "+", 1)]),
+], ids=["near_edge", "same_sites"])
+def test_closed_form_count_follows_the_lattice_rules(tmp_path, case, roots):
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text(case + "t_max = 20\ndt = 0.02\nn_c = 600\n")
+    assert main(["run", str(cfgfile), "--check", "--out", str(tmp_path / "out")]) == 0
+    found = json.loads((tmp_path / "out" / "bic.json").read_text())["roots"]
+    assert [(r["energy"], r["branch"], r["multiplicity"]) for r in found] == roots
+    checks = json.loads((tmp_path / "out" / "manifest.json").read_text())["checks"]
+    count = next(c for c in checks if c["name"] == "bic_count_matches_lattice")
+    assert (count["value"], count["threshold"], count["passed"]) == (len(roots), len(roots), True)
 
 
 def test_run_scenario_rejects_an_unknown_stage_set(tmp_path):
@@ -841,10 +863,13 @@ def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, c
     cfgfile = tmp_path / "long.cfg"  # leg span 1100: kernel orders up to 1100
     cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 1101\n"
                        "t_max = 1100\ndt = 0.02\nn_c = 1200\n")
-    with pytest.raises(ConfigError, match="Miller"):
+    # unequal atoms: the closed form does not apply, and run says so
+    skipped = lambda: pytest.warns(UserWarning, match="bic_roots skipped: .* equal atom sizes")
+    with skipped(), pytest.raises(ConfigError, match="Miller"):
         run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
     for command in ("run", "dynamics", "field"):
-        assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+        with skipped() if command == "run" else contextlib.nullcontext():
+            assert main([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "above 2000" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()

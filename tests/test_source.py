@@ -50,6 +50,23 @@ def test_every_top_level_name_in_src_is_used_or_exported():
     assert unused == []
 
 
+def test_closed_form_builds_no_lattice_and_only_model_owns_the_band_edge():
+    # the closed form and the lattice classifier read one band-edge guard,
+    # and the closed form needs no lattice, so their rules cannot drift apart
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    imported = set()
+    for node in ast.walk(trees["bic"]):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {*(node.module or "").split("."), *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {part for a in node.names for part in a.name.split(".")}
+    assert "spectrum" not in imported
+    owners = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _top_level_names(tree) if "EDGE" in name.upper()]
+    assert owners == ["model:BAND_EDGE_GUARD"]
+
+
 def _dataclass_fields(tree):
     """(class, field) for every annotated field of a ``@dataclass`` class."""
     for node in ast.walk(tree):
