@@ -23,7 +23,6 @@ convolving the atomic histories with single-site kernels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +46,16 @@ _BLOCK = 512
 # Nodes per Bessel table block of photon_field: its scratch is
 # O(_FIELD_CHUNK * orders) whatever the horizon.
 _FIELD_CHUNK = 2048
-# Bytes of phase tables and block sums per momentum block of
-# wide_field_snapshot, whatever the window and the horizon.
+# Bytes of phase tables and block sums per momentum block of photon_norm,
+# whatever the field's extent and the horizon.
 _K_SCRATCH = 1 << 20
-# Largest momentum grid wide_field_snapshot takes.  Its cost is M/2 + 1
+# Largest momentum grid photon_norm takes.  Its cost is M/2 + 1
 # polynomial evaluations of one term per node, so a run pays M/2 times the
-# nodes up to the check time; at this size (a 16 384-site window, a light
-# cone of about 8000 sites) that is 1.3e9 complex products at 40 000
-# nodes, a few seconds, in 1 MB of block scratch and 1.5 MB of arrays of
-# length M.  Every window of a run that the Bessel route took (light cone
-# up to 2000 sites, leg span up to 7960) has M <= 32 768.
+# nodes up to the check time; at this size (a field over 32 768 sites, a
+# light cone of about 16 000 sites) that is 1.3e9 complex products at
+# 40 000 nodes, a few seconds, in 1 MB of block scratch and 1.5 MB of
+# arrays of length M.  Every field of a run that the Bessel route took
+# (light cone up to 2000 sites, leg span up to 7960) has M <= 16 384.
 MAX_FIELD_K_POINTS = 1 << 15
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
@@ -387,67 +386,57 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     return snapshots
 
 
-def field_k_points(n_sites: int) -> int:
-    """Size M of :func:`wide_field_snapshot`'s momentum grid for a window
-    of ``n_sites`` sites: the smallest power of two at least twice it."""
-    return 1 << max(2 * n_sites - 1, 1).bit_length()
+def field_k_points(extent: int) -> int:
+    """Size M of :func:`photon_norm`'s momentum grid for a field within
+    ``extent`` consecutive sites: the smallest power of two at or above it."""
+    return 1 << max(extent - 1, 0).bit_length()
 
 
-def check_field_k_points(n_sites: int) -> None:
-    """Raise ConfigError if an ``n_sites`` window needs a momentum grid
-    above ``MAX_FIELD_K_POINTS``."""
-    m = field_k_points(n_sites)
+def check_field_k_points(extent: int) -> None:
+    """Raise ConfigError if a field over ``extent`` sites needs a momentum
+    grid above ``MAX_FIELD_K_POINTS``."""
+    m = field_k_points(extent)
     if m > MAX_FIELD_K_POINTS:
-        raise ConfigError(f"field window of {n_sites} sites needs {m} momenta, "
+        raise ConfigError(f"photon field over {extent} sites needs {m} momenta, "
                           f"above {MAX_FIELD_K_POINTS}, the largest grid")
 
 
-def wide_field_snapshot(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
-                        t: float) -> FieldSnapshot:
-    """The photon amplitudes of :func:`photon_field` at grid time t over a
-    site window that holds the legs, from the same trapezoid sums summed
-    in momentum space.
+def photon_norm(cfg: SystemConfig, trajectory: AtomTrajectory, t: float,
+                extent: int) -> float:
+    """sum_j |beta_j|^2 of :func:`photon_field` at grid time t, for a field
+    that lies within ``extent`` consecutive sites (the legs, the light cone
+    and a pad), from the same trapezoid sums summed in momentum space.
 
     By Jacobi-Anger, i^d J_d(x) = (1/2 pi) int e^{ix cos k} e^{-idk} dk, so
+    beta_j = (1/M) sum_m e^{-ijk_m} B(k_m) with k_m = 2 pi m / M,
 
-        beta_j = (1/M) sum_m e^{-ijk_m} B(k_m),  k_m = 2 pi m / M,
         B(k) = -i sum_a g_a (sum_{l in a} e^{ilk})
                sum_n w_n e^{-i omega_c tau_n} alpha_a(t - tau_n) e^{2i xi tau_n cos k},
 
-    with photon_field's weights w_n.  The M-point sum returns beta_j plus
-    its images beta_{j + pM}, p != 0.  M is the smallest power of two at
-    least twice the window's extent W, and the legs lie inside the window,
-    so every image is at least M - W >= W sites from every leg: a window
-    that reaches the light cone 2 xi t leaves every image a window's width
-    beyond it, where the Bessel tails are far below double precision.  The
-    sum over n is a polynomial in e^{2i xi dt cos k}, one per atom, even in
-    k: it is taken at the M/2 + 1 distinct cosines, in node blocks of about
-    sqrt(N) for N nodes, with the phases within a block and the one phase
-    of each block start from the cosine and sine of the whole angle (no
-    running product), so each term's phase error is a few rounding units
-    of its angle.  The momenta go in blocks of ``_K_SCRATCH`` bytes of
-    scratch; the inverse transform is one length-M FFT per atom, and the
-    leg sums read it at the site-to-leg distances, as photon_field reads
-    its per-order sums.
-
-    The result is within about 2e-15 absolute of photon_field, not within a
-    relative error: the far tails of the field, which ``field.csv`` writes,
-    need photon_field.  Cost O(M N) time in BLAS products, O(N + M) memory.
+    and photon_field's weights w_n, up to the images beta_{j + pM},
+    p != 0.  By discrete Parseval (1/M) sum_m |B(k_m)|^2 is the norm of
+    that field repeated with period M, which is the norm of the field
+    itself when M = ``field_k_points(extent)`` >= extent keeps the copies
+    apart.  The sum over n is a polynomial in e^{2i xi dt cos k}, one per
+    atom, even in k: it is taken at the M/2 + 1 distinct cosines, in node
+    blocks of about sqrt(N) for N nodes, with the phases within a block
+    and the one phase of each block start from the cosine and sine of the
+    whole angle (no running product), so each term's phase error is a few
+    rounding units of its angle.  The momenta go in blocks of
+    ``_K_SCRATCH`` bytes of scratch.  Each leg's phase takes its offset from
+    the first leg l_0 as an exact integer mod M: |B| does not change when
+    every leg shifts alike, and absolute positions would lose accuracy.
+    Cost O(M N) time in BLAS products, O(N + M) memory.
     """
     grid = trajectory.grid
-    sites = np.asarray(sites, dtype=int)
     n = grid.node(t)
-    taus = np.arange(n + 1) * grid.dt  # grid.times() up to t
-    beta = np.zeros(sites.size, dtype=complex)
     atoms = [(g, legs, alpha) for g, legs, alpha in (
         (cfg.g_1, (cfg.n_1, cfg.n_2), trajectory.alpha_1),
         (cfg.g_2, (cfg.m_1, cfg.m_2), trajectory.alpha_2)) if g != 0.0]
     if n == 0 or not atoms:
-        return FieldSnapshot(time=taus[n], sites=sites, beta=beta)
-    first, last = cfg.outer_legs
-    if sites.min() > first or sites.max() < last:
-        raise ValueError(f"site window [{sites.min()}, {sites.max()}] does not hold the legs")
-    m = field_k_points(int(sites.max() - sites.min()) + 1)
+        return 0.0
+    m = field_k_points(extent)
+    taus = np.arange(n + 1) * grid.dt  # grid.times() up to t
 
     # coefficients c[a, b, j] of node bB + j, zero past node n
     width = max(1, int(np.sqrt(n + 1)))
@@ -480,13 +469,16 @@ def wide_field_snapshot(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
         sums *= _unit_phases(np.multiply.outer(starts, x))
         sums.sum(axis=1, out=poly[:, k0:k0 + x.size])
     poly[:, half:] = poly[:, m - half:0:-1]
-    per_order = np.fft.fft(poly, axis=1)
-    per_order /= m
-    for (g, legs, _), u in zip(atoms, per_order):
-        for leg in legs:
-            dist = np.abs(sites - leg)
-            beta += -1j * g * u[dist]
-    return FieldSnapshot(time=taus[n], sites=sites, beta=beta)
+
+    # B(k_m) up to the common factor -i e^{i l_0 k_m}
+    first = cfg.outer_legs[0]
+    steps = np.arange(m)
+    field = np.zeros(m, dtype=complex)
+    for (g, legs, _), p in zip(atoms, poly):
+        legs_sum = sum(_unit_phases((leg - first) * steps % m * (2.0 * math.pi / m))
+                       for leg in legs)
+        field += g * legs_sum * p
+    return float(np.vdot(field, field).real / m)
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
@@ -495,28 +487,6 @@ def _unit_phases(angles: np.ndarray) -> np.ndarray:
     np.cos(angles, out=out.real)
     np.sin(angles, out=out.imag)
     return out
-
-
-def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,
-               cfg: SystemConfig) -> float:
-    """Unitarity deficit |1 - pop1 - pop2 - sum_j |beta_j|^2| at the
-    snapshot time.
-
-    Meaningful only when the site window contains all emitted radiation;
-    warns when the window does not extend 2 xi t + 20 sites beyond the
-    outermost legs of ``cfg``.
-    """
-    t = snapshot.time
-    reach = 2.0 * cfg.xi * t + 20.0
-    legs_min, legs_max = cfg.outer_legs
-    if snapshot.sites.min() > legs_min - reach or snapshot.sites.max() < legs_max + reach:
-        warnings.warn(
-            f"site window [{snapshot.sites.min()}, {snapshot.sites.max()}] may not "
-            f"contain all radiation at t={t} (need +-{reach:.0f} around the legs)",
-            stacklevel=2)
-    n = trajectory.grid.node(t)
-    pops = abs(trajectory.alpha_1[n]) ** 2 + abs(trajectory.alpha_2[n]) ** 2
-    return float(abs(1.0 - pops - np.sum(snapshot.probabilities)))
 
 
 def steady_state_prediction(psi0: WavefunctionState, profiles) -> tuple[float, float]:
@@ -539,14 +509,13 @@ def steady_state_prediction(psi0: WavefunctionState, profiles) -> tuple[float, f
     return overlap * b.amp_1 ** 2, overlap * b.amp_2 ** 2
 
 
-def plateau(trajectory: AtomTrajectory) -> tuple[float, float, bool]:
-    """Trailing-window population means and a convergence flag.
-
-    The flag is set when both populations vary by less than 1e-4
-    relative over the final 50 / xi of evolution time.
+def plateau(trajectory: AtomTrajectory, xi: float) -> tuple[float, float, bool]:
+    """Population means over the final 50 / xi of evolution time (``xi``
+    the hopping) and a convergence flag, set when both populations vary
+    by less than 1e-4 relative over that window.
     """
     grid = trajectory.grid
-    n_win = max(2, int(round(50.0 / grid.dt)))
+    n_win = max(2, int(round(50.0 / (xi * grid.dt))))
     n_win = min(n_win, grid.n_steps)
     p1 = trajectory.pop_1[-n_win:]
     p2 = trajectory.pop_2[-n_win:]

@@ -136,6 +136,15 @@ class SystemConfig:
                 abs(self.n_2 - self.m_1), abs(self.n_2 - self.m_2))
 
     @property
+    def photon_free_states(self) -> int:
+        """Number of atomic states the legs do not see: an atom with g = 0,
+        or g_2 A_1 - g_1 A_2 of two coupled atoms on the same two sites at
+        equal frequencies.  They are no bound states of the waveguide."""
+        if self.g_1 == 0.0 or self.g_2 == 0.0:
+            return (self.g_1 == 0.0) + (self.g_2 == 0.0)
+        return int((self.n_1, self.n_2) == (self.m_1, self.m_2) and self.omega_1 == self.omega_2)
+
+    @property
     def band_bottom(self) -> float:
         return self.omega_c - 2.0 * self.xi
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from unittest import mock
@@ -11,7 +12,7 @@ import numpy as np
 from crwqed import bic, model, spectrum
 from crwqed.cli import _fmt
 from crwqed.dynamics import POPULATION_ABORT, KernelSet
-from crwqed.model import AtomTrajectory, SolverError, SystemConfig
+from crwqed.model import AtomTrajectory, FieldSnapshot, SolverError, SystemConfig
 from crwqed.specfun import bessel_j_table
 
 
@@ -116,6 +117,28 @@ def photon_profile(vector: np.ndarray) -> np.ndarray:
     """Per-site photon probabilities |B_j|^2 of one eigenvector
     (A1, A2, B_1..B_nc); they sum to 1 - |A1|^2 - |A2|^2."""
     return np.abs(vector[2:]) ** 2
+
+
+def norm_check(trajectory: AtomTrajectory, snapshot: FieldSnapshot,
+               cfg: SystemConfig) -> float:
+    """Unitarity deficit |1 - pop1 - pop2 - sum_j |beta_j|^2| at the
+    snapshot time, from the snapshot's sites.
+
+    Meaningful only when the site window contains all emitted radiation;
+    warns when the window does not extend 2 xi t + 20 sites beyond the
+    outermost legs of ``cfg``.
+    """
+    t = snapshot.time
+    reach = 2.0 * cfg.xi * t + 20.0
+    legs_min, legs_max = cfg.outer_legs
+    if snapshot.sites.min() > legs_min - reach or snapshot.sites.max() < legs_max + reach:
+        warnings.warn(
+            f"site window [{snapshot.sites.min()}, {snapshot.sites.max()}] may not "
+            f"contain all radiation at t={t} (need +-{reach:.0f} around the legs)",
+            stacklevel=2)
+    n = trajectory.grid.node(t)
+    pops = abs(trajectory.alpha_1[n]) ** 2 + abs(trajectory.alpha_2[n]) ** 2
+    return float(abs(1.0 - pops - np.sum(snapshot.probabilities)))
 
 
 def m_matrix(cfg: SystemConfig, grid, t: float, kernels: KernelSet) -> np.ndarray:

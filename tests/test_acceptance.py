@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bessel_j_row, lamb_shift_sum_oracle, series_oracle, transcendental_residual
+from oracles import (bessel_j_row, lamb_shift_sum_oracle, norm_check, series_oracle,
+                     transcendental_residual)
 
 from crwqed.model import SystemConfig, TimeGrid, initial_state
 from crwqed import bic, dynamics, spectrum
@@ -151,7 +152,7 @@ def test_criterion_3_rabi_oscillation(fig3_run):
 
 def test_criterion_4_fractional_population(fig4_run):
     traj = fig4_run["trajectory"]
-    p1, p2, _ = dynamics.plateau(traj)
+    p1, p2, _ = dynamics.plateau(traj, FIG4.xi)
     pred1, pred2 = fig4_run["prediction"]
     balance = abs(p1 - p2)
     rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
@@ -251,7 +252,7 @@ def test_criterion_7_unitarity(fig3_run, fig3_basis):
     reach = int(2.0 * FIG3.xi * t_check) + 30
     window = np.arange(FIG3.n_1 - reach, FIG3.m_2 + reach + 1)
     snap = dynamics.photon_field(FIG3, traj, window, [t_check])[0]
-    volterra_deficit = dynamics.norm_check(traj, snap, FIG3)
+    volterra_deficit = norm_check(traj, snap, FIG3)
 
     ok = exact_bound <= 1e-10 and spot <= 1e-10 and volterra_deficit <= 1e-2
     assert _report(7, "unitarity", ok,

@@ -86,9 +86,9 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
                                  "arg_max": pytest.approx(80.0)}
     assert sizes["bic_roots"] == {"leg_distance": 9}
-    # sites reach 80 + 30 beyond the legs at t = 40, plus the leg span 9;
-    # the k-grid is the power of two at or above twice the 230 sites
-    assert sizes["field_norm_check"] == {"sites": 2 * 110 + 9 + 1, "k_points": 512,
+    # the field reaches 80 + 30 sites beyond the legs at t = 40, plus the leg
+    # span 9; the k-grid is the power of two at or above its 230 sites
+    assert sizes["field_norm_check"] == {"sites": 2 * 110 + 9 + 1, "k_points": 256,
                                          "nodes": 2001}
 
 
@@ -631,6 +631,59 @@ def test_zero_coupling_bic_command_and_run(tmp_path):
     assert checks["bic_count_matches_lattice"]["passed"]
 
 
+@pytest.mark.parametrize("case, n_bic", [
+    # the dark branch g_2 A_1 - g_1 A_2 of two atoms on the same two sites
+    ("n_1 = 1\nn_2 = 7\nm_1 = 1\nm_2 = 7\n", 1),
+    # fig3's legs, both atoms decoupled
+    ("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\ng_1 = 0\ng_2 = 0\n", 0),
+], ids=["same_sites", "decoupled"])
+def test_photon_free_traces_are_not_counted(tmp_path, case, n_bic):
+    # their eigenvalue traces are exactly real, but the lattice labels no BIC
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text(case + "t_max = 200\ndt = 0.02\nn_c = 1000\n")
+    assert main(["run", str(cfgfile), "--check", "--out", str(tmp_path / "out")]) == 0
+    checks = {c["name"]: c for c in _strict_json(tmp_path / "out" / "manifest.json")["checks"]}
+    for name in ("trace_nondecaying_count", "bic_count_matches_lattice"):
+        assert (checks[name]["value"], checks[name]["threshold"]) == (n_bic, n_bic)
+
+
+def test_rabi_check_skipped_where_the_period_cannot_be_measured(tmp_path):
+    # 500 is 1.55 Rabi periods: past the horizon gate's 1.5, short of pop1's
+    # second rising midline crossing (about 1.75 periods, as it starts at
+    # its maximum)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n_c below the wavefront criterion
+        assert main(["run", "fig3", "--tmax", "500", "--nc", "200", "--check",
+                     "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in _strict_json(out / "manifest.json")["checks"]}
+    assert "rabi_period_rel_err" not in checks
+    assert checks["rabi_period_skipped_horizon"]["value"] == pytest.approx(1.5457, abs=1e-4)
+
+
+def _strict_json(path):
+    """The JSON document at ``path``, refusing the NaN and Infinity tokens
+    that a strict parser rejects."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_every_manifest_and_bic_json_is_strict_json(tmp_path):
+    runs = [["run", preset] for preset in sorted(cli.PRESETS)] + [
+        ["run", "table1"], ["run", "fig3", "--tmax", "500", "--nc", "200"], ["census"],
+        ["sweep", "--vary", "delta", "--values", "1,2", "--dynamics", "--tmax", "20"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n_c below the wavefront criterion
+        for i, args in enumerate(runs):
+            assert main(args + ["--out", str(tmp_path / str(i))]) == 0
+    paths = sorted(tmp_path.glob("*/manifest.json")) + sorted(tmp_path.glob("*/bic.json"))
+    assert len(paths) == 2 * len(runs) - 3  # table1, census and sweep write no bic.json
+    for path in paths:
+        _strict_json(path)
+
+
 @pytest.mark.parametrize("case, roots", [
     # both roots of f_s sit 4.3e-4 xi below the band top, inside the guard
     ("n_1 = 0\nn_2 = 1\nm_1 = -3\nm_2 = -2\ng_1 = 0.05\ng_2 = 0.05\n"
@@ -880,23 +933,23 @@ def test_norm_check_momentum_grid_beyond_the_cap_exits_1_before_any_work(tmp_pat
     from crwqed import dynamics, spectrum
     monkeypatch.setattr(spectrum, "lattice_eigenbasis", None)  # must not be reached
     monkeypatch.setattr(dynamics, "bessel_j_table", None)
-    monkeypatch.setattr(dynamics, "wide_field_snapshot", None)
-    # 2 xi t = 20 000 at t = 200: a 40 070-site window needs 131 072 momenta
+    monkeypatch.setattr(dynamics, "photon_norm", None)
+    # 2 xi t = 20 000 at t = 200: a field over 40 070 sites needs 65 536 momenta
     cfgfile = tmp_path / "fast.cfg"
     cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nxi = 50\n"
                        "t_max = 200\ndt = 0.002\nn_c = 100\n")
-    with pytest.raises(ConfigError, match="131072 momenta, above 32768"):
+    with pytest.raises(ConfigError, match="65536 momenta, above 32768"):
         run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
     assert main(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: field window of 40070 sites") and "Traceback" not in err
+    assert err.startswith("error: photon field over 40070 sites") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-    # the largest window a Bessel table took (light cone 2000 sites, leg
-    # span 7960) is within the cap; one site more than the cap allows is not
-    assert dynamics.field_k_points(7960 + 2 * 2030 + 1) == dynamics.MAX_FIELD_K_POINTS
-    dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS // 2)
+    # the widest field a Bessel table took (light cone 2000 sites, leg span
+    # 7960) is within the cap; one site more than the cap allows is not
+    assert dynamics.field_k_points(7960 + 2 * 2030 + 1) == dynamics.MAX_FIELD_K_POINTS // 2
+    dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS)
     with pytest.raises(ConfigError):
-        dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS // 2 + 1)
+        dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS + 1)
 
 
 def test_second_atom_left_of_the_first(tmp_path, capsys):

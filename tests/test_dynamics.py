@@ -1,4 +1,4 @@
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,15 +19,15 @@ from crwqed.dynamics import (
     SolverError,
     build_kernels,
     m_eigenvalues_trace,
-    norm_check,
     photon_field,
+    photon_norm,
     plateau,
     solve_volterra,
     steady_state_prediction,
     unit_power,
-    wide_field_snapshot,
 )
-from oracles import bessel_j, continuity_order_loop, m_matrix, traced_peak, volterra_direct
+from oracles import (bessel_j, continuity_order_loop, m_matrix, norm_check, traced_peak,
+                     volterra_direct)
 
 FIG3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
 FIG4 = SystemConfig(n_1=1, n_2=9, m_1=3, m_2=11)
@@ -502,18 +502,20 @@ def test_norm_check_decoupled_is_exact():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0)
     grid = TimeGrid(t_max=5.0, dt=0.05)
     traj = solve_volterra(cfg, initial_state("atom1"), grid)
-    sites = np.arange(-40, 52)
-    for snap in (photon_field(cfg, traj, sites, [5.0])[0],
-                 wide_field_snapshot(cfg, traj, sites, 5.0)):
-        assert norm_check(traj, snap, cfg) <= 1e-14
+    snap = photon_field(cfg, traj, np.arange(-40, 52), [5.0])[0]
+    assert norm_check(traj, snap, cfg) <= 1e-14
+    assert photon_norm(cfg, traj, 5.0, 92) == 0.0
 
 
-def _wide_window(cfg, t):
-    """The norm check's window at time t: the legs, the light cone and 30
-    sites more on each side."""
-    first, last = cfg.outer_legs
-    reach = int(np.ceil(2.0 * cfg.xi * t)) + 30
-    return np.arange(first - reach, last + reach + 1)
+def _extent(cfg, t, pad):
+    """Sites from the light cone plus ``pad`` left of the legs to as far
+    right of them."""
+    return cfg.span + 2 * (int(np.ceil(2.0 * cfg.xi * t)) + pad) + 1
+
+
+def _shifted(cfg, offset):
+    return replace(cfg, n_1=cfg.n_1 + offset, n_2=cfg.n_2 + offset,
+                   m_1=cfg.m_1 + offset, m_2=cfg.m_2 + offset)
 
 
 @st.composite
@@ -541,53 +543,38 @@ def _field_cases(draw):
 @given(_field_cases())
 @example((SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_2=0.0, omega_c=0.3, xi=0.5),
           None, 200.0))
-def test_wide_snapshot_equals_photon_field(case):
+@example((SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.13, g_2=0.07, omega_1=0.05,
+                       omega_2=-0.02, xi=1.3), None, 60.0))
+def test_photon_norm_equals_photon_field_sum(case):
     cfg, traj, t = case
     if traj is None:
         grid = TimeGrid(t_max=t, dt=0.1 / cfg.xi)
         traj = solve_volterra(cfg, initial_state("atom1"), grid)
-    sites = _wide_window(cfg, t)
-    ref = photon_field(cfg, traj, sites, [t])[0]
-    snap = wide_field_snapshot(cfg, traj, sites, t)
-    assert snap.time == ref.time and np.array_equal(snap.sites, sites)
-    assert np.abs(snap.beta - ref.beta).max() <= 1e-13
-    # twice the momenta move nothing: the images were already negligible
-    from crwqed import dynamics
-    original = dynamics.field_k_points
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "field_k_points", lambda n: 2 * original(n))
-        finer = wide_field_snapshot(cfg, traj, sites, t)
-    assert np.abs(finer.beta - snap.beta).max() <= 1e-15
+    # photon_field over the legs, the light cone and 60 sites more on each side
+    first, last = cfg.outer_legs
+    reach = int(np.ceil(2.0 * cfg.xi * t)) + 60
+    ref = photon_field(cfg, traj, np.arange(first - reach, last + reach + 1), [t])[0]
+    norm = photon_norm(cfg, traj, t, _extent(cfg, t, 30))
+    assert abs(norm - np.sum(ref.probabilities)) <= 1e-14
+    # only the legs' offsets from each other enter
+    assert photon_norm(_shifted(cfg, 10 ** 7), traj, t, _extent(cfg, t, 30)) == norm
 
 
-def test_wide_snapshot_at_time_zero_is_empty(fig3_short):
+def test_photon_norm_at_time_zero_is_zero(fig3_short):
     _, traj, _ = fig3_short
-    snap = wide_field_snapshot(FIG3, traj, _wide_window(FIG3, 0.0), 0.0)
-    assert snap.time == 0.0 and not snap.beta.any()
+    assert photon_norm(FIG3, traj, 0.0, _extent(FIG3, 0.0, 30)) == 0.0
 
 
-def test_wide_snapshot_needs_the_legs_in_its_window(fig3_short):
-    _, traj, _ = fig3_short
-    with pytest.raises(ValueError, match="does not hold the legs"):
-        wide_field_snapshot(FIG3, traj, np.arange(-40, 8), 20.0)
-
-
-def test_wide_snapshot_scratch_stays_within_2_mb():
-    # fig3's norm check: 870 sites, 2048 momenta, 10 001 nodes up to t = 200;
+def test_photon_norm_scratch_stays_within_2_mb():
+    # fig3's norm check: 870 sites, 1024 momenta, 10 001 nodes up to t = 200;
     # the Bessel route's first table block alone was 7.2 MB
     grid = TimeGrid(t_max=700.0, dt=0.02)
     taus = grid.times()
     traj = AtomTrajectory(grid=grid, alpha_1=np.exp(-(0.01 + 0.3j) * taus),
                           alpha_2=0.5j * np.exp(-0.02 * taus))
-    sites = _wide_window(FIG3, 200.0)
-    assert sites.size == 870
-    tracemalloc.start()
-    try:
-        snap = wide_field_snapshot(FIG3, traj, sites, 200.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - snap.beta.nbytes <= 2 * 2 ** 20
+    extent = _extent(FIG3, 200.0, 30)
+    assert extent == 870
+    assert traced_peak(photon_norm, FIG3, traj, 200.0, extent) <= 2 * 2 ** 20
 
 
 def _lattice_profiles(cfg):
@@ -611,8 +598,21 @@ def test_plateau_detector():
     grid = TimeGrid(t_max=100.0, dt=0.1)
     flat = np.full(grid.n_steps + 1, 0.25 + 0j)
     steady = AtomTrajectory(grid=grid, alpha_1=np.sqrt(flat), alpha_2=np.sqrt(flat))
-    p1, p2, settled = plateau(steady)
+    p1, p2, settled = plateau(steady, 1.0)
     assert settled and p1 == pytest.approx(0.25) and p2 == pytest.approx(0.25)
     wobble = flat * (1.0 + 0.01 * np.sin(np.arange(flat.size)))
     moving = AtomTrajectory(grid=grid, alpha_1=np.sqrt(wobble), alpha_2=np.sqrt(flat))
-    assert not plateau(moving)[2]
+    assert not plateau(moving, 1.0)[2]
+
+
+def test_plateau_window_is_50_over_xi():
+    # pop1 settles at t = 70: the last 50 / xi = 25 time units at xi = 2 are
+    # flat, the last 50 are not
+    grid = TimeGrid(t_max=100.0, dt=0.1)
+    taus = grid.times()
+    pop = np.where(taus < 70.0, 0.3 + 0.05 * np.cos(taus), 0.25)
+    traj = AtomTrajectory(grid=grid, alpha_1=np.sqrt(pop + 0j),
+                          alpha_2=np.sqrt(np.full(taus.size, 0.25 + 0j)))
+    p1, p2, settled = plateau(traj, 2.0)
+    assert settled and p1 == 0.25 and p2 == 0.25
+    assert not plateau(traj, 1.0)[2]

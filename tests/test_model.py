@@ -154,3 +154,14 @@ def test_config_from_mapping_requires_legs_and_paired_grid():
         config_from_mapping({"n_1": 1, "n_2": 7, "m_1": 4})
     with pytest.raises(ConfigError, match="together"):
         config_from_mapping({"n_1": 1, "n_2": 7, "m_1": 4, "m_2": 10, "t_max": 5.0})
+
+
+def test_photon_free_states():
+    fig3 = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10)
+    same = SystemConfig(n_1=1, n_2=7, m_1=7, m_2=1, g_1=0.1, g_2=0.3)
+    assert fig3.photon_free_states == 0
+    assert replace(fig3, g_2=0.0).photon_free_states == 1
+    assert replace(fig3, g_1=0.0, g_2=0.0).photon_free_states == 2
+    assert same.photon_free_states == 1  # g_2 A_1 - g_1 A_2
+    assert replace(same, g_1=0.0).photon_free_states == 1
+    assert replace(same, omega_2=0.01).photon_free_states == 0
