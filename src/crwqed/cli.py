@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__, bic, dynamics, specfun, spectrum
 from .model import (
+    MAX_GRID_NODES,
     ConfigError,
     SolverError,
     SystemConfig,
@@ -46,7 +47,6 @@ from .model import (
 
 OUTPUT_DIR_ENV = "CRWQED_OUT"
 FIELD_WINDOW_PAD = 20
-NORM_CHECK_PAD = 30
 
 
 # Every scenario starts with the excitation in atom 1.
@@ -367,12 +367,11 @@ def load_scenario(target: str, dt=None, t_max=None, n_c=None) -> Scenario:
 def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     """``stages``, or a ConfigError, from sizes alone, for an input they read
     and cannot take: the lattice size, the closed form's range, the kernel
-    grid, the leg span, the norm-check window's momentum grid (at most
-    ``dynamics.MAX_FIELD_K_POINTS``), and any Bessel table (memory kernels,
-    plot window) that would send Miller's recurrence an argument above
-    ``specfun.MILLER_X_MAX``.  ``run`` drops ``bic_roots``, with a warning,
-    wherever ``bic.check_closed_form`` refuses the config (unequal atoms, or
-    beyond ``bic.MAX_LEG_DISTANCE``)."""
+    grid, the leg span, a time grid over ``MAX_GRID_NODES``, and any Bessel
+    table (memory kernels, plot window) that would send Miller's recurrence
+    an argument above ``specfun.MILLER_X_MAX``.  ``run`` drops
+    ``bic_roots``, with a warning, wherever ``bic.check_closed_form``
+    refuses the config (unequal atoms, or beyond ``bic.MAX_LEG_DISTANCE``)."""
     cfg, two_xi = scn.cfg, 2.0 * scn.cfg.xi
     if "bic_roots" in stages:
         try:
@@ -384,19 +383,22 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
             stages = tuple(name for name in STAGES if name != "bic_roots")
     if "lattice" in stages:
         spectrum.check_lattice_size(cfg, scn.n_c)
+    if {"exact_propagate", "volterra"} & set(stages) and scn.grid.n_steps + 1 > MAX_GRID_NODES:
+        raise ConfigError(f"time grid of {scn.grid.n_steps + 1} nodes (t_max={scn.grid.t_max}, "
+                          f"dt={scn.grid.dt}) exceeds {MAX_GRID_NODES}, the largest")
+    tables = []  # (what, highest order, latest time) of the Bessel tables
     if "volterra" in stages:
         dynamics.check_kernel_grid(cfg, scn.grid)
         # the lattice's bound on the legs, which caps the Bessel orders too
         if cfg.span + spectrum.LATTICE_MARGIN > spectrum.MAX_LATTICE_SITES:
             raise ConfigError(f"leg span {cfg.span} + margin {spectrum.LATTICE_MARGIN} "
                               f"exceeds {spectrum.MAX_LATTICE_SITES}, the largest lattice")
-    if "field_norm_check" in stages:
-        dynamics.check_field_k_points(_norm_check_extent(cfg, scn.grid)[1])
-    tables = (("volterra", "memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end),
-              ("photon_field", "field window", cfg.span + FIELD_WINDOW_PAD,
-               max(scn.snapshot_times, default=0.0)))
-    for stage, what, order, t in tables:
-        if stage in stages and specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
+        tables.append(("memory kernel", dynamics.kernel_order_max(cfg), scn.grid.t_end))
+    if "photon_field" in stages:
+        tables.append(("field window", cfg.span + FIELD_WINDOW_PAD,
+                       max(scn.snapshot_times, default=0.0)))
+    for what, order, t in tables:
+        if specfun.miller_reach(order, two_xi * t) > specfun.MILLER_X_MAX:
             raise ConfigError(
                 f"{what} needs Bessel orders up to {order} at arguments up to "
                 f"{two_xi * t:g}; Miller's recurrence would see arguments above "
@@ -417,15 +419,6 @@ def _roots_payload(cfg, roots):
     except ValueError:
         pass
     return payload
-
-
-def _norm_check_extent(cfg, grid):
-    """The grid time of the field-norm check (at most 200) and the sites
-    its field spans: the legs and, on each side, the light cone plus a
-    pad."""
-    t_check = round(min(200.0, grid.t_end) / grid.dt) * grid.dt
-    reach = int(math.ceil(2.0 * cfg.xi * t_check)) + NORM_CHECK_PAD
-    return t_check, cfg.span + 2 * reach + 1
 
 
 # ---- artifact writers of the run_scenario stages ----
@@ -589,6 +582,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     cfg, grid = scn.cfg, scn.grid
     psi0 = initial_state(INITIAL_STATE)
     first, last = cfg.outer_legs
+    window = np.arange(first - FIELD_WINDOW_PAD, last + FIELD_WINDOW_PAD + 1)
     checks: list[dict] = []
 
     if "lattice" in stages:
@@ -618,11 +612,16 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             checks.append(_check("exact_norm_deficit", worst_exact, 1e-10))
             # the exact populations over the times free of edge reflections,
             # which the Volterra stage is compared against
-            t_valid = min(grid.t_end,
-                          (scn.n_c - cfg.span - spectrum.LATTICE_MARGIN) / (4.0 * cfg.xi))
-            n_valid = int(t_valid / grid.dt)
+            t_free = spectrum.reflection_free_time(cfg, scn.n_c, grid.dt)
+            t_valid = min(grid.t_end, t_free)
+            n_valid = grid.node(t_valid)
             exact_pops = [np.abs(a[:n_valid + 1]) ** 2
                           for a in (exact_traj.alpha_1, exact_traj.alpha_2)]
+            # and the exact field on the plot window after t = 0, where
+            # reflections come back FIELD_WINDOW_PAD / (2 xi) earlier than at
+            # the legs
+            exact_fields = {s.time: s.beta[window - sites[0]] for s in exact_snaps
+                            if 0.0 < s.time <= t_free - FIELD_WINDOW_PAD / (2.0 * cfg.xi)}
         del basis, exact_traj, exact_snaps  # no later stage reads the eigenvectors
 
     # closed-form bound states (symmetric resonant geometries only)
@@ -664,18 +663,23 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
 
     # photon field over the plot window, plus a unitarity check
     if "photon_field" in stages:
-        window = np.arange(first - FIELD_WINDOW_PAD, last + FIELD_WINDOW_PAD + 1)
         with _stage(records, "photon_field", sites=int(window.size),
                     order_max=dynamics.field_order_max(cfg, window),
                     arg_max=2.0 * cfg.xi * max(scn.snapshot_times, default=0.0)):
             snapshots = dynamics.photon_field(cfg, trajectory, window, scn.snapshot_times)
+            if "exact_propagate" in stages and exact_fields:
+                diff = max(np.abs(s.beta - exact_fields[s.time]).max()
+                           for s in snapshots if s.time in exact_fields)
+                checks.append(_check(f"volterra_vs_exact_field_diff_t<={max(exact_fields):g}",
+                                     diff, 1e-3))
     if "field_norm_check" in stages:
-        t_check, extent = _norm_check_extent(cfg, grid)
+        t_check = round(min(200.0 / cfg.xi, grid.t_end) / grid.dt) * grid.dt
+        extent = dynamics.field_extent(cfg, t_check)
         n_check = grid.node(t_check)
         with _stage(records, "field_norm_check", sites=extent,
                     k_points=dynamics.field_k_points(extent), nodes=n_check + 1):
             pops = abs(trajectory.alpha_1[n_check]) ** 2 + abs(trajectory.alpha_2[n_check]) ** 2
-            deficit = abs(1.0 - pops - dynamics.photon_norm(cfg, trajectory, t_check, extent))
+            deficit = abs(1.0 - pops - dynamics.photon_norm(cfg, trajectory, t_check))
             checks.append(_check(f"field_norm_deficit_t={t_check:g}", deficit, 1e-2))
 
     if "scenario_checks" in stages:
@@ -766,15 +770,18 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
     Every value is parsed by its key (an integer for delta and N, a float
     for g and dt; a number must keep its value, so 7.5 is no N), and its
     ``bic.braided_config`` geometry and, with dynamics, its time grid are
-    built before any task starts; a value that does not parse, or a
-    geometry or grid that is invalid, is a ConfigError.  The ``value``
-    column keeps each value as given.
+    built and checked as ``run_scenario`` checks its ``bic_roots`` and
+    ``volterra`` stages (``_runnable_stages``) before any task starts; a
+    value that does not parse, or a geometry or grid that is invalid or out
+    of range, is a ConfigError.  The ``value`` column keeps each value as
+    given.
     """
     if key not in _SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     base = {"N": size, "delta": delta, "g": g, "dt": dt}
+    stages = ("bic_roots", "volterra") if with_dynamics else ("bic_roots",)
     tasks = []
     for v in values:
         try:
@@ -784,8 +791,9 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
         except (TypeError, ValueError):
             raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
         grid = TimeGrid(t_max=t_max, dt=params["dt"]) if with_dynamics else None
-        tasks.append((key, v, bic.braided_config(params["N"], params["delta"], params["g"]),
-                      grid))
+        cfg = bic.braided_config(params["N"], params["delta"], params["g"])
+        _runnable_stages(Scenario(f"{key}={v}", cfg, grid, n_c=0), stages)
+        tasks.append((key, v, cfg, grid))
     workers = min(workers, os.cpu_count() or 1) if len(tasks) > 1 else 1
     rows: list = []
 

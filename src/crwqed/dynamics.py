@@ -35,6 +35,7 @@ from .model import (
     SystemConfig,
     TimeGrid,
     WavefunctionState,
+    light_cone_reach,
 )
 from .specfun import bessel_j_table
 
@@ -49,14 +50,6 @@ _FIELD_CHUNK = 2048
 # Bytes of phase tables and block sums per momentum block of photon_norm,
 # whatever the field's extent and the horizon.
 _K_SCRATCH = 1 << 20
-# Largest momentum grid photon_norm takes.  Its cost is M/2 + 1
-# polynomial evaluations of one term per node, so a run pays M/2 times the
-# nodes up to the check time; at this size (a field over 32 768 sites, a
-# light cone of about 16 000 sites) that is 1.3e9 complex products at
-# 40 000 nodes, a few seconds, in 1 MB of block scratch and 1.5 MB of
-# arrays of length M.  Every field of a run that the Bessel route took
-# (light cone up to 2000 sites, leg span up to 7960) has M <= 16 384.
-MAX_FIELD_K_POINTS = 1 << 15
 # Solver aborts when a population exceeds this (quadrature instability).
 POPULATION_ABORT = 1.0 + 1e-3
 
@@ -386,26 +379,22 @@ def photon_field(cfg: SystemConfig, trajectory: AtomTrajectory, sites,
     return snapshots
 
 
+def field_extent(cfg: SystemConfig, t: float) -> int:
+    """Consecutive sites the field spans at time t: the legs and, on each
+    side, ``model.light_cone_reach``."""
+    return cfg.span + 2 * light_cone_reach(cfg, t) + 1
+
+
 def field_k_points(extent: int) -> int:
     """Size M of :func:`photon_norm`'s momentum grid for a field within
     ``extent`` consecutive sites: the smallest power of two at or above it."""
     return 1 << max(extent - 1, 0).bit_length()
 
 
-def check_field_k_points(extent: int) -> None:
-    """Raise ConfigError if a field over ``extent`` sites needs a momentum
-    grid above ``MAX_FIELD_K_POINTS``."""
-    m = field_k_points(extent)
-    if m > MAX_FIELD_K_POINTS:
-        raise ConfigError(f"photon field over {extent} sites needs {m} momenta, "
-                          f"above {MAX_FIELD_K_POINTS}, the largest grid")
-
-
-def photon_norm(cfg: SystemConfig, trajectory: AtomTrajectory, t: float,
-                extent: int) -> float:
-    """sum_j |beta_j|^2 of :func:`photon_field` at grid time t, for a field
-    that lies within ``extent`` consecutive sites (the legs, the light cone
-    and a pad), from the same trapezoid sums summed in momentum space.
+def photon_norm(cfg: SystemConfig, trajectory: AtomTrajectory, t: float) -> float:
+    """sum_j |beta_j|^2 of :func:`photon_field` at grid time t, for the
+    field within ``field_extent(cfg, t)`` sites, from the same trapezoid
+    sums summed in momentum space.
 
     By Jacobi-Anger, i^d J_d(x) = (1/2 pi) int e^{ix cos k} e^{-idk} dk, so
     beta_j = (1/M) sum_m e^{-ijk_m} B(k_m) with k_m = 2 pi m / M,
@@ -416,7 +405,7 @@ def photon_norm(cfg: SystemConfig, trajectory: AtomTrajectory, t: float,
     and photon_field's weights w_n, up to the images beta_{j + pM},
     p != 0.  By discrete Parseval (1/M) sum_m |B(k_m)|^2 is the norm of
     that field repeated with period M, which is the norm of the field
-    itself when M = ``field_k_points(extent)`` >= extent keeps the copies
+    itself when M = ``field_k_points`` of the extent keeps the copies
     apart.  The sum over n is a polynomial in e^{2i xi dt cos k}, one per
     atom, even in k: it is taken at the M/2 + 1 distinct cosines, in node
     blocks of about sqrt(N) for N nodes, with the phases within a block
@@ -435,7 +424,7 @@ def photon_norm(cfg: SystemConfig, trajectory: AtomTrajectory, t: float,
         (cfg.g_2, (cfg.m_1, cfg.m_2), trajectory.alpha_2)) if g != 0.0]
     if n == 0 or not atoms:
         return 0.0
-    m = field_k_points(extent)
+    m = field_k_points(field_extent(cfg, t))
     taus = np.arange(n + 1) * grid.dt  # grid.times() up to t
 
     # coefficients c[a, b, j] of node bB + j, zero past node n

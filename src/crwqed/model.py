@@ -27,6 +27,19 @@ _INT_KEYS = frozenset({"n_1", "n_2", "m_1", "m_2", "n_c"})
 # e^{ikN} = -1 or e^{ik delta} = -s, and the smallest such k lies this close
 # to an edge only for leg distances of about 100 sites or more.
 BAND_EDGE_GUARD = 1e-3
+# Widths of the Bessel front, about (2 xi t)^{1/3} sites, that the field
+# reaches past its light cone 2 xi t.  With 4.5 the Volterra and lattice
+# routes agree to the scheme's own error up to the round-trip window's end
+# on fig3's geometry (n_c 200 to 1462); a constant 30 sites falls short.
+LIGHT_CONE_PAD = 4.5
+
+
+def light_cone_reach(cfg: SystemConfig, t: float) -> int:
+    """Sites beyond the outermost legs that the field emitted since time 0
+    reaches by time t: the light cone at group velocity 2 xi and
+    ``LIGHT_CONE_PAD`` widths of its front."""
+    cone = 2.0 * cfg.xi * t
+    return math.ceil(cone + LIGHT_CONE_PAD * cone ** (1.0 / 3.0))
 
 
 class ConfigError(ValueError):
@@ -197,6 +210,14 @@ def initial_state(which: str) -> WavefunctionState:
     raise ConfigError(f"unknown initial state {which!r}; choose one of {_INITIAL_STATES}")
 
 
+# Most nodes a stage that reads the time grid takes (t_max = 2e4 at
+# dt = 0.02).  The Volterra solve is quadratic in them: 2.3 s at 2e5 nodes
+# and 13.2 s at 5e5, so about a minute here.  A run holds about 270 bytes
+# per node (fig3: 65 MB peak at 1e5 nodes, 91 MB at 2e5), and dynamics.csv
+# and mtrace.csv take about 85 bytes per node each.
+MAX_GRID_NODES = 10 ** 6
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid; node times are n*dt exactly (no accumulation)."""
@@ -211,6 +232,8 @@ class TimeGrid:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt > self.t_max:
             raise ConfigError(f"dt={self.dt} exceeds t_max={self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigError(f"t_max={self.t_max} over dt={self.dt} is no finite step count")
 
     @property
     def n_steps(self) -> int:

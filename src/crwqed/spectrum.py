@@ -41,6 +41,7 @@ from .model import (
     SystemConfig,
     TimeGrid,
     WavefunctionState,
+    light_cone_reach,
 )
 
 # Margin of resonators required around the outermost legs.
@@ -961,10 +962,16 @@ def bound_states(profiles: list[BoundStateProfile], label: str = "BIC") -> list[
     return [p for p in profiles if p.label == label]
 
 
-def wavefront_n_c(cfg: SystemConfig, t_max: float) -> int:
-    """Smallest lattice for which radiation (group velocity <= 2 xi) cannot
-    reflect off the open ends back into the atom region within t_max."""
-    return int(np.ceil(cfg.span + 2.0 * (2.0 * cfg.xi * t_max))) + LATTICE_MARGIN
+def reflection_free_time(cfg: SystemConfig, n_c: int, dt: float) -> float:
+    """The latest time n dt whose ``model.light_cone_reach`` is at most a
+    round trip to the nearer end of the n_c-site chain and back to the legs:
+    up to then, no radiation reflected off an end is back at the atoms."""
+    round_trip = 2 * min(_tails(cfg, n_c))
+    lo, hi = 0, math.ceil(round_trip / (2.0 * cfg.xi * dt)) + 1  # reach(hi dt) > round_trip
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if light_cone_reach(cfg, mid * dt) <= round_trip else (lo, mid)
+    return lo * dt
 
 
 # States per block of ``exact_propagate``'s phase tables.
@@ -998,20 +1005,20 @@ def exact_propagate(
     block = ``_PROPAGATE_STATES``: no n x n or n x sqrt(T) array is made.
 
     Warns (does not fail) when n_c is below the wavefront criterion for
-    the requested horizon, i.e. when emitted radiation can reflect off the
-    lattice edges back into the atom region before ``t_max``.  Snapshots of
+    the requested horizon, i.e. when the horizon goes past
+    :func:`reflection_free_time`.  Snapshots of
     the full photon field are returned for the requested times (which must
     lie on the grid).  A photon site of ``psi0`` that is not one of
     ``basis.sites`` raises ValueError.
     """
     energies, vectors = basis.energies, basis.vectors
     n_c = energies.size - 2
-    need = wavefront_n_c(cfg, grid.t_end)
-    if n_c < need:
+    t_free = reflection_free_time(cfg, n_c, grid.dt)
+    if grid.t_end > t_free:
         warnings.warn(
-            f"n_c={n_c} is below the wavefront criterion ({need}) for "
-            f"t_max={grid.t_end}; edge reflections may contaminate late times",
-            stacklevel=2)
+            f"n_c={n_c} is below the wavefront criterion for t_max={grid.t_end}: "
+            f"radiation reflected off the chain ends is back at the legs after "
+            f"t={t_free:g}", stacklevel=2)
     coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
     for site, amp in psi0.beta.items():
         col = np.flatnonzero(basis.sites == site)

@@ -59,8 +59,10 @@ def lattice_counts():
 
 @pytest.fixture(scope="session")
 def fig3_basis():
-    """Eigenbasis of a reflection-free lattice for the full t <= 700 horizon."""
-    n_c = spectrum.wavefront_n_c(FIG3, 700.0)
+    """Eigenbasis of the smallest lattice that is reflection-free for the
+    full t <= 700 horizon (1462 sites)."""
+    n_c = next(n for n in range(FIG3.span + spectrum.LATTICE_MARGIN, spectrum.MAX_LATTICE_SITES)
+               if spectrum.reflection_free_time(FIG3, n, 0.02) >= 700.0)
     ham = spectrum.build_hamiltonian(FIG3, n_c)
     return n_c, spectrum.eigendecompose(ham)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crwqed import cli
-from crwqed.model import ConfigError
+from crwqed.model import MAX_GRID_NODES, ConfigError
 from crwqed.cli import (
     load_scenario,
     main,
@@ -86,9 +86,10 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
                                  "arg_max": pytest.approx(80.0)}
     assert sizes["bic_roots"] == {"leg_distance": 9}
-    # the field reaches 80 + 30 sites beyond the legs at t = 40, plus the leg
-    # span 9; the k-grid is the power of two at or above its 230 sites
-    assert sizes["field_norm_check"] == {"sites": 2 * 110 + 9 + 1, "k_points": 256,
+    # the field reaches 80 + 4.5 * 80^(1/3) = 99.4 sites beyond the legs at
+    # t = 40, plus the leg span 9; the k-grid is the power of two at or above
+    # its 210 sites
+    assert sizes["field_norm_check"] == {"sites": 2 * 100 + 9 + 1, "k_points": 256,
                                          "nodes": 2001}
 
 
@@ -374,12 +375,15 @@ def test_sweep_csv_keeps_a_non_ascii_value(tmp_path):
 def test_every_csv_matches_the_reference_writer(tmp_path, monkeypatch, preset, n_c):
     from oracles import write_csv_reference
     scn = load_scenario(preset, t_max=40.0, n_c=n_c)
-    with pytest.warns(UserWarning, match="wavefront"):
+    def wavefront():  # fig3 at n_c = 80 warns; fig4 at 200 is reflection-free
+        return (pytest.warns(UserWarning, match="wavefront") if preset == "fig3"
+                else contextlib.nullcontext())
+    with wavefront():
         run_scenario(scn, tmp_path / "kernel")
     run_census(tmp_path / "kernel")
     run_sweep(tmp_path / "kernel", "delta", [1, 2], with_dynamics=True, t_max=20.0)
     monkeypatch.setattr(cli, "write_csv", write_csv_reference)
-    with pytest.warns(UserWarning, match="wavefront"):
+    with wavefront():
         run_scenario(scn, tmp_path / "reference")
     run_census(tmp_path / "reference")
     run_sweep(tmp_path / "reference", "delta", [1, 2], with_dynamics=True, t_max=20.0)
@@ -410,9 +414,8 @@ def test_run_scenario_diagonalizes_once(tmp_path, monkeypatch):
     # the dense oracle is never the pipeline's diagonalizer
     monkeypatch.setattr(spectrum, "build_hamiltonian", None)
     monkeypatch.setattr(spectrum, "eigendecompose", None)
-    # n_c=200 is below the wavefront criterion (210) for t_max=40
-    with pytest.warns(UserWarning, match="wavefront"):
-        run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
+    # n_c=200 is reflection-free for t_max=40 (up to t = 81.68): no warning
+    run_scenario(load_scenario("fig4", t_max=40.0, n_c=200), tmp_path)
     assert len(projections) == 1 and len(root_scans) == 1  # both consumers ran
     assert len(solves) == 1
     assert main(["spectrum", "fig4", "--nc", "200", "--out", str(tmp_path / "s")]) == 0
@@ -928,28 +931,48 @@ def test_bessel_arguments_beyond_miller_range_exit_1_before_any_work(tmp_path, c
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_norm_check_momentum_grid_beyond_the_cap_exits_1_before_any_work(tmp_path, capsys,
-                                                                        monkeypatch):
-    from crwqed import dynamics, spectrum
-    monkeypatch.setattr(spectrum, "lattice_eigenbasis", None)  # must not be reached
-    monkeypatch.setattr(dynamics, "bessel_j_table", None)
-    monkeypatch.setattr(dynamics, "photon_norm", None)
-    # 2 xi t = 20 000 at t = 200: a field over 40 070 sites needs 65 536 momenta
-    cfgfile = tmp_path / "fast.cfg"
-    cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nxi = 50\n"
-                       "t_max = 200\ndt = 0.002\nn_c = 100\n")
-    with pytest.raises(ConfigError, match="65536 momenta, above 32768"):
-        run_scenario(load_scenario(str(cfgfile)), tmp_path / "out")
-    assert main(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: photon field over 40070 sites") and "Traceback" not in err
+def test_huge_horizon_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
+    from crwqed import bic, dynamics, spectrum
+    for module, name in ((spectrum, "lattice_eigenbasis"), (dynamics, "build_kernels"),
+                         (dynamics, "solve_volterra"), (bic, "find_bic_roots")):
+        monkeypatch.setattr(module, name, None)  # must not be reached
+    sweep = ["sweep", "--vary", "delta", "--values", "1,2", "--dynamics"]
+    out = str(tmp_path / "out")
+    # t_max / dt overflows: no step count, whatever the command reads
+    for argv in (["bic", "fig3"], ["spectrum", "fig3"], ["dynamics", "fig3"], ["run", "fig3"],
+                 sweep):
+        assert main(argv + ["--tmax", "1e308", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max=1e+308 over dt=0.02 is no finite step count")
+        assert "Traceback" not in err
+    # 5e7 nodes: refused by every command whose stages read the grid
+    for argv in (["dynamics", "fig3"], ["field", "fig3"], ["run", "fig3"], sweep):
+        assert main(argv + ["--tmax", "1e6", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: time grid of 50000001 nodes") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-    # the widest field a Bessel table took (light cone 2000 sites, leg span
-    # 7960) is within the cap; one site more than the cap allows is not
-    assert dynamics.field_k_points(7960 + 2 * 2030 + 1) == dynamics.MAX_FIELD_K_POINTS // 2
-    dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS)
-    with pytest.raises(ConfigError):
-        dynamics.check_field_k_points(dynamics.MAX_FIELD_K_POINTS + 1)
+    # MAX_GRID_NODES nodes are taken, one more is not
+    largest = load_scenario("fig3", t_max=(MAX_GRID_NODES - 1) * 0.02)
+    assert cli._runnable_stages(largest, cli.STAGES) == cli.STAGES
+    with pytest.raises(ConfigError, match=f"exceeds {MAX_GRID_NODES}"):
+        cli._runnable_stages(load_scenario("fig3", t_max=MAX_GRID_NODES * 0.02), cli.STAGES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--vary", "N", "--values", "1500", "--delta", "3", "--dynamics", "--tmax", "1500"],
+    ["--vary", "dt", "--values", "0.02,0.5", "--dynamics"],
+    ["--vary", "N", "--values", "6,3000"],
+    ["--vary", "delta", "--values", "1,2", "--dynamics", "--tmax", "1e6"],
+])
+def test_sweep_checks_every_task_before_any_runs(tmp_path, capsys, monkeypatch, argv):
+    # the Bessel range of the kernels, the kernel grid, the closed form's
+    # leg distance and the node bound, as the scenario commands check them
+    tasks = []
+    monkeypatch.setattr(cli, "_sweep_one", tasks.append)  # must not be reached
+    assert main(["sweep", *argv, "--out", str(tmp_path / "cli")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert tasks == [] and not (tmp_path / "cli").exists()
 
 
 def test_second_atom_left_of_the_first(tmp_path, capsys):

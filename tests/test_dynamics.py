@@ -18,6 +18,8 @@ from crwqed.dynamics import (
     _BLOCK,
     SolverError,
     build_kernels,
+    field_extent,
+    field_k_points,
     m_eigenvalues_trace,
     photon_field,
     photon_norm,
@@ -504,13 +506,7 @@ def test_norm_check_decoupled_is_exact():
     traj = solve_volterra(cfg, initial_state("atom1"), grid)
     snap = photon_field(cfg, traj, np.arange(-40, 52), [5.0])[0]
     assert norm_check(traj, snap, cfg) <= 1e-14
-    assert photon_norm(cfg, traj, 5.0, 92) == 0.0
-
-
-def _extent(cfg, t, pad):
-    """Sites from the light cone plus ``pad`` left of the legs to as far
-    right of them."""
-    return cfg.span + 2 * (int(np.ceil(2.0 * cfg.xi * t)) + pad) + 1
+    assert photon_norm(cfg, traj, 5.0) == 0.0
 
 
 def _shifted(cfg, offset):
@@ -554,27 +550,35 @@ def test_photon_norm_equals_photon_field_sum(case):
     first, last = cfg.outer_legs
     reach = int(np.ceil(2.0 * cfg.xi * t)) + 60
     ref = photon_field(cfg, traj, np.arange(first - reach, last + reach + 1), [t])[0]
-    norm = photon_norm(cfg, traj, t, _extent(cfg, t, 30))
+    norm = photon_norm(cfg, traj, t)
     assert abs(norm - np.sum(ref.probabilities)) <= 1e-14
     # only the legs' offsets from each other enter
-    assert photon_norm(_shifted(cfg, 10 ** 7), traj, t, _extent(cfg, t, 30)) == norm
+    assert photon_norm(_shifted(cfg, 10 ** 7), traj, t) == norm
 
 
 def test_photon_norm_at_time_zero_is_zero(fig3_short):
     _, traj, _ = fig3_short
-    assert photon_norm(FIG3, traj, 0.0, _extent(FIG3, 0.0, 30)) == 0.0
+    assert photon_norm(FIG3, traj, 0.0) == 0.0
+
+
+@given(st.integers(1, spectrum.MAX_LATTICE_SITES - spectrum.LATTICE_MARGIN), st.floats(1e-3, 1e3))
+def test_norm_check_momentum_grid_stays_within_16384(span, xi):
+    # the check runs at the node nearest min(200 / xi, t_end), at most
+    # 0.05 / xi past 200 / xi on a grid the kernels take (dt <= 0.1 / xi),
+    # for every leg span the dynamics stages take
+    cfg = SystemConfig(n_1=0, n_2=span, m_1=0, m_2=span, xi=xi)
+    assert field_k_points(field_extent(cfg, 200.05 / xi)) <= 16384
 
 
 def test_photon_norm_scratch_stays_within_2_mb():
-    # fig3's norm check: 870 sites, 1024 momenta, 10 001 nodes up to t = 200;
+    # fig3's norm check: 878 sites, 1024 momenta, 10 001 nodes up to t = 200;
     # the Bessel route's first table block alone was 7.2 MB
     grid = TimeGrid(t_max=700.0, dt=0.02)
     taus = grid.times()
     traj = AtomTrajectory(grid=grid, alpha_1=np.exp(-(0.01 + 0.3j) * taus),
                           alpha_2=0.5j * np.exp(-0.02 * taus))
-    extent = _extent(FIG3, 200.0, 30)
-    assert extent == 870
-    assert traced_peak(photon_norm, FIG3, traj, 200.0, extent) <= 2 * 2 ** 20
+    assert field_extent(FIG3, 200.0) == 878
+    assert traced_peak(photon_norm, FIG3, traj, 200.0) <= 2 * 2 ** 20
 
 
 def _lattice_profiles(cfg):

@@ -69,7 +69,8 @@ def test_integral_legs_stored_as_int(value):
 
 
 @pytest.mark.parametrize("t_max, dt", [(math.nan, 0.02), (math.inf, 0.02),
-                                       (1.0, math.nan), (1.0, math.inf)])
+                                       (1.0, math.nan), (1.0, math.inf),
+                                       (1e308, 0.02), (1.0, 1e-320)])
 def test_time_grid_rejects_non_finite(t_max, dt):
     with pytest.raises(ConfigError, match="finite"):
         TimeGrid(t_max=t_max, dt=dt)

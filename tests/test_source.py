@@ -65,6 +65,11 @@ def test_closed_form_builds_no_lattice_and_only_model_owns_the_band_edge():
     owners = [f"{module}:{name}" for module, tree in trees.items()
               for name in _top_level_names(tree) if "EDGE" in name.upper()]
     assert owners == ["model:BAND_EDGE_GUARD"]
+    # one light-cone rule sets the exact route's window and the norm check's
+    # field extent
+    cones = [f"{module}:{name}" for module, tree in trees.items()
+             for name in _top_level_names(tree) if "CONE" in name.upper()]
+    assert cones == ["model:LIGHT_CONE_PAD", "model:light_cone_reach"]
 
 
 def _dataclass_fields(tree):

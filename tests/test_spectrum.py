@@ -16,6 +16,7 @@ from crwqed.model import (
     initial_state,
 )
 from crwqed import spectrum
+from crwqed.dynamics import solve_volterra
 from crwqed.spectrum import (
     BoundStateProfile,
     bound_states,
@@ -24,7 +25,7 @@ from crwqed.spectrum import (
     eigendecompose,
     exact_propagate,
     lattice_eigenbasis,
-    wavefront_n_c,
+    reflection_free_time,
 )
 from crwqed.cli import load_scenario
 from oracles import (
@@ -182,7 +183,26 @@ def test_exact_propagate_norm_and_wavefront_warning():
         total = (abs(traj.alpha_1[n]) ** 2 + abs(traj.alpha_2[n]) ** 2
                  + snap.probabilities.sum())
         assert abs(total - 1.0) <= 1e-10
-    assert wavefront_n_c(FIG3, 120.0) > 80
+    assert reflection_free_time(FIG3, 80, grid.dt) < 120.0
+
+
+@pytest.mark.parametrize("n_c", [200, 300, 400])
+def test_round_trip_window_ends_where_reflections_reach_the_atoms(n_c):
+    # inside the window the routes differ by the Volterra scheme's own
+    # error; within 15 time units past it the reflected radiation shows
+    psi0 = initial_state("atom1")
+    t_free = reflection_free_time(FIG3, n_c, 0.02)
+    grid = TimeGrid(t_max=t_free + 15.0, dt=0.02)
+    basis = lattice_eigenbasis(FIG3, n_c)
+    with pytest.warns(UserWarning, match="wavefront"):
+        exact, _ = exact_propagate(FIG3, psi0, grid, basis)
+    volterra = solve_volterra(FIG3, psi0, grid)
+    diff = np.maximum(np.abs(volterra.pop_1 - exact.pop_1), np.abs(volterra.pop_2 - exact.pop_2))
+    n = grid.node(t_free)
+    assert diff[:n + 1].max() <= 4e-6
+    assert diff[n + 1:].max() > 1e-4
+    # a horizon inside the window raises no warning
+    exact_propagate(FIG3, psi0, TimeGrid(t_max=t_free, dt=0.02), basis)
 
 
 @settings(max_examples=25, deadline=None)
