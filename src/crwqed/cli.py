@@ -589,10 +589,11 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         with _stage(records, "lattice", n_c=scn.n_c, dim=scn.n_c + 2) as sizes:
             basis = spectrum.lattice_eigenbasis(cfg, scn.n_c)
             solve = basis.report
-            sizes.update(leg_system_dim=solve.leg_system_dim, count_steps=solve.count_steps)
+            sizes.update(leg_system_dim=solve.leg_system_dim, count_steps=solve.count_steps,
+                         close_pairs=solve.close_pairs)
             checks.append(_check("lattice_residual", solve.residual,
                                  spectrum.RESIDUAL_TOL * solve.h_norm))
-            checks.append(_check("lattice_orthonormality", solve.orthonormality,
+            checks.append(_check("lattice_orthonormality_bound", solve.orthonormality,
                                  spectrum.ORTHONORMALITY_TOL))
             sites = basis.sites
             profiles = spectrum.classify_bound_states(basis, cfg)

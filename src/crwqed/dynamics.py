@@ -47,6 +47,9 @@ _BLOCK = 512
 # Nodes per Bessel table block of photon_field: its scratch is
 # O(_FIELD_CHUNK * orders) whatever the horizon.
 _FIELD_CHUNK = 2048
+# Bytes of Bessel table per node block of build_kernels, whatever the leg
+# span and the horizon.
+_KERNEL_SCRATCH = 1 << 20
 # Bytes of phase tables and block sums per momentum block of photon_norm,
 # whatever the field's extent and the horizon.
 _K_SCRATCH = 1 << 20
@@ -89,16 +92,28 @@ def build_kernels(cfg: SystemConfig, grid: TimeGrid) -> KernelSet:
     Requires ``dt <= 0.1/xi`` (see :func:`check_kernel_grid`).
     At tau = 0 the self kernels equal 1 and the cross kernel equals the
     number of shared legs (zero for braided, non-touching geometries).
+    The Bessel table up to ``kernel_order_max`` is filled in node blocks of
+    at most ``_KERNEL_SCRATCH`` bytes, and only its columns the kernels
+    read (order 0, the atom sizes and the cross distances) are kept: a row
+    of ``bessel_j_table`` depends only on the highest order and its
+    argument, so the kernels are those of one table over all nodes, bit
+    for bit, whatever the leg span and the horizon.
     """
     check_kernel_grid(cfg, grid)
     taus = grid.times()
-    table = bessel_j_table(kernel_order_max(cfg), 2.0 * cfg.xi * taus)
+    order_max = kernel_order_max(cfg)
+    orders = sorted({0, cfg.size_1, cfg.size_2, *cfg.cross_distances})
+    table = np.empty((taus.size, len(orders)))
+    rows = max(1, _KERNEL_SCRATCH // (8 * (order_max + 1)))
+    for s in range(0, taus.size, rows):
+        table[s:s + rows] = bessel_j_table(order_max, 2.0 * cfg.xi * taus[s:s + rows])[:, orders]
+    column = dict(zip(orders, table.T))
     phase = np.exp(-1j * cfg.omega_c * taus)
-    k1 = phase * (table[:, 0] + unit_power(cfg.size_1) * table[:, cfg.size_1])
-    k2 = phase * (table[:, 0] + unit_power(cfg.size_2) * table[:, cfg.size_2])
+    k1 = phase * (column[0] + unit_power(cfg.size_1) * column[cfg.size_1])
+    k2 = phase * (column[0] + unit_power(cfg.size_2) * column[cfg.size_2])
     kc = np.zeros_like(phase)
     for p in cfg.cross_distances:
-        kc += unit_power(p) * table[:, p]
+        kc += unit_power(p) * column[p]
     kc *= phase
     return KernelSet(k_self_1=k1, k_self_2=k2, k_cross=kc)
 

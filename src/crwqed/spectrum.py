@@ -17,17 +17,20 @@ cost O(1) per energy, and each
 eigenvector is the null vector of a leg system with three unknowns more
 than there are distinct leg sites, whatever the leg span: the free runs
 between and beyond the legs are sines (scaled sinh out of the band) with
-one or two amplitudes each.  The :class:`Eigenbasis` it returns holds the
-energies and the eigenvector array with the chain's absolute site
-indices, and classification and propagation read those arrays directly.
-``build_hamiltonian`` and ``eigendecompose`` (dense ``eigh``) are the test
-oracle; the pipeline never calls them.
+one or two amplitudes each.  The :class:`Eigenbasis` it returns holds O(n)
+data, not the n x n eigenvector array: it rebuilds any block of columns
+from the eigenvalues' phases on demand, and classification and propagation
+read it block by block.  ``build_hamiltonian`` and ``eigendecompose``
+(dense ``eigh``, whose basis slices its matrix behind the same block
+interface) are the test oracle; the pipeline never calls them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +49,15 @@ from .model import (
 
 # Margin of resonators required around the outermost legs.
 LATTICE_MARGIN = 40
-# Largest lattice accepted.  The eigenvector array is (n_c + 2)^2 floats,
-# about 0.5 GB at this size, and the orthonormality check that every
-# eigenbasis passes is an O(n^3) product over it.  No later stage holds
-# another n x n array: classification and propagation read the one
-# eigenvector array through views and products with thin matrices.
+# Largest lattice accepted, a bound on time: no stage holds an n x n array,
+# but each pass over the eigenbasis (the checked pass, propagation) rebuilds
+# all n columns in O(n^2) time.  fig4's geometry and grid on a 2-core
+# machine: lattice_eigenbasis + classification + exact_propagate take
+# 0.14 / 0.53 / 1.8 / 4.0 s at n_c = 1400 / 2900 / 5000 / 8000, the checked
+# pass most of it (3.0 s at 8000, where 172 000 close pairs near the band
+# edges take their overlaps directly).  The Volterra route reads this bound
+# as its largest leg span; its kernel table is blocked, so that costs time
+# only.
 MAX_LATTICE_SITES = 8000
 # Eigenstates closer in energy than this are treated as one degenerate
 # cluster: the solver gives it an orthonormal basis of its null space, and
@@ -98,9 +105,9 @@ def check_lattice_size(cfg: SystemConfig, n_c: int) -> None:
     if n_c > MAX_LATTICE_SITES:
         dim = n_c + 2
         raise ConfigError(
-            f"lattice too large: n_c={n_c} > {MAX_LATTICE_SITES}; its {dim}x{dim} "
-            f"eigenvector array alone takes {dim * dim * 8 / 1e9:.2f} GB, and its "
-            f"orthonormality check is an O(n^3) product")
+            f"lattice too large: n_c={n_c} > {MAX_LATTICE_SITES}; each pass over its "
+            f"{dim}x{dim} eigenbasis rebuilds every column, O(n^2) time, and the "
+            f"lattice route takes about 4 s at {MAX_LATTICE_SITES} sites")
 
 
 def lattice_sites(cfg: SystemConfig, n_c: int) -> np.ndarray:
@@ -149,7 +156,8 @@ class SolveReport:
 
     residual: float         # max |H V - V E| over all entries
     h_norm: float           # row-sum bound on ||H||; the residual is held to RESIDUAL_TOL of it
-    orthonormality: float   # max |V^T V - I| over all entries
+    orthonormality: float   # an upper bound on max |V^T V - I| (``_checked_pass``)
+    close_pairs: int        # pairs of states whose overlap the bound took directly
     leg_system_dim: int     # side of the per-energy leg system: distinct leg sites + 3
     count_steps: int        # inertia-count calls after the first
 
@@ -157,36 +165,86 @@ class SolveReport:
 @dataclass(frozen=True)
 class Eigenbasis:
     """Complete orthonormal eigenbasis of a lattice Hamiltonian, energies
-    ascending: column q of ``vectors`` is the real basis vector
+    ascending, held as O(n) data.
+
+    ``columns(lo, hi)`` returns columns lo..hi-1 of the eigenvector matrix
+    V, an n x (hi - lo) array: column q is the real basis vector
     (A1, A2, B_1..B_nc) of the eigenstate with energy ``energies[q]``, and
-    ``sites`` are the absolute site indices of the rows B_1..B_nc.
+    ``sites`` are the absolute site indices of the rows B_1..B_nc.  From
+    ``lattice_eigenbasis`` it rebuilds the columns from their phases and
+    leg-system null vectors, bit for bit the same whichever block they are
+    asked in; from ``eigendecompose`` it slices the dense matrix.
+    ``starts`` are the first states of the degenerate clusters (energies
+    closer than ``DEGENERACY_TOL`` xi), then n, and :meth:`blocks` cuts the
+    states into blocks that split none of them (``_blocks``).  The pass
+    that checked the basis recorded ``atoms``, rows A1 and A2 of V, and
+    ``weights``, the IPR, photon weight and window weight of every state
+    (``_state_weights``).
     ``report`` holds the structured solver's self-checks (None from the
     dense ``eigendecompose``).
 
     Raises
     ------
     ValueError
-        Unless ``vectors`` is square with side ``energies.size`` and
-        ``sites`` has ``energies.size - 2`` entries.
+        Unless ``sites`` has ``energies.size - 2`` entries, ``atoms`` and
+        ``weights`` have 2 and 3 rows of ``energies.size``, and ``starts``
+        runs from 0 to ``energies.size``.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray
     sites: np.ndarray
+    starts: np.ndarray
+    atoms: np.ndarray
+    weights: np.ndarray
+    columns: Callable[[int, int], np.ndarray]
     report: SolveReport | None = None
 
     def __post_init__(self):
         n = self.energies.size
-        if self.vectors.shape != (n, n):
-            raise ValueError(
-                f"vectors must be {n}x{n} for {n} energies, got shape {self.vectors.shape}")
         if len(self.sites) != n - 2:
             raise ValueError(f"sites must have {n - 2} entries for {n} energies, "
                              f"got {len(self.sites)}")
+        for name, rows in (("atoms", 2), ("weights", 3)):
+            if getattr(self, name).shape != (rows, n):
+                raise ValueError(f"{name} must be {rows}x{n} for {n} energies, "
+                                 f"got shape {getattr(self, name).shape}")
+        if self.starts[0] != 0 or self.starts[-1] != n:
+            raise ValueError(f"cluster starts must run from 0 to {n}")
+
+    def blocks(self, size: int) -> Iterator[tuple[int, int]]:
+        """(lo, hi) of consecutive blocks of about ``size`` states that
+        split no degenerate cluster (``_blocks``)."""
+        return _blocks(self.starts, size)
+
+
+def _blocks(starts: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of consecutive blocks that cover all the states whose
+    clusters start at ``starts`` (then the number of states).  Each ends at
+    the next multiple of ``size``, moved down to the start of the cluster
+    it would split; a cluster that holds the whole block is taken whole, so
+    a block is longer than ``size`` only where one cluster is."""
+    n, lo = int(starts[-1]), 0
+    while lo < n:
+        k = np.searchsorted(starts, min(n, (lo // size + 1) * size), side="right") - 1
+        hi = int(starts[k] if starts[k] > lo else starts[k + 1])
+        yield lo, hi
+        lo = hi
+
+
+def _cluster_starts(energies: np.ndarray, xi: float) -> np.ndarray:
+    """First state of each cluster of ascending ``energies`` closer than
+    ``DEGENERACY_TOL`` xi, then the number of states."""
+    close = np.diff(energies) < DEGENERACY_TOL * xi
+    return np.flatnonzero(np.concatenate([[True], ~close, [True]]))
 
 
 # Rows per block of the structured residual in ``_residual``.
 _RESIDUAL_ROWS = 64
+# States per block of the pass that checks an eigenbasis; the classifier's
+# weights come from the same blocks.
+_CLASSIFY_STATES = 128
+# States per chunk of fourth powers in ``_state_weights``.
+_WEIGHT_STATES = 16
 
 
 def _leg_couplings(cfg: SystemConfig) -> tuple[tuple[int, int, float], ...]:
@@ -204,13 +262,24 @@ def _h_norm(cfg: SystemConfig) -> float:
                abs(cfg.omega_c) + 2.0 * cfg.xi + at_leg)
 
 
+def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_ij b_ij of each column j, added in row order: einsum adds
+    down each of several columns in order, and a single column, which it
+    would sum pairwise, goes through ``accumulate`` instead, so a column's
+    sum does not depend on how many columns come with it."""
+    if a.shape[1] > 1:
+        return np.einsum("ij,ij->j", a, b)
+    return np.add.accumulate(a[:, 0] * b[:, 0])[-1:]
+
+
 def _residual_rows(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
                    vectors: np.ndarray):
     """Yield (lo, H V - V E over rows lo..) in blocks of ``_RESIDUAL_ROWS``
     rows (the two atom rows first), from the structure of H read off
     ``cfg`` and the chain's absolute ``sites``: the tridiagonal resonator
-    chain plus the two atom rows and columns.  The cost is O(n^2) and no
-    n x n temporary is made."""
+    chain plus the two atom rows and columns.  ``vectors`` holds full
+    columns (all n rows), one per energy; the cost is O(n) per column and
+    no temporary is larger than a block of rows."""
     dim = vectors.shape[0]
     legs = [(2 + leg - int(sites[0]), atom, g) for leg, atom, g in _leg_couplings(cfg)]
     atoms = (np.array([[cfg.omega_1], [cfg.omega_2]]) - energies) * vectors[:2]
@@ -234,28 +303,130 @@ def _residual_rows(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
 
 
 def _residual(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
-              vectors: np.ndarray) -> float:
-    """max |H V - V E| over all entries (``_residual_rows``)."""
-    return float(max(np.abs(block).max()
-                     for _, block in _residual_rows(cfg, sites, energies, vectors)))
-
-
-def _orthonormality(vectors: np.ndarray) -> float:
-    """max |V^T V - I| over all entries.
-
-    V^T V is symmetric, so each block of ``_RESIDUAL_ROWS`` columns is
-    multiplied only against the columns at or after it: about half the
-    flops of the full product, and no n x n temporary.
-    """
-    dim = vectors.shape[1]
+              vectors: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """For the columns of ``vectors`` (``_residual_rows``): max |H V - V E|
+    over all entries (NaN if any entry is), the squared 2-norm of each
+    column of H V - V E, and each column's v^T (H - E) v, summed block by
+    block in row order (``_column_sums``)."""
     worst = 0.0
-    for lo in range(0, dim, _RESIDUAL_ROWS):
-        hi = min(dim, lo + _RESIDUAL_ROWS)
-        block = vectors[:, lo:hi].T @ vectors[:, lo:]
-        diag = np.arange(hi - lo)
-        block[diag, diag] -= 1.0
-        worst = max(worst, np.abs(block).max())
-    return float(worst)
+    squares = np.zeros(vectors.shape[1])
+    quotients = np.zeros(vectors.shape[1])
+    for lo, block in _residual_rows(cfg, sites, energies, vectors):
+        worst = np.maximum(worst, np.abs(block).max())
+        squares += np.einsum("ij,ij->j", block, block)
+        quotients += _column_sums(vectors[lo:lo + block.shape[0]], block)
+    return float(worst), squares, quotients
+
+
+def _window(cfg: SystemConfig, sites: np.ndarray) -> np.ndarray:
+    """Mask of the rows of V a bound state must hold most of its weight on:
+    the atoms and the sites within ``WINDOW_PAD`` of the outermost legs."""
+    first, last = cfg.outer_legs
+    return np.concatenate([[True, True],
+                           (sites >= first - WINDOW_PAD) & (sites <= last + WINDOW_PAD)])
+
+
+def _state_weights(vectors: np.ndarray, mask: np.ndarray):
+    """(IPR, photon weight, window weight) of the unit states in the columns
+    of ``vectors``, each a sum along one C-contiguous row of their squared
+    entries: the same pairwise sums as ``np.sum`` of each state alone, bit
+    for bit.  (A boolean column mask leaves its rows strided, and numpy
+    would add them in order, so the window is copied first; the fourth
+    powers are taken ``_WEIGHT_STATES`` states at a time.)"""
+    prob = np.square(vectors.T, order="C")
+    ipr = np.concatenate([(prob[s:s + _WEIGHT_STATES] ** 2).sum(axis=1)
+                          for s in range(0, len(prob), _WEIGHT_STATES)])
+    return ipr, prob[:, 2:].sum(axis=1), np.ascontiguousarray(prob[:, mask]).sum(axis=1)
+
+
+def _largest_overlap(left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
+    """max |left[:, i_k] . right[:, j_k]| over the index pairs, from one
+    product of the column ranges the pairs span (near a band edge the close
+    pairs fill those ranges)."""
+    if i.size == 0:
+        return 0.0
+    rows, cols = slice(i.min(), i.max() + 1), slice(j.min(), j.max() + 1)
+    gram = left[:, rows].T @ right[:, cols]
+    return float(np.abs(gram[i - rows.start, j - cols.start]).max())
+
+
+def _checked_pass(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
+                  starts: np.ndarray, columns, solve=None, refine=None):
+    """Check an eigenbasis in one pass over its ``_CLASSIFY_STATES``-state
+    blocks (``Eigenbasis.blocks``), reading each block once from
+    ``solve(lo, hi)``, or from ``columns(lo, hi)`` if ``solve`` is None.
+
+    ``refine(lo, hi, block, quotients)``, if given, may replace columns of a
+    block (and their ``energies``) after its Rayleigh quotients are known;
+    it returns whether it did.  Then, per block: the residual (``_residual``)
+    and, for the classifier, rows A1 and A2 and ``_state_weights``.
+
+    Orthonormality is bounded in O(n^2), not taken from V^T V.  For real
+    vectors with residuals r = (H - E) v, (E_j - E_i) v_i . v_j =
+    r_i . v_j - v_i . r_j, so |v_i . v_j| <= (rho_i |v_j| + |v_i| rho_j) /
+    |E_i - E_j| with rho the residual 2-norm (raised by 3 eps ||H|| |v|,
+    the rounding of the residual itself) (Davis and Kahan, SIAM J. Numer.
+    Anal. 7, 1 (1970)).  Each pair is decided when the block of its upper
+    state is read, with delta = 20 rho_max max|v| / ``ORTHONORMALITY_TOL``
+    over the states read so far: a pair closer than delta takes its
+    overlap directly (a lower state in an earlier block is read again from
+    ``columns``), and every other pair is bounded as above, by at most a
+    tenth of the tolerance.  The bound is the largest of |v|^2 - 1, the
+    direct overlaps and the bounds on the far pairs, plus n eps max|v|^2
+    for the rounding of any dot product of two columns.
+
+    Returns (max |H V - V E|, the orthonormality bound, the number of pairs
+    taken directly, atoms, weights).
+    """
+    n = energies.size
+    eps = np.finfo(float).eps
+    h_norm = _h_norm(cfg)
+    mask = _window(cfg, sites)
+    atoms, weights = np.empty((2, n)), np.empty((3, n))
+    norms, rho = np.empty(n), np.empty(n)
+    residual = ortho = 0.0
+    rho_max = v_max = 0.0
+    pairs = 0
+    for lo, hi in _blocks(starts, _CLASSIFY_STATES):
+        block = (solve or columns)(lo, hi)
+        worst, squares, quotients = _residual(cfg, sites, energies[lo:hi], block)
+        if refine is not None and refine(lo, hi, block, quotients):
+            worst, squares, _ = _residual(cfg, sites, energies[lo:hi], block)
+        residual = np.maximum(residual, worst)
+        atoms[:, lo:hi] = block[:2]
+        weights[:, lo:hi] = _state_weights(block, mask)
+        norm2 = _column_sums(block, block)
+        norms[lo:hi] = np.sqrt(norm2)
+        rho[lo:hi] = np.sqrt(squares) + 3.0 * eps * h_norm * norms[lo:hi]
+        rho_max = max(rho_max, float(rho[lo:hi].max()))
+        v_max = max(v_max, float(norms[lo:hi].max()))
+        delta = 20.0 * rho_max * v_max / ORTHONORMALITY_TOL
+        upper = np.arange(lo, hi)
+        # states lower[q]..q-1 are closer than delta below state lo + q
+        lower = np.searchsorted(energies[:hi], energies[lo:hi] - delta, side="right")
+        counts = upper - lower
+        pairs += int(counts.sum())
+        # the pairs (i, j): each upper state j with lower[j]..j-1
+        j = np.repeat(upper, counts)
+        i = j - (np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts)) - 1
+        ortho = np.maximum(ortho, np.abs(norm2 - 1.0).max())
+        inside = i >= lo
+        ortho = np.maximum(ortho, _largest_overlap(block, block, i[inside] - lo, j[inside] - lo))
+        for a, b in _blocks(starts, _CLASSIFY_STATES):
+            if b <= lower[0] or a >= lo:  # no lower state of a pair, or read already
+                continue
+            a, b = max(a, int(lower[0])), min(b, lo)
+            take = (i >= a) & (i < b)
+            ortho = np.maximum(ortho, _largest_overlap(columns(a, b), block, i[take] - a,
+                                                       j[take] - lo))
+        # the nearest state below each one that is not closer than delta
+        far = lower > 0
+        if far.any():
+            q = upper[far]
+            gap = energies[q] - energies[lower[far] - 1]
+            ortho = np.maximum(ortho, ((rho_max * norms[q] + v_max * rho[q]) / gap).max())
+    ortho += n * eps * v_max ** 2
+    return float(residual), float(ortho), pairs, atoms, weights
 
 
 def _check_tolerances(residual: float, h_norm: float, ortho: float) -> None:
@@ -267,10 +438,11 @@ def _check_tolerances(residual: float, h_norm: float, ortho: float) -> None:
 
 def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
     """Complete orthonormal eigenbasis by dense ``eigh``, energies ascending:
-    the test oracle of ``lattice_eigenbasis``.
+    the test oracle of ``lattice_eigenbasis``.  Its ``columns`` slice the
+    dense matrix.
 
-    Checks residuals ||H v - E v|| <= 1e-8 ||H|| and orthonormality
-    ||V^T V - I||_max <= 1e-8 before returning.
+    Checks residuals ||H v - E v|| <= 1e-8 ||H|| and the orthonormality
+    bound of ``_checked_pass`` <= 1e-8 before returning.
 
     Raises
     ------
@@ -284,9 +456,15 @@ def eigendecompose(ham: LatticeHamiltonian) -> Eigenbasis:
         raise SolverError(
             f"eigensolver failed on {h.shape[0]}x{h.shape[0]} matrix "
             f"(max|H|={np.abs(h).max():.3e}): {exc}") from exc
-    _check_tolerances(_residual(ham.cfg, ham.sites, energies, vectors), _h_norm(ham.cfg),
-                      _orthonormality(vectors))
-    return Eigenbasis(energies, vectors, ham.sites)
+    starts = _cluster_starts(energies, ham.cfg.xi)
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        return vectors[:, lo:hi]
+
+    residual, ortho, _, atoms, weights = _checked_pass(ham.cfg, ham.sites, energies, starts,
+                                                       columns)
+    _check_tolerances(residual, _h_norm(ham.cfg), ortho)
+    return Eigenbasis(energies, ham.sites, starts, atoms, weights, columns)
 
 
 # ---- the structured eigensolver ----
@@ -602,37 +780,49 @@ def _run(length: int, k: np.ndarray, u: np.ndarray) -> np.ndarray:
             * np.expm1(-2.0 * k * eta) / np.expm1(-2.0 * (length + 1) * eta))
 
 
-def _run_rows(rows: np.ndarray, u: np.ndarray,
-              x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _free_runs(runs: list[np.ndarray], u: np.ndarray,
+               x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Write the free run f(k), k = 1..length sites from an end where
-    f(0) = 0, into the rows of ``rows`` (length x u.size, length >= 0) in
-    place; return f(1), f(length) and f(length + 1).
+    f(0) = 0, into the rows of each array in ``runs`` (length x u.size,
+    length >= 0) in place; return f(1), f(length) and f(length + 1) of each.
 
     In the band f runs the recurrence f(k+1) = 2x f(k) - f(k-1) from
     f(1) = sin(u), with the same rounded x that the leg system holds, so
     every row of (H - E) v inside the run vanishes to rounding (a sine per
     site would carry each argument's rounding, about 1e-13 at a few hundred
-    sites).  Out of the band f is ``_run``'s closed form.
+    sites).  That sequence does not depend on the length, so it is run once,
+    in the longest run, and the shorter runs copy its first rows.  Out of
+    the band f is ``_run``'s closed form.
     """
-    length = rows.shape[0]
     band = _in_band(u)
     two_x = np.where(band, 2.0 * x, 0.0)  # bounded filler where ``_run`` takes over
-    first = np.sin(np.where(band, u, 0.0))
-    if length == 0:
-        end, beyond = np.zeros(u.size), first.copy()
+    start = np.sin(np.where(band, u, 0.0))
+    longest = max(runs, key=len)
+    if len(longest):
+        longest[0] = start
+    if len(longest) > 1:
+        np.multiply(longest[0], two_x, out=longest[1])
+    for before, last, row in zip(longest, longest[1:], longest[2:]):
+        np.multiply(last, two_x, out=row)
+        row -= before
+    if len(longest) == 0:
+        after = start
     else:
-        rows[0] = first
-        for k in range(1, length):
-            np.multiply(rows[k - 1], two_x, out=rows[k])
-            if k > 1:
-                rows[k] -= rows[k - 2]
-        end = rows[-1].copy()
-        beyond = two_x * rows[-1] - (rows[-2] if length > 1 else 0.0)
-    if not band.all():
-        closed = _run(length, np.arange(length + 2), u[~band])
-        rows[:, ~band] = closed[1:-1]
-        first[~band], end[~band], beyond[~band] = closed[1], closed[-2], closed[-1]
-    return first, end, beyond
+        after = two_x * longest[-1] - (longest[-2] if len(longest) > 1 else 0.0)
+    ends = []
+    for rows in runs:
+        length = len(rows)
+        if rows is not longest:
+            rows[:] = longest[:length]
+        first = start.copy()
+        end = longest[length - 1].copy() if length else np.zeros(u.size)
+        beyond = longest[length].copy() if length < len(longest) else after.copy()
+        if not band.all():
+            closed = _run(length, np.arange(length + 2), u[~band])
+            rows[:, ~band] = closed[1:-1]
+            first[~band], end[~band], beyond[~band] = closed[1], closed[-2], closed[-1]
+        ends.append((first, end, beyond))
+    return ends
 
 
 def _cosines(u: np.ndarray, x: np.ndarray, count: int):
@@ -681,17 +871,19 @@ def _leg_system(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray,
     right, atom = r, r + 1  # unknowns a_right and A1; sigma_k is 1 + k
     m = np.zeros((u.size, r + 3, r + 3))
     legs = np.zeros((r, u.size, r + 3))
-    _, end, beyond = _run_rows(out[2:2 + cols[0]], u, x)
+    runs = _free_runs([out[2:2 + cols[0]], out[3 + cols[-1]:][::-1]]
+                      + [out[3 + cols[k]:2 + cols[k + 1]] for k in range(r - 1)], u, x)
+    _, end, beyond = runs[0]
     legs[0][:, 0] = beyond
     m[:, 0, 0] = -xi * end  # leg 1's left neighbour
-    _, end, beyond = _run_rows(out[3 + cols[-1]:][::-1], u, x)
+    _, end, beyond = runs[1]
     m[:, r - 1, right] = -xi * end  # leg r's right neighbour
     m[:, right, right] = xi * beyond
     band = _in_band(u)
     sign = _eta(u)[1]
     for k in range(r - 1):
         d = cols[k + 1] - cols[k]
-        other_1, other_end, other_d = _run_rows(out[3 + cols[k]:2 + cols[k + 1]], u, x)
+        other_1, other_end, other_d = runs[2 + k]
         c_end = c_d = np.ones(u.size)
         for c in _cosines(u, x, d):
             c_end, c_d = c_d, c
@@ -754,55 +946,84 @@ def _right_singular(mats: np.ndarray, dim: int) -> np.ndarray:
                           f"({mats.shape[-1]}x{mats.shape[-1]} leg system): {exc}") from exc
 
 
-def _build(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray) -> None:
+def _build(out: np.ndarray, cfg: SystemConfig, n_c: int, u: np.ndarray,
+           nulls: np.ndarray | None = None) -> np.ndarray:
     """Write the unit eigenvectors at phases u into the columns of ``out``
     ((n_c + 2) x u.size), in place: each is the lattice vector of its leg
-    system's null vector (the SVD's last right singular vector)."""
+    system's null vector, one row of ``nulls`` or, if None, the SVD's last
+    right singular vector.  Returns the null vectors.  Every step acts on
+    each column alone, so a column is the same bit for bit whichever phases
+    are built with it."""
     x = _half_detuning(u)
     mats, legs = _leg_system(out, cfg, n_c, u, x)
-    _combine(out, cfg, n_c, u, x, _right_singular(mats, n_c + 2)[:, -1], legs)
-    out /= np.sqrt(np.einsum("ij,ij->j", out, out))
+    if nulls is None:
+        nulls = _right_singular(mats, n_c + 2)[:, -1]
+    _combine(out, cfg, n_c, u, x, nulls, legs)
+    out /= np.sqrt(_column_sums(out, out))
+    return nulls
 
 
 def _orthogonalize_clusters(vectors: np.ndarray, cfg: SystemConfig, n_c: int,
-                            u: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Give each cluster of energies closer than ``DEGENERACY_TOL`` xi an
-    orthonormal basis of its null spaces, in place: member q's vector is the
-    null vector of its leg system among the solutions whose lattice vectors
-    are orthogonal to the members before it.  Returns the mask of clustered
-    columns."""
-    close = np.diff(energies) < DEGENERACY_TOL * cfg.xi
+                            u: np.ndarray, starts: np.ndarray) -> None:
+    """Give each degenerate cluster among the columns of ``vectors`` (at
+    phases u; clusters start at ``starts``, then u.size) an orthonormal
+    basis of its null spaces, in place: member q's vector is the null
+    vector of its leg system among the solutions whose lattice vectors are
+    orthogonal to the members before it."""
     side = len(_leg_columns(cfg, n_c)) + 3
-    for q in np.flatnonzero(close) + 1:  # q joins the cluster of q - 1
-        first = q - 1
-        while first > 0 and close[first - 1]:
-            first -= 1
-        # the lattice vectors of the unit solutions at u[q], one per column
-        at = np.full(side, u[q])
-        x = _half_detuning(at)
-        lifts = np.empty((n_c + 2, side))
-        mats, legs = _leg_system(lifts, cfg, n_c, at, x)
-        _combine(lifts, cfg, n_c, at, x, np.eye(side), legs)
-        basis = _right_singular(vectors[:, first:q].T @ lifts, n_c + 2)[q - first:].T
-        column = lifts @ (basis @ _right_singular(mats[0] @ basis, n_c + 2)[-1])
-        vectors[:, q] = column / np.linalg.norm(column)
-    return np.concatenate([close, [False]]) | np.concatenate([[False], close])
+    for first, end in zip(starts[:-1], starts[1:]):
+        for q in range(first + 1, end):
+            # the lattice vectors of the unit solutions at u[q], one per column
+            at = np.full(side, u[q])
+            x = _half_detuning(at)
+            lifts = np.empty((n_c + 2, side))
+            mats, legs = _leg_system(lifts, cfg, n_c, at, x)
+            _combine(lifts, cfg, n_c, at, x, np.eye(side), legs)
+            basis = _right_singular(vectors[:, first:q].T @ lifts, n_c + 2)[q - first:].T
+            column = lifts @ (basis @ _right_singular(mats[0] @ basis, n_c + 2)[-1])
+            vectors[:, q] = column / np.linalg.norm(column)
+
+
+def _rebuild(cfg: SystemConfig, n_c: int, u: np.ndarray, nulls: np.ndarray,
+             starts: np.ndarray, lo: int, hi: int, solve: bool = False) -> np.ndarray:
+    """Columns lo..hi-1 of the eigenvector matrix from their phases u and
+    the rows of ``nulls``, their leg systems' null vectors (with ``solve``,
+    solved for and written there): the whole degenerate clusters (starting
+    at ``starts``) that hold them are built (``_build``) and made
+    orthonormal (``_orthogonalize_clusters``), then sliced."""
+    first = int(starts[np.searchsorted(starts, lo, side="right") - 1])
+    end = int(starts[np.searchsorted(starts, hi)])
+    out = np.empty((n_c + 2, end - first))
+    if solve:
+        nulls[first:end] = _build(out, cfg, n_c, u[first:end])
+    else:
+        _build(out, cfg, n_c, u[first:end], nulls[first:end])
+    inside = starts[(starts >= first) & (starts <= end)] - first
+    _orthogonalize_clusters(out, cfg, n_c, u[first:end], inside)
+    return out[:, lo - first:hi - first]
 
 
 def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
     """Complete orthonormal eigenbasis of the ``n_c``-site lattice, energies
     ascending: the contract of ``eigendecompose(build_hamiltonian(cfg, n_c))``
-    without the dense Hamiltonian or an n x n eigensolver.
+    without the dense Hamiltonian, an n x n eigensolver or an n x n array.
 
     Energies come from ``_phases`` (safeguarded regula falsi, bracketed by
-    an O(1) inertia count),
-    vectors from the null vectors of the per-energy leg systems of side
-    r + 3 for r distinct leg sites (``_leg_system``), whatever the leg
-    span, with the free runs between and beyond the legs written in place
-    into the one (n_c + 2)^2 array.  Degenerate clusters are made
-    orthonormal by ``_orthogonalize_clusters``.  The result is checked like
-    the dense oracle's, and ``report`` records those checks and the
-    solver's sizes.
+    an O(1) inertia count), vectors from the null vectors of the per-energy
+    leg systems of side r + 3 for r distinct leg sites (``_leg_system``),
+    whatever the leg span, with the free runs between and beyond the legs
+    written in place.  Degenerate clusters are made orthonormal by
+    ``_orthogonalize_clusters``.  One pass over ``_CLASSIFY_STATES``-state
+    blocks (``_checked_pass``) builds every column, takes one
+    Rayleigh-quotient step, v^T (H - E) v, and rebuilds the columns of
+    states outside a cluster whose energy it moves by more than
+    ``_REFINE_TOL`` ||H|| at the moved phase; then it checks the residual
+    and bounds the orthonormality of the final columns.  The basis keeps
+    the final phases u and each state's leg-system null vector (r + 3
+    numbers, so a rebuild takes no SVD), and its ``columns`` rebuild any
+    block from them (``_rebuild``), each column bit for bit as this pass
+    built it.
+    ``report`` records the checks and the solver's sizes.
 
     Raises
     ------
@@ -816,27 +1037,30 @@ def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
     h_norm = _h_norm(cfg)
     u, steps = _phases(cfg, n_c)
     energies = cfg.omega_c - 2.0 * cfg.xi * _half_detuning(u)
-    vectors = np.empty((n_c + 2, n_c + 2))
-    _build(vectors, cfg, n_c, u)
-    clustered = _orthogonalize_clusters(vectors, cfg, n_c, u, energies)
+    starts = _cluster_starts(energies, cfg.xi)
+    clustered = np.repeat(np.diff(starts) > 1, np.diff(starts))
     sites = lattice_sites(cfg, n_c)
-    # one Rayleigh-quotient step, v^T (H - E) v, on the built vectors
-    shifts = np.zeros(n_c + 2)
-    for lo, block in _residual_rows(cfg, sites, energies, vectors):
-        shifts += np.einsum("ij,ij->j", vectors[lo:lo + block.shape[0]], block)
-    shifts[clustered] = 0.0
-    redo = np.flatnonzero(np.abs(shifts) > _REFINE_TOL * h_norm)
-    if redo.size:
-        u[redo] += shifts[redo] / (2.0 * cfg.xi * _energy_slope(u[redo]))
-        energies[redo] = cfg.omega_c - 2.0 * cfg.xi * _half_detuning(u[redo])
-        columns = np.empty((n_c + 2, redo.size))
-        _build(columns, cfg, n_c, u[redo])
-        vectors[:, redo] = columns
-    residual = _residual(cfg, sites, energies, vectors)
-    ortho = _orthonormality(vectors)
+    nulls = np.empty((n_c + 2, len(_leg_columns(cfg, n_c)) + 3))
+    columns = functools.partial(_rebuild, cfg, n_c, u, nulls, starts)
+
+    def refine(lo: int, hi: int, block: np.ndarray, quotients: np.ndarray) -> bool:
+        quotients[clustered[lo:hi]] = 0.0
+        redo = np.flatnonzero(np.abs(quotients) > _REFINE_TOL * h_norm)
+        if redo.size == 0:
+            return False
+        q = lo + redo
+        u[q] += quotients[redo] / (2.0 * cfg.xi * _energy_slope(u[q]))
+        energies[q] = cfg.omega_c - 2.0 * cfg.xi * _half_detuning(u[q])
+        fresh = np.empty((n_c + 2, redo.size))
+        nulls[q] = _build(fresh, cfg, n_c, u[q])
+        block[:, redo] = fresh
+        return True
+
+    residual, ortho, pairs, atoms, weights = _checked_pass(
+        cfg, sites, energies, starts, columns, functools.partial(columns, solve=True), refine)
     _check_tolerances(residual, h_norm, ortho)
-    return Eigenbasis(energies, vectors, sites, SolveReport(
-        residual=residual, h_norm=h_norm, orthonormality=ortho,
+    return Eigenbasis(energies, sites, starts, atoms, weights, columns, SolveReport(
+        residual=residual, h_norm=h_norm, orthonormality=ortho, close_pairs=pairs,
         leg_system_dim=len(_leg_columns(cfg, n_c)) + 3, count_steps=steps))
 
 
@@ -876,22 +1100,6 @@ def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     return w, vecs
 
 
-# States per C-contiguous block of the transposed eigenvector array in
-# ``classify_bound_states``.
-_CLASSIFY_STATES = 128
-
-
-def _state_weights(rows: np.ndarray, mask: np.ndarray):
-    """(IPR, photon weight, window weight) of the unit states in the rows of
-    the C-contiguous array ``rows``, each a sum along one row.  The first
-    two sum whole rows: the same pairwise sums as ``np.sum`` of each state
-    alone, bit for bit.  numpy may order the short masked window sums
-    differently, so the window weight can differ from a per-state sum in
-    the last bit."""
-    prob = rows ** 2
-    return (prob ** 2).sum(axis=1), prob[:, 2:].sum(axis=1), prob[:, mask].sum(axis=1)
-
-
 def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundStateProfile]:
     """Label every eigenstate as BIC, BOC, or extended.
 
@@ -899,42 +1107,30 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     is at least ``IPR_THRESHOLD`` and at least half of its weight sits on
     the atoms plus the sites within 5 of the outermost legs; candidates
     inside the open band are BICs, outside it BOCs.  Nearly degenerate
-    states (within 1e-6 xi) are first rotated to a maximally-localized
-    basis (``_localized_rotation``), which untangles bound states from
-    accidentally degenerate band states; the returned profiles are that
-    rotated basis.  States with essentially no photon weight (a decoupled
-    atom) and states within 1e-3 xi of a band edge are never bound states.
+    states (``basis.starts``, within 1e-6 xi) are first rotated to a
+    maximally-localized basis (``_localized_rotation``), which untangles
+    bound states from accidentally degenerate band states; the returned
+    profiles are that rotated basis.  States with essentially no photon
+    weight (a decoupled atom) and states within 1e-3 xi of a band edge are
+    never bound states.
 
-    The weights of all states are row sums over C-contiguous copies of
-    ``_CLASSIFY_STATES``-column blocks of ``basis.vectors``, transposed;
-    each degenerate cluster is read as a column slice and its rotated
-    states replace its members' weights.  The labels are then set for all
-    states at once.  Only BIC and BOC profiles keep their photon
-    probabilities (``photon`` is None on extended states), read again from
-    their own column.
+    The weights and atomic amplitudes of all states are those the pass
+    that checked the basis recorded (``basis.weights``, ``basis.atoms``).
+    The basis is read only as the columns of each degenerate cluster, whose
+    rotated states replace its members' weights, and of each BIC and BOC,
+    whose photon probabilities the profile keeps (``photon`` is None on
+    extended states).  The labels are set for all states at once.
     """
-    energies, vectors = basis.energies, basis.vectors
-    dim = energies.size
-
-    first, last = cfg.outer_legs
-    mask = np.ones(dim, dtype=bool)
-    mask[2:] = (basis.sites >= first - WINDOW_PAD) & (basis.sites <= last + WINDOW_PAD)
-
-    ipr, photon_weight, window = (np.empty(dim) for _ in range(3))
-    for lo in range(0, dim, _CLASSIFY_STATES):
-        hi = min(dim, lo + _CLASSIFY_STATES)
-        rows = np.ascontiguousarray(vectors[:, lo:hi].T)
-        ipr[lo:hi], photon_weight[lo:hi], window[lo:hi] = _state_weights(rows, mask)
-
+    energies = basis.energies
+    mask = _window(cfg, basis.sites)
+    ipr, photon_weight, window = basis.weights.copy()
+    amps = basis.atoms.copy()
     state = energies.copy()
-    amps = vectors[:2].copy()
     rotated: dict[int, np.ndarray] = {}  # the rotated column of each clustered state
-    close = np.diff(energies) < DEGENERACY_TOL * cfg.xi
-    starts = np.flatnonzero(np.concatenate([[True], ~close]))
-    for i, j in zip(starts, np.append(starts[1:], dim)):
+    for i, j in zip(basis.starts[:-1], basis.starts[1:]):
         if j - i > 1:
-            window[i:j], vecs = _localized_rotation(vectors[:, i:j], mask)
-            ipr[i:j], photon_weight[i:j], _ = _state_weights(np.ascontiguousarray(vecs.T), mask)
+            window[i:j], vecs = _localized_rotation(basis.columns(i, j), mask)
+            ipr[i:j], photon_weight[i:j], _ = _state_weights(vecs, mask)
             state[i:j] = np.mean(energies[i:j])
             amps[:, i:j] = vecs[:2]
             rotated.update(zip(range(i, j), vecs.T))
@@ -951,7 +1147,7 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     for q, label in enumerate(labels.tolist()):
         photon = None
         if label != "extended":
-            photon = (rotated[q] if q in rotated else vectors[:, q])[2:] ** 2
+            photon = (rotated[q] if q in rotated else basis.columns(q, q + 1)[:, 0])[2:] ** 2
         profiles.append(BoundStateProfile(
             energy=float(state[q]), label=label, ipr=float(ipr[q]),
             amp_1=float(amps[0, q]), amp_2=float(amps[1, q]), photon=photon))
@@ -987,22 +1183,22 @@ def exact_propagate(
 ) -> tuple[AtomTrajectory, list[FieldSnapshot]]:
     """Propagate by spectral decomposition: psi(t) = sum_q e^{-iE_q t} <v_q|psi0> v_q.
 
-    ``basis`` is the eigenbasis of an n_c-site lattice (n = n_c + 2 states).
-    The atomic amplitudes use the uniform grid: with B = ceil(sqrt(T)) for
-    T nodes, node n = jB + k has t_n = (jB + k) dt, so
+    ``basis`` is the eigenbasis of an n_c-site lattice (n = n_c + 2 states),
+    read once, in the blocks of about ``_PROPAGATE_STATES`` states of
+    ``basis.blocks``.  The atomic amplitudes use the uniform grid: with
+    B = ceil(sqrt(T)) for T nodes, node n = jB + k has t_n = (jB + k) dt, so
     a_i(t_n) = sum_q e^{-iE_q k dt} [w_iq e^{-iE_q jB dt}], w_iq = v_q[i] <v_q|psi0>.
-    The states are taken ``_PROPAGATE_STATES`` at a time: each block adds
-    the complex product of its (B x block) inner-phase table and its
-    (block x 2 ceil(T/B)) outer-phase table, scaled by w_1 and w_2, to the
-    (B x 2 ceil(T/B)) amplitude table.  That is about 2nT complex
-    multiply-adds and about 2n sqrt(T) complex exponentials in all.  The
-    overlaps <v_q|psi0> come from the basis rows psi0 touches and w_1, w_2
-    from rows 0 and 1; all snapshots come from one real product of the
-    eigenvector array with the real and imaginary parts of an
-    (n x #snapshots) coefficient table.  Besides the given eigenbasis and
-    the O(T) result, the scratch is O(n (1 + #snapshots)) for the overlaps and
-    snapshots and O(block sqrt(T)) for the phase tables, with
-    block = ``_PROPAGATE_STATES``: no n x n or n x sqrt(T) array is made.
+    Each block's overlaps <v_q|psi0> come from the rows psi0 touches and
+    w_1, w_2 from rows 0 and 1; the block adds the complex product of its
+    (B x block) inner-phase table and its (block x 2 ceil(T/B))
+    outer-phase table, scaled by w_1 and w_2, to the (B x 2 ceil(T/B))
+    amplitude table, and the real product of its columns with the real and
+    imaginary parts of its (block x #snapshots) coefficient table to the
+    snapshots.  That is about 2nT complex multiply-adds and about
+    2n sqrt(T) complex exponentials in all.  Besides the O(T) result and
+    the O(n #snapshots) snapshots, the scratch is one block of columns and
+    O(block sqrt(T)) for the phase tables: no n x n or n x sqrt(T) array
+    is made.
 
     Warns (does not fail) when n_c is below the wavefront criterion for
     the requested horizon, i.e. when the horizon goes past
@@ -1011,7 +1207,7 @@ def exact_propagate(
     lie on the grid).  A photon site of ``psi0`` that is not one of
     ``basis.sites`` raises ValueError.
     """
-    energies, vectors = basis.energies, basis.vectors
+    energies = basis.energies
     n_c = energies.size - 2
     t_free = reflection_free_time(cfg, n_c, grid.dt)
     if grid.t_end > t_free:
@@ -1019,14 +1215,12 @@ def exact_propagate(
             f"n_c={n_c} is below the wavefront criterion for t_max={grid.t_end}: "
             f"radiation reflected off the chain ends is back at the legs after "
             f"t={t_free:g}", stacklevel=2)
-    coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
+    photon_rows = []  # (row of V, amplitude) of each photon site of psi0
     for site, amp in psi0.beta.items():
         col = np.flatnonzero(basis.sites == site)
         if col.size != 1:
             raise ValueError(f"site {site} lies outside the lattice")
-        coeff += vectors[2 + col[0]] * complex(amp)
-    w1 = vectors[0] * coeff
-    w2 = vectors[1] * coeff
+        photon_rows.append((2 + col[0], complex(amp)))
 
     times = grid.times()
     n_t = times.size
@@ -1034,31 +1228,35 @@ def exact_propagate(
     n_outer = -(-n_t // inner)
     inner_times = np.arange(inner) * grid.dt
     outer_times = np.arange(n_outer) * (inner * grid.dt)
+    nodes = [grid.node(t) for t in snapshot_times]
+    n_s = len(nodes)
     # amps[k, j] = a_1 at node j*inner + k; columns n_outer.. hold a_2
     amps = np.zeros((inner, 2 * n_outer), dtype=complex)
-    for lo in range(0, n_c + 2, _PROPAGATE_STATES):
-        part = slice(lo, lo + _PROPAGATE_STATES)
-        inner_phase = -1j * np.outer(inner_times, energies[part])
+    # psi[:, i] and psi[:, n_s + i]: real and imaginary parts of snapshot i
+    psi = np.zeros((n_c + 2, 2 * n_s))
+    for lo, hi in basis.blocks(_PROPAGATE_STATES):
+        vectors = basis.columns(lo, hi)
+        part = energies[lo:hi]
+        coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
+        for row, amp in photon_rows:
+            coeff += vectors[row] * amp
+        inner_phase = -1j * np.outer(inner_times, part)
         np.exp(inner_phase, out=inner_phase)
         # the outer phases are formed in place in the first half of ``scaled``
-        scaled = np.empty((inner_phase.shape[1], 2 * n_outer), dtype=complex)
+        scaled = np.empty((hi - lo, 2 * n_outer), dtype=complex)
         outer_phase = scaled[:, :n_outer]
-        np.multiply(-1j, np.outer(energies[part], outer_times), out=outer_phase)
+        np.multiply(-1j, np.outer(part, outer_times), out=outer_phase)
         np.exp(outer_phase, out=outer_phase)
-        np.multiply(outer_phase, w2[part, None], out=scaled[:, n_outer:])
-        outer_phase *= w1[part, None]
+        np.multiply(outer_phase, (vectors[1] * coeff)[:, None], out=scaled[:, n_outer:])
+        outer_phase *= (vectors[0] * coeff)[:, None]
         amps += inner_phase @ scaled
+        if n_s:
+            table = coeff[:, None] * np.exp(-1j * np.outer(part, times[nodes]))
+            psi += vectors @ np.concatenate([table.real, table.imag], axis=1)
+        del vectors, inner_phase, scaled, outer_phase  # freed before the next block is built
     a1 = amps[:, :n_outer].T.reshape(-1)[:n_t]
     a2 = amps[:, n_outer:].T.reshape(-1)[:n_t]
     trajectory = AtomTrajectory(grid=grid, alpha_1=a1, alpha_2=a2)
-
-    nodes = [grid.node(t) for t in snapshot_times]
-    if not nodes:
-        return trajectory, []
-    n_s = len(nodes)
-    table = coeff[:, None] * np.exp(-1j * np.outer(energies, times[nodes]))
-    parts = np.concatenate([table.real, table.imag], axis=1)
-    psi = vectors @ parts
     beta = psi[2:, :n_s] + 1j * psi[2:, n_s:]
     return trajectory, [FieldSnapshot(time=times[n], sites=basis.sites, beta=beta[:, i])
                         for i, n in enumerate(nodes)]

@@ -28,6 +28,30 @@ def traced_peak(fn, *args, **kwargs) -> int:
     return peak
 
 
+def basis_matrix(basis: spectrum.Eigenbasis) -> np.ndarray:
+    """The whole n x n eigenvector matrix of ``basis``, read as one block."""
+    return basis.columns(0, basis.energies.size)
+
+
+def _orthonormality(vectors: np.ndarray) -> float:
+    """max |V^T V - I| over all entries: the O(n^3) reference for the
+    orthonormality bound of ``spectrum._checked_pass``.
+
+    V^T V is symmetric, so each block of 64 columns is multiplied only
+    against the columns at or after it: about half the flops of the full
+    product, and no n x n temporary.
+    """
+    dim = vectors.shape[1]
+    worst = 0.0
+    for lo in range(0, dim, 64):
+        hi = min(dim, lo + 64)
+        block = vectors[:, lo:hi].T @ vectors[:, lo:]
+        diag = np.arange(hi - lo)
+        block[diag, diag] -= 1.0
+        worst = max(worst, np.abs(block).max())
+    return float(worst)
+
+
 def write_csv_reference(path, header, columns):
     """The row-joining CSV writer that the block kernel of
     ``cli.write_csv`` replaced: every float-array cell through Python's
@@ -433,7 +457,7 @@ def exact_propagate_direct(cfg, psi0, grid, basis: spectrum.Eigenbasis) -> AtomT
     """The atomic amplitudes of ``spectrum.exact_propagate`` with one
     complex exponential per (time node, eigenvalue), t_n = n dt, taken in
     blocks of time rows and summed against the weights w_i = v_q[i] <v_q|psi0>."""
-    energies, vectors = basis.energies, basis.vectors
+    energies, vectors = basis.energies, basis_matrix(basis)
     vec0 = np.zeros(energies.size, dtype=complex)
     vec0[0] = psi0.alpha_1
     vec0[1] = psi0.alpha_2
@@ -459,7 +483,7 @@ def exact_propagate_one_product(psi0, grid, basis: spectrum.Eigenbasis) -> AtomT
     in one product: t = (jB + k) dt, B = ceil(sqrt(T)), from an (B x n)
     inner-phase table times an (n x 2 ceil(T/B)) outer-phase table scaled by
     w_1 and w_2, with n x sqrt(T) scratch."""
-    energies, vectors = basis.energies, basis.vectors
+    energies, vectors = basis.energies, basis_matrix(basis)
     coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
     for site, amp in psi0.beta.items():
         coeff += vectors[2 + site - basis.sites[0]] * complex(amp)
@@ -479,7 +503,7 @@ def classify_bound_states_loop(basis: spectrum.Eigenbasis,
     """``spectrum.classify_bound_states`` one state at a time: each state's
     IPR, photon weight and window weight are ``np.sum`` calls over its own
     column (a degenerate cluster's over its ``_localized_rotation``)."""
-    energies, vectors = basis.energies, basis.vectors
+    energies, vectors = basis.energies, basis_matrix(basis)
     dim = energies.size
     first, last = cfg.outer_legs
     mask = np.ones(dim, dtype=bool)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (bessel_j_row, lamb_shift_sum_oracle, norm_check, series_oracle,
-                     transcendental_residual)
+from oracles import (basis_matrix, bessel_j_row, lamb_shift_sum_oracle, norm_check,
+                     series_oracle, transcendental_residual)
 
 from crwqed.model import SystemConfig, TimeGrid, initial_state
 from crwqed import bic, dynamics, spectrum
@@ -235,7 +235,7 @@ def test_criterion_7_unitarity(fig3_run, fig3_basis):
     # exact propagation: bound the deficit for every time via the eigenbasis
     # orthonormality, then spot-check reconstructed full states
     _, basis = fig3_basis
-    vectors = basis.vectors
+    vectors = basis_matrix(basis)
     gram_defect = vectors.T @ vectors - np.eye(vectors.shape[1])
     fro = float(np.linalg.norm(gram_defect))
     exact_bound = 2.0 * fro  # >= | ||psi(t)||^2 - 1 | for all t

@@ -80,7 +80,8 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     # fig3's leg system: two tail amplitudes, the three stretches between
     # its four distinct leg sites, two atoms
     assert sizes["lattice"] == {"n_c": scn.n_c, "dim": scn.n_c + 2, "leg_system_dim": 7,
-                                "count_steps": sizes["lattice"]["count_steps"]}
+                                "count_steps": sizes["lattice"]["count_steps"],
+                                "close_pairs": sizes["lattice"]["close_pairs"]}
     assert 5 <= sizes["lattice"]["count_steps"] <= 25
     # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
@@ -449,10 +450,10 @@ def test_resonance_geometry_matches_lattice_count(tmp_path):
 
 def test_profile_csv_holds_the_bound_state_photon_probabilities(tmp_path):
     from crwqed import spectrum
-    from oracles import photon_profile
+    from oracles import basis_matrix, photon_profile
     scn = load_scenario("fig3", n_c=200)
     assert main(["spectrum", "fig3", "--nc", "200", "--out", str(tmp_path)]) == 0
-    vectors = spectrum.lattice_eigenbasis(scn.cfg, 200).vectors
+    vectors = basis_matrix(spectrum.lattice_eigenbasis(scn.cfg, 200))
     written = sorted(tmp_path.glob("profile_*.csv"))
     assert len(written) == 2  # the two quasi-BICs, each a non-degenerate state
     for path in written:
@@ -569,7 +570,7 @@ def long_small_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, checks", [
-    ("spectrum", ["lattice_residual", "lattice_orthonormality"]),
+    ("spectrum", ["lattice_residual", "lattice_orthonormality_bound"]),
     ("bic", ["bic_root_residual"]),
     ("dynamics", ["population_bound", "trace_determinant_identity"]),
     ("field", ["population_bound", "trace_determinant_identity"]),

@@ -91,6 +91,49 @@ def test_cross_kernel_sign_insensitive():
     assert np.array_equal(np.asarray(ks.k_cross), rebuilt)
 
 
+def _kernels_from_one_table(cfg, grid):
+    """The kernels of ``build_kernels`` from one Bessel table over all nodes
+    and every order up to the highest."""
+    from crwqed.dynamics import kernel_order_max
+    from crwqed.specfun import bessel_j_table
+    taus = grid.times()
+    table = bessel_j_table(kernel_order_max(cfg), 2.0 * cfg.xi * taus)
+    phase = np.exp(-1j * cfg.omega_c * taus)
+    k1 = phase * (table[:, 0] + unit_power(cfg.size_1) * table[:, cfg.size_1])
+    k2 = phase * (table[:, 0] + unit_power(cfg.size_2) * table[:, cfg.size_2])
+    kc = np.zeros_like(phase)
+    for p in cfg.cross_distances:
+        kc += unit_power(p) * table[:, p]
+    return k1, k2, kc * phase
+
+
+@pytest.mark.parametrize("rows", [None, 7, 1])
+@pytest.mark.parametrize("cfg", [FIG3, SHARED_LEG, DETUNED,
+                                 SystemConfig(n_1=0, n_2=300, m_1=-40, m_2=77, omega_c=0.2,
+                                              xi=0.7)],
+                         ids=["fig3", "shared_leg", "detuned", "long_span"])
+def test_blocked_kernels_equal_one_table(monkeypatch, cfg, rows):
+    # blocks of the default budget, of 7 nodes (601 nodes leave a partial
+    # last block) and of one node each
+    import crwqed.dynamics as dynamics
+    if rows is not None:
+        monkeypatch.setattr(dynamics, "_KERNEL_SCRATCH",
+                            rows * 8 * (dynamics.kernel_order_max(cfg) + 1))
+    grid = TimeGrid(t_max=12.0, dt=0.02)
+    ks = build_kernels(cfg, grid)
+    for mine, ref in zip((ks.k_self_1, ks.k_self_2, ks.k_cross),
+                         _kernels_from_one_table(cfg, grid)):
+        assert np.array_equal(mine, ref)
+
+
+def test_kernel_table_memory_does_not_grow_with_the_span():
+    # a leg span of 1000 over 5001 nodes: the table of every order up to
+    # 1003 is 40 MB, the kernels kept are 0.24 MB
+    cfg = SystemConfig(n_1=0, n_2=1000, m_1=3, m_2=1003)
+    grid = TimeGrid(t_max=100.0, dt=0.02)
+    assert traced_peak(build_kernels, cfg, grid) < 4 * 2 ** 20
+
+
 def test_kernel_grid_too_coarse():
     with pytest.raises(ValueError, match="dt"):
         build_kernels(FIG3, TimeGrid(t_max=10.0, dt=0.2))

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from crwqed.model import (
     ConfigError,
+    SolverError,
     SystemConfig,
     TimeGrid,
     WavefunctionState,
@@ -29,6 +30,8 @@ from crwqed.spectrum import (
 )
 from crwqed.cli import load_scenario
 from oracles import (
+    _orthonormality,
+    basis_matrix,
     classify_bound_states_loop,
     exact_propagate_direct,
     exact_propagate_one_product,
@@ -84,7 +87,7 @@ def test_gershgorin_bound_and_completeness():
     hi = max(FIG3.omega_1, FIG3.band_top) + 2.0 * FIG3.g_1
     assert all(lo <= e <= hi for e in basis.energies)
     # completeness: each basis vector resolved by the eigenbasis
-    overlaps = (basis.vectors ** 2).sum(axis=1)
+    overlaps = (basis_matrix(basis) ** 2).sum(axis=1)
     assert np.allclose(overlaps, 1.0, atol=1e-10)
 
 
@@ -153,7 +156,7 @@ def test_extended_states_have_small_ipr():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0)
     n_c = 400
     ham = build_hamiltonian(cfg, n_c)
-    vectors = eigendecompose(ham).vectors
+    vectors = basis_matrix(eigendecompose(ham))
     # plane-wave oracle: open-chain standing waves have IPR ~ 1.5 / n_c
     iprs = [np.sum(photon_profile(v) ** 2) for v in vectors.T
             if abs(v[0]) < 1e-12 and abs(v[1]) < 1e-12]
@@ -348,13 +351,15 @@ def test_exact_propagate_blocks_equal_the_one_product(nodes, fig4_basis):
 
 def test_eigenbasis_rejects_mismatched_arrays():
     basis = eigendecompose(build_hamiltonian(FIG3, 200))
-    with pytest.raises(ValueError, match=r"vectors must be 202x202 for 202 energies, "
-                                         r"got shape \(201, 202\)"):
-        spectrum.Eigenbasis(basis.energies, basis.vectors[:-1], basis.sites)
-    with pytest.raises(ValueError, match=r"must be 201x201 .* got shape \(202, 202\)"):
-        spectrum.Eigenbasis(basis.energies[:-1], basis.vectors, basis.sites)
+    with pytest.raises(ValueError, match=r"atoms must be 2x202 for 202 energies, "
+                                         r"got shape \(2, 201\)"):
+        dataclasses.replace(basis, atoms=basis.atoms[:, :-1])
+    with pytest.raises(ValueError, match=r"weights must be 3x202 .* got shape \(3, 201\)"):
+        dataclasses.replace(basis, weights=basis.weights[:, 1:])
     with pytest.raises(ValueError, match=r"sites must have 200 entries for 202 energies, got 199"):
-        spectrum.Eigenbasis(basis.energies, basis.vectors, basis.sites[1:])
+        dataclasses.replace(basis, sites=basis.sites[1:])
+    with pytest.raises(ValueError, match=r"cluster starts must run from 0 to 202"):
+        dataclasses.replace(basis, starts=basis.starts[:-1])
 
 
 def test_exact_propagate_rejects_a_photon_site_off_the_lattice():
@@ -378,7 +383,7 @@ def test_exact_propagate_snapshots_match_dense_spectral_sum():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, snaps = exact_propagate(FIG3, psi0, grid, basis, snapshot_times=stops)
-    energies, vectors = basis.energies, basis.vectors
+    energies, vectors = basis.energies, basis_matrix(basis)
     vec0 = np.zeros(n_c + 2, dtype=complex)
     vec0[:2] = psi0.alpha_1, psi0.alpha_2
     for site, amp in psi0.beta.items():
@@ -400,14 +405,19 @@ def test_structured_residual_equals_dense(cfg, n_c):
     h = ham.matrix
     energies, vectors = np.linalg.eigh(h)
     h_norm = np.abs(h).sum(axis=1).max()
-    res = spectrum._residual(cfg, ham.sites, energies, vectors)
+    res = spectrum._residual(cfg, ham.sites, energies, vectors)[0]
     assert abs(res - _dense_residual(h, energies, vectors)) <= 1e-14 * h_norm
     # away from an eigenbasis the residual is O(1): every term must be there
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal(h.shape)
     energies = rng.uniform(-2.0, 2.0, h.shape[0])
     dense = _dense_residual(h, energies, vectors)
-    assert spectrum._residual(cfg, ham.sites, energies, vectors) == pytest.approx(dense, rel=1e-14)
+    res, squares, quotients = spectrum._residual(cfg, ham.sites, energies, vectors)
+    assert res == pytest.approx(dense, rel=1e-14)
+    # the residual 2-norms of the orthonormality bound and the Rayleigh quotients
+    rows = h @ vectors - vectors * energies
+    assert squares == pytest.approx((rows ** 2).sum(axis=0), rel=1e-12)
+    assert quotients == pytest.approx((vectors * rows).sum(axis=0), rel=1e-9, abs=1e-9)
 
 
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
@@ -463,13 +473,13 @@ def _dense_orthonormality(vectors):
 def test_blocked_orthonormality_equals_dense():
     _, vectors = np.linalg.eigh(build_hamiltonian(FIG3, 600).matrix)
     dense = _dense_orthonormality(vectors)
-    assert abs(spectrum._orthonormality(vectors) - dense) <= 1e-15
+    assert abs(_orthonormality(vectors) - dense) <= 1e-15
     # off an orthonormal basis: the largest entry sits far off the diagonal,
     # in the last column block, and must still be found
     vectors[:, 5] += 1e-3 * vectors[:, -2]
     dense = _dense_orthonormality(vectors)
     assert dense == pytest.approx(1e-3, rel=1e-9)
-    assert abs(spectrum._orthonormality(vectors) - dense) <= 1e-15
+    assert abs(_orthonormality(vectors) - dense) <= 1e-15
 
 
 def test_only_bound_state_profiles_keep_photon_probabilities(fig3_profiles):
@@ -499,8 +509,9 @@ def _assert_matches_dense(cfg, n_c):
     dense = eigendecompose(ham)
     assert np.array_equal(basis.sites, dense.sites)
     assert np.abs(basis.energies - dense.energies).max() <= 1e-12 * cfg.xi
-    residuals = [np.linalg.norm(ham.matrix @ b.vectors - b.vectors * b.energies, axis=0)
-                 for b in (basis, dense)]
+    vectors = [basis_matrix(b) for b in (basis, dense)]
+    residuals = [np.linalg.norm(ham.matrix @ v - v * b.energies, axis=0)
+                 for b, v in zip((basis, dense), vectors)]
     energies = dense.energies
     close = np.diff(energies) < spectrum.DEGENERACY_TOL * cfg.xi
     first = 0
@@ -512,8 +523,8 @@ def _assert_matches_dense(cfg, n_c):
                   energies[last + 1] - energies[last] if last + 1 < energies.size else np.inf)
         bound = sum(np.linalg.norm(r[first:last + 1]) for r in residuals) / gap
         tol = max(1e-12, bound)
-        mine = basis.vectors[:, first:last + 1]
-        ref = dense.vectors[:, first:last + 1]
+        mine = vectors[0][:, first:last + 1]
+        ref = vectors[1][:, first:last + 1]
         if last > first:
             assert np.abs(mine @ mine.T - ref @ ref.T).max() <= tol
         else:
@@ -654,23 +665,139 @@ def test_structured_eigenbasis_reports_its_checks():
     assert lattice_eigenbasis(long_span, 400).report.leg_system_dim == 7
     # the largest row sum of H: a leg site, with its two hops and one coupling
     assert report.h_norm == pytest.approx(2.0 * FIG3.xi + FIG3.g_1)
-    assert report.residual == spectrum._residual(FIG3, basis.sites, basis.energies,
-                                                 basis.vectors)
-    assert report.orthonormality == spectrum._orthonormality(basis.vectors)
+    vectors = basis_matrix(basis)
+    assert report.residual == spectrum._residual(FIG3, basis.sites, basis.energies, vectors)[0]
+    # an upper bound on the largest entry of V^T V - I
+    assert report.orthonormality >= _orthonormality(vectors)
     assert report.residual <= spectrum.RESIDUAL_TOL * report.h_norm
     assert report.orthonormality <= spectrum.ORTHONORMALITY_TOL
     assert eigendecompose(build_hamiltonian(FIG3, 200)).report is None
 
 
-@pytest.mark.parametrize("check", ["_residual", "_orthonormality"])
-def test_structured_eigenbasis_raises_on_a_failed_check(monkeypatch, check):
-    monkeypatch.setattr(spectrum, check, lambda *args: 1.0)
-    with pytest.raises(RuntimeError, match="out of tolerance"):
+def _failing_residual(real):
+    return lambda *args: (1.0, *real(*args)[1:])
+
+
+# "_residual" makes every block's residual 1; "_orthonormality" makes every
+# overlap the bound takes directly 1
+@pytest.mark.parametrize("check,target,fake", [
+    ("_residual", "_residual", lambda: _failing_residual(spectrum._residual)),
+    ("_orthonormality", "_largest_overlap", lambda: lambda *args: 1.0),
+], ids=["_residual", "_orthonormality"])
+def test_structured_eigenbasis_raises_on_a_failed_check(monkeypatch, check, target, fake):
+    monkeypatch.setattr(spectrum, target, fake())
+    with pytest.raises(RuntimeError, match="out of tolerance") as exc:
         lattice_eigenbasis(FIG3, 120)
+    values = dict(re.findall(r"(residual|orthonormality)=(\S+)", str(exc.value)))
+    assert float(values[check.lstrip("_")]) == 1.0
 
 
-def test_structured_eigenbasis_holds_one_n_by_n_array():
-    # fig4: the (n_c + 2)^2 eigenvector array is 15.0 MB; the dense route
-    # also holds H and eigh's copies, about twice that
-    dim = 1402
-    assert traced_peak(lattice_eigenbasis, FIG4, 1400) < 1.5 * dim * dim * 8
+def _injected_build(monkeypatch, change):
+    """Make every ``spectrum._build`` of ``lattice_eigenbasis`` pass its
+    columns through ``change(out, u)`` before they are checked."""
+    build = spectrum._build
+
+    def changed(out, cfg, n_c, u, nulls=None):
+        nulls = build(out, cfg, n_c, u, nulls)
+        change(out, u)
+        return nulls
+
+    monkeypatch.setattr(spectrum, "_build", changed)
+
+
+def test_structured_eigenbasis_rejects_a_rotated_pair(monkeypatch):
+    # the 122 states are one block; its lowest and highest state rotate
+    # into each other: still orthonormal, but neither is an eigenvector (the
+    # Rayleigh step then rebuilds both at moved phases, where they are not
+    # orthonormal either)
+    def rotate(out, u):
+        if out.shape[1] == 122:
+            c, s = math.cos(1e-4), math.sin(1e-4)
+            lo, hi = out[:, 0].copy(), out[:, -1].copy()
+            out[:, 0], out[:, -1] = c * lo + s * hi, c * hi - s * lo
+
+    _injected_build(monkeypatch, rotate)
+    with pytest.raises(SolverError, match="out of tolerance") as exc:
+        lattice_eigenbasis(FIG3, 120)
+    residual = float(re.search(r"residual=(\S+)", str(exc.value)).group(1))
+    assert residual > spectrum.RESIDUAL_TOL * spectrum._h_norm(FIG3)
+
+
+def test_structured_eigenbasis_rejects_a_scaled_column(monkeypatch):
+    target = lattice_eigenbasis(FIG3, 120).energies[7]
+
+    def scale(out, u):  # still an eigenvector, no longer unit
+        out[:, np.abs(FIG3.omega_c - 2.0 * FIG3.xi * np.cos(u) - target) < 1e-12] *= 1.0 + 1e-6
+
+    _injected_build(monkeypatch, scale)
+    with pytest.raises(SolverError, match="out of tolerance") as exc:
+        lattice_eigenbasis(FIG3, 120)
+    residual, ortho = (float(x) for x in
+                       re.search(r"residual=(\S+) .*orthonormality=(\S+)", str(exc.value)).groups())
+    assert residual <= 1e-12 and ortho == pytest.approx(2e-6, rel=1e-3)
+
+
+# the geometries of ``_lattices`` up to 300 sites, where the O(n^3)
+# reference is cheap
+@st.composite
+def _small_lattices(draw):
+    cfg, n_c = draw(_lattices())
+    return cfg, min(n_c, 300)
+
+
+@example(lattice=(FIG3, 600))
+@example(lattice=(FIG4, 1400))
+@settings(max_examples=25, deadline=None)
+@given(_small_lattices())
+def test_orthonormality_bound_holds_the_largest_overlap(lattice):
+    cfg, n_c = lattice
+    basis = lattice_eigenbasis(cfg, n_c)
+    assert basis.report.orthonormality >= _orthonormality(basis_matrix(basis))
+    if (cfg, n_c) in ((FIG3, 600), (FIG4, 1400)):
+        assert basis.report.orthonormality <= spectrum.ORTHONORMALITY_TOL
+
+
+def _assert_blocks_equal_one_shot(basis):
+    n = basis.energies.size
+    whole = basis.columns(0, n)
+    for size in (1, 7, 128, n):
+        for lo, hi in basis.blocks(size):
+            assert hi - lo <= size or np.searchsorted(basis.starts, lo) + 1 == np.searchsorted(
+                basis.starts, hi)  # longer only where one cluster is
+            assert np.array_equal(basis.columns(lo, hi), whole[:, lo:hi]), (size, lo, hi)
+    # a single column inside a cluster is sliced from the whole cluster
+    for q in range(0, n, 97):
+        assert np.array_equal(basis.columns(q, q + 1), whole[:, q:q + 1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(_lattices())
+def test_blocks_of_any_size_rebuild_the_one_shot_columns(lattice):
+    _assert_blocks_equal_one_shot(lattice_eigenbasis(*lattice))
+
+
+@example(lattice=(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0), 121))
+@settings(max_examples=8, deadline=None)
+@given(_degenerate_lattices())
+def test_blocks_of_degenerate_clusters_rebuild_the_one_shot_columns(lattice):
+    basis = lattice_eigenbasis(*lattice)
+    assert np.any(np.diff(basis.starts) > 1)
+    _assert_blocks_equal_one_shot(basis)
+
+
+def _lattice_route(cfg, n_c):
+    scn = load_scenario("fig4")
+    basis = lattice_eigenbasis(cfg, n_c)
+    classify_bound_states(basis, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        exact_propagate(cfg, initial_state("atom1"), scn.grid, basis,
+                        snapshot_times=scn.snapshot_times)
+
+
+def test_lattice_route_memory_is_linear_in_the_sites():
+    # fig4's route at n_c = 1400 held the 15.0 MiB eigenvector array; the
+    # blocked route holds a few blocks of 128 columns
+    small = traced_peak(_lattice_route, FIG4, 1400)
+    assert small < 8 * 2 ** 20
+    assert traced_peak(_lattice_route, FIG4, 2900) < 2.5 * 8 * 2 ** 20
