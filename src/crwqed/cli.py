@@ -384,7 +384,9 @@ def _runnable_stages(scn: Scenario, stages) -> tuple[str, ...]:
     if "lattice" in stages:
         spectrum.check_lattice_size(cfg, scn.n_c)
     if {"exact_propagate", "volterra"} & set(stages) and scn.grid.n_steps + 1 > MAX_GRID_NODES:
-        raise ConfigError(f"time grid of {scn.grid.n_steps + 1} nodes (t_max={scn.grid.t_max}, "
+        nodes = scn.grid.n_steps + 1
+        count = nodes if nodes < 10 ** 15 else f"{nodes:.3g}"  # not hundreds of digits
+        raise ConfigError(f"time grid of {count} nodes (t_max={scn.grid.t_max}, "
                           f"dt={scn.grid.dt}) exceeds {MAX_GRID_NODES}, the largest")
     tables = []  # (what, highest order, latest time) of the Bessel tables
     if "volterra" in stages:
@@ -638,8 +640,10 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
     # beyond-Markovian dynamics
     if "volterra" in stages:
         with _stage(records, "volterra", n_steps=grid.n_steps,
-                    order_max=dynamics.kernel_order_max(cfg), arg_max=2.0 * cfg.xi * grid.t_end):
+                    order_max=dynamics.kernel_order_max(cfg),
+                    arg_max=2.0 * cfg.xi * grid.t_end) as sizes:
             kernels = dynamics.build_kernels(cfg, grid)
+            sizes["components"] = dynamics.volterra_components(cfg, psi0, grid, kernels)
             trajectory = dynamics.solve_volterra(cfg, psi0, grid, kernels)
             trace = dynamics.m_eigenvalues_trace(cfg, grid, kernels)
             pop_bound = max(trajectory.pop_1.max(), trajectory.pop_2.max())

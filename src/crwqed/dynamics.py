@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     AtomTrajectory,
@@ -192,6 +193,107 @@ def _continuity_order(lam1: np.ndarray, lam2: np.ndarray) -> tuple[np.ndarray, n
     return np.where(swapped, lam2, lam1), np.where(swapped, lam1, lam2)
 
 
+def _gauge(psi0: WavefunctionState, u: np.ndarray,
+           kernels: KernelSet) -> tuple[bool, bool] | None:
+    """The diagonal gauge alpha = diag(g_1, g_2) r, each g_a = 1 or i, in
+    which U, the kernels and psi0 are real, as (g_1 == i, g_2 == i): the
+    first of (1, 1), (1, i), (i, 1), (i, i) that passes exact zero checks,
+    or None.  It needs real self kernels, and a cross kernel that is real
+    where g_1 = g_2 and imaginary where not.  On resonance the kernels of
+    even-sized atoms are real and a cross kernel whose distances share one
+    parity is real or imaginary, so every run of the paper has one."""
+    if u.imag.any() or kernels.k_self_1.imag.any() or kernels.k_self_2.imag.any():
+        return None
+    amplitudes = (complex(psi0.alpha_1), complex(psi0.alpha_2))
+    cross_real, cross_imaginary = not kernels.k_cross.imag.any(), not kernels.k_cross.real.any()
+    for imaginary in ((False, False), (False, True), (True, False), (True, True)):
+        if (all((a.real if i else a.imag) == 0.0 for a, i in zip(amplitudes, imaginary))
+                and (cross_imaginary if imaginary[0] != imaginary[1] else cross_real)):
+            return imaginary
+    return None
+
+
+def volterra_components(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
+                        kernels: KernelSet) -> int:
+    """Real components of the system :func:`solve_volterra` integrates:
+    2 in a real gauge (see ``_gauge``), else 4."""
+    return 2 if _gauge(psi0, _phases(cfg, grid.dt), kernels) is not None else 4
+
+
+def _phases(cfg: SystemConfig, dt: float) -> np.ndarray:
+    """The integrating factor's diagonal, e^{-i Omega_i dt}."""
+    return np.exp(-1j * np.array([cfg.omega_1, cfg.omega_2]) * dt)
+
+
+@dataclass(frozen=True)
+class _RealForm:
+    """The memory equations as a real system of m components r: the local
+    term of d r/dt is taken out by the integrating factor ``u`` (m x m),
+    the memory term is the convolution K * r of an m x m matrix of kernels
+    with the couplings folded in, and r(0) = ``r0``.  K's entry (i, j)
+    is ``sign`` times kernel series ``k`` for each (i, j, k, sign) of
+    ``terms``, zero elsewhere.  ``head`` holds K over the first block as
+    m x m matrices, and ``spectra[k, d - 1]`` the length-2S real FFT of
+    series k over nodes (d-1)S..(d+1)S-1 (zero past the last node), for
+    S = ``_BLOCK`` and every block lag d >= 1.  Component c is the real
+    part of atom c % 2's amplitude, or its imaginary part where
+    ``imaginary[c]``."""
+
+    head: np.ndarray
+    spectra: np.ndarray
+    terms: tuple[tuple[int, int, int, float], ...]
+    u: np.ndarray
+    r0: np.ndarray
+    imaginary: tuple[bool, ...]
+
+
+def _real_form(cfg: SystemConfig, psi0: WavefunctionState, u: np.ndarray,
+               kernels: KernelSet, gauge: tuple[bool, bool] | None) -> _RealForm:
+    """The memory equations in real form: 2 components in ``gauge`` (see
+    ``_gauge``), or, with None, 4, the real and imaginary parts, whose
+    K = [[K_r, -K_i], [K_i, K_r]] reads six series.  Terms of an
+    identically zero series are left out.  All series are transformed in
+    one batched FFT."""
+    n_nodes = kernels.k_self_1.size
+    s = _BLOCK
+    n_blocks = -(-n_nodes // s)
+    length = max(n_blocks, 2) * s  # whole blocks, and at least one 2S segment
+    couplings = (-2.0 * cfg.g_1 ** 2, -2.0 * cfg.g_2 ** 2, -cfg.g_1 * cfg.g_2)
+    kernel_list = (kernels.k_self_1, kernels.k_self_2, kernels.k_cross)
+    a_1, a_2 = complex(psi0.alpha_1), complex(psi0.alpha_2)
+    pattern = ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2))  # (i, j, series) of the 2 x 2 K
+    if gauge is None:
+        series = np.zeros((6, length))
+        for k, (c, kernel) in enumerate(zip(couplings, kernel_list)):
+            np.multiply(c, kernel.real, out=series[k, :n_nodes])
+            np.multiply(c, kernel.imag, out=series[k + 3, :n_nodes])
+        terms = [t for i, j, k in pattern for t in (
+            (i, j, k, 1.0), (i + 2, j + 2, k, 1.0), (i + 2, j, k + 3, 1.0), (i, j + 2, k + 3, -1.0))]
+        u_r, u_i = np.diag(u.real), np.diag(u.imag)
+        u_mat = np.block([[u_r, -u_i], [u_i, u_r]])
+        r0 = np.array([a_1.real, a_2.real, a_1.imag, a_2.imag])
+        imaginary = (False, False, True, True)
+    else:
+        # K_c enters as g_2 K_c / g_1 above the diagonal and g_1 K_c / g_2
+        # below it: -K_c.imag on the side where g_2 / g_1 = i
+        imaginary = gauge
+        flip = imaginary[0] != imaginary[1]
+        series = np.zeros((3, length))
+        for k, (c, kernel) in enumerate(zip(couplings, kernel_list)):
+            np.multiply(c, kernel.imag if k == 2 and flip else kernel.real, out=series[k, :n_nodes])
+        minus = (0, 1) if imaginary[1] else (1, 0)
+        terms = [(i, j, k, -1.0 if flip and (i, j) == minus else 1.0) for i, j, k in pattern]
+        u_mat = np.diag(u.real)
+        r0 = np.array([a.imag if i else a.real for a, i in zip((a_1, a_2), imaginary)])
+    nonzero = series.any(axis=1)
+    terms = tuple(t for t in terms if nonzero[t[2]])
+    head = np.zeros((min(s, n_nodes), r0.size, r0.size))
+    for i, j, k, sign in terms:
+        np.multiply(sign, series[k, :head.shape[0]], out=head[:, i, j])
+    spectra = np.fft.rfft(sliding_window_view(series, 2 * s, axis=1)[:, :(n_blocks - 1) * s:s])
+    return _RealForm(head, spectra, terms, u_mat, r0, imaginary)
+
+
 def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
                    kernels: KernelSet | None = None) -> AtomTrajectory:
     """Integrate the exact memory equations with a second-order
@@ -200,17 +302,18 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     The photon field must start in vacuum (the kernel derivation assumes
     it).  Each step is an exponential-Euler predictor and an
     exponential-trapezoid corrector; an integrating factor takes out the
-    local phases U = diag(e^{-i omega dt}).  The scheme is linear and
-    shift-invariant, so in a block of S = ``_BLOCK`` nodes from lo on the
-    amplitudes are the causal convolution of a forcing F (every term from
-    before lo) with one resolvent X = (1 - U z - W(z))^{-1} (Hairer, Lubich
-    & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985)), built once by
-    X_k = U X_{k-1} + sum_d W_d X_{k-d} and applied, like the history sums
-    over earlier blocks, by length-2S real FFTs.  U enters no rounded
-    matrix: X_k U alpha_{lo-1} is a direct product.  Real and imaginary
-    parts are transformed apart, so an exactly zero part stays zero (on
-    resonance each amplitude is real or imaginary).  Cost for T nodes:
-    O(S^2) once plus O(T^2/S + T log S); memory O(T).  Deterministic.
+    local phases U = diag(e^{-i omega dt}).  The solve runs on the smallest
+    real form of the equations (``_real_form``), chosen by exact zero
+    checks with no option: where a diagonal gauge alpha = diag(g_1, g_2) r,
+    g_a = 1 or i, makes U, the kernels and psi0 real (``_gauge``: on
+    resonance, with even-sized atoms, cross distances of one parity and
+    each initial amplitude real or imaginary, as in every preset and
+    sweep), r has 2 real components, and otherwise 4, the real and
+    imaginary parts.  A zero part of the amplitudes is never
+    computed, so it is exactly +0.0.  See ``_solve_form`` for the block
+    resolvent; the cost for T nodes, S = ``_BLOCK`` and m components is
+    O(m^3 S^2) once plus O(m^2 T^2 / S + m T log S), and the memory
+    O(m T).  Deterministic.
 
     Raises
     ------
@@ -223,105 +326,108 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
         raise ValueError("solve_volterra requires an initially empty photon sector")
     if kernels is None:
         kernels = build_kernels(cfg, grid)
-    dt = grid.dt
     n_nodes = grid.n_steps + 1
+    u = _phases(cfg, grid.dt)
+    form = _real_form(cfg, psi0, u, kernels, _gauge(psi0, u, kernels))
+    alpha_1, alpha_2 = _solve_form(form, grid.dt, n_nodes)
+    return AtomTrajectory(grid=grid, alpha_1=alpha_1, alpha_2=alpha_2)
+
+
+def _solve_form(form: _RealForm, dt: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_1 and alpha_2 at ``n_nodes`` nodes from the real form.
+
+    The scheme is linear and shift-invariant, so in a block of
+    S = ``_BLOCK`` nodes from lo on the amplitudes are the causal
+    convolution of a forcing F (every term from before lo) with one m x m
+    resolvent X = (1 - U z - W(z))^{-1} (Hairer, Lubich & Schlichte, SIAM
+    J. Sci. Stat. Comput. 6, 532 (1985)), built once by
+    X_k = U X_{k-1} + sum_d W_d X_{k-d} and applied by length-2S real
+    FFTs.  U enters no rounded matrix: X_k U r_{lo-1} is a direct product.
+    The kernel series are transformed once, in segments
+    K[(d-1)S:(d+1)S] for block lags d >= 1: the second half of a length-2S
+    circular product of such a segment with a zero-padded block of
+    amplitudes is that block's contribution to the history sums d blocks
+    later (the wrapped terms land in the first half).  As soon as a block
+    is done, its m amplitude spectra are multiplied into the history
+    spectra of every later block, one product per term of K and per lag,
+    node 0 at the trapezoid's half weight.
+    """
     s = _BLOCK
     n_blocks = -(-n_nodes // s)
-    k1, k2, kc = kernels.k_self_1, kernels.k_self_2, kernels.k_cross
+    m = form.r0.size
+    terms, u_mat, kmat, k_hat = form.terms, form.u, form.head, form.spectra
+    n_x = kmat.shape[0]
 
-    # Real-FFT transforms of the real and imaginary parts of the kernel
-    # segments K[(d-1)S:(d+1)S] for block lags d >= 1.  The second half of a
-    # length-2S circular product of such a segment with a zero-padded block of
-    # amplitudes is that block's contribution to the history sums d blocks
-    # later (the wrapped terms land in the first half).
-    k_hat = np.empty((n_blocks - 1, 2, 3, s + 1), dtype=complex)  # [lag, re/im, kernel]
-    for d in range(1, n_blocks):
-        for k, kernel in enumerate((k1, k2, kc)):
-            segment = kernel[(d - 1) * s:(d + 1) * s]
-            np.fft.rfft(segment.real, n=2 * s, out=k_hat[d - 1, 0, k])
-            np.fft.rfft(segment.imag, n=2 * s, out=k_hat[d - 1, 1, k])
-    a_hat = np.empty((n_blocks - 1, 2, 2, s + 1), dtype=complex)  # [block, re/im, atom]
-    # products of kernel part p and amplitude part q, summed over earlier
-    # blocks: acc[0, p, q] for [K_1 alpha_1, K_2 alpha_2], acc[1, p, q] for
-    # [K_c alpha_1, K_c alpha_2]
-    acc = np.empty((2, 2, 2, 2, s + 1), dtype=complex)
-    prod = np.empty((2, 2, 2, s + 1), dtype=complex)
-    spec = np.empty((2, 2, 2, s + 1), dtype=complex)  # [re/im of the sums, self/cross, atom]
-    far = np.empty((2, 2, 2, 2 * s))
-
-    c_self = np.array([-2.0 * cfg.g_1 ** 2, -2.0 * cfg.g_2 ** 2])
-    c_cross = -cfg.g_1 * cfg.g_2
-    n_x = min(s, n_nodes)
-    # K(d) as 2x2 matrices on (alpha_1, alpha_2), coupling constants included
-    kmat = np.array([[c_self[0] * k1[:n_x], c_cross * kc[:n_x]],
-                     [c_cross * kc[:n_x], c_self[1] * k2[:n_x]]]).transpose(2, 0, 1)
-    u = np.exp(-1j * np.array([cfg.omega_1, cfg.omega_2]) * dt)
-    q_mat = 0.25 * dt * dt * kmat[0] * u  # alpha_{m-1} in the predictor's tau = 0 term
-    b_mat = 0.5 * dt * np.diag(u) + dt * q_mat  # weight of f_{m-1} in alpha_m
+    q_mat = 0.25 * dt * dt * kmat[0] @ u_mat  # r_{n-1} in node n's predictor tau = 0 term
+    b_mat = 0.5 * dt * u_mat + dt * q_mat  # weight of f_{n-1} in r_n
     w = 0.5 * dt * dt * kmat[1:]  # w[d - 1] = W_d
     w[1:] += dt * b_mat @ kmat[1:-1]
     w[:1] += q_mat + 0.5 * dt * b_mat @ kmat[0]
     # x_rev[n_x - 1 - k] = X_k, so X_{k-1}, .., X_0 is one contiguous view
-    w_row = w.transpose(1, 0, 2).reshape(2, -1)  # [W_1 W_2 ..]
-    x_rev = np.tile(np.eye(2, dtype=complex), (n_x, 1, 1))  # X_0 = 1, the rest overwritten
-    x_col = x_rev.reshape(-1, 2)
+    w_row = w.transpose(1, 0, 2).reshape(m, -1)  # [W_1 W_2 ..]
+    x_rev = np.tile(np.eye(m), (n_x, 1, 1))  # X_0 = 1, the rest overwritten
+    x_col = x_rev.reshape(-1, m)
     with np.errstate(over="ignore", invalid="ignore"):  # see the population check
         for i in range(n_x - 2, -1, -1):
-            np.matmul(w_row[:, :2 * (n_x - 1 - i)], x_col[2 * i + 2:], out=x_rev[i])
-            x_rev[i] += u[:, None] * x_rev[i + 1]
+            np.matmul(w_row[:, :m * (n_x - 1 - i)], x_col[m * i + m:], out=x_rev[i])
+            x_rev[i] += u_mat @ x_rev[i + 1]
         x = x_rev[::-1]
-        xr, xi = np.fft.rfft([x.real, x.imag], n=2 * s, axis=1)
-    x_hat = np.block([[xr, -xi], [xi, xr]])  # per frequency: transforms of F's parts to X * F's
+        x_hat = np.fft.rfft(x.transpose(1, 2, 0), n=2 * s)  # [i, j, frequency]
 
-    amp = np.zeros((2, n_blocks * s), dtype=complex)
-    amp[:, 0] = prev = np.array([psi0.alpha_1, psi0.alpha_2], dtype=complex)  # alpha_{lo-1}
-    f_prev = np.zeros(2, dtype=complex)  # memory derivative at lo - 1
+    alpha = np.zeros((2, n_nodes), dtype=complex)  # zero parts stay +0.0
+    parts = [alpha[c % 2].imag if imaginary else alpha[c % 2].real
+             for c, imaginary in enumerate(form.imaginary)]  # component c's view
+    prev = form.r0  # r_{lo-1}
+    for part, r in zip(parts, prev):
+        part[0] = r
+    f_prev = np.zeros(m)  # memory derivative at lo - 1
+    hist_hat = np.zeros((m, n_blocks, s + 1), dtype=complex)  # history sums of each block
+    prod = np.empty((n_blocks - 1, s + 1), dtype=complex)
     for b in range(n_blocks):
         start = b * s
         lo = max(start, 1)
         stop = min(start + s, n_nodes)
-        acc.fill(0.0)
-        for c in range(b):
-            np.multiply(k_hat[b - c - 1, :, None, :2], a_hat[c], out=prod)
-            acc[0] += prod
-            np.multiply(k_hat[b - c - 1, :, None, 2:], a_hat[c], out=prod)
-            acc[1] += prod
-        np.subtract(acc[:, 0, 0], acc[:, 1, 1], out=spec[0])
-        np.add(acc[:, 0, 1], acc[:, 1, 0], out=spec[1])
-        np.fft.irfft(spec, n=2 * s, out=far)
-        # history sums over the nodes before lo with node 0 at the trapezoid's
-        # half weight (in block 0, node 0 is not in `far` yet)
-        end = slice(s + lo - start, s + stop - start)
-        hist = far[0, ..., end] + 1j * far[1, ..., end]
-        hist += (0.5 if b == 0 else -0.5) * amp[:, :1] * np.array(
-            [[k1[lo:stop], k2[lo:stop]], [kc[lo:stop], kc[lo:stop]]])
-        h = c_self[:, None] * hist[0] + c_cross * hist[1, ::-1]
+        if b == 0:  # node 0 at the trapezoid's half weight
+            h = 0.5 * (kmat[lo:stop] @ form.r0).T
+        else:
+            h = np.fft.irfft(hist_hat[:, b], n=2 * s)[:, s + lo - start:s + stop - start]
         f = 0.5 * dt * dt * h
         f[:, 1:] += dt * b_mat @ h[:, :-1]
         f[:, 0] += q_mat @ prev + b_mat @ f_prev
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails the check
-            direct = x[:stop - lo] @ (u * prev)
-            f_hat = np.fft.rfft([f.real, f.imag], n=2 * s).reshape(4, -1).T
-            out = np.fft.irfft((x_hat * f_hat[:, None]).sum(axis=2).T, n=2 * s)[:, :stop - lo]
-            block = out[:2] + 1j * out[2:] + direct.T
-            if not (block.real * block.real + block.imag * block.imag <= POPULATION_ABORT).all():
+            direct = x[:stop - lo] @ (u_mat @ prev)
+            f_hat = np.fft.rfft(f, n=2 * s)
+            block = np.fft.irfft((x_hat * f_hat).sum(axis=1), n=2 * s)[:, :stop - lo]
+            block += direct.T
+            if not (_populations(block) <= POPULATION_ABORT).all():
                 for k in range(stop - lo):  # the first bad node, from the causal sums
-                    a1, a2 = block[:, k] = direct[k] + np.einsum(
-                        "kij,jk->i", x[k::-1], f[:, :k + 1])
-                    if not (a1.real * a1.real + a1.imag * a1.imag <= POPULATION_ABORT
-                            and a2.real * a2.real + a2.imag * a2.imag <= POPULATION_ABORT):
+                    block[:, k] = direct[k] + np.einsum("kij,jk->i", x[k::-1], f[:, :k + 1])
+                    p_1, p_2 = _populations(block[:, k])
+                    if not (p_1 <= POPULATION_ABORT and p_2 <= POPULATION_ABORT):
                         raise SolverError(
                             f"population exceeded {POPULATION_ABORT} at t={(lo + k) * dt:.6g} "
-                            f"(|a1|^2={abs(a1) ** 2:.6g}, |a2|^2={abs(a2) ** 2:.6g}); reduce dt")
-        amp[:, lo:stop] = block
-        if b < n_blocks - 1:  # carry alpha and the memory derivative at stop - 1
+                            f"(|a1|^2={p_1:.6g}, |a2|^2={p_2:.6g}); reduce dt")
+        for part, row in zip(parts, block):
+            part[lo:stop] = row
+        if b < n_blocks - 1:  # carry r and the memory derivative at stop - 1
             f_prev = dt * (h[:, -1] + 0.5 * kmat[0] @ block[:, -1] + np.einsum(
                 "dij,jd->i", kmat[stop - lo - 1:0:-1], block[:, :-1]))
             prev = block[:, -1]
-            np.fft.rfft(amp[:, start:start + s].real, n=2 * s, out=a_hat[b, 0])
-            np.fft.rfft(amp[:, start:start + s].imag, n=2 * s, out=a_hat[b, 1])
-    return AtomTrajectory(grid=grid, alpha_1=amp[0, :n_nodes].copy(),
-                          alpha_2=amp[1, :n_nodes].copy())
+            if b == 0:  # node 0 at the trapezoid's half weight
+                block = np.concatenate([0.5 * form.r0[:, None], block], axis=1)
+            a_hat = np.fft.rfft(block, n=2 * s)
+            lags = n_blocks - 1 - b
+            for i, j, k, sign in terms:
+                np.multiply(k_hat[k, :lags], a_hat[j], out=prod[:lags])
+                later = hist_hat[i, b + 1:]
+                (np.add if sign > 0.0 else np.subtract)(later, prod[:lags], out=later)
+    return alpha[0], alpha[1]
+
+
+def _populations(r: np.ndarray) -> np.ndarray:
+    """|alpha_1|^2 and |alpha_2|^2 from the real components r (rows), row
+    c a part of atom c % 2's amplitude."""
+    return (r * r).reshape(-1, 2, *r.shape[1:]).sum(axis=0)
 
 
 def field_order_max(cfg: SystemConfig, sites) -> int:

@@ -211,10 +211,10 @@ def initial_state(which: str) -> WavefunctionState:
 
 
 # Most nodes a stage that reads the time grid takes (t_max = 2e4 at
-# dt = 0.02).  The Volterra solve is quadratic in them: 2.3 s at 2e5 nodes
-# and 13.2 s at 5e5, so about a minute here.  A run holds about 270 bytes
-# per node (fig3: 65 MB peak at 1e5 nodes, 91 MB at 2e5), and dynamics.csv
-# and mtrace.csv take about 85 bytes per node each.
+# dt = 0.02).  The Volterra solve is quadratic in them: 0.74 s at 2e5 nodes
+# and 5.9 s at 5e5 on resonance, so about half a minute here.  A run holds
+# about 270 bytes per node (fig3: 65 MB peak at 1e5 nodes, 91 MB at 2e5),
+# and dynamics.csv and mtrace.csv take about 85 bytes per node each.
 MAX_GRID_NODES = 10 ** 6
 
 

@@ -1198,7 +1198,8 @@ def exact_propagate(
     2n sqrt(T) complex exponentials in all.  Besides the O(T) result and
     the O(n #snapshots) snapshots, the scratch is one block of columns and
     O(block sqrt(T)) for the phase tables: no n x n or n x sqrt(T) array
-    is made.
+    is made.  Without snapshots and photon sites in ``psi0`` only rows A1
+    and A2 are read, from ``basis.atoms``: no column is rebuilt.
 
     Warns (does not fail) when n_c is below the wavefront criterion for
     the requested horizon, i.e. when the horizon goes past
@@ -1234,8 +1235,9 @@ def exact_propagate(
     amps = np.zeros((inner, 2 * n_outer), dtype=complex)
     # psi[:, i] and psi[:, n_s + i]: real and imaginary parts of snapshot i
     psi = np.zeros((n_c + 2, 2 * n_s))
+    atoms_only = not (n_s or photon_rows)
     for lo, hi in basis.blocks(_PROPAGATE_STATES):
-        vectors = basis.columns(lo, hi)
+        vectors = basis.atoms[:, lo:hi] if atoms_only else basis.columns(lo, hi)
         part = energies[lo:hi]
         coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)
         for row, amp in photon_rows:

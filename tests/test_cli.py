@@ -83,9 +83,10 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
                                 "count_steps": sizes["lattice"]["count_steps"],
                                 "close_pairs": sizes["lattice"]["close_pairs"]}
     assert 5 <= sizes["lattice"]["count_steps"] <= 25
-    # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40
+    # fig3's kernels reach order 9 (the leg distances) and 2 xi t = 80 at t = 40;
+    # on resonance the solve runs as a real 2-component system
     assert sizes["volterra"] == {"n_steps": scn.grid.n_steps, "order_max": 9,
-                                 "arg_max": pytest.approx(80.0)}
+                                 "arg_max": pytest.approx(80.0), "components": 2}
     assert sizes["bic_roots"] == {"leg_distance": 9}
     # the field reaches 80 + 4.5 * 80^(1/3) = 99.4 sites beyond the legs at
     # t = 40, plus the leg span 9; the k-grid is the power of two at or above
@@ -951,6 +952,12 @@ def test_huge_horizon_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
         assert main(argv + ["--tmax", "1e6", "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: time grid of 50000001 nodes") and "Traceback" not in err
+    # 7e302 nodes: the count is printed in scientific notation, not in full
+    for argv in (["dynamics", "fig3"], ["run", "fig3"]):
+        assert main(argv + ["--dt", "1e-300", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: time grid of 7e+302 nodes") and "Traceback" not in err
+        assert f"exceeds {MAX_GRID_NODES}" in err and len(err) < 200
     assert not (tmp_path / "out").exists()
     # MAX_GRID_NODES nodes are taken, one more is not
     largest = load_scenario("fig3", t_max=(MAX_GRID_NODES - 1) * 0.02)

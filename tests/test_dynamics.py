@@ -12,7 +12,7 @@ from crwqed.model import (
     WavefunctionState,
     initial_state,
 )
-from crwqed import spectrum
+from crwqed import bic, dynamics, spectrum
 from crwqed.cli import PRESETS
 from crwqed.dynamics import (
     _BLOCK,
@@ -304,13 +304,64 @@ def test_volterra_is_translation_and_mirror_invariant(legs, k, g_1, g_2, omegas,
     assert np.abs(mirrored.alpha_2 - base.alpha_2).max() <= 1e-12
 
 
-def test_volterra_keeps_exact_zero_parts_on_the_fig3_preset():
-    # on resonance alpha_1 stays real and alpha_2 imaginary; FFTs of the
-    # complex values would leave rounding noise in the zero parts
-    scn = PRESETS["fig3"]
-    traj = solve_volterra(scn.cfg, initial_state("atom1"), scn.grid)
-    assert traj.alpha_1.size == 35_001
-    assert np.all(traj.alpha_1.imag == 0.0) and np.all(traj.alpha_2.real == 0.0)
+@pytest.mark.parametrize("cfg, grid, nodes, imaginary_2", [
+    (PRESETS["fig3"].cfg, PRESETS["fig3"].grid, 35_001, True),
+    (PRESETS["fig4"].cfg, PRESETS["fig4"].grid, 30_001, False),
+    (bic.braided_config(8, 3, 0.1), TimeGrid(t_max=200.0, dt=0.02), 10_001, True),
+], ids=["fig3", "fig4", "braided_8_3"])
+def test_volterra_keeps_exact_zero_parts(cfg, grid, nodes, imaginary_2):
+    # on resonance alpha_1 stays real and alpha_2 real or imaginary (as the
+    # cross kernel is); the zero parts are +0.0, never -0.0
+    traj = solve_volterra(cfg, initial_state("atom1"), grid)
+    assert traj.alpha_1.size == nodes
+    zero_parts = (traj.alpha_1.imag, traj.alpha_2.real if imaginary_2 else traj.alpha_2.imag)
+    for part in zero_parts:
+        assert np.all(part == 0.0) and not np.signbit(part).any()
+    assert np.abs(traj.alpha_2.imag if imaginary_2 else traj.alpha_2.real).max() > 0.1
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_volterra_real_forms_agree_on_the_presets(name):
+    # the 2-component gauge form and the 4-component form of real and
+    # imaginary parts solve the same equations
+    scn = PRESETS[name]
+    psi0 = initial_state("atom1")
+    kernels = build_kernels(scn.cfg, scn.grid)
+    u = dynamics._phases(scn.cfg, scn.grid.dt)
+    gauge = dynamics._gauge(psi0, u, kernels)
+    assert gauge is not None
+    assert dynamics.volterra_components(scn.cfg, psi0, scn.grid, kernels) == 2
+    two, four = (dynamics._solve_form(dynamics._real_form(scn.cfg, psi0, u, kernels, g),
+                                      scn.grid.dt, scn.grid.n_steps + 1)
+                 for g in (gauge, None))
+    assert two[0].size == scn.grid.n_steps + 1
+    assert max(np.abs(a - b).max() for a, b in zip(two, four)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-5, 5), st.integers(1, 3), st.integers(1, 3), st.integers(-6, 6),
+       st.floats(0.0, 0.2), st.floats(0.0, 0.2), st.sampled_from(["atom1", "atom2"]),
+       st.integers(2, 1100))
+def test_volterra_matches_direct_sums_on_random_gauge_real_systems(a, p, q, offset, g_1, g_2,
+                                                                   state, nodes):
+    # on resonance, with even sizes and cross distances of one parity (the
+    # parity of the offset between the first legs), the 2-component form runs
+    cfg = SystemConfig(n_1=a, n_2=a + 2 * p, m_1=a + offset, m_2=a + offset + 2 * q,
+                       g_1=g_1, g_2=g_2)
+    grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
+    assert dynamics.volterra_components(cfg, initial_state(state), grid,
+                                        build_kernels(cfg, grid)) == 2
+    _assert_matches_direct(cfg, state, nodes)
+
+
+def test_volterra_takes_four_components_off_resonance():
+    grid = TimeGrid(t_max=10.0, dt=0.02)
+    kernels = build_kernels(DETUNED, grid)
+    assert dynamics.volterra_components(DETUNED, initial_state("atom1"), grid, kernels) == 4
+    # a complex initial amplitude leaves no real gauge either
+    psi0 = WavefunctionState(alpha_1=0.6, alpha_2=0.8 * np.exp(0.3j))
+    kernels = build_kernels(FIG3, grid)
+    assert dynamics.volterra_components(FIG3, psi0, grid, kernels) == 4
 
 
 def test_volterra_aborts_when_a_population_exceeds_one():

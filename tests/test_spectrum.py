@@ -321,6 +321,25 @@ def fig4_basis():
     return lattice_eigenbasis(FIG4, 1400)
 
 
+def test_exact_propagate_reads_only_the_atom_rows_without_snapshots(fig4_basis):
+    # with no snapshot and no photon site in psi0, rows A1 and A2 of the
+    # basis are all it needs: no column is rebuilt, and the amplitudes are
+    # those of the column path bit for bit
+    calls = []
+    def columns(lo, hi):
+        calls.append((lo, hi))
+        return fig4_basis.columns(lo, hi)
+    counted = dataclasses.replace(fig4_basis, columns=columns)
+    grid = TimeGrid(t_max=40.0, dt=0.02)
+    psi0 = initial_state("symmetric")
+    fast, _ = exact_propagate(FIG4, psi0, grid, counted)
+    assert calls == []
+    slow, _ = exact_propagate(FIG4, psi0, grid, counted, snapshot_times=(grid.t_end,))
+    assert calls
+    assert np.array_equal(fast.alpha_1, slow.alpha_1)
+    assert np.array_equal(fast.alpha_2, slow.alpha_2)
+
+
 def test_exact_propagate_scratch_does_not_grow_with_the_states(fig4_basis):
     # fig4: n = 1402 states, 30 001 nodes; phase tables for all states at
     # once would be about 16 MB, blocks of 128 states about 1 MB
