@@ -193,36 +193,49 @@ def _continuity_order(lam1: np.ndarray, lam2: np.ndarray) -> tuple[np.ndarray, n
     return np.where(swapped, lam2, lam1), np.where(swapped, lam1, lam2)
 
 
-def _gauge(psi0: WavefunctionState, u: np.ndarray,
-           kernels: KernelSet) -> tuple[bool, bool] | None:
-    """The diagonal gauge alpha = diag(g_1, g_2) r, each g_a = 1 or i, in
-    which U, the kernels and psi0 are real, as (g_1 == i, g_2 == i): the
-    first of (1, 1), (1, i), (i, 1), (i, i) that passes exact zero checks,
-    or None.  It needs real self kernels, and a cross kernel that is real
-    where g_1 = g_2 and imaginary where not.  On resonance the kernels of
-    even-sized atoms are real and a cross kernel whose distances share one
-    parity is real or imaginary, so every run of the paper has one."""
-    if u.imag.any() or kernels.k_self_1.imag.any() or kernels.k_self_2.imag.any():
-        return None
-    amplitudes = (complex(psi0.alpha_1), complex(psi0.alpha_2))
-    cross_real, cross_imaginary = not kernels.k_cross.imag.any(), not kernels.k_cross.real.any()
-    for imaginary in ((False, False), (False, True), (True, False), (True, True)):
-        if (all((a.real if i else a.imag) == 0.0 for a, i in zip(amplitudes, imaginary))
-                and (cross_imaginary if imaginary[0] != imaginary[1] else cross_real)):
-            return imaginary
-    return None
+def _phases(cfg: SystemConfig, dt: float) -> np.ndarray:
+    """The integrating factor's diagonal, e^{-i Omega_i dt}."""
+    return np.exp(-1j * np.array([cfg.omega_1, cfg.omega_2]) * dt)
+
+
+def _closure(cfg: SystemConfig, psi0: WavefunctionState, u: np.ndarray,
+             kernels: KernelSet) -> tuple:
+    """The memory equations as a real system of the four components
+    r = (Re alpha_1, Re alpha_2, Im alpha_1, Im alpha_2), as (r0, U, series,
+    terms, keep): U = [[U_r, -U_i], [U_i, U_r]], and the entry (i, j) of
+    K = [[K_r, -K_i], [K_i, K_r]] is ``sign`` times c * part for each
+    (i, j, k, sign) of ``terms`` and (c, part) = ``series[k]``, the
+    coupled real parts of K_1, K_2, K_c (k < 3), then their imaginary parts.
+    Terms of a zero coupling or part are left out.  ``keep`` marks the
+    components that the nonzero entries of r0 reach through nonzero
+    entries of U and K; the others stay exactly zero."""
+    a_1, a_2 = complex(psi0.alpha_1), complex(psi0.alpha_2)
+    r0 = np.array([a_1.real, a_2.real, a_1.imag, a_2.imag])
+    u_r, u_i = np.diag(u.real), np.diag(u.imag)
+    u_mat = np.block([[u_r, -u_i], [u_i, u_r]])
+    couplings = (-2.0 * cfg.g_1 ** 2, -2.0 * cfg.g_2 ** 2, -cfg.g_1 * cfg.g_2)
+    kernel_list = (kernels.k_self_1, kernels.k_self_2, kernels.k_cross)
+    series = [(c, kernel.real) for c, kernel in zip(couplings, kernel_list)]
+    series += [(c, kernel.imag) for c, kernel in zip(couplings, kernel_list)]
+    nonzero = [c != 0.0 and part.any() for c, part in series]
+    pattern = ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2))  # (i, j, kernel) of the 2 x 2 K
+    terms = [t for i, j, k in pattern for t in (
+        (i, j, k, 1.0), (i + 2, j + 2, k, 1.0), (i + 2, j, k + 3, 1.0), (i, j + 2, k + 3, -1.0))
+        if nonzero[t[2]]]
+    link = u_mat != 0.0  # link[i, j]: component j feeds component i
+    for i, j, _, _ in terms:
+        link[i, j] = True
+    keep = r0 != 0.0
+    for _ in range(3):  # a path between four components takes at most 3 steps
+        keep |= (link & keep).any(axis=1)
+    return r0, u_mat, series, terms, keep
 
 
 def volterra_components(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
                         kernels: KernelSet) -> int:
     """Real components of the system :func:`solve_volterra` integrates:
-    2 in a real gauge (see ``_gauge``), else 4."""
-    return 2 if _gauge(psi0, _phases(cfg, grid.dt), kernels) is not None else 4
-
-
-def _phases(cfg: SystemConfig, dt: float) -> np.ndarray:
-    """The integrating factor's diagonal, e^{-i Omega_i dt}."""
-    return np.exp(-1j * np.array([cfg.omega_1, cfg.omega_2]) * dt)
+    the parts of the amplitudes that psi0 reaches (``_closure``; no FFT)."""
+    return int(_closure(cfg, psi0, _phases(cfg, grid.dt), kernels)[-1].sum())
 
 
 @dataclass(frozen=True)
@@ -235,63 +248,41 @@ class _RealForm:
     ``terms``, zero elsewhere.  ``head`` holds K over the first block as
     m x m matrices, and ``spectra[k, d - 1]`` the length-2S real FFT of
     series k over nodes (d-1)S..(d+1)S-1 (zero past the last node), for
-    S = ``_BLOCK`` and every block lag d >= 1.  Component c is the real
-    part of atom c % 2's amplitude, or its imaginary part where
-    ``imaginary[c]``."""
+    S = ``_BLOCK`` and every block lag d >= 1.  Component c is part
+    ``parts[c]`` of (Re alpha_1, Re alpha_2, Im alpha_1, Im alpha_2)."""
 
     head: np.ndarray
     spectra: np.ndarray
     terms: tuple[tuple[int, int, int, float], ...]
     u: np.ndarray
     r0: np.ndarray
-    imaginary: tuple[bool, ...]
+    parts: tuple[int, ...]
 
 
 def _real_form(cfg: SystemConfig, psi0: WavefunctionState, u: np.ndarray,
-               kernels: KernelSet, gauge: tuple[bool, bool] | None) -> _RealForm:
-    """The memory equations in real form: 2 components in ``gauge`` (see
-    ``_gauge``), or, with None, 4, the real and imaginary parts, whose
-    K = [[K_r, -K_i], [K_i, K_r]] reads six series.  Terms of an
-    identically zero series are left out.  All series are transformed in
-    one batched FFT."""
+               kernels: KernelSet) -> _RealForm:
+    """The system of ``_closure`` cut down to its kept components, in
+    order.  Only the series that their terms read are formed, and all of
+    them are transformed in one batched FFT."""
+    r0, u_mat, series, terms, keep = _closure(cfg, psi0, u, kernels)
+    parts = np.flatnonzero(keep)
+    index = np.cumsum(keep) - 1  # a component's position among the kept
+    terms = [t for t in terms if keep[t[1]]]  # a kept column keeps its row too
+    used = sorted({k for _, _, k, _ in terms})
     n_nodes = kernels.k_self_1.size
     s = _BLOCK
     n_blocks = -(-n_nodes // s)
     length = max(n_blocks, 2) * s  # whole blocks, and at least one 2S segment
-    couplings = (-2.0 * cfg.g_1 ** 2, -2.0 * cfg.g_2 ** 2, -cfg.g_1 * cfg.g_2)
-    kernel_list = (kernels.k_self_1, kernels.k_self_2, kernels.k_cross)
-    a_1, a_2 = complex(psi0.alpha_1), complex(psi0.alpha_2)
-    pattern = ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2))  # (i, j, series) of the 2 x 2 K
-    if gauge is None:
-        series = np.zeros((6, length))
-        for k, (c, kernel) in enumerate(zip(couplings, kernel_list)):
-            np.multiply(c, kernel.real, out=series[k, :n_nodes])
-            np.multiply(c, kernel.imag, out=series[k + 3, :n_nodes])
-        terms = [t for i, j, k in pattern for t in (
-            (i, j, k, 1.0), (i + 2, j + 2, k, 1.0), (i + 2, j, k + 3, 1.0), (i, j + 2, k + 3, -1.0))]
-        u_r, u_i = np.diag(u.real), np.diag(u.imag)
-        u_mat = np.block([[u_r, -u_i], [u_i, u_r]])
-        r0 = np.array([a_1.real, a_2.real, a_1.imag, a_2.imag])
-        imaginary = (False, False, True, True)
-    else:
-        # K_c enters as g_2 K_c / g_1 above the diagonal and g_1 K_c / g_2
-        # below it: -K_c.imag on the side where g_2 / g_1 = i
-        imaginary = gauge
-        flip = imaginary[0] != imaginary[1]
-        series = np.zeros((3, length))
-        for k, (c, kernel) in enumerate(zip(couplings, kernel_list)):
-            np.multiply(c, kernel.imag if k == 2 and flip else kernel.real, out=series[k, :n_nodes])
-        minus = (0, 1) if imaginary[1] else (1, 0)
-        terms = [(i, j, k, -1.0 if flip and (i, j) == minus else 1.0) for i, j, k in pattern]
-        u_mat = np.diag(u.real)
-        r0 = np.array([a.imag if i else a.real for a, i in zip((a_1, a_2), imaginary)])
-    nonzero = series.any(axis=1)
-    terms = tuple(t for t in terms if nonzero[t[2]])
-    head = np.zeros((min(s, n_nodes), r0.size, r0.size))
+    formed = np.zeros((len(used), length))
+    for row, k in zip(formed, used):
+        np.multiply(*series[k], out=row[:n_nodes])
+    terms = tuple((int(index[i]), int(index[j]), used.index(k), sign) for i, j, k, sign in terms)
+    head = np.zeros((min(s, n_nodes), parts.size, parts.size))
     for i, j, k, sign in terms:
-        np.multiply(sign, series[k, :head.shape[0]], out=head[:, i, j])
-    spectra = np.fft.rfft(sliding_window_view(series, 2 * s, axis=1)[:, :(n_blocks - 1) * s:s])
-    return _RealForm(head, spectra, terms, u_mat, r0, imaginary)
+        np.multiply(sign, formed[k, :head.shape[0]], out=head[:, i, j])
+    spectra = np.fft.rfft(sliding_window_view(formed, 2 * s, axis=1)[:, :(n_blocks - 1) * s:s])
+    return _RealForm(head, spectra, terms, u_mat[np.ix_(parts, parts)], r0[parts],
+                     tuple(parts.tolist()))
 
 
 def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
@@ -302,18 +293,15 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     The photon field must start in vacuum (the kernel derivation assumes
     it).  Each step is an exponential-Euler predictor and an
     exponential-trapezoid corrector; an integrating factor takes out the
-    local phases U = diag(e^{-i omega dt}).  The solve runs on the smallest
-    real form of the equations (``_real_form``), chosen by exact zero
-    checks with no option: where a diagonal gauge alpha = diag(g_1, g_2) r,
-    g_a = 1 or i, makes U, the kernels and psi0 real (``_gauge``: on
-    resonance, with even-sized atoms, cross distances of one parity and
-    each initial amplitude real or imaginary, as in every preset and
-    sweep), r has 2 real components, and otherwise 4, the real and
-    imaginary parts.  A zero part of the amplitudes is never
-    computed, so it is exactly +0.0.  See ``_solve_form`` for the block
-    resolvent; the cost for T nodes, S = ``_BLOCK`` and m components is
-    O(m^3 S^2) once plus O(m^2 T^2 / S + m T log S), and the memory
-    O(m T).  Deterministic.
+    local phases U = diag(e^{-i omega dt}).  The solve runs on the real
+    and imaginary parts of the amplitudes, keeping only those that psi0
+    reaches through nonzero entries of U and the kernels (``_real_form``):
+    atom1 on resonance, with even-sized atoms and cross distances of one
+    parity (every preset and sweep), reaches 2, and off resonance 4.  A
+    part that is not reached is never computed, so it is exactly +0.0.
+    See ``_solve_form`` for the block resolvent; the cost for T nodes,
+    S = ``_BLOCK`` and m components is O(m^3 S^2) once plus
+    O(m^2 T^2 / S + m T log S), and the memory O(m T).  Deterministic.
 
     Raises
     ------
@@ -327,8 +315,7 @@ def solve_volterra(cfg: SystemConfig, psi0: WavefunctionState, grid: TimeGrid,
     if kernels is None:
         kernels = build_kernels(cfg, grid)
     n_nodes = grid.n_steps + 1
-    u = _phases(cfg, grid.dt)
-    form = _real_form(cfg, psi0, u, kernels, _gauge(psi0, u, kernels))
+    form = _real_form(cfg, psi0, _phases(cfg, grid.dt), kernels)
     alpha_1, alpha_2 = _solve_form(form, grid.dt, n_nodes)
     return AtomTrajectory(grid=grid, alpha_1=alpha_1, alpha_2=alpha_2)
 
@@ -364,9 +351,9 @@ def _solve_form(form: _RealForm, dt: float, n_nodes: int) -> tuple[np.ndarray, n
     w[1:] += dt * b_mat @ kmat[1:-1]
     w[:1] += q_mat + 0.5 * dt * b_mat @ kmat[0]
     # x_rev[n_x - 1 - k] = X_k, so X_{k-1}, .., X_0 is one contiguous view
-    w_row = w.transpose(1, 0, 2).reshape(m, -1)  # [W_1 W_2 ..]
+    w_row = w.transpose(1, 0, 2).reshape(m, m * (n_x - 1))  # [W_1 W_2 ..], also for m = 0
     x_rev = np.tile(np.eye(m), (n_x, 1, 1))  # X_0 = 1, the rest overwritten
-    x_col = x_rev.reshape(-1, m)
+    x_col = x_rev.reshape(m * n_x, m)
     with np.errstate(over="ignore", invalid="ignore"):  # see the population check
         for i in range(n_x - 2, -1, -1):
             np.matmul(w_row[:, :m * (n_x - 1 - i)], x_col[m * i + m:], out=x_rev[i])
@@ -374,12 +361,12 @@ def _solve_form(form: _RealForm, dt: float, n_nodes: int) -> tuple[np.ndarray, n
         x = x_rev[::-1]
         x_hat = np.fft.rfft(x.transpose(1, 2, 0), n=2 * s)  # [i, j, frequency]
 
-    alpha = np.zeros((2, n_nodes), dtype=complex)  # zero parts stay +0.0
-    parts = [alpha[c % 2].imag if imaginary else alpha[c % 2].real
-             for c, imaginary in enumerate(form.imaginary)]  # component c's view
+    alpha = np.zeros((2, n_nodes), dtype=complex)  # parts not solved stay +0.0
+    views = [alpha[p % 2].imag if p >= 2 else alpha[p % 2].real
+             for p in form.parts]  # component c's view
     prev = form.r0  # r_{lo-1}
-    for part, r in zip(parts, prev):
-        part[0] = r
+    for view, r in zip(views, prev):
+        view[0] = r
     f_prev = np.zeros(m)  # memory derivative at lo - 1
     hist_hat = np.zeros((m, n_blocks, s + 1), dtype=complex)  # history sums of each block
     prod = np.empty((n_blocks - 1, s + 1), dtype=complex)
@@ -399,16 +386,16 @@ def _solve_form(form: _RealForm, dt: float, n_nodes: int) -> tuple[np.ndarray, n
             f_hat = np.fft.rfft(f, n=2 * s)
             block = np.fft.irfft((x_hat * f_hat).sum(axis=1), n=2 * s)[:, :stop - lo]
             block += direct.T
-            if not (_populations(block) <= POPULATION_ABORT).all():
+            if not (_populations(block, form.parts) <= POPULATION_ABORT).all():
                 for k in range(stop - lo):  # the first bad node, from the causal sums
                     block[:, k] = direct[k] + np.einsum("kij,jk->i", x[k::-1], f[:, :k + 1])
-                    p_1, p_2 = _populations(block[:, k])
+                    p_1, p_2 = _populations(block[:, k], form.parts)
                     if not (p_1 <= POPULATION_ABORT and p_2 <= POPULATION_ABORT):
                         raise SolverError(
                             f"population exceeded {POPULATION_ABORT} at t={(lo + k) * dt:.6g} "
                             f"(|a1|^2={p_1:.6g}, |a2|^2={p_2:.6g}); reduce dt")
-        for part, row in zip(parts, block):
-            part[lo:stop] = row
+        for view, row in zip(views, block):
+            view[lo:stop] = row
         if b < n_blocks - 1:  # carry r and the memory derivative at stop - 1
             f_prev = dt * (h[:, -1] + 0.5 * kmat[0] @ block[:, -1] + np.einsum(
                 "dij,jd->i", kmat[stop - lo - 1:0:-1], block[:, :-1]))
@@ -424,10 +411,13 @@ def _solve_form(form: _RealForm, dt: float, n_nodes: int) -> tuple[np.ndarray, n
     return alpha[0], alpha[1]
 
 
-def _populations(r: np.ndarray) -> np.ndarray:
+def _populations(r: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
     """|alpha_1|^2 and |alpha_2|^2 from the real components r (rows), row
-    c a part of atom c % 2's amplitude."""
-    return (r * r).reshape(-1, 2, *r.shape[1:]).sum(axis=0)
+    c part ``parts[c]`` of (Re alpha_1, Re alpha_2, Im alpha_1, Im alpha_2)."""
+    populations = np.zeros((2, *r.shape[1:]))
+    for row, part in zip(r, parts):
+        populations[part % 2] += row * row
+    return populations
 
 
 def field_order_max(cfg: SystemConfig, sites) -> int:

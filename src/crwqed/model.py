@@ -32,6 +32,13 @@ BAND_EDGE_GUARD = 1e-3
 # routes agree to the scheme's own error up to the round-trip window's end
 # on fig3's geometry (n_c 200 to 1462); a constant 30 sites falls short.
 LIGHT_CONE_PAD = 4.5
+# Scales a SystemConfig accepts (legs (1, 7, 4, 10), n_c = 200): run, bic
+# and spectrum pass at each bound; beyond, xi = 1e300 or 1e-150 and omegas
+# of 1e9 xi fail the lattice checks, g = 1e4 xi the root residual, and
+# g = 1e200 overflows g ** 2.
+MIN_XI, MAX_XI = 1e-100, 1e100
+MAX_FREQUENCY_RATIO = 1e7  # |omega_c|, |omega_1|, |omega_2| over xi
+MAX_COUPLING_RATIO = 1e3  # g_1, g_2 over xi
 
 
 def light_cone_reach(cfg: SystemConfig, t: float) -> int:
@@ -91,10 +98,11 @@ class SystemConfig:
 
     def __post_init__(self):
         """Reject non-integral legs, non-finite frequencies or couplings,
-        non-positive ``xi``, negative couplings and coincident legs
-        (ConfigError), then store the legs as ints, sorted so that
-        ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is invariant under leg
-        relabelling)."""
+        non-positive ``xi``, negative couplings, scales beyond ``MIN_XI``,
+        ``MAX_XI``, ``MAX_FREQUENCY_RATIO`` or ``MAX_COUPLING_RATIO`` and
+        coincident legs (ConfigError), then store the legs as ints, sorted
+        so that ``n_1 < n_2`` and ``m_1 < m_2`` (the physics is invariant
+        under leg relabelling)."""
         for name in ("n_1", "n_2", "m_1", "m_2"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)
@@ -109,6 +117,15 @@ class SystemConfig:
         if self.g_1 < 0.0 or self.g_2 < 0.0:
             raise ConfigError(
                 f"couplings must be non-negative, got g_1={self.g_1}, g_2={self.g_2}")
+        if not MIN_XI <= self.xi <= MAX_XI:
+            raise ConfigError(f"hopping strength xi must lie in [{MIN_XI:g}, {MAX_XI:g}], "
+                              f"got {self.xi}")
+        for names, bound in ((("omega_c", "omega_1", "omega_2"), MAX_FREQUENCY_RATIO),
+                             (("g_1", "g_2"), MAX_COUPLING_RATIO)):
+            for name in names:
+                if abs(getattr(self, name)) > bound * self.xi:
+                    raise ConfigError(f"|{name}| must be at most {bound:g} xi, "
+                                      f"got {getattr(self, name)} at xi = {self.xi}")
         if self.n_1 == self.n_2:
             raise ConfigError(f"coincident legs for the first atom: n_1 = n_2 = {self.n_1}")
         if self.m_1 == self.m_2:

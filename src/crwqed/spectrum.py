@@ -784,7 +784,9 @@ def _free_runs(runs: list[np.ndarray], u: np.ndarray,
                x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Write the free run f(k), k = 1..length sites from an end where
     f(0) = 0, into the rows of each array in ``runs`` (length x u.size,
-    length >= 0) in place; return f(1), f(length) and f(length + 1) of each.
+    length >= 0, and >= 2 for the longest: ``check_lattice_size`` keeps
+    each tail at 19 sites or more) in place; return f(1), f(length) and
+    f(length + 1) of each.
 
     In the band f runs the recurrence f(k+1) = 2x f(k) - f(k-1) from
     f(1) = sin(u), with the same rounded x that the leg system holds, so
@@ -798,17 +800,12 @@ def _free_runs(runs: list[np.ndarray], u: np.ndarray,
     two_x = np.where(band, 2.0 * x, 0.0)  # bounded filler where ``_run`` takes over
     start = np.sin(np.where(band, u, 0.0))
     longest = max(runs, key=len)
-    if len(longest):
-        longest[0] = start
-    if len(longest) > 1:
-        np.multiply(longest[0], two_x, out=longest[1])
+    longest[0] = start
+    np.multiply(longest[0], two_x, out=longest[1])
     for before, last, row in zip(longest, longest[1:], longest[2:]):
         np.multiply(last, two_x, out=row)
         row -= before
-    if len(longest) == 0:
-        after = start
-    else:
-        after = two_x * longest[-1] - (longest[-2] if len(longest) > 1 else 0.0)
+    after = two_x * longest[-1] - longest[-2]
     ends = []
     for rows in runs:
         length = len(rows)

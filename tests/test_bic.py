@@ -161,6 +161,8 @@ def test_rabi_period_values(fig3_roots):
 def test_rabi_period_degenerate_flag_and_errors():
     double = find_bic_roots(DOUBLE)
     assert math.isinf(rabi_period(double))
+    root = BicRoot(energy=0.25, branch="+", multiplicity=1, residual=0.0, width=0.0)
+    assert math.isinf(rabi_period([root, replace(root, branch="-")]))  # two roots, one energy
     single = find_bic_roots(FIG4)
     with pytest.raises(ValueError):
         rabi_period(single)

@@ -767,6 +767,35 @@ def test_coarse_grid_and_small_lattice_are_config_errors(tmp_path, capsys, argv,
     assert message in capsys.readouterr().err
 
 
+_G_BOUND = "error: |g_1| must be at most 1000 xi, got {} at xi = 1.0"
+_XI_BOUND = "error: hopping strength xi must lie in [1e-100, 1e+100], got {}"
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["census", "--g", "1e300"], None, _G_BOUND.format("1e+300")),
+    (["run"], "g_1 = 1e200\ng_2 = 1e200\n", _G_BOUND.format("1e+200")),
+    (["bic"], "xi = 1e300\n", _XI_BOUND.format("1e+300")),
+    (["spectrum"], "xi = 1e300\n", _XI_BOUND.format("1e+300")),
+    (["run"], "xi = 1e-150\ng_1 = 1e-151\ng_2 = 1e-151\nt_max = 2e151\ndt = 2e148\n",
+     _XI_BOUND.format("1e-150")),
+    (["run"], "omega_c = 1e9\nomega_1 = 1e9\nomega_2 = 1e9\n",
+     "error: |omega_c| must be at most 1e+07 xi, got 1000000000.0 at xi = 1.0"),
+    (["bic", "--check"], "g_1 = 1e4\ng_2 = 1e4\n", _G_BOUND.format("10000.0")),
+], ids=["census_g_1e300", "run_g_1e200", "bic_xi_1e300", "spectrum_xi_1e300",
+        "run_xi_1e-150", "run_omega_1e9", "bic_check_g_1e4"])
+def test_scales_beyond_the_bounds_exit_1_with_one_error_line(tmp_path, capsys, argv, config,
+                                                             line):
+    # each of these ended in a traceback (overflow, a LinAlgError), a
+    # solver error (exit 2) or a failed root residual (exit 3)
+    if config is not None:
+        cfgfile = tmp_path / "scale.cfg"
+        cfgfile.write_text("n_1 = 1\nn_2 = 7\nm_1 = 4\nm_2 = 10\nn_c = 200\n" + config)
+        argv = argv + [str(cfgfile)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bic", "fig3", "--nc", "10"],
     ["bic", "fig3", "--dt", "0.5"],

@@ -322,20 +322,20 @@ def test_volterra_keeps_exact_zero_parts(cfg, grid, nodes, imaginary_2):
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])
 def test_volterra_real_forms_agree_on_the_presets(name):
-    # the 2-component gauge form and the 4-component form of real and
-    # imaginary parts solve the same equations
+    # a global phase e^{0.7i} makes both parts of alpha_1(0) nonzero, so
+    # the solve takes all 4 components; divided by the phase, the
+    # amplitudes are those of the 2-component solve
     scn = PRESETS[name]
-    psi0 = initial_state("atom1")
     kernels = build_kernels(scn.cfg, scn.grid)
-    u = dynamics._phases(scn.cfg, scn.grid.dt)
-    gauge = dynamics._gauge(psi0, u, kernels)
-    assert gauge is not None
+    psi0 = initial_state("atom1")
+    turned = WavefunctionState(np.exp(0.7j) * psi0.alpha_1, np.exp(0.7j) * psi0.alpha_2)
     assert dynamics.volterra_components(scn.cfg, psi0, scn.grid, kernels) == 2
-    two, four = (dynamics._solve_form(dynamics._real_form(scn.cfg, psi0, u, kernels, g),
-                                      scn.grid.dt, scn.grid.n_steps + 1)
-                 for g in (gauge, None))
-    assert two[0].size == scn.grid.n_steps + 1
-    assert max(np.abs(a - b).max() for a, b in zip(two, four)) <= 1e-13
+    assert dynamics.volterra_components(scn.cfg, turned, scn.grid, kernels) == 4
+    two = solve_volterra(scn.cfg, psi0, scn.grid, kernels)
+    four = solve_volterra(scn.cfg, turned, scn.grid, kernels)
+    assert two.alpha_1.size == scn.grid.n_steps + 1
+    assert max(np.abs(b / np.exp(0.7j) - a).max() for a, b in (
+        (two.alpha_1, four.alpha_1), (two.alpha_2, four.alpha_2))) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,12 +345,13 @@ def test_volterra_real_forms_agree_on_the_presets(name):
 def test_volterra_matches_direct_sums_on_random_gauge_real_systems(a, p, q, offset, g_1, g_2,
                                                                    state, nodes):
     # on resonance, with even sizes and cross distances of one parity (the
-    # parity of the offset between the first legs), the 2-component form runs
+    # parity of the offset between the first legs), one atom's real
+    # amplitude reaches one part of the other's, through the cross kernel
     cfg = SystemConfig(n_1=a, n_2=a + 2 * p, m_1=a + offset, m_2=a + offset + 2 * q,
                        g_1=g_1, g_2=g_2)
     grid = TimeGrid(t_max=(nodes - 1) * 0.02, dt=0.02)
     assert dynamics.volterra_components(cfg, initial_state(state), grid,
-                                        build_kernels(cfg, grid)) == 2
+                                        build_kernels(cfg, grid)) == (2 if g_1 * g_2 > 0 else 1)
     _assert_matches_direct(cfg, state, nodes)
 
 
@@ -358,10 +359,31 @@ def test_volterra_takes_four_components_off_resonance():
     grid = TimeGrid(t_max=10.0, dt=0.02)
     kernels = build_kernels(DETUNED, grid)
     assert dynamics.volterra_components(DETUNED, initial_state("atom1"), grid, kernels) == 4
-    # a complex initial amplitude leaves no real gauge either
+    # a complex initial amplitude reaches every part on resonance too
     psi0 = WavefunctionState(alpha_1=0.6, alpha_2=0.8 * np.exp(0.3j))
     kernels = build_kernels(FIG3, grid)
     assert dynamics.volterra_components(FIG3, psi0, grid, kernels) == 4
+
+
+def test_volterra_solves_only_the_parts_psi0_reaches():
+    # off resonance with g_2 = 0, atom1 reaches its own two parts only,
+    # and atom 2 is never computed
+    cfg = replace(DETUNED, g_2=0.0)
+    grid = TimeGrid(t_max=30.0, dt=0.02)
+    kernels = build_kernels(cfg, grid)
+    psi0 = initial_state("atom1")
+    assert dynamics.volterra_components(cfg, psi0, grid, kernels) == 2
+    traj = solve_volterra(cfg, psi0, grid, kernels)
+    for part in (traj.alpha_2.real, traj.alpha_2.imag):
+        assert np.all(part == 0.0) and not np.signbit(part).any()
+    direct = volterra_direct(cfg, psi0, grid, kernels)
+    assert np.abs(traj.alpha_1 - direct.alpha_1).max() <= 1e-12
+    # an empty psi0 reaches nothing and solves no component
+    empty = WavefunctionState(0j, 0j)
+    assert dynamics.volterra_components(cfg, empty, grid, kernels) == 0
+    traj = solve_volterra(cfg, empty, grid, kernels)
+    for part in (traj.alpha_1.real, traj.alpha_1.imag, traj.alpha_2.real, traj.alpha_2.imag):
+        assert np.all(part == 0.0) and not np.signbit(part).any()
 
 
 def test_volterra_aborts_when_a_population_exceeds_one():
@@ -689,6 +711,12 @@ def test_steady_state_prediction_fig4():
 def test_steady_state_prediction_requires_unique_bic():
     with pytest.raises(ValueError, match="exactly one"):
         steady_state_prediction(initial_state("atom1"), _lattice_profiles(FIG3))
+
+
+def test_steady_state_prediction_requires_a_photon_vacuum():
+    psi0 = WavefunctionState(alpha_1=1.0, alpha_2=0.0, beta={3: 0.1})
+    with pytest.raises(ValueError, match="empty photon sector"):
+        steady_state_prediction(psi0, [])
 
 
 def test_plateau_detector():

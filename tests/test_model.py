@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crwqed.model import (
+    MAX_COUPLING_RATIO,
+    MAX_FREQUENCY_RATIO,
+    MAX_XI,
+    MIN_XI,
     ConfigError,
     SystemConfig,
     TimeGrid,
@@ -46,6 +50,22 @@ def test_bad_scalars_rejected():
     # replace() constructs anew, so it cannot make an invalid config either
     with pytest.raises(ConfigError, match="coincident"):
         replace(SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10), n_2=1)
+
+
+@pytest.mark.parametrize("xi", [MIN_XI, 1.0, MAX_XI])
+def test_scale_bounds_are_inclusive(xi):
+    # every bound at its edge is accepted, and one step past it is not
+    edges = {"omega_c": -MAX_FREQUENCY_RATIO * xi, "omega_1": MAX_FREQUENCY_RATIO * xi,
+             "omega_2": -MAX_FREQUENCY_RATIO * xi, "g_1": MAX_COUPLING_RATIO * xi,
+             "g_2": MAX_COUPLING_RATIO * xi}
+    SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=xi, **edges)
+    for name, value in edges.items():
+        with pytest.raises(ConfigError, match=rf"\|{name}\| must be at most"):
+            SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=xi,
+                         **{**edges, name: value * (1 + 1e-15)})
+    for outside in (MIN_XI * (1 - 1e-15), MAX_XI * (1 + 1e-15)):
+        with pytest.raises(ConfigError, match=r"xi must lie in \[1e-100, 1e\+100\]"):
+            SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, xi=outside)
 
 
 @pytest.mark.parametrize("name", ["omega_c", "omega_1", "omega_2", "g_1", "g_2"])

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 import typing
 from pathlib import Path
 
@@ -48,6 +49,21 @@ def test_every_top_level_name_in_src_is_used_or_exported():
               if name not in used and name not in crwqed.__all__
               and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    # pyproject.toml declares numpy alone; another package that happens to
+    # be installed (scipy, say) would import here and fail on a clean one
+    allowed = set(sys.stdlib_module_names) | {"numpy", "crwqed"}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, a.name.split(".")[0]) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert sorted(f"{module}:{name}" for module, name in imported if name not in allowed) == []
+    assert ("dynamics.py", "numpy") in imported
 
 
 def test_closed_form_builds_no_lattice_and_only_model_owns_the_band_edge():

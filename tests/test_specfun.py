@@ -164,6 +164,13 @@ def test_table_matches_rows_across_chunks(monkeypatch):
         assert np.array_equal(table[i], bessel_j_row(8, x).values)
 
 
+def test_negative_order_and_multidimensional_arguments_rejected():
+    with pytest.raises(ValueError, match="order_max must be >= 0, got -1"):
+        bessel_j_table(-1, [0.5])
+    with pytest.raises(ValueError, match="xs must be one-dimensional"):
+        bessel_j_table(4, np.ones((2, 3)))
+
+
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         bessel_j(0, -1.0)
