@@ -425,18 +425,15 @@ def _roots_payload(cfg, roots):
 
 # ---- artifact writers of the run_scenario stages ----
 
-def _write_spectrum(out_dir, sites, profiles):
+def _write_spectrum(out_dir, sites, classified):
     """spectrum.csv, plus profile_<index>.csv for every BIC and BOC."""
-    stats = np.array([(p.energy, p.ipr, p.amp_1 ** 2, p.amp_2 ** 2) for p in profiles],
-                     dtype=float).reshape(-1, 4)
+    energies, atoms = classified.energies, classified.atoms
     write_csv(os.path.join(out_dir, "spectrum.csv"),
               ("index", "energy", "class", "ipr", "a1_sq", "a2_sq"),
-              (range(len(profiles)), stats[:, 0], [p.label for p in profiles], stats[:, 1],
-               stats[:, 2], stats[:, 3]))
-    for i, p in enumerate(profiles):
-        if p.label in ("BIC", "BOC"):
-            write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"),
-                      (sites, p.photon))
+              (range(energies.size), energies, classified.labels, classified.ipr,
+               atoms[0] * atoms[0], atoms[1] * atoms[1]))
+    for i, photon in classified.photon.items():
+        write_csv(os.path.join(out_dir, f"profile_{i}.csv"), ("site", "prob"), (sites, photon))
 
 
 def _write_dynamics(out_dir, trajectory, trace):
@@ -521,10 +518,10 @@ def run_scenario(scn: Scenario, out_dir, stages=STAGES) -> dict:
         out_dir, {"scenario": scn.name, "config": asdict(scn.cfg), "t_max": scn.grid.t_max,
                   "dt": scn.grid.dt, "n_c": scn.n_c, "initial_state": INITIAL_STATE},
         lambda out, records, runnable: _scenario_stages(scn, out, runnable, records),
-        check_inputs=lambda: _runnable_stages(scn, stages))
+        lambda: _runnable_stages(scn, stages))
 
 
-def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs=None) -> dict:
+def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs) -> dict:
     """Every command's frame: ``check_inputs()`` raises before the output
     directory is made, ``run_stages(out_dir, records, <what it returned>)``
     writes the artifacts, appends a ``_stage`` record per stage and returns
@@ -536,7 +533,7 @@ def _run_pipeline(out_dir, payload: dict, run_stages, check_inputs=None) -> dict
     records: list[dict] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            checked = check_inputs() if check_inputs else None
+            checked = check_inputs()
             out_dir = _prepare_out_dir(out_dir)
             checks = run_stages(out_dir, records, checked)
     finally:  # recorded for the manifest, then shown as if never caught
@@ -598,8 +595,8 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             checks.append(_check("lattice_orthonormality_bound", solve.orthonormality,
                                  spectrum.ORTHONORMALITY_TOL))
             sites = basis.sites
-            profiles = spectrum.classify_bound_states(basis, cfg)
-            bics = spectrum.bound_states(profiles, "BIC")
+            classified = spectrum.classify_bound_states(basis, cfg)
+            n_bics = int(np.count_nonzero(classified.labels == "BIC"))
 
     # numerically exact propagation on the finite lattice, the last reader
     # of the eigenvectors
@@ -634,8 +631,8 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             checks.append(_residual_check((r.residual for r in roots), cfg.xi))
             if "lattice" in stages:
                 n_closed = sum(r.multiplicity for r in roots)
-                checks.append(_check("bic_count_matches_lattice", n_closed, len(bics),
-                                     n_closed == len(bics)))
+                checks.append(_check("bic_count_matches_lattice", n_closed, n_bics,
+                                     n_closed == n_bics))
 
     # beyond-Markovian dynamics
     if "volterra" in stages:
@@ -658,8 +655,8 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
             if "lattice" in stages and grid.t_end >= 150.0 / cfg.xi:
                 non_decaying = sum(abs(lam[-1].imag) <= 1e-3 * cfg.xi for lam in (
                     trace.lambda_1, trace.lambda_2)) - cfg.photon_free_states
-                checks.append(_check("trace_nondecaying_count", non_decaying, len(bics),
-                                     non_decaying == len(bics)))
+                checks.append(_check("trace_nondecaying_count", non_decaying, n_bics,
+                                     non_decaying == n_bics))
             if "exact_propagate" in stages:
                 diff = max(np.abs(pop[:n_valid + 1] - exact).max() for pop, exact in
                            zip((trajectory.pop_1, trajectory.pop_2), exact_pops))
@@ -701,9 +698,9 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
                 avg = float(np.mean(trajectory.pop_1[grid.n_steps // 2:]
                                     + trajectory.pop_2[grid.n_steps // 2:]))
                 checks.append(_check("late_population_sum", avg, 0.9, avg >= 0.9))
-            if "fractional" in scn.checks and len(bics) == 1:
+            if "fractional" in scn.checks and n_bics == 1:
                 p1, p2, settled = dynamics.plateau(trajectory, cfg.xi)
-                pred1, pred2 = dynamics.steady_state_prediction(psi0, profiles)
+                pred1, pred2 = dynamics.steady_state_prediction(psi0, classified)
                 checks.append(_check("plateau_balance", abs(p1 - p2), 1e-2))
                 rel = max(abs(p1 - pred1) / pred1, abs(p2 - pred2) / pred2)
                 checks.append(_check("plateau_vs_projection_rel_err", rel, 0.05))
@@ -713,7 +710,7 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
         if "bic_roots" in stages:
             write_json(os.path.join(out_dir, "bic.json"), _roots_payload(cfg, roots))
         if "lattice" in stages:
-            _write_spectrum(out_dir, sites, profiles)
+            _write_spectrum(out_dir, sites, classified)
         if "volterra" in stages:
             _write_dynamics(out_dir, trajectory, trace)
         if "photon_field" in stages:
@@ -724,9 +721,17 @@ def _scenario_stages(scn: Scenario, out_dir, stages, records: list) -> list[dict
 def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
     """The closed-form census of the ``bic.braided_config`` geometries, one
     (size, deltas) pair of ``sizes`` at a time, to ``census.csv``; returns
-    its rows.  The manifest records the worst root residual."""
+    its rows.  Every geometry is built and checked as ``run_scenario``
+    checks its ``bic_roots`` stage (``_runnable_stages``) before the output
+    directory is made.  The manifest records the worst root residual."""
     sizes = [(size, list(deltas)) for size, deltas in sizes]
     rows: list = []
+
+    def check_inputs():
+        for size, deltas in sizes:
+            for delta in deltas:
+                cfg = bic.braided_config(size, delta, g)
+                _runnable_stages(Scenario("census", cfg, None, n_c=0), ("bic_roots",))
 
     def stages(out_dir, records, _):
         with _stage(records, "bic_roots", geometries=sum(len(d) for _, d in sizes)):
@@ -738,7 +743,7 @@ def run_census(out_dir, sizes=TABLE_CENSUS, g=0.1) -> list:
                        [r.n_bic for r in rows], [_joined(r.energies) for r in rows]))
         return [_residual_check(x.residual for r in rows for x in r.roots)]
 
-    _run_pipeline(out_dir, {"census": {"sizes": sizes, "g": g}}, stages)
+    _run_pipeline(out_dir, {"census": {"sizes": sizes, "g": g}}, stages, check_inputs)
     return rows
 
 
@@ -781,31 +786,35 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
     of range, is a ConfigError.  The ``value`` column keeps each value as
     given.
     """
-    if key not in _SWEEP_KEYS:
-        raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    values = list(values)
     base = {"N": size, "delta": delta, "g": g, "dt": dt}
     stages = ("bic_roots", "volterra") if with_dynamics else ("bic_roots",)
-    tasks = []
-    for v in values:
-        try:
-            params = {**base, key: _SWEEP_KEYS[key](v)}
-            if not isinstance(v, str) and params[key] != v:
-                raise ValueError  # the key's type would truncate it
-        except (TypeError, ValueError):
-            raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
-        grid = TimeGrid(t_max=t_max, dt=params["dt"]) if with_dynamics else None
-        cfg = bic.braided_config(params["N"], params["delta"], params["g"])
-        _runnable_stages(Scenario(f"{key}={v}", cfg, grid, n_c=0), stages)
-        tasks.append((key, v, cfg, grid))
-    workers = min(workers, os.cpu_count() or 1) if len(tasks) > 1 else 1
     rows: list = []
 
-    def stages(out_dir, records, _):
-        with _stage(records, "sweep", tasks=len(tasks), workers=workers):
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+    def check_inputs():
+        if key not in _SWEEP_KEYS:
+            raise ConfigError(f"sweep key must be one of {tuple(_SWEEP_KEYS)}, got {key!r}")
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
+        tasks = []
+        for v in values:
+            try:
+                params = {**base, key: _SWEEP_KEYS[key](v)}
+                if not isinstance(v, str) and params[key] != v:
+                    raise ValueError  # the key's type would truncate it
+            except (TypeError, ValueError):
+                raise ConfigError(f"sweep value {v!r} does not parse as a {key} value") from None
+            grid = TimeGrid(t_max=t_max, dt=params["dt"]) if with_dynamics else None
+            cfg = bic.braided_config(params["N"], params["delta"], params["g"])
+            _runnable_stages(Scenario(f"{key}={v}", cfg, grid, n_c=0), stages)
+            tasks.append((key, v, cfg, grid))
+        return tasks
+
+    def run_stages(out_dir, records, tasks):
+        pool_size = min(workers, os.cpu_count() or 1) if len(tasks) > 1 else 1
+        with _stage(records, "sweep", tasks=len(tasks), workers=pool_size):
+            if pool_size > 1:
+                with ProcessPoolExecutor(max_workers=pool_size) as pool:
                     results = list(pool.map(_sweep_one, tasks))
             else:
                 results = [_sweep_one(t) for t in tasks]
@@ -821,8 +830,9 @@ def run_sweep(out_dir, key, values, size=6, delta=3, g=0.1, dt=0.02,
                       [[r[h] for r in rows] for h in header])
         return [_residual_check(r["residual"] for r in rows)]
 
-    _run_pipeline(out_dir, {"sweep": {**base, "key": key, "values": list(values),
-                                      "dynamics": with_dynamics, "t_max": t_max}}, stages)
+    _run_pipeline(out_dir, {"sweep": {**base, "key": key, "values": values,
+                                      "dynamics": with_dynamics, "t_max": t_max}},
+                  run_stages, check_inputs)
     return rows
 
 

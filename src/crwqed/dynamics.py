@@ -589,24 +589,25 @@ def _unit_phases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def steady_state_prediction(psi0: WavefunctionState, profiles) -> tuple[float, float]:
+def steady_state_prediction(psi0: WavefunctionState, classified) -> tuple[float, float]:
     """Long-time atomic populations from the overlap with a unique BIC.
 
     When the system hosts exactly one bound state in the continuum, the
     extended components dephase away and the atoms approach
     |alpha_i(inf)|^2 = |<E_BIC|psi0>|^2 |A_i|^2 with A_i the normalized BIC
-    atomic amplitudes.  ``profiles`` is the classified lattice spectrum
-    (``spectrum.classify_bound_states``).  Requires exactly one profile
-    labelled "BIC" and a photon-vacuum psi0.
+    atomic amplitudes.  ``classified`` is the classified lattice spectrum
+    (``spectrum.classify_bound_states``), whose ``atoms`` column of the BIC
+    gives A_1 and A_2.  Requires exactly one state labelled "BIC" and a
+    photon-vacuum psi0.
     """
     if not psi0.photon_vacuum:
         raise ValueError("steady-state projection assumes an initially empty photon sector")
-    bics = [p for p in profiles if p.label == "BIC"]
-    if len(bics) != 1:
-        raise ValueError(f"steady-state prediction needs exactly one BIC, found {len(bics)}")
-    b = bics[0]
-    overlap = abs(b.amp_1 * psi0.alpha_1 + b.amp_2 * psi0.alpha_2) ** 2
-    return overlap * b.amp_1 ** 2, overlap * b.amp_2 ** 2
+    bics = np.flatnonzero(classified.labels == "BIC")
+    if bics.size != 1:
+        raise ValueError(f"steady-state prediction needs exactly one BIC, found {bics.size}")
+    amp_1, amp_2 = classified.atoms[:, bics[0]].tolist()
+    overlap = abs(amp_1 * psi0.alpha_1 + amp_2 * psi0.alpha_2) ** 2
+    return overlap * amp_1 ** 2, overlap * amp_2 ** 2
 
 
 def plateau(trajectory: AtomTrajectory, xi: float) -> tuple[float, float, bool]:

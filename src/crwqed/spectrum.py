@@ -240,9 +240,10 @@ def _cluster_starts(energies: np.ndarray, xi: float) -> np.ndarray:
 
 # Rows per block of the structured residual in ``_residual``.
 _RESIDUAL_ROWS = 64
-# States per block of the pass that checks an eigenbasis; the classifier's
-# weights come from the same blocks.
-_CLASSIFY_STATES = 128
+# States per block of every pass over an eigenbasis (``Eigenbasis.blocks``):
+# the checked pass, whose blocks also give the classifier's weights, and
+# ``exact_propagate``.
+_BLOCK_STATES = 128
 # States per chunk of fourth powers in ``_state_weights``.
 _WEIGHT_STATES = 16
 
@@ -352,7 +353,7 @@ def _largest_overlap(left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.n
 
 def _checked_pass(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
                   starts: np.ndarray, columns, solve=None, refine=None):
-    """Check an eigenbasis in one pass over its ``_CLASSIFY_STATES``-state
+    """Check an eigenbasis in one pass over its ``_BLOCK_STATES``-state
     blocks (``Eigenbasis.blocks``), reading each block once from
     ``solve(lo, hi)``, or from ``columns(lo, hi)`` if ``solve`` is None.
 
@@ -387,7 +388,7 @@ def _checked_pass(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
     residual = ortho = 0.0
     rho_max = v_max = 0.0
     pairs = 0
-    for lo, hi in _blocks(starts, _CLASSIFY_STATES):
+    for lo, hi in _blocks(starts, _BLOCK_STATES):
         block = (solve or columns)(lo, hi)
         worst, squares, quotients = _residual(cfg, sites, energies[lo:hi], block)
         if refine is not None and refine(lo, hi, block, quotients):
@@ -412,7 +413,7 @@ def _checked_pass(cfg: SystemConfig, sites: np.ndarray, energies: np.ndarray,
         ortho = np.maximum(ortho, np.abs(norm2 - 1.0).max())
         inside = i >= lo
         ortho = np.maximum(ortho, _largest_overlap(block, block, i[inside] - lo, j[inside] - lo))
-        for a, b in _blocks(starts, _CLASSIFY_STATES):
+        for a, b in _blocks(starts, _BLOCK_STATES):
             if b <= lower[0] or a >= lo:  # no lower state of a pair, or read already
                 continue
             a, b = max(a, int(lower[0])), min(b, lo)
@@ -1010,7 +1011,7 @@ def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
     leg systems of side r + 3 for r distinct leg sites (``_leg_system``),
     whatever the leg span, with the free runs between and beyond the legs
     written in place.  Degenerate clusters are made orthonormal by
-    ``_orthogonalize_clusters``.  One pass over ``_CLASSIFY_STATES``-state
+    ``_orthogonalize_clusters``.  One pass over ``_BLOCK_STATES``-state
     blocks (``_checked_pass``) builds every column, takes one
     Rayleigh-quotient step, v^T (H - E) v, and rebuilds the columns of
     states outside a cluster whose energy it moves by more than
@@ -1062,15 +1063,17 @@ def lattice_eigenbasis(cfg: SystemConfig, n_c: int) -> Eigenbasis:
 
 
 @dataclass(frozen=True)
-class BoundStateProfile:
-    """A classified eigenstate: BIC, BOC, or extended."""
+class ClassifiedSpectrum:
+    """The classified lattice spectrum, one entry per eigenstate in the
+    order of ``Eigenbasis.energies``: a degenerate cluster's members are its
+    localized rotation (``_localized_rotation``) and share the cluster's
+    mean energy."""
 
-    energy: float
-    label: str                 # "BIC" | "BOC" | "extended"
-    ipr: float
-    amp_1: float               # atomic amplitude A1
-    amp_2: float
-    photon: np.ndarray | None  # |B_j|^2 per chain column; BIC and BOC only
+    energies: np.ndarray          # each state's energy, a cluster's at its mean
+    labels: np.ndarray            # "BIC" | "BOC" | "extended"
+    ipr: np.ndarray               # inverse participation ratio
+    atoms: np.ndarray             # 2 x n: atomic amplitudes A1 (row 0) and A2
+    photon: dict[int, np.ndarray]  # state index -> |B_j|^2 per chain column; BIC and BOC only
 
 
 def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1097,7 +1100,7 @@ def _localized_rotation(cluster: np.ndarray, mask: np.ndarray) -> tuple[np.ndarr
     return w, vecs
 
 
-def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundStateProfile]:
+def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> ClassifiedSpectrum:
     """Label every eigenstate as BIC, BOC, or extended.
 
     A state is a bound-state candidate when its inverse participation ratio
@@ -1107,7 +1110,7 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     states (``basis.starts``, within 1e-6 xi) are first rotated to a
     maximally-localized basis (``_localized_rotation``), which untangles
     bound states from accidentally degenerate band states; the returned
-    profiles are that rotated basis.  States with essentially no photon
+    spectrum is that rotated basis.  States with essentially no photon
     weight (a decoupled atom) and states within 1e-3 xi of a band edge are
     never bound states.
 
@@ -1115,44 +1118,32 @@ def classify_bound_states(basis: Eigenbasis, cfg: SystemConfig) -> list[BoundSta
     that checked the basis recorded (``basis.weights``, ``basis.atoms``).
     The basis is read only as the columns of each degenerate cluster, whose
     rotated states replace its members' weights, and of each BIC and BOC,
-    whose photon probabilities the profile keeps (``photon`` is None on
-    extended states).  The labels are set for all states at once.
+    whose photon probabilities ``photon`` keeps.  The labels are set for
+    all states at once.
     """
-    energies = basis.energies
+    energies = basis.energies.copy()
     mask = _window(cfg, basis.sites)
     ipr, photon_weight, window = basis.weights.copy()
-    amps = basis.atoms.copy()
-    state = energies.copy()
+    atoms = basis.atoms.copy()
     rotated: dict[int, np.ndarray] = {}  # the rotated column of each clustered state
     for i, j in zip(basis.starts[:-1], basis.starts[1:]):
         if j - i > 1:
             window[i:j], vecs = _localized_rotation(basis.columns(i, j), mask)
             ipr[i:j], photon_weight[i:j], _ = _state_weights(vecs, mask)
-            state[i:j] = np.mean(energies[i:j])
-            amps[:, i:j] = vecs[:2]
+            energies[i:j] = np.mean(basis.energies[i:j])
+            atoms[:, i:j] = vecs[:2]
             rotated.update(zip(range(i, j), vecs.T))
 
-    in_band = (cfg.band_bottom < state) & (state < cfg.band_top)
-    near_edge = ((np.abs(state - cfg.band_bottom) < BAND_EDGE_GUARD * cfg.xi)
-                 | (np.abs(state - cfg.band_top) < BAND_EDGE_GUARD * cfg.xi))
+    in_band = (cfg.band_bottom < energies) & (energies < cfg.band_top)
+    near_edge = ((np.abs(energies - cfg.band_bottom) < BAND_EDGE_GUARD * cfg.xi)
+                 | (np.abs(energies - cfg.band_top) < BAND_EDGE_GUARD * cfg.xi))
     localized = ((ipr >= IPR_THRESHOLD) & (window >= WINDOW_MIN_WEIGHT)
                  & (photon_weight >= MIN_PHOTON_WEIGHT))
     labels = np.where(localized & in_band & ~near_edge, "BIC",
                       np.where(localized & ~in_band, "BOC", "extended"))
-
-    profiles: list[BoundStateProfile] = []
-    for q, label in enumerate(labels.tolist()):
-        photon = None
-        if label != "extended":
-            photon = (rotated[q] if q in rotated else basis.columns(q, q + 1)[:, 0])[2:] ** 2
-        profiles.append(BoundStateProfile(
-            energy=float(state[q]), label=label, ipr=float(ipr[q]),
-            amp_1=float(amps[0, q]), amp_2=float(amps[1, q]), photon=photon))
-    return profiles
-
-
-def bound_states(profiles: list[BoundStateProfile], label: str = "BIC") -> list[BoundStateProfile]:
-    return [p for p in profiles if p.label == label]
+    photon = {q: (rotated[q] if q in rotated else basis.columns(q, q + 1)[:, 0])[2:] ** 2
+              for q in np.flatnonzero(labels != "extended").tolist()}
+    return ClassifiedSpectrum(energies, labels, ipr, atoms, photon)
 
 
 def reflection_free_time(cfg: SystemConfig, n_c: int, dt: float) -> float:
@@ -1167,10 +1158,6 @@ def reflection_free_time(cfg: SystemConfig, n_c: int, dt: float) -> float:
     return lo * dt
 
 
-# States per block of ``exact_propagate``'s phase tables.
-_PROPAGATE_STATES = 128
-
-
 def exact_propagate(
     cfg: SystemConfig,
     psi0: WavefunctionState,
@@ -1181,7 +1168,7 @@ def exact_propagate(
     """Propagate by spectral decomposition: psi(t) = sum_q e^{-iE_q t} <v_q|psi0> v_q.
 
     ``basis`` is the eigenbasis of an n_c-site lattice (n = n_c + 2 states),
-    read once, in the blocks of about ``_PROPAGATE_STATES`` states of
+    read once, in the blocks of about ``_BLOCK_STATES`` states of
     ``basis.blocks``.  The atomic amplitudes use the uniform grid: with
     B = ceil(sqrt(T)) for T nodes, node n = jB + k has t_n = (jB + k) dt, so
     a_i(t_n) = sum_q e^{-iE_q k dt} [w_iq e^{-iE_q jB dt}], w_iq = v_q[i] <v_q|psi0>.
@@ -1233,7 +1220,7 @@ def exact_propagate(
     # psi[:, i] and psi[:, n_s + i]: real and imaginary parts of snapshot i
     psi = np.zeros((n_c + 2, 2 * n_s))
     atoms_only = not (n_s or photon_rows)
-    for lo, hi in basis.blocks(_PROPAGATE_STATES):
+    for lo, hi in basis.blocks(_BLOCK_STATES):
         vectors = basis.atoms[:, lo:hi] if atoms_only else basis.columns(lo, hi)
         part = energies[lo:hi]
         coeff = vectors[0] * complex(psi0.alpha_1) + vectors[1] * complex(psi0.alpha_2)

@@ -499,7 +499,7 @@ def exact_propagate_one_product(psi0, grid, basis: spectrum.Eigenbasis) -> AtomT
 
 
 def classify_bound_states_loop(basis: spectrum.Eigenbasis,
-                               cfg: SystemConfig) -> list[spectrum.BoundStateProfile]:
+                               cfg: SystemConfig) -> spectrum.ClassifiedSpectrum:
     """``spectrum.classify_bound_states`` one state at a time: each state's
     IPR, photon weight and window weight are ``np.sum`` calls over its own
     column (a degenerate cluster's over its ``_localized_rotation``)."""
@@ -509,7 +509,7 @@ def classify_bound_states_loop(basis: spectrum.Eigenbasis,
     mask = np.ones(dim, dtype=bool)
     mask[2:] = ((basis.sites >= first - spectrum.WINDOW_PAD)
                 & (basis.sites <= last + spectrum.WINDOW_PAD))
-    profiles = []
+    states, labels, photon = [], [], {}
     i = 0
     while i < dim:
         j = i
@@ -538,8 +538,11 @@ def classify_bound_states_loop(basis: spectrum.Eigenbasis,
                 label = "BOC"
             else:
                 label = "extended"
-            profiles.append(spectrum.BoundStateProfile(
-                energy=e, label=label, ipr=ipr, amp_1=float(v[0]), amp_2=float(v[1]),
-                photon=prob[2:] if label != "extended" else None))
+            if label != "extended":
+                photon[len(states)] = prob[2:]
+            states.append((e, ipr, float(v[0]), float(v[1])))
+            labels.append(label)
         i = j + 1
-    return profiles
+    energy, ipr, amp_1, amp_2 = np.array(states).T
+    return spectrum.ClassifiedSpectrum(energies=energy, labels=np.array(labels), ipr=ipr,
+                                       atoms=np.array([amp_1, amp_2]), photon=photon)

@@ -52,8 +52,8 @@ def lattice_counts():
     for size, delta in TABLE_ROWS:
         cfg = _cfg(size, delta)
         ham = spectrum.build_hamiltonian(cfg, 600)
-        profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg)
-        counts[(size, delta)] = len(spectrum.bound_states(profiles))
+        classified = spectrum.classify_bound_states(spectrum.eigendecompose(ham), cfg)
+        counts[(size, delta)] = int(np.count_nonzero(classified.labels == "BIC"))
     return counts, time.monotonic() - start
 
 
@@ -87,8 +87,8 @@ def fig4_run():
     psi0 = initial_state("atom1")
     trajectory = dynamics.solve_volterra(FIG4, psi0, grid)
     ham = spectrum.build_hamiltonian(FIG4, 600)
-    profiles = spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG4)
-    prediction = dynamics.steady_state_prediction(psi0, profiles)
+    classified = spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG4)
+    prediction = dynamics.steady_state_prediction(psi0, classified)
     region = np.arange(FIG4.n_1, FIG4.m_2 + 1)
     snapshot = dynamics.photon_field(FIG4, trajectory, region, [600.0])[0]
     return {"grid": grid, "trajectory": trajectory, "prediction": prediction,

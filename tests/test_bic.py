@@ -77,11 +77,12 @@ def test_fig3_branch_labels_match_lattice_parity(fig3_roots):
     # the +(symmetric, A1 = +A2) branch root must coincide with the lattice
     # eigenstate of even atomic parity, and the - branch with odd parity
     ham = spectrum.build_hamiltonian(FIG3, 600)
-    profiles = spectrum.bound_states(
-        spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG3))
+    classified = spectrum.classify_bound_states(spectrum.eigendecompose(ham), FIG3)
+    bics = np.flatnonzero(classified.labels == "BIC")
     for r in fig3_roots:
-        match = min(profiles, key=lambda p: abs(p.energy - r.energy))
-        parity = "+" if match.amp_1 * match.amp_2 > 0 else "-"
+        match = bics[np.argmin(np.abs(classified.energies[bics] - r.energy))]
+        amp_1, amp_2 = classified.atoms[:, match]
+        parity = "+" if amp_1 * amp_2 > 0 else "-"
         assert r.branch == parity
 
 

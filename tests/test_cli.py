@@ -1099,6 +1099,7 @@ def test_fuzzed_config_gives_an_honest_exit(command, text):
         assert code in (0, 1, 2)
         if code == 1:
             assert err.startswith("error: ")
+            assert not os.path.exists(out)  # checked before the output directory is made
         elif code == 2:
             assert err.startswith("solver error: ")
         else:
@@ -1107,3 +1108,44 @@ def test_fuzzed_config_gives_an_honest_exit(command, text):
                     with open(os.path.join(out, name), encoding="utf-8") as fh:
                         cells = fh.read().replace("\n", ",").split(",")
                     assert not {"nan", "inf", "-inf"} & set(cells), name
+
+
+# couplings over decades, and the values no coupling may take
+_DECADE_COUPLINGS = st.one_of(
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-30.0, 4.0)),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, -0.0]))
+
+
+def _assert_an_honest_exit(argv, artifact):
+    """``main(argv)`` exits 0 with a finite ``artifact``, or 1 with one
+    ``error:`` line and no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", out])
+        err = err.getvalue()
+        assert code in (0, 1), err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert not os.path.exists(out)
+        else:
+            with open(os.path.join(out, artifact), encoding="utf-8") as fh:
+                cells = fh.read().replace("\n", ",").replace(";", ",").split(",")
+            assert not {"nan", "inf", "-inf"} & set(cells), artifact
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_DECADE_COUPLINGS)
+@example(g=1e300)  # exited 1 but left an empty output directory
+@example(g=math.nan)
+def test_fuzzed_census_coupling_gives_an_honest_exit(g):
+    _assert_an_honest_exit(["census", f"--g={g!r}"], "census.csv")
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(_DECADE_COUPLINGS, min_size=1, max_size=3))
+def test_fuzzed_sweep_couplings_give_an_honest_exit(values):
+    _assert_an_honest_exit(["sweep", "--vary", "g", f"--values={','.join(map(repr, values))}"],
+                           "sweep.csv")

@@ -697,20 +697,20 @@ def test_photon_norm_scratch_stays_within_2_mb():
     assert traced_peak(photon_norm, FIG3, traj, 200.0) <= 2 * 2 ** 20
 
 
-def _lattice_profiles(cfg):
+def _classified(cfg):
     return spectrum.classify_bound_states(
         spectrum.eigendecompose(spectrum.build_hamiltonian(cfg, 600)), cfg)
 
 
 def test_steady_state_prediction_fig4():
-    p1, p2 = steady_state_prediction(initial_state("atom1"), _lattice_profiles(FIG4))
+    p1, p2 = steady_state_prediction(initial_state("atom1"), _classified(FIG4))
     assert p1 == pytest.approx(p2, rel=1e-9)      # symmetric bound state
     assert p1 == pytest.approx(0.245, abs=0.01)   # |A1|^4 of the normalized state
 
 
 def test_steady_state_prediction_requires_unique_bic():
     with pytest.raises(ValueError, match="exactly one"):
-        steady_state_prediction(initial_state("atom1"), _lattice_profiles(FIG3))
+        steady_state_prediction(initial_state("atom1"), _classified(FIG3))
 
 
 def test_steady_state_prediction_requires_a_photon_vacuum():

@@ -19,8 +19,6 @@ from crwqed.model import (
 from crwqed import spectrum
 from crwqed.dynamics import solve_volterra
 from crwqed.spectrum import (
-    BoundStateProfile,
-    bound_states,
     build_hamiltonian,
     classify_bound_states,
     eigendecompose,
@@ -91,55 +89,61 @@ def test_gershgorin_bound_and_completeness():
     assert np.allclose(overlaps, 1.0, atol=1e-10)
 
 
+def _bics(classified):
+    return np.flatnonzero(classified.labels == "BIC")
+
+
 @pytest.fixture(scope="module")
-def fig3_profiles():
+def fig3_classified():
     ham = build_hamiltonian(FIG3, 600)
     return classify_bound_states(eigendecompose(ham), FIG3), ham
 
 
-def test_fig3_two_bics(fig3_profiles):
-    profiles, _ = fig3_profiles
-    bics = bound_states(profiles)
+def test_fig3_two_bics(fig3_classified):
+    classified, _ = fig3_classified
+    bics = _bics(classified)
     assert len(bics) == 2
-    energies = sorted(b.energy for b in bics)
+    energies = sorted(classified.energies[bics])
     assert energies[0] == pytest.approx(-0.0097, abs=1e-3)
     assert energies[1] == pytest.approx(+0.0097, abs=1e-3)
 
 
-def test_fig3_bic_profiles_confined(fig3_profiles):
-    profiles, ham = fig3_profiles
+def test_fig3_bic_profiles_confined(fig3_classified):
+    classified, ham = fig3_classified
     sites = ham.sites
     inside = (sites >= FIG3.n_1 - 5) & (sites <= FIG3.m_2 + 5)
-    for b in bound_states(profiles):
+    for q in _bics(classified):
         # quasi-compact at finite splitting: ~97% of the photon weight on
         # the covered region, the remainder a weak lattice-wide tail
-        assert b.photon[inside].sum() >= 0.95 * b.photon.sum()
+        photon = classified.photon[q]
+        assert photon[inside].sum() >= 0.95 * photon.sum()
 
 
 def test_no_bic_for_size8_odd_offset():
     ham = build_hamiltonian(NO_BIC, 600)
-    profiles = classify_bound_states(eigendecompose(ham), NO_BIC)
-    assert bound_states(profiles) == []
+    classified = classify_bound_states(eigendecompose(ham), NO_BIC)
+    assert _bics(classified).size == 0
 
 
 def test_fig4_single_compact_bic():
     ham = build_hamiltonian(FIG4, 600)
-    profiles = classify_bound_states(eigendecompose(ham), FIG4)
-    bics = bound_states(profiles)
+    classified = classify_bound_states(eigendecompose(ham), FIG4)
+    bics = _bics(classified)
     assert len(bics) == 1
-    b = bics[0]
-    assert abs(b.energy) <= 1e-6
-    assert abs(b.amp_1) == pytest.approx(abs(b.amp_2), rel=1e-9)
-    top = ham.sites[np.argsort(b.photon)[::-1][:2]]
+    q = bics[0]
+    assert abs(classified.energies[q]) <= 1e-6
+    amp_1, amp_2 = classified.atoms[:, q]
+    assert abs(amp_1) == pytest.approx(abs(amp_2), rel=1e-9)
+    top = ham.sites[np.argsort(classified.photon[q])[::-1][:2]]
     assert sorted(top.tolist()) == [2, 10]
 
 
 def test_decoupled_atoms_are_not_bound_states():
     cfg = SystemConfig(n_1=1, n_2=7, m_1=4, m_2=10, g_1=0.0, g_2=0.0)
     ham = build_hamiltonian(cfg, 200)
-    profiles = classify_bound_states(eigendecompose(ham), cfg)
-    assert bound_states(profiles, "BIC") == []
-    assert bound_states(profiles, "BOC") == []
+    classified = classify_bound_states(eigendecompose(ham), cfg)
+    assert set(classified.labels.tolist()) == {"extended"}  # no BIC, no BOC
+    assert classified.photon == {}
 
 
 @pytest.mark.parametrize("size,expect", [(n, n in (6, 10)) for n in range(3, 13)])
@@ -148,8 +152,8 @@ def test_single_atom_bic_needs_matching_size(size, expect):
     # the resonant mode interferes away at both legs, size = 6, 10, ...
     cfg = SystemConfig(n_1=1, n_2=1 + size, m_1=30, m_2=40, g_2=0.0)
     ham = build_hamiltonian(cfg, 600)
-    profiles = classify_bound_states(eigendecompose(ham), cfg)
-    assert (len(bound_states(profiles)) == 1) is expect
+    classified = classify_bound_states(eigendecompose(ham), cfg)
+    assert (len(_bics(classified)) == 1) is expect
 
 
 def test_extended_states_have_small_ipr():
@@ -501,15 +505,14 @@ def test_blocked_orthonormality_equals_dense():
     assert abs(_orthonormality(vectors) - dense) <= 1e-15
 
 
-def test_only_bound_state_profiles_keep_photon_probabilities(fig3_profiles):
-    profiles, _ = fig3_profiles
-    assert {p.label for p in profiles} == {"BIC", "extended"}
-    for p in profiles:
-        if p.label == "extended":
-            assert p.photon is None
-        else:
-            assert p.photon.shape == (600,)
-            assert p.photon.sum() == pytest.approx(1.0 - p.amp_1 ** 2 - p.amp_2 ** 2, abs=1e-12)
+def test_only_bound_state_profiles_keep_photon_probabilities(fig3_classified):
+    classified, _ = fig3_classified
+    assert set(classified.labels.tolist()) == {"BIC", "extended"}
+    assert list(classified.photon) == _bics(classified).tolist()
+    for q, photon in classified.photon.items():
+        amp_1, amp_2 = classified.atoms[:, q]
+        assert photon.shape == (600,)
+        assert photon.sum() == pytest.approx(1.0 - amp_1 ** 2 - amp_2 ** 2, abs=1e-12)
 
 
 # ---- the structured eigensolver against the dense oracle ----
@@ -622,29 +625,27 @@ def test_fig4_band_centre_pair_is_one_bic_and_one_extended_state():
     assert spectrum._tails(FIG4, 1400) == (695, 694)
     pair = np.flatnonzero(np.abs(basis.energies) < 1e-6)
     assert pair.size == 2 and np.ptp(basis.energies[pair]) < 1e-14
-    for name, profiles in (("structured", classify_bound_states(basis, FIG4)),
-                           ("dense", classify_bound_states(dense, FIG4))):
-        centre = [p for p in profiles if abs(p.energy) < 1e-6]
-        assert sorted(p.label for p in centre) == ["BIC", "extended"], name
-    mine = bound_states(classify_bound_states(basis, FIG4))
-    ref = bound_states(classify_bound_states(dense, FIG4))
-    assert len(mine) == len(ref) == 1
-    for a, b in ((mine[0].amp_1, ref[0].amp_1), (mine[0].amp_2, ref[0].amp_2)):
+    mine = classify_bound_states(basis, FIG4)
+    ref = classify_bound_states(dense, FIG4)
+    for name, classified in (("structured", mine), ("dense", ref)):
+        centre = np.abs(classified.energies) < 1e-6
+        assert sorted(classified.labels[centre].tolist()) == ["BIC", "extended"], name
+    assert len(_bics(mine)) == len(_bics(ref)) == 1
+    mine_amps, ref_amps = mine.atoms[:, _bics(mine)[0]], ref.atoms[:, _bics(ref)[0]]
+    for a, b in zip(mine_amps, ref_amps):
         assert abs(a * a - b * b) <= 1e-12
-    assert mine[0].amp_1 ** 2 == pytest.approx(0.495050, abs=1e-6)
-    assert mine[0].amp_2 ** 2 == pytest.approx(0.495050, abs=1e-6)
+    assert mine_amps[0] ** 2 == pytest.approx(0.495050, abs=1e-6)
+    assert mine_amps[1] ** 2 == pytest.approx(0.495050, abs=1e-6)
 
 
 def _assert_classified_like_the_loop(basis, cfg):
-    profiles = classify_bound_states(basis, cfg)
+    mine = classify_bound_states(basis, cfg)
     ref = classify_bound_states_loop(basis, cfg)
-    assert [p.label for p in profiles] == [p.label for p in ref]
-    for mine, theirs in zip(profiles, ref):
-        assert (mine.energy, mine.ipr, mine.amp_1, mine.amp_2) == (
-            theirs.energy, theirs.ipr, theirs.amp_1, theirs.amp_2)
-        assert (mine.photon is None) == (theirs.photon is None)
-        if mine.photon is not None:
-            assert np.array_equal(mine.photon, theirs.photon)
+    for name in ("energies", "labels", "ipr", "atoms"):
+        assert np.array_equal(getattr(mine, name), getattr(ref, name)), name
+    assert list(mine.photon) == list(ref.photon)
+    for q, photon in mine.photon.items():
+        assert np.array_equal(photon, ref.photon[q])
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])
